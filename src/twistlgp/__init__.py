@@ -42,12 +42,10 @@ from .groups import (
     NotNormal,
     Subgroup,
     build_group,
-    conjugation_action,
     cyclic,
     cyclic_subgroups,
     dihedral,
     direct_product,
-    is_normal,
     quaternion,
     quotient,
     subgroup_generated,

@@ -106,7 +106,10 @@ class AlbertProfile:
         if self.center_degree is not None:
             if self.center_degree < 1 or two_g % self.center_degree != 0:
                 raise InconsistentProfile("[Z:Q] must divide 2g")
-            if self.m >= 3 and self.center_degree < totient(self.m):
+            # phi(m) >= sqrt(m / 2), so a large m needs no factorization
+            if self.m >= 3 and (
+                self.m > 2 * self.center_degree**2 or self.center_degree < totient(self.m)
+            ):
                 raise InconsistentProfile(
                     "[Z:Q] is smaller than phi(m) although mu_m lies in the center"
                 )
@@ -115,6 +118,8 @@ class AlbertProfile:
                 raise InconsistentProfile("d must divide 2g")
             if self.center_degree is not None and self.d * self.center_degree != two_g:
                 raise InconsistentProfile("d * [Z:Q] must equal 2g")
+        if any(v is not None and v < 1 for v in (self.delta, self.e0)):
+            raise InconsistentProfile("delta and e0 must be positive")
         if self.delta is not None and self.e0 is not None:
             if self.g % (self.e0 * self.delta**2) != 0:
                 raise InconsistentProfile("e0 * delta^2 must divide g")

@@ -38,6 +38,11 @@ FLAG_NAMES = (
 ALBERT_FIELDS = {"g", "m", "center_degree", "d", "delta", "e0"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance document (JSON)."""
     try:
@@ -52,33 +57,45 @@ def parse_instance(text: str) -> Instance:
     if "m" not in doc:
         raise ParseError("m", "missing required field")
     m = doc["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ParseError("m", "must be a positive integer")
     if "group" not in doc:
         raise ParseError("group", "missing required field")
     try:
         group = build_group(doc["group"])
-    except (NotAGroup, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError("group", str(exc))
     g = doc.get("g")
-    if g is not None and (not isinstance(g, int) or g < 1):
+    if g is not None and (not _is_int(g) or g < 1):
         raise ParseError("g", "must be a positive integer")
     char_values = doc.get("character")
+    if char_values is not None and not (
+        isinstance(char_values, list) and all(_is_int(v) for v in char_values)
+    ):
+        raise ParseError("character", "must be a list of integers")
     try:
         if char_values is None:
             character = CyclotomicCharacter.trivial(group, m)
         else:
             character = CyclotomicCharacter(group, m, tuple(char_values))
-    except (BadCharacter, TypeError) as exc:
+    except BadCharacter as exc:
         raise ParseError("character", str(exc))
     flags = doc.get("flags", {})
     if not isinstance(flags, dict) or set(flags) - set(FLAG_NAMES):
         raise ParseError("flags", f"allowed flags are {', '.join(FLAG_NAMES)}")
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ParseError("flags", f"{name} must be true or false")
     albert = None
     if doc.get("albert") is not None:
         raw = doc["albert"]
         if not isinstance(raw, dict) or set(raw) - ALBERT_FIELDS:
             raise ParseError("albert", f"allowed fields are {', '.join(sorted(ALBERT_FIELDS))}")
+        # null stands for an absent field, as serialize_instance writes it
+        raw = {key: value for key, value in raw.items() if value is not None}
+        for key, value in raw.items():
+            if not _is_int(value):
+                raise ParseError("albert", f"{key} must be an integer")
         try:
             albert = AlbertProfile(
                 g=raw.get("g", g if g is not None else 0),
@@ -91,22 +108,30 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise ParseError("albert", str(exc))
     subgroup_lists = doc.get("declared_decomposition_subgroups", [])
+    if not isinstance(subgroup_lists, list) or not all(
+        isinstance(elems, list) and all(_is_int(x) and 0 <= x < group.order for x in elems)
+        for elems in subgroup_lists
+    ):
+        raise ParseError(
+            "declared_decomposition_subgroups",
+            f"must be a list of lists of group elements 0..{group.order - 1}",
+        )
     subs = []
     for elems in subgroup_lists:
         try:
-            subs.append(Subgroup(group, tuple(int(x) for x in elems)))
-        except (NotAGroup, ValueError, TypeError) as exc:
+            subs.append(Subgroup(group, tuple(elems)))
+        except NotAGroup as exc:
             raise ParseError("declared_decomposition_subgroups", str(exc))
     instance = Instance(
         m=m,
         group=group,
         character=character,
         g=g,
-        dl_equals_d=bool(flags.get("dl_equals_d", False)),
-        dl_commutative=bool(flags.get("dl_commutative", False)),
-        dl_cm_field=bool(flags.get("dl_cm_field", False)),
-        mu_m_in_d=bool(flags.get("mu_m_in_d", False)),
-        geometrically_simple=bool(flags.get("geometrically_simple", False)),
+        dl_equals_d=flags.get("dl_equals_d", False),
+        dl_commutative=flags.get("dl_commutative", False),
+        dl_cm_field=flags.get("dl_cm_field", False),
+        mu_m_in_d=flags.get("mu_m_in_d", False),
+        geometrically_simple=flags.get("geometrically_simple", False),
         albert=albert,
         declared_decomposition_subgroups=tuple(subs),
     )
@@ -200,7 +225,7 @@ def _decide_one(path: str, as_json: bool) -> int:
         with open(path, encoding="utf-8") as handle:
             instance = parse_instance(handle.read())
         verdict: Verdict = decide(instance)
-    except (ParseError, Inconsistent, OSError, TooLarge) as exc:
+    except (ParseError, Inconsistent, OSError, UnicodeDecodeError, TooLarge) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     _emit(verdict.to_dict(), as_json, _render_verdict)

@@ -1,6 +1,12 @@
 """Exact cohomology of a finite group with finite abelian coefficients.
 
-Inhomogeneous (bar) cochains in degrees 0..2, with the differentials
+Inhomogeneous (bar) cochains in degrees 0..2, with the differential
+
+    (d f)(g_1, ..., g_{n+1}) = g_1.f(g_2, ..., g_{n+1})
+                               + sum_{i=1..n} (-1)^i f(.., g_i g_{i+1}, ..)
+                               + (-1)^{n+1} f(g_1, ..., g_n)
+
+so that in the degrees used here
 
     (d0 m)(g)       = g.m - m
     (d1 f)(g, h)    = g.f(h) - f(gh) + f(g)
@@ -33,6 +39,7 @@ from .linalg import (
     NotInLattice,
     column_lattice_basis,
     congruence_kernel,
+    diagonal_matrix,
     int_matrix,
     lattice_quotient,
     zero_matrix,
@@ -129,31 +136,37 @@ def cochain_from_vector(module: GModule, degree: int, vec) -> Cochain:
     return Cochain(module, degree, values)
 
 
+def _bar_terms(group: FiniteGroup, n: int):
+    """The degree-n bar differential, one (n+1)-tuple (g_1, ..., g_{n+1}) at
+    a time in lexicographic order: yields g_1, the index of the n-tuple
+    (g_2, ..., g_{n+1}) it acts on, and the (sign, n-tuple index) pairs of
+    the remaining terms."""
+    order = group.order
+    table = group.mul_table
+    signs = [(-1) ** i for i in range(1, n + 2)]
+    tails = order**n
+    for idx, gs in enumerate(itertools.product(range(order), repeat=n + 1)):
+        terms = [
+            (signs[i], tuple_index(order, gs[:i] + (table[gs[i]][gs[i + 1]],) + gs[i + 2:]))
+            for i in range(n)
+        ]
+        terms.append((signs[n], idx // order))
+        yield gs[0], idx % tails, terms
+
+
 def coboundary(cochain: Cochain) -> Cochain:
     """The bar differential of a degree 0..2 cochain."""
     module = cochain.module
-    group = module.group
     n = cochain.degree
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0..2")
+    f = cochain.values
     values = []
-    if n == 0:
-        m = cochain()
-        for (g,) in group_tuples(group.order, 1):
-            values.append(module.add(module.act(g, m), module.neg(m)))
-    elif n == 1:
-        for g, h in group_tuples(group.order, 2):
-            acc = module.act(g, cochain(h))
-            acc = module.add(acc, module.neg(cochain(group.mul(g, h))))
-            acc = module.add(acc, cochain(g))
-            values.append(acc)
-    else:
-        for g, h, k in group_tuples(group.order, 3):
-            acc = module.act(g, cochain(h, k))
-            acc = module.add(acc, module.neg(cochain(group.mul(g, h), k)))
-            acc = module.add(acc, cochain(g, group.mul(h, k)))
-            acc = module.add(acc, module.neg(cochain(g, h)))
-            values.append(acc)
+    for g, acted, terms in _bar_terms(module.group, n):
+        acc = module.act(g, f[acted])
+        for sign, t in terms:
+            acc = module.add(acc, module.scale(sign, f[t]))
+        values.append(acc)
     return Cochain(module, n + 1, tuple(values))
 
 
@@ -165,46 +178,17 @@ def _differential_rows(group: FiniteGroup, module: GModule, n: int):
     """Rows of the degree-n differential with their moduli: one row per
     ((n+1)-tuple, coordinate), over ((n)-tuple, coordinate) positions."""
     r = module.rank
-    order = group.order
-    n_inputs = r * order**n
-    for out in group_tuples(order, n + 1):
-        if n == 0:
-            (g,) = out
-            mat = module.action[g]
-            for i in range(r):
-                row = [0] * n_inputs
-                for j in range(r):
-                    row[j] += mat[i][j]
-                row[i] -= 1
-                yield row, module.orders[i]
-        elif n == 1:
-            g, h = out
-            mat = module.action[g]
-            t_h = tuple_index(order, (h,))
-            t_gh = tuple_index(order, (group.mul(g, h),))
-            t_g = tuple_index(order, (g,))
-            for i in range(r):
-                row = [0] * n_inputs
-                for j in range(r):
-                    row[t_h * r + j] += mat[i][j]
-                row[t_gh * r + i] -= 1
-                row[t_g * r + i] += 1
-                yield row, module.orders[i]
-        else:
-            g, h, k = out
-            mat = module.action[g]
-            t_hk = tuple_index(order, (h, k))
-            t_ghk = tuple_index(order, (group.mul(g, h), k))
-            t_ghk2 = tuple_index(order, (g, group.mul(h, k)))
-            t_gh = tuple_index(order, (g, h))
-            for i in range(r):
-                row = [0] * n_inputs
-                for j in range(r):
-                    row[t_hk * r + j] += mat[i][j]
-                row[t_ghk * r + i] -= 1
-                row[t_ghk2 * r + i] += 1
-                row[t_gh * r + i] -= 1
-                yield row, module.orders[i]
+    n_inputs = r * group.order**n
+    action, orders = module.action, module.orders
+    for g, acted, terms in _bar_terms(group, n):
+        mat = action[g]
+        start = acted * r
+        for i in range(r):
+            row = [0] * n_inputs
+            row[start:start + r] = mat[i]
+            for sign, t in terms:
+                row[t * r + i] += sign
+            yield row, orders[i]
 
 
 def _boundary_columns(group: FiniteGroup, module: GModule, n: int) -> np.ndarray:
@@ -306,10 +290,7 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int, size_bo
     cocycles = congruence_kernel(
         n_inputs, module.exponent, _differential_rows(group, module, degree)
     )
-    relations = zero_matrix(n_inputs, n_inputs)
-    for t in range(group.order**degree):
-        for i in range(r):
-            relations[t * r + i, t * r + i] = module.orders[i]
+    relations = diagonal_matrix(module.orders * group.order**degree)
     if degree >= 1:
         boundaries = _boundary_columns(group, module, degree)
         sub = np.concatenate([boundaries, relations], axis=1)
@@ -399,9 +380,7 @@ class CohomologyMap:
         if not b:
             return ()
         cols = [[self.matrix[i][j] for i in range(len(b))] for j in range(len(self.matrix[0]) if self.matrix else 0)]
-        rel = zero_matrix(len(b), len(b))
-        for i, d in enumerate(b):
-            rel[i, i] = d
+        rel = diagonal_matrix(b)
         if cols:
             span = np.concatenate([int_matrix(cols).T, rel], axis=1)
         else:
@@ -431,15 +410,21 @@ def _subgroup_from_congruences(ambient_factors, congruence_rows):
     lattice = congruence_kernel(
         s, int(exponent), iter([(list(row), m) for row, m in congruence_rows])
     )
-    rel = zero_matrix(s, s)
-    for i, d in enumerate(ambient_factors):
-        rel[i, i] = d
-    quot = lattice_quotient(lattice, rel)
+    quot = lattice_quotient(lattice, diagonal_matrix(ambient_factors))
     gens = tuple(
         tuple(int(x) % d for x, d in zip(quot.generator(i), ambient_factors))
         for i in range(len(quot.factors))
     )
     return quot.factors, gens
+
+
+def _induced_map(source: CohomologyGroup, target: CohomologyGroup, cochain_map):
+    """Matrix of the map on cohomology induced by a cochain map: one column
+    per source generator, holding the target class of its image."""
+    cols = [target.class_of(cochain_map(rep)).coordinates for rep in source.representatives]
+    return tuple(
+        tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
+    )
 
 
 def restriction(coh: CohomologyGroup, subgroup: Subgroup, size_bound: int = DEFAULT_SIZE_BOUND) -> CohomologyMap:
@@ -450,17 +435,15 @@ def restriction(coh: CohomologyGroup, subgroup: Subgroup, size_bound: int = DEFA
     sub_module = restrict_module(coh.module, subgroup)
     target = cohomology(sub_group, sub_module, coh.degree, size_bound)
     order = coh.group.order
-    cols = []
-    for rep in coh.representatives:
+
+    def restrict(rep: Cochain) -> Cochain:
         values = tuple(
             rep.values[tuple_index(order, tuple(embed[t] for t in gs))]
             for gs in group_tuples(sub_group.order, coh.degree)
         )
-        restricted = Cochain(sub_module, coh.degree, values)
-        cols.append(target.class_of(restricted).coordinates)
-    matrix = tuple(
-        tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
-    )
+        return Cochain(sub_module, coh.degree, values)
+
+    matrix = _induced_map(coh, target, restrict)
     return CohomologyMap(coh, target, matrix, label=f"res_{subgroup.elements}")
 
 
@@ -485,13 +468,11 @@ def inflation(
     if emb.shape != (module.rank, coh.module.rank):
         raise IncompatibleCoefficients("embedding has the wrong shape")
     # the embedding must define an injective, equivariant homomorphism
-    orders = np.array(module.orders, dtype=object)
     for j, d in enumerate(coh.module.orders):
         col = emb[:, j] * d
         if any(int(col[i]) % module.orders[i] != 0 for i in range(module.rank)):
             raise IncompatibleCoefficients("embedding does not respect the orders")
-    for q in coh.group.elements():
-        g = min(g for g in module.group.elements() if proj(g) == q)
+    for q, g in enumerate(proj.section):
         lhs = module.action_matrix(g) @ emb
         rhs = emb @ coh.module.action_matrix(q)
         for i in range(module.rank):
@@ -505,19 +486,16 @@ def inflation(
             raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree, size_bound)
     q_order = coh.group.order
-    cols = []
-    for rep in coh.representatives:
+
+    def inflate(rep: Cochain) -> Cochain:
         values = []
         for gs in group_tuples(module.group.order, coh.degree):
             val = rep.values[tuple_index(q_order, tuple(proj(g) for g in gs))]
             lifted = emb @ np.array(val, dtype=object) if coh.module.rank else np.zeros(module.rank, dtype=object)
             values.append(module.reduce(lifted))
-        inflated = Cochain(module, coh.degree, tuple(values))
-        cols.append(target.class_of(inflated).coordinates)
-    matrix = tuple(
-        tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
-    )
-    return CohomologyMap(coh, target, matrix, label="inf")
+        return Cochain(module, coh.degree, tuple(values))
+
+    return CohomologyMap(coh, target, _induced_map(coh, target, inflate), label="inf")
 
 
 @dataclass(eq=False)
@@ -576,14 +554,11 @@ def conjugation_on_cohomology(
     sub_module = restrict_module(module, normal)
     coh = cohomology(sub_group, sub_module, degree, size_bound)
     q_group, proj = quotient(group, normal)
-    reps = [
-        min(g for g in group.elements() if proj(g) == q) for q in q_group.elements()
-    ]
 
     def conjugated_matrix(g: int):
         g_inv = group.inv(g)
-        cols = []
-        for rep in coh.representatives:
+
+        def conjugate(rep: Cochain) -> Cochain:
             values = []
             for gs in group_tuples(sub_group.order, degree):
                 conj = tuple(
@@ -591,13 +566,11 @@ def conjugation_on_cohomology(
                 )
                 val = rep.values[tuple_index(sub_group.order, conj)]
                 values.append(module.act(g, val))
-            moved = Cochain(sub_module, degree, tuple(values))
-            cols.append(coh.class_of(moved).coordinates)
-        return tuple(
-            tuple(col[i] for col in cols) for i in range(len(coh.invariant_factors))
-        )
+            return Cochain(sub_module, degree, tuple(values))
 
-    matrices = tuple(conjugated_matrix(reps[q]) for q in q_group.elements())
+        return _induced_map(coh, coh, conjugate)
+
+    matrices = tuple(conjugated_matrix(g) for g in proj.section)
     # inner conjugations must act trivially on cohomology
     b = coh.invariant_factors
     for n in normal.elements:

@@ -22,6 +22,7 @@ from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_generated
 from .linalg import (
     column_lattice_basis,
     congruence_kernel,
+    diagonal_matrix,
     identity_matrix,
     int_matrix,
     lattice_quotient,
@@ -146,10 +147,7 @@ class GModule:
         return int_matrix(self.action[g])
 
     def relation_matrix(self) -> np.ndarray:
-        rel = zero_matrix(self.rank, self.rank)
-        for i, d in enumerate(self.orders):
-            rel[i, i] = d
-        return rel
+        return diagonal_matrix(self.orders)
 
 
 def gmodule(group: FiniteGroup, orders, action) -> GModule:
@@ -173,10 +171,7 @@ def gmodule(group: FiniteGroup, orders, action) -> GModule:
             for j in range(r):
                 if (mat[i, j] * orders[j]) % orders[i] != 0:
                     raise ValueError("action is not well defined on the module")
-    rel = zero_matrix(r, r)
-    for i, d in enumerate(orders):
-        rel[i, i] = d
-    snf = smith_normal_form(rel)
+    snf = smith_normal_form(diagonal_matrix(orders))
     new_orders = list(snf.diagonal)
     keep = [i for i, d in enumerate(new_orders) if d != 1]
     final_orders = tuple(new_orders[i] for i in keep)
@@ -298,6 +293,31 @@ def _fixed_lattice(module: GModule, elements) -> np.ndarray:
     return congruence_kernel(r, module.exponent, rows())
 
 
+def _fixed_points(module: GModule, elements):
+    """The fixed points under the given elements as a lattice quotient (its
+    generators lift them to Z^r), with the embedding: one column per
+    generator, reduced mod the module orders."""
+    quot = lattice_quotient(_fixed_lattice(module, elements), module.relation_matrix())
+    gens = quot.generators()
+    if gens:
+        embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])
+    else:
+        embed = zero_matrix(module.rank, 0)
+    return quot, embed
+
+
+def _action_on_quotient(module: GModule, quot, acting) -> list[np.ndarray]:
+    """Matrix of each acting element on a lattice quotient that the action
+    preserves, in the quotient's coordinates (one column per generator)."""
+    gens = quot.generators()
+    mats = []
+    for g in acting:
+        act = module.action_matrix(g)
+        cols = [quot.coordinates(act @ gen) for gen in gens]
+        mats.append(int_matrix(cols).T if cols else zero_matrix(0, 0))
+    return mats
+
+
 def fixed_submodule(module: GModule, elements=None):
     """Invariant factors and generators of the fixed points under the given
     group elements (all of G when omitted).
@@ -307,13 +327,7 @@ def fixed_submodule(module: GModule, elements=None):
     """
     if elements is None:
         elements = list(module.group.elements())
-    basis = _fixed_lattice(module, elements)
-    quot = lattice_quotient(basis, module.relation_matrix())
-    gens = quot.generators()
-    if gens:
-        embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])
-    else:
-        embed = zero_matrix(module.rank, 0)
+    quot, embed = _fixed_points(module, elements)
     return quot.factors, embed
 
 
@@ -332,30 +346,9 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
     """
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
-    kernel = proj.kernel_elements()
-    basis = _fixed_lattice(module, kernel)
-    quot = lattice_quotient(basis, module.relation_matrix())
-    gens = quot.generators()
-    target = proj.target
-    reps = [
-        min(g for g in module.group.elements() if proj(g) == q)
-        for q in target.elements()
-    ]
-    mats = []
-    for q in target.elements():
-        g = reps[q]
-        cols = []
-        for gen in gens:
-            image = module.action_matrix(g) @ gen
-            cols.append(quot.coordinates(image))
-        mat = [[cols[j][i] for j in range(len(gens))] for i in range(len(quot.factors))]
-        mats.append(mat if gens else [])
-    sub = gmodule(target, quot.factors, [int_matrix(m) if quot.factors else zero_matrix(0, 0) for m in mats])
-    if gens:
-        embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])
-    else:
-        embed = zero_matrix(module.rank, 0)
-    return sub, embed
+    quot, embed = _fixed_points(module, proj.kernel_elements())
+    mats = _action_on_quotient(module, quot, proj.section)
+    return gmodule(proj.target, quot.factors, mats), embed
 
 
 def restrict_module(module: GModule, subgroup: Subgroup) -> GModule:
@@ -395,31 +388,11 @@ def submodule_quotient(module: GModule, generators):
                 raise NotStable(
                     f"span is not stable: element {g} moves {gen} outside"
                 )
+    acting = module.group.elements()
     sub_quot = lattice_quotient(basis, module.relation_matrix())
-    sub_gens = sub_quot.generators()
-    sub_mats = []
-    for g in module.group.elements():
-        cols_g = [sub_quot.coordinates(module.action_matrix(g) @ gen) for gen in sub_gens]
-        sub_mats.append(
-            [[cols_g[j][i] for j in range(len(sub_gens))] for i in range(len(sub_quot.factors))]
-        )
-    submodule = gmodule(
-        module.group,
-        sub_quot.factors,
-        [int_matrix(m) if sub_quot.factors else zero_matrix(0, 0) for m in sub_mats],
-    )
     # quotient Z^r / span via the SNF change of coordinates y = U x
     quo_quot = lattice_quotient(identity_matrix(r), basis)
-    quo_gens = quo_quot.generators()
-    quo_mats = []
-    for g in module.group.elements():
-        cols_g = [quo_quot.coordinates(module.action_matrix(g) @ gen) for gen in quo_gens]
-        quo_mats.append(
-            [[cols_g[j][i] for j in range(len(quo_gens))] for i in range(len(quo_quot.factors))]
-        )
-    quotient_module = gmodule(
-        module.group,
-        quo_quot.factors,
-        [int_matrix(m) if quo_quot.factors else zero_matrix(0, 0) for m in quo_mats],
+    return (
+        gmodule(module.group, sub_quot.factors, _action_on_quotient(module, sub_quot, acting)),
+        gmodule(module.group, quo_quot.factors, _action_on_quotient(module, quo_quot, acting)),
     )
-    return submodule, quotient_module

@@ -71,13 +71,7 @@ class FiniteGroup:
 
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for g in range(self.order):
-            h = self.mul_table[g].index(0)
-            if self.mul_table[h][g] != 0:
-                raise NotAGroup(f"element {g} has no two-sided inverse")
-            inv[g] = h
-        return tuple(inv)
+        return tuple(row.index(0) for row in self.mul_table)
 
     def elements(self) -> range:
         return range(self.order)
@@ -369,10 +363,6 @@ def cyclic_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(out, key=lambda s: (s.order, s.elements)))
 
 
-def is_normal(subgroup: Subgroup) -> bool:
-    return subgroup.is_normal()
-
-
 @dataclass(frozen=True)
 class GroupHom:
     source: FiniteGroup
@@ -393,6 +383,17 @@ class GroupHom:
 
     def __call__(self, g: int) -> int:
         return self.images[g]
+
+    @cached_property
+    def section(self) -> tuple[int, ...]:
+        """The least preimage of each target element (coset representatives
+        of the kernel); raises ValueError unless the map is onto."""
+        least: dict[int, int] = {}
+        for g in self.source.elements():
+            least.setdefault(self.images[g], g)
+        if len(least) != self.target.order:
+            raise ValueError("homomorphism is not onto")
+        return tuple(least[q] for q in self.target.elements())
 
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(g for g in self.source.elements() if self.images[g] == 0)
@@ -427,15 +428,3 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, GroupHo
     q = FiniteGroup(len(reps), _table_from_mul(len(reps), mul), name=f"{group.name}/N")
     proj = GroupHom(group, q, tuple(idx[coset_of[g]] for g in group.elements()))
     return q, proj
-
-
-def conjugation_action(group: FiniteGroup, normal: Subgroup) -> dict[int, tuple[int, ...]]:
-    """For each g in G, the automorphism n -> g n g^-1 of the normal subgroup,
-    as a permutation of positions in normal.elements."""
-    if not normal.is_normal():
-        raise NotNormal(f"{normal!r} is not normal")
-    pos = {n: i for i, n in enumerate(normal.elements)}
-    return {
-        g: tuple(pos[group.conjugate(g, n)] for n in normal.elements)
-        for g in group.elements()
-    }

@@ -42,6 +42,7 @@ from .albert import (
     InconsistentProfile,
     admissible_m,
     coprimality_certificate,
+    factorize,
     is_squarefree,
     totient,
 )
@@ -437,8 +438,6 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     }
     if n in small:
         return small[n]()
-    from .albert import factorize
-
     factors = factorize(n)
     if len(factors) == 1:
         p, e = next(iter(factors.items()))

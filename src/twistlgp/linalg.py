@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form with unimodular transforms,
-integer kernels and solves, congruence kernels, and finite lattice quotients.
+integer solves, congruence kernels, and finite lattice quotients.
 
 Matrices are numpy arrays with dtype=object holding Python ints, so nothing
 ever overflows.  Conventions:
@@ -42,15 +42,20 @@ def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
     return mat
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        mat[i, i] = 1
+def zero_matrix(m: int, n: int) -> np.ndarray:
+    return np.zeros((m, n), dtype=object)
+
+
+def diagonal_matrix(entries: Iterable[int]) -> np.ndarray:
+    entries = list(entries)
+    mat = zero_matrix(len(entries), len(entries))
+    for i, d in enumerate(entries):
+        mat[i, i] = d
     return mat
 
 
-def zero_matrix(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=object)
+def identity_matrix(n: int) -> np.ndarray:
+    return diagonal_matrix([1] * n)
 
 
 @dataclass(frozen=True)
@@ -159,16 +164,6 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
 
     diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
     return SmithNormalForm(s=s, u=u, v=v, u_inv=u_inv, v_inv=v_inv, diagonal=diagonal)
-
-
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Columns form a basis of the integer kernel {x : mat @ x == 0}."""
-    snf = smith_normal_form(mat)
-    n = mat.shape[1]
-    cols = [j for j in range(n) if j >= len(snf.diagonal) or snf.diagonal[j] == 0]
-    if not cols:
-        return zero_matrix(n, 0)
-    return snf.v[:, cols]
 
 
 def solve_columns(snf: SmithNormalForm, rhs: np.ndarray) -> np.ndarray | None:

@@ -1,8 +1,20 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistlgp.cli import ParseError, main, parse_instance, serialize_instance
+from twistlgp.cli import (
+    ALBERT_FIELDS,
+    FLAG_NAMES,
+    INSTANCE_FIELDS,
+    ParseError,
+    main,
+    parse_instance,
+    serialize_instance,
+)
+from twistlgp.lgp import Inconsistent
 
 
 EC_DOC = {
@@ -23,6 +35,21 @@ UNKNOWN_DOC = {
     "group": {"kind": "product", "factors": ["C2", "C2"]},
     "flags": {"dl_commutative": True},
 }
+
+
+# uses every field; each one is valid and consistent with the others
+FULL_DOC = {
+    "m": 3,
+    "g": 1,
+    "group": "C2",
+    "character": [1, 2],
+    "flags": {"dl_commutative": True, "dl_cm_field": True, "geometrically_simple": True},
+    "albert": {"g": 1, "m": 3, "center_degree": 2, "d": 1, "delta": 1, "e0": 1},
+    "declared_decomposition_subgroups": [[0, 1]],
+}
+
+# S3 with a nontrivial character mod 3, so no criterion holds without flags
+S3_DOC = {"m": 3, "group": "S3", "character": [1, 2, 2, 1, 1, 2]}
 
 
 def write_doc(tmp_path, doc, name="instance.json"):
@@ -56,6 +83,57 @@ def test_parse_errors():
         parse_instance(json.dumps({"m": 3, "group": "C1", "flags": {"bad": True}}))
     with pytest.raises(ParseError, match="character"):
         parse_instance(json.dumps({"m": 6, "group": "C2", "character": [1, 3]}))
+    c2 = {"m": 3, "group": "C2"}
+    subgroups = "declared_decomposition_subgroups"
+    for field, extra in [
+        ("m", {"m": True}),
+        ("m", {"m": 3.0}),
+        ("g", {"g": True}),
+        ("character", {"character": [1.5, 2]}),
+        ("character", {"character": "ab"}),
+        ("character", {"character": [True, 2]}),
+        ("flags", {"flags": {"dl_commutative": "false"}}),
+        ("flags", {"flags": {"dl_commutative": 1}}),
+        ("albert", {"albert": {"g": "x"}}),
+        ("albert", {"albert": {"g": 1, "m": True}}),
+        ("albert", {"albert": {"g": 1, "delta": 0, "e0": 1}}),
+        ("albert", {"albert": {"g": 1, "m": 2**64 + 1, "center_degree": 2}}),
+        (subgroups, {subgroups: 5}),
+        (subgroups, {subgroups: [[0, 7]]}),
+        (subgroups, {subgroups: [[0, -1]]}),
+        (subgroups, {subgroups: [[0, 1.0]]}),
+        (subgroups, {subgroups: [[0, True]]}),
+        (subgroups, {subgroups: [5]}),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_instance(json.dumps({**c2, **extra}))
+        assert info.value.field == field, extra
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+FUZZ_PATHS = (
+    [(name,) for name in sorted(INSTANCE_FIELDS)]
+    + [("flags", name) for name in FLAG_NAMES]
+    + [("albert", name) for name in sorted(ALBERT_FIELDS)]
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+def test_parse_instance_raises_only_its_own_errors(path, value):
+    doc = copy.deepcopy(FULL_DOC)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_instance(json.dumps(doc))
+    except (ParseError, Inconsistent):
+        pass
 
 
 def test_inconsistent_instances_rejected():
@@ -75,6 +153,10 @@ def test_round_trip():
     doc2["declared_decomposition_subgroups"] = [[0, 1]]
     instance2 = parse_instance(json.dumps(doc2))
     assert parse_instance(json.dumps(serialize_instance(instance2))) == instance2
+    # serialize_instance writes absent albert fields as null
+    for doc in (FULL_DOC, {**EC_DOC, "albert": {"g": 1}}):
+        instance = parse_instance(json.dumps(doc))
+        assert parse_instance(json.dumps(serialize_instance(instance))) == instance
 
 
 def test_decide_exit_codes(tmp_path, capsys):
@@ -94,6 +176,16 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert main(["decide", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
 
+    # the string "false" must not count as asserting the Hilbert 90 hypothesis
+    s3_unknown = write_doc(tmp_path, S3_DOC, "s3.json")
+    assert main(["decide", s3_unknown]) == 2
+    assert "verdict: UNKNOWN" in capsys.readouterr().out
+    denied = write_doc(tmp_path, {**S3_DOC, "flags": {"dl_commutative": "false"}}, "denied.json")
+    assert main(["decide", denied]) == 1
+    captured = capsys.readouterr()
+    assert "HOLDS" not in captured.out
+    assert f"error: {denied}: flags: " in captured.err
+
 
 def test_decide_batch_directory(tmp_path, capsys):
     write_doc(tmp_path, EC_DOC, "a_holds.json")
@@ -102,6 +194,12 @@ def test_decide_batch_directory(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.index("a_holds.json") < out.index("b_unknown.json")
     assert "verdict: HOLDS" in out and "verdict: UNKNOWN" in out
+    # a malformed file in the middle fails alone; later files are still decided
+    write_doc(tmp_path, {**EC_DOC, "character": "ab"}, "b_malformed.json")
+    assert main(["decide", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "b_malformed.json: character: " in captured.err
+    assert captured.out.index("b_malformed.json") < captured.out.index("verdict: UNKNOWN")
     (tmp_path / "c_bad.json").write_text("{")
     assert main(["decide", str(tmp_path)]) == 1
     capsys.readouterr()

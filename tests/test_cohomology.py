@@ -5,6 +5,7 @@ import pytest
 
 from twistlgp.cohomology import (
     Cochain,
+    _differential_rows,
     IncompatibleCoefficients,
     TooLarge,
     coboundary,
@@ -19,6 +20,7 @@ from twistlgp.cohomology import (
 from twistlgp.gmodules import (
     all_characters,
     descend_to_quotient,
+    gmodule,
     mu_module,
     trivial_module,
 )
@@ -27,6 +29,7 @@ from twistlgp.groups import (
     cyclic,
     cyclic_subgroups,
     direct_product,
+    quaternion,
     quotient,
     subgroup_generated,
     subgroups,
@@ -54,6 +57,23 @@ def test_coboundary_formulas():
         for _ in range(8):
             c = random_cochain(module, degree, rng)
             assert coboundary(coboundary(c)).is_zero  # d d = 0
+    # coboundary() and the matrix rows are the same differential
+    q8 = quaternion()
+    rank2 = gmodule(
+        cyclic(4),
+        [2, 4],
+        [[[1, 0], [0, 1]], [[1, 1], [2, 1]], [[1, 0], [0, 3]], [[1, 1], [2, 3]]],
+    )
+    for mod in (module, mu_module(q8, 4, all_characters(q8, 4)[-1]), rank2):
+        for degree in (0, 1, 2):
+            for _ in range(3):
+                c = random_cochain(mod, degree, rng)
+                vec = c.to_vector()
+                expected = [
+                    sum(x * v for x, v in zip(row, vec)) % modulus
+                    for row, modulus in _differential_rows(mod.group, mod, degree)
+                ]
+                assert [x for value in coboundary(c).values for x in value] == expected
     # a homomorphism into a trivial-action module is a 1-cocycle
     c6 = cyclic(6)
     m6 = trivial_module(c6, [3])

@@ -9,7 +9,6 @@ from twistlgp.groups import (
     NotNormal,
     Subgroup,
     build_group,
-    conjugation_action,
     cyclic,
     cyclic_subgroups,
     dihedral,
@@ -183,23 +182,20 @@ def test_quotient_hom_is_validated():
         GroupHom(cyclic(4), cyclic(2), (0, 1, 1, 1))
 
 
-def test_conjugation_action():
+def test_section_is_least_preimage():
     s3 = symmetric(3)
     c3 = next(s for s in subgroups(s3) if s.order == 3)
-    act = conjugation_action(s3, c3)
-    transpositions = [g for g in s3.elements() if s3.element_order(g) == 2]
-    pos = {n: i for i, n in enumerate(c3.elements)}
-    for t in transpositions:
-        perm = act[t]
-        for n in c3.elements:
-            assert perm[pos[n]] == pos[s3.inv(n)]  # inversion on C3
-    # abelian group: conjugation is trivial
     c6 = cyclic(6)
-    sub = subgroup_generated(c6, [2])
-    for g, perm in conjugation_action(c6, sub).items():
-        assert perm == tuple(range(sub.order))
-    with pytest.raises(NotNormal):
-        conjugation_action(s3, next(s for s in subgroups(s3) if s.order == 2))
+    for group, normal, expected in [
+        (s3, c3, (0, 1)),
+        (c6, subgroup_generated(c6, [3]), (0, 1, 2)),
+    ]:
+        _, proj = quotient(group, normal)
+        assert proj.section == expected
+        for q, g in enumerate(proj.section):
+            assert g == min(x for x in group.elements() if proj(x) == q)
+    with pytest.raises(ValueError, match="not onto"):
+        GroupHom(cyclic(2), cyclic(4), (0, 2)).section
 
 
 def test_subgroup_as_group():
@@ -236,15 +232,6 @@ def test_subgroup_validation():
     with pytest.raises(NotAGroup):
         Subgroup(s3, (1, 2))  # missing the identity
     Subgroup(s3, (0, 1))
-
-
-def test_conjugation_action_on_full_group():
-    s3 = symmetric(3)
-    full = Subgroup(s3, tuple(s3.elements()))
-    act = conjugation_action(s3, full)
-    for g, perm in act.items():
-        for n in s3.elements():
-            assert perm[n] == s3.conjugate(g, n)
 
 
 def test_quaternion_structure():

@@ -9,7 +9,6 @@ from twistlgp.linalg import (
     congruence_kernel,
     identity_matrix,
     int_matrix,
-    kernel_basis,
     lattice_quotient,
     smith_normal_form,
     solve_columns,
@@ -74,14 +73,6 @@ def test_snf_zero_and_rectangular():
     assert check_snf(int_matrix([[0, 0], [0, 0]])).diagonal == (0, 0)
     assert check_snf(int_matrix([[3, 0, 0]])).diagonal == (3,)
     assert check_snf(int_matrix([[4], [6]])).diagonal == (2,)
-
-
-def test_kernel_basis():
-    mat = int_matrix([[1, 2, 3], [2, 4, 6]])
-    ker = kernel_basis(mat)
-    assert ker.shape == (3, 2)
-    assert (mat @ ker == 0).all()
-    assert kernel_basis(identity_matrix(3)).shape == (3, 0)
 
 
 def test_solve_columns():
