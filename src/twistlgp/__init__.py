@@ -46,6 +46,7 @@ from .groups import (
     cyclic_subgroups,
     dihedral,
     direct_product,
+    normal_closure,
     quaternion,
     quotient,
     subgroup_generated,

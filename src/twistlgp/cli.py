@@ -16,7 +16,15 @@ import sys
 from .albert import AlbertProfile, fermat_squarefree_check, admissible_m
 from .cohomology import TooLarge, cohomology, sha_finite
 from .gmodules import BadCharacter, CyclotomicCharacter, GModule, gmodule, mu_module
-from .groups import FiniteGroup, NotAGroup, Subgroup, build_group, cyclic_subgroups, group_spec
+from .groups import (
+    FiniteGroup,
+    NotAGroup,
+    Subgroup,
+    build_group,
+    cyclic_subgroups,
+    group_spec,
+    is_json_int,
+)
 from .lgp import Inconsistent, Instance, Verdict, decide, validate
 from .oracle import BudgetExceeded, OracleBudget, brute_h1, brute_h2
 from .verify import DEFAULT_VERIFY_BUDGET, run_checks
@@ -38,11 +46,6 @@ FLAG_NAMES = (
 ALBERT_FIELDS = {"g", "m", "center_degree", "d", "delta", "e0"}
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance document (JSON)."""
     try:
@@ -57,7 +60,7 @@ def parse_instance(text: str) -> Instance:
     if "m" not in doc:
         raise ParseError("m", "missing required field")
     m = doc["m"]
-    if not _is_int(m) or m < 1:
+    if not is_json_int(m) or m < 1:
         raise ParseError("m", "must be a positive integer")
     if "group" not in doc:
         raise ParseError("group", "missing required field")
@@ -66,11 +69,11 @@ def parse_instance(text: str) -> Instance:
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError("group", str(exc))
     g = doc.get("g")
-    if g is not None and (not _is_int(g) or g < 1):
+    if g is not None and (not is_json_int(g) or g < 1):
         raise ParseError("g", "must be a positive integer")
     char_values = doc.get("character")
     if char_values is not None and not (
-        isinstance(char_values, list) and all(_is_int(v) for v in char_values)
+        isinstance(char_values, list) and all(is_json_int(v) for v in char_values)
     ):
         raise ParseError("character", "must be a list of integers")
     try:
@@ -94,7 +97,7 @@ def parse_instance(text: str) -> Instance:
         # null stands for an absent field, as serialize_instance writes it
         raw = {key: value for key, value in raw.items() if value is not None}
         for key, value in raw.items():
-            if not _is_int(value):
+            if not is_json_int(value):
                 raise ParseError("albert", f"{key} must be an integer")
         try:
             albert = AlbertProfile(
@@ -109,7 +112,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError("albert", str(exc))
     subgroup_lists = doc.get("declared_decomposition_subgroups", [])
     if not isinstance(subgroup_lists, list) or not all(
-        isinstance(elems, list) and all(_is_int(x) and 0 <= x < group.order for x in elems)
+        isinstance(elems, list) and all(is_json_int(x) and 0 <= x < group.order for x in elems)
         for elems in subgroup_lists
     ):
         raise ParseError(

@@ -216,6 +216,11 @@ def named_group(name: str) -> FiniteGroup:
     raise NotAGroup(f"unknown group name {name!r}")
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_group(spec) -> FiniteGroup:
     """Build a group from the spec grammar.
 
@@ -231,9 +236,17 @@ def build_group(spec) -> FiniteGroup:
     if kind == "named":
         return named_group(spec["name"])
     if kind == "table":
-        order = spec["order"]
-        table = tuple(tuple(int(x) for x in row) for row in spec["table"])
-        return FiniteGroup(order, table, name=spec.get("name", f"table{order}"))
+        order, rows = spec["order"], spec["table"]
+        if not is_json_int(order):
+            raise NotAGroup("table order must be an integer")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(is_json_int(x) for x in row) for row in rows
+        ):
+            raise NotAGroup("table must be a list of lists of integers")
+        name = spec.get("name", f"table{order}")
+        if not isinstance(name, str):
+            raise NotAGroup("table name must be a string")
+        return FiniteGroup(order, tuple(tuple(row) for row in rows), name=name)
     if kind == "product":
         return direct_product(*(build_group(f) for f in spec["factors"]))
     raise NotAGroup(f"unknown group spec kind {kind!r}")
@@ -309,58 +322,69 @@ class Subgroup:
         return f"Subgroup({self.parent.name}, {list(self.elements)})"
 
 
-def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    closure = {0}
+def _closure(group: FiniteGroup, generators) -> frozenset[int]:
+    """Elements of the subgroup generated by ``generators``.
+
+    In a finite group every inverse is a positive power, so the subgroup is
+    what the identity reaches by right multiplication with the generators:
+    one table row per element, one look-up per generator.
+    """
+    gens = [g for g in dict.fromkeys(generators) if g != 0]
+    if any(not 0 <= g < group.order for g in gens):
+        raise NotAGroup("generator outside the group")
+    table = group.mul_table
+    seen = {0}
     frontier = [0]
-    for g in generators:
-        if g not in closure:
-            closure.add(g)
-            frontier.append(g)
     while frontier:
-        g = frontier.pop()
-        for h in list(closure):
-            for prod in (group.mul(g, h), group.mul(h, g)):
-                if prod not in closure:
-                    closure.add(prod)
-                    frontier.append(prod)
-    return Subgroup(group, tuple(sorted(closure)))
+        row = table[frontier.pop()]
+        for s in gens:
+            x = row[s]
+            if x not in seen:
+                seen.add(x)
+                frontier.append(x)
+    return frozenset(seen)
+
+
+def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
+    return Subgroup(group, tuple(_closure(group, generators)))
+
+
+def normal_closure(group: FiniteGroup, elements) -> Subgroup:
+    """The smallest normal subgroup containing ``elements``: the subgroup
+    generated by all their conjugates."""
+    conjugates = {group.conjugate(g, x) for x in set(elements) for g in group.elements()}
+    return Subgroup(group, tuple(_closure(group, conjugates)))
 
 
 def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """All subgroups, each once, by breadth-first closure over generator sets."""
     trivial = frozenset({0})
-    found = {trivial}
+    found = {trivial: ()}  # each subgroup with the generators that found it
     frontier = [trivial]
     while frontier:
         new = []
         for current in frontier:
+            gens = found[current]
             for g in range(1, group.order):
                 if g in current:
                     continue
-                extended = frozenset(
-                    subgroup_generated(group, list(current) + [g]).elements
-                )
+                extended = _closure(group, gens + (g,))
                 if extended not in found:
-                    found.add(extended)
+                    found[extended] = gens + (g,)
                     new.append(extended)
         frontier = new
     return tuple(
-        Subgroup(group, tuple(sorted(s)))
-        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+        Subgroup(group, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
     )
 
 
 def cyclic_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The cyclic subgroups: exactly the decomposition groups of unramified
     places that Chebotarev guarantees to occur."""
-    seen = set()
-    out = []
-    for g in group.elements():
-        sub = subgroup_generated(group, [g])
-        if sub.elements not in seen:
-            seen.add(sub.elements)
-            out.append(sub)
-    return tuple(sorted(out, key=lambda s: (s.order, s.elements)))
+    found = {_closure(group, [g]) for g in group.elements()}
+    return tuple(
+        Subgroup(group, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+    )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ Criteria (in priority order, cheapest first):
   C2 twist-order-coprime-to-rank       mu_m in D and gcd(m, d) = 1
   C3 cm-field-coprime-order            CM field and gcd(m, |G|) = 1
   C4 no-invariant-roots                commutative and mu_m^G = 1
-  C5 coprime-normal-collapse           commutative, N normal, gcd(|N|, m) = 1,
+  C5 coprime-normal-collapse           commutative, N = O_{m'}(G) (the largest
+                                       normal subgroup of order coprime to m),
                                        H^2(G/N, mu_m^N) = 1 (computed)
   C6 coprime-index-decomposition       commutative, N normal, gcd([G:N], m) = 1,
                                        N cyclic or declared as a D_v
@@ -52,11 +53,13 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     cyclic,
+    cyclic_subgroups,
     dihedral,
     direct_product,
+    normal_closure,
     quaternion,
     quotient,
-    subgroups,
+    subgroup_generated,
     symmetric,
 )
 
@@ -249,9 +252,23 @@ def _failed(criterion: str, reason: str, hypotheses: dict | None = None) -> Trac
     )
 
 
-def _normal_subgroups_descending(group: FiniteGroup) -> list[Subgroup]:
-    subs = [s for s in subgroups(group) if s.is_normal()]
-    return sorted(subs, key=lambda s: (-s.order, s.elements))
+def _normal_descending(subs) -> list[Subgroup]:
+    """The normal members of ``subs``, largest first, ties by elements."""
+    return sorted((s for s in subs if s.is_normal()), key=lambda s: (-s.order, s.elements))
+
+
+def _largest_coprime_normal(group: FiniteGroup, m: int) -> Subgroup:
+    """O_{m'}(G), the largest normal subgroup of order coprime to m: the join
+    of the normal closures <x^G> of order coprime to m.  (A product of
+    normal subgroups of order coprime to m has order coprime to m.)"""
+    inside = {0}
+    for x in group.elements():
+        if x in inside:
+            continue  # <x^G> lies in a closure already joined
+        closure = normal_closure(group, [x])
+        if gcd(closure.order, m) == 1:
+            inside.update(closure.elements)
+    return subgroup_generated(group, inside)
 
 
 def _check_c0(instance: Instance) -> TraceEntry:
@@ -342,59 +359,52 @@ def _check_c5(instance: Instance, size_bound: int) -> TraceEntry:
     cid = "coprime-normal-collapse"
     if not instance.dl_commutative:
         return _failed(cid, "dl_commutative is not set")
+    # For N normal of order coprime to m, H^q(N, mu_m) = 0 for q > 0, so the
+    # Hochschild-Serre spectral sequence collapses and inflation
+    # H^2(G/N, mu_m^N) -> H^2(G, mu_m) is an isomorphism.  Every such N thus
+    # gives the same answer; the largest one gives the smallest quotient.
     module = mu_module(instance.group, instance.m, instance.character)
-    attempts = []
-    for normal in _normal_subgroups_descending(instance.group):
-        if gcd(normal.order, instance.m) != 1:
-            continue
-        quotient_group, proj = quotient(instance.group, normal)
-        coefficients, _ = descend_to_quotient(module, proj)
-        h2 = cohomology(quotient_group, coefficients, 2, size_bound)
-        attempts.append(
+    normal = _largest_coprime_normal(instance.group, instance.m)
+    quotient_group, proj = quotient(instance.group, normal)
+    coefficients, _ = descend_to_quotient(module, proj)
+    h2 = cohomology(quotient_group, coefficients, 2, size_bound)
+    if h2.is_trivial:
+        return _fired(
+            cid,
             {
                 "normal_subgroup": list(normal.elements),
-                "h2_invariant_factors": list(h2.invariant_factors),
-            }
+                "normal_order": normal.order,
+                "m": instance.m,
+                "h2_invariant_factors": [],
+            },
         )
-        if h2.is_trivial:
-            return _fired(
-                cid,
-                {
-                    "normal_subgroup": list(normal.elements),
-                    "normal_order": normal.order,
-                    "m": instance.m,
-                    "h2_invariant_factors": [],
-                },
-            )
-    if not attempts:
-        return _failed(cid, "no normal subgroup has order coprime to m")
+    attempt = {
+        "normal_subgroup": list(normal.elements),
+        "h2_invariant_factors": list(h2.invariant_factors),
+    }
     return _failed(
         cid,
         "no coprime-order normal subgroup has vanishing H^2 of the quotient",
-        {"attempts": attempts},
+        {"attempts": [attempt]},
     )
-
-
-def _realizable_as_decomposition_group(instance: Instance, sub: Subgroup) -> str | None:
-    if sub.is_cyclic:
-        return "cyclic: realized by an unramified place (Chebotarev)"
-    for declared in instance.declared_decomposition_subgroups:
-        if declared.elements == sub.elements:
-            return "declared decomposition subgroup"
-    return None
 
 
 def _check_c6(instance: Instance) -> TraceEntry:
     cid = "coprime-index-decomposition"
     if not instance.dl_commutative:
         return _failed(cid, "dl_commutative is not set")
-    for normal in _normal_subgroups_descending(instance.group):
+    # only cyclic or declared subgroups are realizable as decomposition groups
+    realized = {
+        s.elements: (s, "cyclic: realized by an unramified place (Chebotarev)")
+        for s in cyclic_subgroups(instance.group)
+    }
+    for declared in instance.declared_decomposition_subgroups:
+        realized.setdefault(declared.elements, (declared, "declared decomposition subgroup"))
+    for normal in _normal_descending(sub for sub, _ in realized.values()):
         index = instance.group.order // normal.order
         if gcd(index, instance.m) != 1:
             continue
-        how = _realizable_as_decomposition_group(instance, normal)
-        if how is None:
-            continue
+        how = realized[normal.elements][1]
         return _fired(
             cid,
             {
@@ -454,6 +464,15 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     raise CatalogIncomplete(
         f"the catalog cannot enumerate all groups of order {n}"
     )
+
+
+def _cyclic_normal_witness(group: FiniteGroup, m: int) -> Subgroup | None:
+    """The largest nontrivial cyclic normal subgroup of index coprime to m
+    (ties by elements), or None."""
+    for normal in _normal_descending(cyclic_subgroups(group)):
+        if normal.order > 1 and gcd(group.order // normal.order, m) == 1:
+            return normal
+    return None
 
 
 @dataclass(frozen=True)
@@ -545,12 +564,7 @@ def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
             elif candidate.is_cyclic:
                 entry["resolved_by"] = "full-decomposition-group"
             else:
-                witness = None
-                for normal in _normal_subgroups_descending(candidate):
-                    index = candidate.order // normal.order
-                    if gcd(index, m) == 1 and normal.is_cyclic and normal.order > 1:
-                        witness = normal
-                        break
+                witness = _cyclic_normal_witness(candidate, m)
                 if witness is not None:
                     entry["resolved_by"] = "coprime-index-decomposition"
                     entry["normal_subgroup"] = list(witness.elements)

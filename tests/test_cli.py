@@ -104,6 +104,14 @@ def test_parse_errors():
         (subgroups, {subgroups: [[0, 1.0]]}),
         (subgroups, {subgroups: [[0, True]]}),
         (subgroups, {subgroups: [5]}),
+        ("group", {"group": {"kind": "table", "order": True, "table": [[0]]}}),
+        ("group", {"group": {"kind": "table", "order": 1.0, "table": [[0]]}}),
+        ("group", {"group": {"kind": "table", "order": 2, "table": [[0, 1], [1, 1.7]]}}),
+        ("group", {"group": {"kind": "table", "order": 2, "table": [[0, 1], [1, "1"]]}}),
+        ("group", {"group": {"kind": "table", "order": 2, "table": [[0, 1], [1, True]]}}),
+        ("group", {"group": {"kind": "table", "order": 2, "table": [[0, 1], "10"]}}),
+        ("group", {"group": {"kind": "table", "order": 1, "table": {"0": [0]}}}),
+        ("group", {"group": {"kind": "table", "order": 1, "table": [[0]], "name": 5}}),
     ]:
         with pytest.raises(ParseError) as info:
             parse_instance(json.dumps({**c2, **extra}))

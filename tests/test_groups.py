@@ -15,6 +15,7 @@ from twistlgp.groups import (
     direct_product,
     group_spec,
     named_group,
+    normal_closure,
     quaternion,
     quotient,
     subgroup_generated,
@@ -143,6 +144,22 @@ def test_cyclic_subgroups():
             assert cycs == {s.elements for s in subs}
         else:
             assert cycs < {s.elements for s in subs}
+
+
+def test_normal_closure_is_least_normal_overgroup():
+    for group in CATALOG + [symmetric(4)]:
+        normals = [s for s in subgroups(group) if s.is_normal()]
+        pair = [group.order // 2, group.order - 1]
+        for elements in [[x] for x in group.elements()] + [pair]:
+            least = min(
+                (s for s in normals if set(elements) <= set(s.elements)),
+                key=lambda s: s.order,
+            )
+            assert normal_closure(group, elements).elements == least.elements
+    with pytest.raises(NotAGroup):
+        subgroup_generated(cyclic(3), [-1])
+    with pytest.raises(NotAGroup):
+        subgroup_generated(cyclic(3), [3])
 
 
 def test_subgroup_list_closed_under_conjugation():

@@ -1,12 +1,17 @@
+from math import gcd
+
 import pytest
 
+from twistlgp import groups, lgp
 from twistlgp.albert import AlbertProfile, admissible_m
 from twistlgp.cohomology import cohomology
 from twistlgp.gmodules import CyclotomicCharacter, descend_to_quotient, mu_module
 from twistlgp.groups import (
     Subgroup,
     cyclic,
+    dihedral,
     direct_product,
+    quaternion,
     quotient,
     subgroup_generated,
     subgroups,
@@ -337,3 +342,81 @@ def test_albert_profile_passthrough():
     assert verdict.criterion == "twist-order-coprime-to-rank"
     cert = entry(verdict, "twist-order-coprime-to-rank").hypotheses["certificate"]
     assert cert["rule"] == "center-degree"
+
+
+def _old_choices(group, m, declared):
+    """The C5 subgroup, C6 subgroup and case-machine witness as chosen by
+    scanning every normal subgroup from subgroups(), largest first."""
+    normals = sorted(
+        (s for s in subgroups(group) if s.is_normal()), key=lambda s: (-s.order, s.elements)
+    )
+    declared_elements = {d.elements for d in declared}
+    c5 = next(s for s in normals if gcd(s.order, m) == 1)
+    c6 = next(
+        (
+            s for s in normals
+            if gcd(s.index, m) == 1 and (s.is_cyclic or s.elements in declared_elements)
+        ),
+        None,
+    )
+    witness = next(
+        (s for s in normals if gcd(s.index, m) == 1 and s.is_cyclic and s.order > 1), None
+    )
+    return c5, c6, witness
+
+
+def test_lattice_free_choices_match_the_full_lattice():
+    c2, c3 = cyclic(2), cyclic(3)
+    cases = [
+        cyclic(1), cyclic(6), symmetric(3), dihedral(4), quaternion(),
+        direct_product(c2, c2, c2), dihedral(5), cyclic(12), dihedral(6), symmetric(4),
+        direct_product(quaternion(), c2), direct_product(dihedral(4), c2),
+        direct_product(c3, symmetric(3)), direct_product(dihedral(4), symmetric(3)),
+        direct_product(symmetric(4), c2), direct_product(c2, c2, c2, c2, c2),
+    ]
+    for group in cases:
+        # declare every other non-cyclic subgroup, normal or not
+        non_cyclic = [s for s in subgroups(group) if not s.is_cyclic]
+        declared = tuple(non_cyclic[::2])
+        for m in range(1, 13):
+            old_c5, old_c6, old_witness = _old_choices(group, m, declared)
+            assert lgp._largest_coprime_normal(group, m).elements == old_c5.elements
+            inst = make_instance(
+                group, m, dl_commutative=True, declared_decomposition_subgroups=declared
+            )
+            c6 = lgp._check_c6(inst)
+            if old_c6 is None:
+                assert c6.outcome == "failed", (group, m)
+            else:
+                assert tuple(c6.hypotheses["normal_subgroup"]) == old_c6.elements, (group, m)
+                assert c6.hypotheses["realized"].startswith(
+                    "cyclic" if old_c6.is_cyclic else "declared"
+                )
+            witness = lgp._cyclic_normal_witness(group, m)
+            assert (witness and witness.elements) == (old_witness and old_witness.elements)
+
+
+def test_decide_never_enumerates_the_lattice(monkeypatch):
+    def refuse(group):
+        raise AssertionError("decide enumerated the subgroup lattice")
+
+    monkeypatch.setattr(groups, "subgroups", refuse)
+    monkeypatch.setattr(lgp, "subgroups", refuse, raising=False)
+    group = direct_product(*[cyclic(2)] * 6)
+    inst = make_instance(group, 3, dl_commutative=True)
+    verdict = decide(inst)
+    assert verdict.status == "HOLDS"
+    assert verdict.criterion == "coprime-normal-collapse"
+    e5 = entry(verdict, "coprime-normal-collapse")
+    assert tuple(e5.hypotheses["normal_subgroup"]) == tuple(group.elements())
+
+
+def test_c5_failure_records_one_attempt():
+    # S3 with m = 2: O_2'(S3) = C3 and H^2(S3/C3, Z/2) = Z/2; by
+    # Hochschild-Serre the trivial subgroup would give the same group
+    s3 = symmetric(3)
+    e5 = entry(decide(make_instance(s3, 2, dl_commutative=True)), "coprime-normal-collapse")
+    assert e5.outcome == "failed"
+    assert e5.hypotheses["attempts"] == [
+        {"normal_subgroup": [0, 3, 4], "h2_invariant_factors": [2]}
+    ]
