@@ -46,6 +46,22 @@ FLAG_NAMES = (
 ALBERT_FIELDS = {"g", "m", "center_degree", "d", "delta", "e0"}
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(is_json_int(v) for v in value)
+
+
+def _parse_subgroups(value, group: FiniteGroup, field: str) -> list[Subgroup]:
+    """A JSON list of element lists, each naming a subgroup of the group."""
+    if not isinstance(value, list) or not all(
+        _is_int_list(elems) and all(0 <= x < group.order for x in elems) for elems in value
+    ):
+        raise ParseError(field, f"must be a list of lists of group elements 0..{group.order - 1}")
+    try:
+        return [Subgroup(group, tuple(elems)) for elems in value]
+    except NotAGroup as exc:
+        raise ParseError(field, str(exc))
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance document (JSON)."""
     try:
@@ -72,9 +88,7 @@ def parse_instance(text: str) -> Instance:
     if g is not None and (not is_json_int(g) or g < 1):
         raise ParseError("g", "must be a positive integer")
     char_values = doc.get("character")
-    if char_values is not None and not (
-        isinstance(char_values, list) and all(is_json_int(v) for v in char_values)
-    ):
+    if char_values is not None and not _is_int_list(char_values):
         raise ParseError("character", "must be a list of integers")
     try:
         if char_values is None:
@@ -110,21 +124,10 @@ def parse_instance(text: str) -> Instance:
             )
         except ValueError as exc:
             raise ParseError("albert", str(exc))
-    subgroup_lists = doc.get("declared_decomposition_subgroups", [])
-    if not isinstance(subgroup_lists, list) or not all(
-        isinstance(elems, list) and all(is_json_int(x) and 0 <= x < group.order for x in elems)
-        for elems in subgroup_lists
-    ):
-        raise ParseError(
-            "declared_decomposition_subgroups",
-            f"must be a list of lists of group elements 0..{group.order - 1}",
-        )
-    subs = []
-    for elems in subgroup_lists:
-        try:
-            subs.append(Subgroup(group, tuple(elems)))
-        except NotAGroup as exc:
-            raise ParseError("declared_decomposition_subgroups", str(exc))
+    subs = _parse_subgroups(
+        doc.get("declared_decomposition_subgroups", []), group,
+        "declared_decomposition_subgroups",
+    )
     instance = Instance(
         m=m,
         group=group,
@@ -178,25 +181,35 @@ def _parse_module_arg(text: str, group: FiniteGroup) -> GModule:
         m = int(text[3:])
         return mu_module(group, m, CyclotomicCharacter.trivial(group, m))
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParseError("module", "expected mu:M or a JSON object")
     if doc.get("kind") == "mu":
-        m = doc["m"]
-        values = doc.get("character")
+        m, values = doc.get("m"), doc.get("character")
+        if not is_json_int(m):
+            raise ParseError("module", "m must be an integer")
+        if values is not None and not _is_int_list(values):
+            raise ParseError("module", "character must be a list of integers")
         chi = (
             CyclotomicCharacter.trivial(group, m)
             if values is None
             else CyclotomicCharacter(group, m, tuple(values))
         )
         return mu_module(group, m, chi)
-    orders = doc["orders"]
-    action = [doc["action"][str(g)] for g in group.elements()]
-    return gmodule(group, orders, action)
+    orders, action = doc.get("orders"), doc.get("action")
+    if not _is_int_list(orders):
+        raise ParseError("module", "orders must be a list of integers")
+    if not isinstance(action, dict) or not all(
+        isinstance(mat, list) and all(_is_int_list(row) for row in mat)
+        for mat in (action.get(str(g)) for g in group.elements())
+    ):
+        raise ParseError("module", "action must map every group element to an integer matrix")
+    return gmodule(group, orders, [action[str(g)] for g in group.elements()])
 
 
 def _parse_family_arg(text: str, group: FiniteGroup) -> list[Subgroup]:
     if text == "cyclic":
         return list(cyclic_subgroups(group))
-    doc = json.loads(text)
-    return [Subgroup(group, tuple(int(x) for x in elems)) for elems in doc]
+    return _parse_subgroups(json.loads(text), group, "family")
 
 
 def _emit(payload: dict, as_json: bool, render) -> None:
@@ -272,6 +285,7 @@ def cmd_cohomology(args) -> int:
     try:
         group = _parse_group_arg(args.group)
         module = _parse_module_arg(args.module, group)
+        budget = OracleBudget(args.budget)
         result = cohomology(group, module, args.degree)
     except (NotAGroup, BadCharacter, TooLarge, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -283,7 +297,7 @@ def cmd_cohomology(args) -> int:
             payload["oracle"] = {"skipped": "degree 0 has no oracle", "agrees": True}
         else:
             try:
-                factors = list(brute(group, module, OracleBudget(args.budget)))
+                factors = list(brute(group, module, budget))
                 payload["oracle"] = {
                     "invariant_factors": factors,
                     "agrees": factors == payload["invariant_factors"],
@@ -302,8 +316,7 @@ def cmd_sha(args) -> int:
         group = _parse_group_arg(args.group)
         module = _parse_module_arg(args.module, group)
         family = _parse_family_arg(args.family, group)
-        for elems in json.loads(args.declared):
-            sub = Subgroup(group, tuple(int(x) for x in elems))
+        for sub in _parse_subgroups(json.loads(args.declared), group, "declared"):
             if sub not in family:
                 family.append(sub)
         result = sha_finite(group, module, family)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -37,15 +37,16 @@ from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
     LatticeQuotient,
     NotInLattice,
-    column_lattice_basis,
     congruence_kernel,
-    diagonal_matrix,
     int_matrix,
+    kernel_subgroup,
     lattice_quotient,
+    span_subgroup,
     zero_matrix,
 )
 
-DEFAULT_SIZE_BOUND = 20000
+# Largest cochain-space dimension cohomology() will eliminate.
+SIZE_BOUND = 20000
 
 
 class TooLarge(ValueError):
@@ -191,20 +192,22 @@ def _differential_rows(group: FiniteGroup, module: GModule, n: int):
             yield row, orders[i]
 
 
-def _boundary_columns(group: FiniteGroup, module: GModule, n: int) -> np.ndarray:
-    """Matrix of the degree-(n-1) differential: columns indexed by
-    ((n-1)-tuple, coordinate), rows by (n-tuple, coordinate)."""
+def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.ndarray:
+    """Integer lifts of the degree-n coboundaries: the matrix of the
+    degree-(n-1) differential (columns indexed by ((n-1)-tuple, coordinate),
+    none in degree 0), then one relation column d_i e_i per (n-tuple,
+    coordinate i); rows are indexed by (n-tuple, coordinate)."""
     r = module.rank
-    order = group.order
-    rows = r * order**n
-    cols = r * order ** (n - 1)
-    mat = zero_matrix(rows, cols)
-    out_idx = 0
-    for row, modulus in _differential_rows(group, module, n - 1):
-        for j, val in enumerate(row):
-            if val:
-                mat[out_idx, j] = val
-        out_idx += 1
+    rows = r * group.order**n
+    cols = r * group.order ** (n - 1) if n else 0
+    mat = zero_matrix(rows, cols + rows)
+    if n:
+        for out_idx, (row, _modulus) in enumerate(_differential_rows(group, module, n - 1)):
+            for j, val in enumerate(row):
+                if val:
+                    mat[out_idx, j] = val
+    for i in range(rows):
+        mat[i, cols + i] = module.orders[i % r]
     return mat
 
 
@@ -278,25 +281,15 @@ class CohClass:
 
 
 @lru_cache(maxsize=None)
-def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int, size_bound: int):
+def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
     r = module.rank
     if r == 0:
         return CohomologyGroup(group, module, degree, (), ())
     n_inputs = r * group.order**degree
-    if n_inputs > size_bound:
-        raise TooLarge(
-            f"cochain space of dimension {n_inputs} exceeds the bound {size_bound}"
-        )
     cocycles = congruence_kernel(
         n_inputs, module.exponent, _differential_rows(group, module, degree)
     )
-    relations = diagonal_matrix(module.orders * group.order**degree)
-    if degree >= 1:
-        boundaries = _boundary_columns(group, module, degree)
-        sub = np.concatenate([boundaries, relations], axis=1)
-    else:
-        sub = relations
-    presentation = lattice_quotient(cocycles, sub)
+    presentation = lattice_quotient(cocycles, _coboundary_generators(group, module, degree))
     reps = tuple(
         cochain_from_vector(module, degree, presentation.generator(i))
         for i in range(len(presentation.factors))
@@ -311,18 +304,19 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int, size_bo
     )
 
 
-def cohomology(
-    group: FiniteGroup,
-    module: GModule,
-    degree: int,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-) -> CohomologyGroup:
-    """H^degree(G, M) for degree in {0, 1, 2}."""
+def cohomology(group: FiniteGroup, module: GModule, degree: int) -> CohomologyGroup:
+    """H^degree(G, M) for degree in {0, 1, 2}; ``TooLarge`` when the cochain
+    space has dimension above ``SIZE_BOUND``."""
     if degree not in (0, 1, 2):
         raise ValueError("degrees 0, 1, 2 are supported")
     if module.group != group:
         raise ValueError("module is not over this group")
-    return _cohomology_cached(group, module, degree, size_bound)
+    n_inputs = module.rank * group.order**degree
+    if n_inputs > SIZE_BOUND:
+        raise TooLarge(
+            f"cochain space of dimension {n_inputs} exceeds the bound {SIZE_BOUND}"
+        )
+    return _cohomology_cached(group, module, degree)
 
 
 @dataclass(eq=False)
@@ -379,14 +373,7 @@ class CohomologyMap:
         b = self.target.invariant_factors
         if not b:
             return ()
-        cols = [[self.matrix[i][j] for i in range(len(b))] for j in range(len(self.matrix[0]) if self.matrix else 0)]
-        rel = diagonal_matrix(b)
-        if cols:
-            span = np.concatenate([int_matrix(cols).T, rel], axis=1)
-        else:
-            span = rel
-        basis = column_lattice_basis(span)
-        return lattice_quotient(basis, rel).factors
+        return span_subgroup(b, int_matrix(self.matrix)).factors
 
     @property
     def is_injective(self) -> bool:
@@ -402,15 +389,9 @@ def _subgroup_from_congruences(ambient_factors, congruence_rows):
     """Subgroup {x in sum Z/a_j : each row . x == 0 mod its modulus}.
 
     Returns (invariant factors, generator coordinate tuples)."""
-    s = len(ambient_factors)
-    if s == 0:
+    if not ambient_factors:
         return (), ()
-    moduli = [m for _, m in congruence_rows]
-    exponent = lcm(*ambient_factors, *moduli) if moduli or ambient_factors else 1
-    lattice = congruence_kernel(
-        s, int(exponent), iter([(list(row), m) for row, m in congruence_rows])
-    )
-    quot = lattice_quotient(lattice, diagonal_matrix(ambient_factors))
+    quot = kernel_subgroup(ambient_factors, congruence_rows)
     gens = tuple(
         tuple(int(x) % d for x, d in zip(quot.generator(i), ambient_factors))
         for i in range(len(quot.factors))
@@ -427,13 +408,13 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, cochain_map):
     )
 
 
-def restriction(coh: CohomologyGroup, subgroup: Subgroup, size_bound: int = DEFAULT_SIZE_BOUND) -> CohomologyMap:
+def restriction(coh: CohomologyGroup, subgroup: Subgroup) -> CohomologyMap:
     """Restriction of cocycles to a subgroup, as a map of computed groups."""
     if subgroup.parent != coh.group:
         raise ValueError("subgroup belongs to a different group")
     sub_group, embed = subgroup.as_group
     sub_module = restrict_module(coh.module, subgroup)
-    target = cohomology(sub_group, sub_module, coh.degree, size_bound)
+    target = cohomology(sub_group, sub_module, coh.degree)
     order = coh.group.order
 
     def restrict(rep: Cochain) -> Cochain:
@@ -452,7 +433,6 @@ def inflation(
     proj: GroupHom,
     module: GModule,
     embedding: np.ndarray,
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> CohomologyMap:
     """Inflation along G -> G/N, from coefficients in the fixed submodule.
 
@@ -479,12 +459,9 @@ def inflation(
             for j in range(coh.module.rank):
                 if (int(lhs[i, j]) - int(rhs[i, j])) % module.orders[i] != 0:
                     raise IncompatibleCoefficients("embedding is not equivariant")
-    if coh.module.orders:
-        rel = module.relation_matrix()
-        span = np.concatenate([emb, rel], axis=1) if emb.shape[1] else rel
-        if lattice_quotient(column_lattice_basis(span), rel).factors != coh.module.orders:
-            raise IncompatibleCoefficients("embedding is not injective")
-    target = cohomology(module.group, module, coh.degree, size_bound)
+    if coh.module.orders and span_subgroup(module.orders, emb).factors != coh.module.orders:
+        raise IncompatibleCoefficients("embedding is not injective")
+    target = cohomology(module.group, module, coh.degree)
     q_order = coh.group.order
 
     def inflate(rep: Cochain) -> Cochain:
@@ -546,13 +523,12 @@ def conjugation_on_cohomology(
     normal: Subgroup,
     module: GModule,
     degree: int,
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> ConjugationAction:
     """The G/N-action on H^degree(N, M) for a normal subgroup N."""
     sub_group, embed = normal.as_group
     pos = {g: i for i, g in enumerate(embed)}
     sub_module = restrict_module(module, normal)
-    coh = cohomology(sub_group, sub_module, degree, size_bound)
+    coh = cohomology(sub_group, sub_module, degree)
     q_group, proj = quotient(group, normal)
 
     def conjugated_matrix(g: int):
@@ -588,19 +564,18 @@ def sha_finite(
     group: FiniteGroup,
     module: GModule,
     family,
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> CohomologyGroup:
     """Classes of H^1(G, M) restricting to zero on every subgroup in the
     family: the finite-coefficient locally-trivial kernel."""
     family = list(family)
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
-    h1 = cohomology(group, module, 1, size_bound)
+    h1 = cohomology(group, module, 1)
     if h1.is_trivial:
         return CohomologyGroup(group, module, 1, (), ())
     rows = []
     for sub in family:
-        res = restriction(h1, sub, size_bound)
+        res = restriction(h1, sub)
         for i, row in enumerate(res.matrix):
             rows.append((list(row), res.target.invariant_factors[i]))
     factors, gens = _subgroup_from_congruences(h1.invariant_factors, rows)

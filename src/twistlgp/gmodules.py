@@ -20,14 +20,14 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_generated
 from .linalg import (
-    column_lattice_basis,
-    congruence_kernel,
+    NotInLattice,
+    ambient_quotient,
     diagonal_matrix,
     identity_matrix,
     int_matrix,
-    lattice_quotient,
+    kernel_subgroup,
     smith_normal_form,
-    solve_columns,
+    span_subgroup,
     zero_matrix,
 )
 
@@ -145,9 +145,6 @@ class GModule:
 
     def action_matrix(self, g: int) -> np.ndarray:
         return int_matrix(self.action[g])
-
-    def relation_matrix(self) -> np.ndarray:
-        return diagonal_matrix(self.orders)
 
 
 def gmodule(group: FiniteGroup, orders, action) -> GModule:
@@ -277,27 +274,17 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
     )
 
 
-def _fixed_lattice(module: GModule, elements) -> np.ndarray:
-    """Basis of {x in Z^r : (action[g] - 1) x == 0 mod orders for g in elements}."""
-    r = module.rank
-    if r == 0:
-        return identity_matrix(0)
-
-    def rows():
-        for g in elements:
-            mat = module.action[g]
-            for i in range(r):
-                row = [mat[i][j] - (1 if i == j else 0) for j in range(r)]
-                yield row, module.orders[i]
-
-    return congruence_kernel(r, module.exponent, rows())
-
-
 def _fixed_points(module: GModule, elements):
-    """The fixed points under the given elements as a lattice quotient (its
-    generators lift them to Z^r), with the embedding: one column per
-    generator, reduced mod the module orders."""
-    quot = lattice_quotient(_fixed_lattice(module, elements), module.relation_matrix())
+    """The fixed points under the given elements, {x : (action[g] - 1) x == 0},
+    as a lattice quotient (its generators lift them to Z^r), with the
+    embedding: one column per generator, reduced mod the module orders."""
+    r = module.rank
+    congruences = [
+        ([module.action[g][i][j] - (1 if i == j else 0) for j in range(r)], module.orders[i])
+        for g in elements
+        for i in range(r)
+    ]
+    quot = kernel_subgroup(module.orders, congruences)
     gens = quot.generators()
     if gens:
         embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])
@@ -307,8 +294,9 @@ def _fixed_points(module: GModule, elements):
 
 
 def _action_on_quotient(module: GModule, quot, acting) -> list[np.ndarray]:
-    """Matrix of each acting element on a lattice quotient that the action
-    preserves, in the quotient's coordinates (one column per generator)."""
+    """Matrix of each acting element on a lattice quotient, in the quotient's
+    coordinates (one column per generator); ``NotInLattice`` when an element
+    moves a generator out of the lattice."""
     gens = quot.generators()
     mats = []
     for g in acting:
@@ -373,26 +361,16 @@ def submodule_quotient(module: GModule, generators):
     r = module.rank
     if r == 0:
         return module, module
-    cols = [list(g) for g in gens]
-    span = np.concatenate(
-        [int_matrix(cols).T if cols else zero_matrix(r, 0), module.relation_matrix()],
-        axis=1,
-    )
-    basis = column_lattice_basis(span)
-    basis_snf = smith_normal_form(basis)
-    # stability: the action must keep every generator inside the span
-    for g in module.group.elements():
-        for gen in gens:
-            vec = module.action_matrix(g) @ int_matrix([list(gen)]).T
-            if solve_columns(basis_snf, vec) is None:
-                raise NotStable(
-                    f"span is not stable: element {g} moves {gen} outside"
-                )
+    span = span_subgroup(module.orders, int_matrix(gens).T if gens else zero_matrix(r, 0))
     acting = module.group.elements()
-    sub_quot = lattice_quotient(basis, module.relation_matrix())
-    # quotient Z^r / span via the SNF change of coordinates y = U x
-    quo_quot = lattice_quotient(identity_matrix(r), basis)
+    # the span is stable iff the action keeps its lift inside itself; the
+    # action maps the relation lattice into itself, so the generators decide
+    try:
+        span_action = _action_on_quotient(module, span, acting)
+    except NotInLattice:
+        raise NotStable("span is not stable under the group action") from None
+    quotient = ambient_quotient(span)
     return (
-        gmodule(module.group, sub_quot.factors, _action_on_quotient(module, sub_quot, acting)),
-        gmodule(module.group, quo_quot.factors, _action_on_quotient(module, quo_quot, acting)),
+        gmodule(module.group, span.factors, span_action),
+        gmodule(module.group, quotient.factors, _action_on_quotient(module, quotient, acting)),
     )

@@ -234,6 +234,8 @@ def build_group(spec) -> FiniteGroup:
         raise NotAGroup("group spec must be a name or a dict with a 'kind'")
     kind = spec["kind"]
     if kind == "named":
+        if not isinstance(spec.get("name"), str):
+            raise NotAGroup("named group needs a string name")
         return named_group(spec["name"])
     if kind == "table":
         order, rows = spec["order"], spec["table"]
@@ -248,6 +250,8 @@ def build_group(spec) -> FiniteGroup:
             raise NotAGroup("table name must be a string")
         return FiniteGroup(order, tuple(tuple(row) for row in rows), name=name)
     if kind == "product":
+        if not isinstance(spec.get("factors"), list):
+            raise NotAGroup("product factors must be a list of group specs")
         return direct_product(*(build_group(f) for f in spec["factors"]))
     raise NotAGroup(f"unknown group spec kind {kind!r}")
 

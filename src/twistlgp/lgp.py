@@ -47,7 +47,7 @@ from .albert import (
     is_squarefree,
     totient,
 )
-from .cohomology import DEFAULT_SIZE_BOUND, TooLarge, cohomology
+from .cohomology import TooLarge, cohomology
 from .gmodules import CyclotomicCharacter, descend_to_quotient, invariants, mu_module
 from .groups import (
     FiniteGroup,
@@ -355,7 +355,7 @@ def _check_c4(instance: Instance) -> TraceEntry:
     return _fired(cid, {"fixed_invariant_factors": []})
 
 
-def _check_c5(instance: Instance, size_bound: int) -> TraceEntry:
+def _check_c5(instance: Instance) -> TraceEntry:
     cid = "coprime-normal-collapse"
     if not instance.dl_commutative:
         return _failed(cid, "dl_commutative is not set")
@@ -367,7 +367,7 @@ def _check_c5(instance: Instance, size_bound: int) -> TraceEntry:
     normal = _largest_coprime_normal(instance.group, instance.m)
     quotient_group, proj = quotient(instance.group, normal)
     coefficients, _ = descend_to_quotient(module, proj)
-    h2 = cohomology(quotient_group, coefficients, 2, size_bound)
+    h2 = cohomology(quotient_group, coefficients, 2)
     if h2.is_trivial:
         return _fired(
             cid,
@@ -605,7 +605,7 @@ def _check_c7(instance: Instance) -> TraceEntry:
     return _fired(cid, analysis.to_dict())
 
 
-def decide(instance: Instance, size_bound: int = DEFAULT_SIZE_BOUND) -> Verdict:
+def decide(instance: Instance) -> Verdict:
     """Run every criterion and assemble the verdict.
 
     A criterion that cannot run because a cohomology computation exceeds
@@ -614,20 +614,14 @@ def decide(instance: Instance, size_bound: int = DEFAULT_SIZE_BOUND) -> Verdict:
     """
     validate(instance)
     checks = (
-        lambda: _check_c0(instance),
-        lambda: _check_c1(instance),
-        lambda: _check_c2(instance),
-        lambda: _check_c3(instance),
-        lambda: _check_c4(instance),
-        lambda: _check_c5(instance, size_bound),
-        lambda: _check_c6(instance),
-        lambda: _check_c7(instance),
+        _check_c0, _check_c1, _check_c2, _check_c3,
+        _check_c4, _check_c5, _check_c6, _check_c7,
     )
     entries = []
     too_large: TooLarge | None = None
     for cid, check in zip(CRITERIA, checks):
         try:
-            entries.append(check())
+            entries.append(check(instance))
         except TooLarge as exc:
             too_large = exc
             entries.append(_failed(cid, f"size bound exceeded: {exc}"))

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith normal form with unimodular transforms,
-integer solves, congruence kernels, and finite lattice quotients.
+lattices with their own coordinates, finite lattice quotients, and finite
+subgroups of Z/d_1 + ... + Z/d_r.
 
 Matrices are numpy arrays with dtype=object holding Python ints, so nothing
 ever overflows.  Conventions:
@@ -7,13 +8,21 @@ ever overflows.  Conventions:
 * ``smith_normal_form(A)`` returns ``U @ A @ V == S`` with ``S`` diagonal,
   ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular (their exact
   inverses are tracked alongside).
-* Lattices are given by matrices whose *columns* generate them.
+* A ``Lattice`` holds a basis (independent columns) with a unimodular
+  ``forward`` matrix taking it to diag(scales) over zero rows.  Its only
+  builders are ``congruence_kernel`` and ``column_lattice``; both take it from
+  the Smith normal form they compute, so no basis is diagonalized twice.
+* Finite subgroups of Z/d_1 + ... + Z/d_r are built in two ways, both as a
+  ``LatticeQuotient`` of their lift to Z^r by the relation lattice:
+  ``span_subgroup`` from spanning columns, ``kernel_subgroup`` from
+  congruences; ``ambient_quotient`` gives the quotient by such a subgroup.
+  No other module knows how lattices are represented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -166,41 +175,48 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
     return SmithNormalForm(s=s, u=u, v=v, u_inv=u_inv, v_inv=v_inv, diagonal=diagonal)
 
 
-def solve_columns(snf: SmithNormalForm, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve A @ X == rhs column-wise given A's Smith data; None if unsolvable."""
-    m, n = snf.u.shape[0], snf.v.shape[0]
-    z = snf.u @ rhs
-    y = zero_matrix(n, rhs.shape[1])
-    for i in range(m):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        for k in range(rhs.shape[1]):
-            if d == 0:
-                if z[i, k] != 0:
-                    return None
-            else:
-                q, r = divmod(z[i, k], d)
-                if r != 0:
-                    return None
-                y[i, k] = q
-    return snf.v @ y
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """A lattice in Z^m that carries its own coordinates.
+
+    ``basis`` has linearly independent columns, ``forward`` is unimodular,
+    and ``forward @ basis`` is diag(``scales``) stacked above zero rows, so
+    ``solve_columns`` finds basis coordinates with one product.  Built by
+    ``congruence_kernel`` and ``column_lattice`` from the Smith normal form
+    each already computes.
+    """
+
+    basis: np.ndarray
+    forward: np.ndarray
+    scales: tuple[int, ...]
 
 
-def column_lattice_basis(mat: np.ndarray) -> np.ndarray:
-    """Basis (columns) of the lattice generated by the columns of mat."""
+def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
+    """The unique W with lattice.basis @ W == rhs; None if some column of
+    rhs is not in the lattice."""
+    z = lattice.forward @ rhs
+    k = len(lattice.scales)
+    if (z[k:] != 0).any():
+        return None
+    scales = np.array(lattice.scales, dtype=object).reshape(-1, 1)
+    if (z[:k] % scales != 0).any():
+        return None
+    return z[:k] // scales
+
+
+def column_lattice(mat: np.ndarray) -> Lattice:
+    """The lattice generated by the columns of mat: with U @ mat @ V == S,
+    its basis is the columns of U^-1 scaled by the nonzero diagonal of S."""
     snf = smith_normal_form(mat)
-    cols = []
-    for i, d in enumerate(snf.diagonal):
-        if d != 0:
-            cols.append(snf.u_inv[:, i] * d)
-    if not cols:
-        return zero_matrix(mat.shape[0], 0)
-    return np.column_stack(cols)
+    scales = tuple(d for d in snf.diagonal if d != 0)
+    basis = snf.u_inv[:, : len(scales)] * np.array(scales, dtype=object)
+    return Lattice(basis, snf.u, scales)
 
 
 def congruence_kernel(
     n: int, exponent: int, constraints: Iterator[tuple[list[int], int]]
-) -> np.ndarray:
-    """Basis of the lattice {x in Z^n : row . x == 0 (mod modulus)} over all
+) -> Lattice:
+    """The lattice {x in Z^n : row . x == 0 (mod modulus)} over all
     (row, modulus) constraints.  Every modulus must divide ``exponent``.
 
     Each constraint is scaled to a single modulus e and folded into a
@@ -209,7 +225,7 @@ def congruence_kernel(
     """
     e = exponent
     if e == 1:
-        return identity_matrix(n)
+        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
     pivots: dict[int, list[int]] = {}
     for row, modulus in constraints:
         scale = e // modulus
@@ -241,10 +257,8 @@ def congruence_kernel(
     # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
     # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.
     snf = smith_normal_form(reduced)
-    basis = snf.v.copy()
-    for i, d in enumerate(snf.diagonal):
-        basis[:, i] *= e // gcd(int(d), e)
-    return basis
+    scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
+    return Lattice(snf.v * np.array(scales, dtype=object), snf.v_inv, scales)
 
 
 class NotInLattice(ValueError):
@@ -253,16 +267,15 @@ class NotInLattice(ValueError):
 
 @dataclass(frozen=True)
 class LatticeQuotient:
-    """Structure of L / S for full-rank lattices S <= L <= Z^n.
+    """Structure of L / S for lattices S <= L of finite index.
 
     ``factors`` are the nontrivial invariant factors in ascending
     divisibility order; ``generator(i)`` lifts the i-th summand generator
     to L; ``coordinates(x)`` expresses x in L as summand coordinates.
     """
 
-    basis: np.ndarray
+    lattice: Lattice = field(repr=False, compare=False)
     factors: tuple[int, ...]
-    _basis_snf: SmithNormalForm = field(repr=False, compare=False)
     _w_snf: SmithNormalForm = field(repr=False, compare=False)
     _kept: tuple[int, ...] = field(repr=False, compare=False)
     _diag: tuple[int, ...] = field(repr=False, compare=False)
@@ -276,39 +289,58 @@ class LatticeQuotient:
         return not self.factors
 
     def coordinates(self, x: np.ndarray) -> tuple[int, ...]:
-        w = solve_columns(self._basis_snf, x.reshape(-1, 1))
+        w = solve_columns(self.lattice, x.reshape(-1, 1))
         if w is None:
             raise NotInLattice("vector is not in the ambient lattice")
         y = self._w_snf.u @ w[:, 0]
         return tuple(int(y[i] % self._diag[i]) for i in self._kept)
 
     def generator(self, idx: int) -> np.ndarray:
-        return self.basis @ self._w_snf.u_inv[:, self._kept[idx]]
+        return self.lattice.basis @ self._w_snf.u_inv[:, self._kept[idx]]
 
     def generators(self) -> list[np.ndarray]:
         return [self.generator(i) for i in range(len(self.factors))]
 
 
-def lattice_quotient(basis: np.ndarray, sub_generators: np.ndarray) -> LatticeQuotient:
-    """Quotient of the lattice spanned by ``basis`` (columns, full rank) by
-    the sublattice generated by ``sub_generators`` (columns, finite index).
-    """
-    basis_snf = smith_normal_form(basis)
-    w = solve_columns(basis_snf, sub_generators)
+def lattice_quotient(lattice: Lattice, sub_generators: np.ndarray) -> LatticeQuotient:
+    """Quotient of ``lattice`` by the sublattice generated by the columns of
+    ``sub_generators``, which must have finite index."""
+    w = solve_columns(lattice, sub_generators)
     if w is None:
         raise NotInLattice("sub-generators do not lie in the lattice")
     w_snf = smith_normal_form(w)
-    k = basis.shape[1]
+    k = len(lattice.scales)
     diag = list(w_snf.diagonal) + [0] * (k - len(w_snf.diagonal))
     if any(d == 0 for d in diag):
         raise ValueError("quotient is infinite: sublattice has deficient rank")
     kept = tuple(i for i, d in enumerate(diag) if d != 1)
     factors = tuple(int(diag[i]) for i in kept)
     return LatticeQuotient(
-        basis=basis,
-        factors=factors,
-        _basis_snf=basis_snf,
-        _w_snf=w_snf,
-        _kept=kept,
-        _diag=tuple(diag),
+        lattice=lattice, factors=factors, _w_snf=w_snf, _kept=kept, _diag=tuple(diag)
     )
+
+
+def span_subgroup(orders, columns: np.ndarray) -> LatticeQuotient:
+    """The subgroup of Z/d_1 + ... + Z/d_r (d = ``orders``) spanned by the
+    columns, as L / R: R is the relation lattice generated by diag(orders)
+    and L is generated by the columns together with R."""
+    relations = diagonal_matrix(orders)
+    lift = column_lattice(np.concatenate([columns, relations], axis=1))
+    return lattice_quotient(lift, relations)
+
+
+def kernel_subgroup(orders, congruences) -> LatticeQuotient:
+    """The subgroup {x in Z/d_1 + ... + Z/d_r : row . x == 0 (mod modulus)}
+    over the (row, modulus) congruences, as L / R with L its lift to Z^r and
+    R the relation lattice generated by diag(orders)."""
+    congruences = list(congruences)
+    exponent = lcm(*orders, *(modulus for _, modulus in congruences))
+    lift = congruence_kernel(len(orders), exponent, iter(congruences))
+    return lattice_quotient(lift, diagonal_matrix(orders))
+
+
+def ambient_quotient(sub: LatticeQuotient) -> LatticeQuotient:
+    """(Z/d_1 + ... + Z/d_r) / S for a subgroup S built by ``span_subgroup``
+    or ``kernel_subgroup``, as Z^r / L with L the lift of S."""
+    whole = column_lattice(identity_matrix(sub.lattice.basis.shape[0]))
+    return lattice_quotient(whole, sub.lattice.basis)

@@ -271,6 +271,40 @@ def test_cohomology_module_grammar(capsys):
     assert json.loads(capsys.readouterr().out)["invariant_factors"] == []
 
 
+BAD_ARGUMENTS = [
+    ["cohomology", "--group", "C2", "--module", '{"kind":"mu","m":2.5}', "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", "[1]", "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", '{"orders":[2],"action":[[[1]],[[1]]]}',
+     "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", '{"orders":[3],"action":{"0":[[1]],"1":[[1.5]]}}',
+     "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", '{"orders":[3],"action":{"0":[[1]]}}',
+     "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", '{"orders":[3.0],"action":{"0":[[1]],"1":[[1]]}}',
+     "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", '{"kind":"mu","m":3,"character":5}',
+     "--degree", "1"],
+    ["cohomology", "--group", '{"kind":"product","factors":5}', "--module", "mu:2",
+     "--degree", "1"],
+    ["cohomology", "--group", '{"kind":"named","name":5}', "--module", "mu:2", "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", "mu:2", "--degree", "1", "--oracle",
+     "--budget", "0"],
+    ["sha", "--group", "C4", "--module", "mu:2", "--family", "5"],
+    ["sha", "--group", "C4", "--module", "mu:2", "--declared", "5"],
+    ["sha", "--group", "C4", "--module", "mu:2", "--family", "[[0,9]]"],
+    ["sha", "--group", "C4", "--module", "mu:2", "--family", "[[0,2.0]]"],
+    ["sha", "--group", "C4", "--module", "mu:2", "--declared", "[[0,true]]"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=lambda argv: " ".join(argv[1:]))
+def test_cohomology_and_sha_reject_bad_arguments(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_sha_command(capsys):
     code = main(["sha", "--group", "C2xC2", "--module", "mu:2"])
     assert code == 1  # C2xC2 is not a named group; needs the product spec

@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import gcd
 
@@ -35,6 +36,9 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
+
+# the package re-exports the function cohomology under the module's name
+cohomology_module = importlib.import_module("twistlgp.cohomology")
 
 
 def random_cochain(module, degree, rng):
@@ -161,11 +165,12 @@ def test_representatives_are_independent_cocycles():
                 assert not h.is_coboundary(rep)
 
 
-def test_too_large():
+def test_too_large(monkeypatch):
     group = cyclic(8)
     module = trivial_module(group, [3])
+    monkeypatch.setattr(cohomology_module, "SIZE_BOUND", 10)
     with pytest.raises(TooLarge):
-        cohomology(group, module, 2, size_bound=10)
+        cohomology(group, module, 2)
 
 
 def test_restriction_to_self_is_identity():

@@ -1,18 +1,23 @@
+import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 from twistlgp.linalg import (
     NotInLattice,
-    column_lattice_basis,
+    column_lattice,
     congruence_kernel,
     identity_matrix,
     int_matrix,
+    kernel_subgroup,
     lattice_quotient,
     smith_normal_form,
     solve_columns,
+    span_subgroup,
     xgcd,
+    zero_matrix,
 )
 
 
@@ -77,16 +82,16 @@ def test_snf_zero_and_rectangular():
 
 def test_solve_columns():
     mat = int_matrix([[2, 0], [0, 3]])
-    snf = smith_normal_form(mat)
+    lattice = column_lattice(mat)
     rhs = int_matrix([[4], [9]])
-    sol = solve_columns(snf, rhs)
-    assert (mat @ sol == rhs).all()
-    assert solve_columns(snf, int_matrix([[1], [0]])) is None
+    sol = solve_columns(lattice, rhs)
+    assert (lattice.basis @ sol == rhs).all()
+    assert solve_columns(lattice, int_matrix([[1], [0]])) is None
 
 
 def test_column_lattice_basis():
     mat = int_matrix([[2, 0, 4], [0, 3, 3]])
-    basis = column_lattice_basis(mat)
+    basis = column_lattice(mat).basis
     snf = smith_normal_form(basis)
     # 2Z x 3Z contains (4, 3)? no; lattice is spanned by (2,0),(0,3),(4,3):
     # (4,3) = 2*(2,0) + (0,3), so lattice = 2Z x 3Z with index 6 in Z^2.
@@ -95,7 +100,7 @@ def test_column_lattice_basis():
 
 def test_congruence_kernel_simple():
     # x + y == 0 (mod 4) in Z^2
-    basis = congruence_kernel(2, 4, iter([([1, 1], 4)]))
+    basis = congruence_kernel(2, 4, iter([([1, 1], 4)])).basis
     snf = smith_normal_form(basis)
     assert abs(np.prod(snf.diagonal)) == 4  # index-4 sublattice
     for k in range(basis.shape[1]):
@@ -105,7 +110,7 @@ def test_congruence_kernel_simple():
 def test_congruence_kernel_mixed_moduli():
     # x == 0 (mod 2) and x + y == 0 (mod 6)
     rows = iter([([1, 0], 2), ([1, 1], 6)])
-    basis = congruence_kernel(2, 6, rows)
+    basis = congruence_kernel(2, 6, rows).basis
     for k in range(basis.shape[1]):
         x, y = basis[0, k], basis[1, k]
         assert x % 2 == 0 and (x + y) % 6 == 0
@@ -120,15 +125,13 @@ def test_congruence_kernel_brute_force():
         e = rng.choice([2, 3, 4, 6, 9])
         moduli = [rng.choice([d for d in (1, 2, 3, 4, 6, 9) if e % d == 0]) for _ in range(rng.randint(0, 4))]
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in moduli]
-        basis = congruence_kernel(n, e, iter(zip(rows, moduli)))
+        basis = congruence_kernel(n, e, iter(zip(rows, moduli))).basis
         # every basis column satisfies the congruences
         for k in range(basis.shape[1]):
             for row, m in zip(rows, moduli):
                 assert sum(r * basis[i, k] for i, r in enumerate(row)) % m == 0
         # brute-force the solution count inside [0, e)^n and compare indices
         count = 0
-        import itertools
-
         for point in itertools.product(range(e), repeat=n):
             if all(
                 sum(r * x for r, x in zip(row, point)) % m == 0
@@ -143,7 +146,7 @@ def test_congruence_kernel_brute_force():
 
 def test_lattice_quotient_structure():
     # Z^2 / <(2,0), (0,3)> == C2 x C3 == C6
-    q = lattice_quotient(identity_matrix(2), int_matrix([[2, 0], [0, 3]]))
+    q = lattice_quotient(column_lattice(identity_matrix(2)), int_matrix([[2, 0], [0, 3]]))
     assert q.factors == (6,)
     assert q.order == 6
     gen = q.generator(0)
@@ -153,12 +156,97 @@ def test_lattice_quotient_structure():
 
 def test_lattice_quotient_infinite_raises():
     with pytest.raises(ValueError):
-        lattice_quotient(identity_matrix(2), int_matrix([[2], [0]]))
+        lattice_quotient(column_lattice(identity_matrix(2)), int_matrix([[2], [0]]))
 
 
 def test_lattice_quotient_membership_raises():
-    basis = int_matrix([[2, 0], [0, 1]])
-    q = lattice_quotient(basis, int_matrix([[4, 0], [0, 5]]))
+    lattice = column_lattice(int_matrix([[2, 0], [0, 1]]))
+    q = lattice_quotient(lattice, int_matrix([[4, 0], [0, 5]]))
     assert q.factors == (10,)  # (2Z/4Z) + (Z/5Z) is cyclic of order 10
     with pytest.raises(NotInLattice):
         q.coordinates(int_matrix([[1], [0]])[:, 0])
+
+
+def check_lattice(lattice, rng):
+    """forward is unimodular, forward @ basis is diag(scales) over zero rows,
+    and solve_columns recovers basis coordinates."""
+    m, k = lattice.basis.shape
+    assert lattice.forward.shape == (m, m)
+    assert smith_normal_form(lattice.forward).diagonal == (1,) * m
+    assert len(lattice.scales) == k and all(d > 0 for d in lattice.scales)
+    expected = zero_matrix(m, k)
+    for i, d in enumerate(lattice.scales):
+        expected[i, i] = d
+    assert (lattice.forward @ lattice.basis == expected).all()
+    w = int_matrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(k)]) if k else zero_matrix(0, 3)
+    assert (solve_columns(lattice, lattice.basis @ w) == w).all()
+
+
+def test_lattice_invariant_random():
+    rng = random.Random(11)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        mat = int_matrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        check_lattice(column_lattice(mat), rng)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        e = rng.choice([1, 2, 4, 6, 9, 12])
+        moduli = [rng.choice([d for d in range(1, e + 1) if e % d == 0]) for _ in range(rng.randint(0, 4))]
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in moduli]
+        lattice = congruence_kernel(n, e, iter(zip(rows, moduli)))
+        check_lattice(lattice, rng)
+        # membership through solve_columns is the congruence test itself
+        for point in itertools.product(range(-1, e + 1), repeat=n):
+            inside = all(
+                sum(r * x for r, x in zip(row, point)) % mod == 0
+                for row, mod in zip(rows, moduli)
+            )
+            found = solve_columns(lattice, int_matrix([list(point)]).T)
+            assert (found is not None) == inside
+
+
+def generated(gens, orders):
+    """All elements of the subgroup of sum Z/orders the gens generate."""
+    seen = {tuple(0 for _ in orders)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + int(b)) % d for a, b, d in zip(x, g, orders))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def check_subgroup(quot, orders, expected):
+    gens = [tuple(int(x) % d for x, d in zip(g, orders)) for g in quot.generators()]
+    assert generated(gens, orders) == expected
+    assert quot.order == len(expected)
+    for a, b in zip(quot.factors, quot.factors[1:]):
+        assert b % a == 0
+    for x in expected:
+        coords = quot.coordinates(int_matrix([list(x)])[0])
+        total = [sum(c * g[i] for c, g in zip(coords, gens)) % d for i, d in enumerate(orders)]
+        assert tuple(total) == x
+
+
+def test_span_and_kernel_subgroups_brute_force():
+    rng = random.Random(5)
+    for _ in range(40):
+        orders = [rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+        ambient = set(itertools.product(*(range(d) for d in orders)))
+        cols = [tuple(rng.randrange(d) for d in orders) for _ in range(rng.randint(0, 2))]
+        columns = int_matrix(cols).T if cols else zero_matrix(len(orders), 0)
+        check_subgroup(span_subgroup(orders, columns), orders, generated(cols, orders))
+        # well defined on the quotient: row_j * d_j == 0 (mod modulus)
+        congruences = []
+        for _ in range(rng.randint(0, 3)):
+            mod = rng.choice([2, 3, 4, 6])
+            row = [rng.randint(-3, 3) * (mod // gcd(mod, d)) for d in orders]
+            congruences.append((row, mod))
+        kernel = {
+            x for x in ambient
+            if all(sum(r * v for r, v in zip(row, x)) % mod == 0 for row, mod in congruences)
+        }
+        check_subgroup(kernel_subgroup(orders, congruences), orders, kernel)
