@@ -38,6 +38,12 @@ def totient(n: int) -> int:
     return result
 
 
+def totient_divides(m: int, n: int) -> bool:
+    """Whether phi(m) divides n > 0.  phi(m) >= sqrt(m / 2), so m > 2n^2
+    answers False without factorizing m."""
+    return m <= 2 * n * n and n % totient(m) == 0
+
+
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
@@ -106,12 +112,9 @@ class AlbertProfile:
         if self.center_degree is not None:
             if self.center_degree < 1 or two_g % self.center_degree != 0:
                 raise InconsistentProfile("[Z:Q] must divide 2g")
-            # phi(m) >= sqrt(m / 2), so a large m needs no factorization
-            if self.m >= 3 and (
-                self.m > 2 * self.center_degree**2 or self.center_degree < totient(self.m)
-            ):
+            if not totient_divides(self.m, self.center_degree):
                 raise InconsistentProfile(
-                    "[Z:Q] is smaller than phi(m) although mu_m lies in the center"
+                    "phi(m) does not divide [Z:Q] although mu_m lies in the center"
                 )
         if self.d is not None:
             if self.d < 1 or two_g % self.d != 0:
@@ -161,13 +164,12 @@ def coprimality_certificate(profile: AlbertProfile) -> CoprimalityCertificate | 
                 f"d = 2g/[Z:Q] = {d} and gcd({m}, {d}) = 1",
             )
         return None
-    phi = totient(m)
-    if two_g % phi != 0:
+    if not totient_divides(m, two_g):
         raise InconsistentProfile(
-            f"phi({m}) = {phi} does not divide 2g = {two_g}, "
+            f"phi({m}) does not divide 2g = {two_g}, "
             "impossible when mu_m lies in the endomorphism algebra"
         )
-    bound = two_g // phi
+    bound = two_g // totient(m)
     if gcd(m, bound) == 1:
         return CoprimalityCertificate(
             "divisor-bound",

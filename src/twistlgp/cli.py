@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .albert import AlbertProfile, fermat_squarefree_check, admissible_m
@@ -178,6 +179,8 @@ def _parse_group_arg(text: str) -> FiniteGroup:
 def _parse_module_arg(text: str, group: FiniteGroup) -> GModule:
     text = text.strip()
     if text.startswith("mu:"):
+        if not re.fullmatch(r"-?(0|[1-9][0-9]*)", text[3:]):
+            raise ParseError("module", "mu:M needs a JSON integer M")
         m = int(text[3:])
         return mu_module(group, m, CyclotomicCharacter.trivial(group, m))
     doc = json.loads(text)
@@ -371,6 +374,9 @@ def cmd_admissible_m(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     results = run_checks(name_filter=args.filter, budget=args.budget)
+    if not results:
+        print("error: no check matches the filter", file=sys.stderr)
+        return 1
     payload = {
         "checks": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
@@ -387,9 +393,6 @@ def cmd_verify_paper(args) -> int:
     if not payload["all_passed"]:
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         print(f"error: failed checks: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    if not payload["checks"]:
-        print("error: no check matches the filter", file=sys.stderr)
         return 1
     return 0
 

@@ -70,71 +70,57 @@ def tuple_index(order: int, gs: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class Cochain:
-    """A total map from G^degree to the module, stored as a value per tuple
-    (lexicographic tuple order).  Degree 3 occurs only as a coboundary of a
-    degree-2 cochain, for cocycle testing."""
+    """A total map from G^degree to the module, stored as the flat vector the
+    engine solves with: the value at the tuple of lexicographic index t holds
+    positions t * rank .. t * rank + rank - 1, coordinate i reduced mod
+    orders[i].  Degree 3 occurs only as a coboundary of a degree-2 cochain,
+    for cocycle testing."""
 
     module: GModule
     degree: int
-    values: tuple[ModuleElement, ...]
+    vector: tuple[int, ...]
 
     def __post_init__(self):
         if not 0 <= self.degree <= 3:
             raise ValueError("supported degrees are 0..3")
-        expected = self.module.group.order ** self.degree
-        if len(self.values) != expected:
-            raise ValueError(f"need {expected} values, got {len(self.values)}")
-        reduced = tuple(self.module.reduce(v) for v in self.values)
-        object.__setattr__(self, "values", reduced)
+        r = self.module.rank
+        expected = r * self.module.group.order ** self.degree
+        if len(self.vector) != expected:
+            raise ValueError(f"need {expected} coordinates, got {len(self.vector)}")
+        orders = self.module.orders
+        reduced = tuple(int(x) % orders[i % r] for i, x in enumerate(self.vector))
+        object.__setattr__(self, "vector", reduced)
 
     def __call__(self, *gs: int) -> ModuleElement:
         if len(gs) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
-        return self.values[tuple_index(self.module.group.order, gs)]
+        r = self.module.rank
+        start = tuple_index(self.module.group.order, gs) * r
+        return self.vector[start:start + r]
 
     @property
     def is_zero(self) -> bool:
-        zero = self.module.zero()
-        return all(v == zero for v in self.values)
+        return not any(self.vector)
 
     def add(self, other: "Cochain") -> "Cochain":
         if other.module != self.module or other.degree != self.degree:
             raise ValueError("cochains live in different spaces")
         return Cochain(
-            self.module,
-            self.degree,
-            tuple(self.module.add(a, b) for a, b in zip(self.values, other.values)),
+            self.module, self.degree, tuple(a + b for a, b in zip(self.vector, other.vector))
         )
 
     def scale(self, k: int) -> "Cochain":
-        return Cochain(
-            self.module, self.degree, tuple(self.module.scale(k, v) for v in self.values)
-        )
-
-    def to_vector(self) -> np.ndarray:
-        flat = [int(c) for v in self.values for c in v]
-        return np.array(flat, dtype=object)
+        return Cochain(self.module, self.degree, tuple(k * x for x in self.vector))
 
     def to_report(self) -> dict:
-        order = self.module.group.order
         return {
-            ",".join(map(str, gs)): list(self.values[tuple_index(order, gs)])
-            for gs in group_tuples(order, self.degree)
+            ",".join(map(str, gs)): list(self(*gs))
+            for gs in group_tuples(self.module.group.order, self.degree)
         }
 
 
 def zero_cochain(module: GModule, degree: int) -> Cochain:
-    count = module.group.order ** degree
-    return Cochain(module, degree, tuple(module.zero() for _ in range(count)))
-
-
-def cochain_from_vector(module: GModule, degree: int, vec) -> Cochain:
-    r = module.rank
-    values = tuple(
-        tuple(int(vec[t * r + i]) for i in range(r))
-        for t in range(module.group.order ** degree)
-    )
-    return Cochain(module, degree, values)
+    return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
 def _bar_terms(group: FiniteGroup, n: int):
@@ -161,14 +147,15 @@ def coboundary(cochain: Cochain) -> Cochain:
     n = cochain.degree
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0..2")
-    f = cochain.values
-    values = []
-    for g, acted, terms in _bar_terms(module.group, n):
-        acc = module.act(g, f[acted])
-        for sign, t in terms:
-            acc = module.add(acc, module.scale(sign, f[t]))
-        values.append(acc)
-    return Cochain(module, n + 1, tuple(values))
+    f = cochain.vector
+    return Cochain(
+        module,
+        n + 1,
+        tuple(
+            sum(a * x for a, x in zip(row, f))
+            for row, _modulus in _differential_rows(module.group, module, n)
+        ),
+    )
 
 
 def is_cocycle(cochain: Cochain) -> bool:
@@ -241,7 +228,7 @@ class CohomologyGroup:
                 raise ValueError("not a cocycle")
             return CohClass(self, ())
         try:
-            coords = self._presentation.coordinates(cochain.to_vector())
+            coords = self._presentation.coordinates(np.array(cochain.vector, dtype=object))
         except NotInLattice:
             raise ValueError("not a cocycle") from None
         return CohClass(self, coords)
@@ -291,7 +278,7 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
     )
     presentation = lattice_quotient(cocycles, _coboundary_generators(group, module, degree))
     reps = tuple(
-        cochain_from_vector(module, degree, presentation.generator(i))
+        Cochain(module, degree, tuple(presentation.generator(i)))
         for i in range(len(presentation.factors))
     )
     return CohomologyGroup(
@@ -399,10 +386,28 @@ def _subgroup_from_congruences(ambient_factors, congruence_rows):
     return quot.factors, gens
 
 
-def _induced_map(source: CohomologyGroup, target: CohomologyGroup, cochain_map):
-    """Matrix of the map on cohomology induced by a cochain map: one column
-    per source generator, holding the target class of its image."""
-    cols = [target.class_of(cochain_map(rep)).coordinates for rep in source.representatives]
+def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coefficients):
+    """Matrix of the map on cohomology induced by the cochain map
+    f -> (t -> C f(phi(t_1), ..., phi(t_n))), where ``elements`` lists
+    phi(t) for each element t of the target group and ``coefficients`` is
+    the integer matrix C from source to target coordinates: one column per
+    source generator, holding the target class of its image."""
+    r = source.module.rank
+    order = source.group.order
+    starts = [
+        tuple_index(order, gs) * r
+        for gs in itertools.product(elements, repeat=source.degree)
+    ]
+    cols = []
+    for rep in source.representatives:
+        f = rep.vector
+        image = [
+            sum(c * x for c, x in zip(row, f[start:start + r]))
+            for start in starts
+            for row in coefficients
+        ]
+        image_cochain = Cochain(target.module, target.degree, tuple(image))
+        cols.append(target.class_of(image_cochain).coordinates)
     return tuple(
         tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
     )
@@ -413,18 +418,8 @@ def restriction(coh: CohomologyGroup, subgroup: Subgroup) -> CohomologyMap:
     if subgroup.parent != coh.group:
         raise ValueError("subgroup belongs to a different group")
     sub_group, embed = subgroup.as_group
-    sub_module = restrict_module(coh.module, subgroup)
-    target = cohomology(sub_group, sub_module, coh.degree)
-    order = coh.group.order
-
-    def restrict(rep: Cochain) -> Cochain:
-        values = tuple(
-            rep.values[tuple_index(order, tuple(embed[t] for t in gs))]
-            for gs in group_tuples(sub_group.order, coh.degree)
-        )
-        return Cochain(sub_module, coh.degree, values)
-
-    matrix = _induced_map(coh, target, restrict)
+    target = cohomology(sub_group, restrict_module(coh.module, subgroup), coh.degree)
+    matrix = _induced_map(coh, target, embed, coh.module.action[0])
     return CohomologyMap(coh, target, matrix, label=f"res_{subgroup.elements}")
 
 
@@ -462,17 +457,16 @@ def inflation(
     if coh.module.orders and span_subgroup(module.orders, emb).factors != coh.module.orders:
         raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree)
-    q_order = coh.group.order
+    return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb), label="inf")
 
-    def inflate(rep: Cochain) -> Cochain:
-        values = []
-        for gs in group_tuples(module.group.order, coh.degree):
-            val = rep.values[tuple_index(q_order, tuple(proj(g) for g in gs))]
-            lifted = emb @ np.array(val, dtype=object) if coh.module.rank else np.zeros(module.rank, dtype=object)
-            values.append(module.reduce(lifted))
-        return Cochain(module, coh.degree, tuple(values))
 
-    return CohomologyMap(coh, target, _induced_map(coh, target, inflate), label="inf")
+def _is_identity_mod(matrix, moduli) -> bool:
+    """Whether the square matrix is the identity, row i taken mod moduli[i]."""
+    return all(
+        (matrix[i][j] - (1 if i == j else 0)) % d == 0
+        for i, d in enumerate(moduli)
+        for j in range(len(moduli))
+    )
 
 
 @dataclass(eq=False)
@@ -485,13 +479,6 @@ class ConjugationAction:
     projection: GroupHom
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def matrix(self, q: int) -> tuple[tuple[int, ...], ...]:
-        return self.matrices[q]
-
-    def invariant_factors_of_fixed_subgroup(self) -> tuple[int, ...]:
-        factors, _ = self.fixed_subgroup()
-        return factors
-
     def fixed_subgroup(self):
         b = self.cohomology.invariant_factors
         rows = []
@@ -503,19 +490,8 @@ class ConjugationAction:
         return _subgroup_from_congruences(b, rows)
 
     def is_trivial_action(self) -> bool:
-        ident = tuple(
-            tuple(1 if i == j else 0 for j in range(len(self.cohomology.invariant_factors)))
-            for i in range(len(self.cohomology.invariant_factors))
-        )
         b = self.cohomology.invariant_factors
-        return all(
-            all(
-                (self.matrices[q][i][j] - ident[i][j]) % b[i] == 0
-                for i in range(len(b))
-                for j in range(len(b))
-            )
-            for q in self.quotient_group.elements()
-        )
+        return all(_is_identity_mod(mat, b) for mat in self.matrices)
 
 
 def conjugation_on_cohomology(
@@ -527,34 +503,20 @@ def conjugation_on_cohomology(
     """The G/N-action on H^degree(N, M) for a normal subgroup N."""
     sub_group, embed = normal.as_group
     pos = {g: i for i, g in enumerate(embed)}
-    sub_module = restrict_module(module, normal)
-    coh = cohomology(sub_group, sub_module, degree)
+    coh = cohomology(sub_group, restrict_module(module, normal), degree)
     q_group, proj = quotient(group, normal)
 
     def conjugated_matrix(g: int):
         g_inv = group.inv(g)
-
-        def conjugate(rep: Cochain) -> Cochain:
-            values = []
-            for gs in group_tuples(sub_group.order, degree):
-                conj = tuple(
-                    pos[group.mul(group.mul(g_inv, embed[t]), g)] for t in gs
-                )
-                val = rep.values[tuple_index(sub_group.order, conj)]
-                values.append(module.act(g, val))
-            return Cochain(sub_module, degree, tuple(values))
-
-        return _induced_map(coh, coh, conjugate)
+        elements = [pos[group.mul(group.mul(g_inv, n), g)] for n in embed]
+        return _induced_map(coh, coh, elements, module.action[g])
 
     matrices = tuple(conjugated_matrix(g) for g in proj.section)
     # inner conjugations must act trivially on cohomology
     b = coh.invariant_factors
-    for n in normal.elements:
-        mat = conjugated_matrix(n)
-        for i in range(len(b)):
-            for j in range(len(b)):
-                expected = 1 if i == j else 0
-                assert (mat[i][j] - expected) % b[i] == 0, "inner action is not trivial"
+    assert all(
+        _is_identity_mod(conjugated_matrix(n), b) for n in normal.elements
+    ), "inner action is not trivial"
     return ConjugationAction(
         cohomology=coh, quotient_group=q_group, projection=proj, matrices=matrices
     )

@@ -130,9 +130,6 @@ class GModule:
     def neg(self, a: ModuleElement) -> ModuleElement:
         return tuple((-x) % d for x, d in zip(a, self.orders))
 
-    def scale(self, k: int, a: ModuleElement) -> ModuleElement:
-        return tuple((k * x) % d for x, d in zip(a, self.orders))
-
     def act(self, g: int, a: ModuleElement) -> ModuleElement:
         mat = self.action[g]
         return tuple(
@@ -262,13 +259,7 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
                     break
         if not ok or any(v is None for v in values):
             continue
-        vals = tuple(values)
-        if all(
-            (vals[a] * vals[b]) % m == vals[group.mul(a, b)]
-            for a in group.elements()
-            for b in group.elements()
-        ):
-            found.add(vals)
+        found.add(tuple(values))
     return tuple(
         CyclotomicCharacter(group, m, vals) for vals in sorted(found)
     )

@@ -41,11 +41,11 @@ from math import gcd
 from .albert import (
     AlbertProfile,
     InconsistentProfile,
-    admissible_m,
     coprimality_certificate,
     factorize,
     is_squarefree,
     totient,
+    totient_divides,
 )
 from .cohomology import TooLarge, cohomology
 from .gmodules import CyclotomicCharacter, descend_to_quotient, invariants, mu_module
@@ -513,7 +513,7 @@ def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
             "g = 8 is handled through the power-of-two clause; the general "
             "small-dimension statement stops at g = 7"
         )
-    if m not in admissible_m(g):
+    if not totient_divides(m, 2 * g):
         return CaseAnalysis(
             resolved=False,
             shortcut=None,

@@ -133,7 +133,6 @@ def check_small_dimension_twists() -> tuple[bool, dict]:
                 row["cases"] = fired.hypotheses["cases"]
             rows.append(row)
             if g == 8 and not notes:
-                fired = next(e for e in verdict.trace if e.outcome == "fired")
                 notes.append(
                     "g = 8 is certified through the power-of-two clause of "
                     "the small-dimension analysis"

@@ -10,6 +10,7 @@ from twistlgp.albert import (
     fermat_squarefree_check,
     is_squarefree,
     totient,
+    totient_divides,
 )
 
 
@@ -17,6 +18,10 @@ def test_totient():
     known = {1: 1, 2: 1, 3: 2, 9: 6, 15: 8, 21: 12, 255: 128}
     for n, phi in known.items():
         assert totient(n) == phi
+    # the m > 2n^2 shortcut never changes the answer
+    for m in range(1, 400):
+        for n in range(1, 16):
+            assert totient_divides(m, n) == (n % totient(m) == 0), (m, n)
 
 
 def test_admissible_m_published_tables():
@@ -71,6 +76,8 @@ def test_profile_validation():
         AlbertProfile(g=6, m=3, center_degree=5)  # 5 does not divide 12
     with pytest.raises(InconsistentProfile):
         AlbertProfile(g=6, m=9, center_degree=2)  # [Z:Q] < phi(9)
+    with pytest.raises(InconsistentProfile):
+        AlbertProfile(g=3, m=5, center_degree=6)  # phi(5) = 4 does not divide 6
     with pytest.raises(InconsistentProfile):
         AlbertProfile(g=6, m=3, center_degree=4, d=6)  # 4 * 6 != 12
     with pytest.raises(InconsistentProfile):

@@ -36,3 +36,9 @@ def test_wrapped_signatures():
     assert issubclass(importlib.import_module("twistlgp.oracle").BudgetExceeded, Exception)
     for name, _statement, func in importlib.import_module("twistlgp.verify").CHECKS:
         assert callable(func), name
+
+
+def test_verify_checks_match_the_registry():
+    # a renamed check would read 0 s in the traced pass
+    names = [name for name, _statement, _func in importlib.import_module("twistlgp.verify").CHECKS]
+    assert load_tracer().VERIFY_CHECKS == names

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistlgp import albert
 from twistlgp.cli import (
     ALBERT_FIELDS,
     FLAG_NAMES,
@@ -14,7 +15,7 @@ from twistlgp.cli import (
     parse_instance,
     serialize_instance,
 )
-from twistlgp.lgp import Inconsistent
+from twistlgp.lgp import Inconsistent, decide
 
 
 EC_DOC = {
@@ -195,6 +196,27 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert f"error: {denied}: flags: " in captured.err
 
 
+def test_large_twist_order_or_dimension_needs_no_factorization(monkeypatch):
+    # phi(m) | 2g is decided from phi(m) >= sqrt(m/2) before factorizing m:
+    # scanning 2g^2 candidates at g = 1024, or trial-dividing the prime
+    # 2^61 - 1, would not finish
+    factorized = []
+    factorize = albert.factorize
+    monkeypatch.setattr(albert, "factorize", lambda n: factorized.append(n) or factorize(n))
+    flags = {"mu_m_in_d": True, "geometrically_simple": True}
+    doc = {"m": 3, "g": 1024, "group": "C1", "flags": flags}
+    verdict = decide(parse_instance(json.dumps(doc)))
+    c7 = next(e for e in verdict.trace if e.criterion == "small-dimension-case-analysis")
+    assert c7.outcome == "fired"
+    assert c7.hypotheses["shortcut"]["criterion"] == "twist-order-coprime-to-rank"
+    doc = {"m": 2**61 - 1, "g": 1, "group": "C1", "flags": {"mu_m_in_d": True}}
+    verdict = decide(parse_instance(json.dumps(doc)))
+    c2 = next(e for e in verdict.trace if e.criterion == "twist-order-coprime-to-rank")
+    assert c2.outcome == "failed"
+    assert c2.reason.startswith("inconsistent profile")
+    assert len(factorized) < 20 and max(factorized, default=0) < 10**4
+
+
 def test_decide_batch_directory(tmp_path, capsys):
     write_doc(tmp_path, EC_DOC, "a_holds.json")
     write_doc(tmp_path, UNKNOWN_DOC, "b_unknown.json")
@@ -294,6 +316,9 @@ BAD_ARGUMENTS = [
     ["sha", "--group", "C4", "--module", "mu:2", "--family", "[[0,9]]"],
     ["sha", "--group", "C4", "--module", "mu:2", "--family", "[[0,2.0]]"],
     ["sha", "--group", "C4", "--module", "mu:2", "--declared", "[[0,true]]"],
+    ["cohomology", "--group", "C2", "--module", "mu:1_0", "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", "mu: 3", "--degree", "1"],
+    ["cohomology", "--group", "C2", "--module", "mu:+3", "--degree", "1"],
 ]
 
 
@@ -354,8 +379,11 @@ def test_verify_paper_filter(capsys):
     out = capsys.readouterr().out
     assert "admissible-m-tables" in out
     assert "oracle-equivalence" not in out
-    assert main(["verify-paper", "--filter", "no-such-check"]) == 1
-    capsys.readouterr()
+    for mode in ([], ["--json"]):
+        assert main(["verify-paper", "--filter", "no-such-check", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no check matches" in captured.err
 
 
 def test_verify_paper_detects_tampering(capsys, monkeypatch):

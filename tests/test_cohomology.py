@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from math import gcd
 
@@ -6,7 +7,6 @@ import pytest
 
 from twistlgp.cohomology import (
     Cochain,
-    _differential_rows,
     IncompatibleCoefficients,
     TooLarge,
     coboundary,
@@ -43,10 +43,29 @@ cohomology_module = importlib.import_module("twistlgp.cohomology")
 
 def random_cochain(module, degree, rng):
     count = module.group.order**degree
-    values = tuple(
-        tuple(rng.randrange(d) for d in module.orders) for _ in range(count)
-    )
-    return Cochain(module, degree, values)
+    vector = tuple(rng.randrange(d) for _ in range(count) for d in module.orders)
+    return Cochain(module, degree, vector)
+
+
+def formula_coboundary(c):
+    """d0, d1 and d2 written out with the module's element arithmetic."""
+    module, group = c.module, c.module.group
+    act, add, neg, mul = module.act, module.add, module.neg, group.mul
+    if c.degree == 0:
+        m = c()
+        return {(g,): add(act(g, m), neg(m)) for g in group.elements()}
+    if c.degree == 1:
+        return {
+            (g, h): add(add(act(g, c(h)), neg(c(mul(g, h)))), c(g))
+            for g, h in itertools.product(group.elements(), repeat=2)
+        }
+    return {
+        (g, h, k): add(
+            add(add(act(g, c(h, k)), neg(c(mul(g, h), k))), c(g, mul(h, k))),
+            neg(c(g, h)),
+        )
+        for g, h, k in itertools.product(group.elements(), repeat=3)
+    }
 
 
 def full_subgroup(group):
@@ -61,7 +80,7 @@ def test_coboundary_formulas():
         for _ in range(8):
             c = random_cochain(module, degree, rng)
             assert coboundary(coboundary(c)).is_zero  # d d = 0
-    # coboundary() and the matrix rows are the same differential
+    # coboundary() agrees with the d0/d1/d2 formulas
     q8 = quaternion()
     rank2 = gmodule(
         cyclic(4),
@@ -72,19 +91,16 @@ def test_coboundary_formulas():
         for degree in (0, 1, 2):
             for _ in range(3):
                 c = random_cochain(mod, degree, rng)
-                vec = c.to_vector()
-                expected = [
-                    sum(x * v for x, v in zip(row, vec)) % modulus
-                    for row, modulus in _differential_rows(mod.group, mod, degree)
-                ]
-                assert [x for value in coboundary(c).values for x in value] == expected
+                d = coboundary(c)
+                for gs, expected in formula_coboundary(c).items():
+                    assert d(*gs) == expected
     # a homomorphism into a trivial-action module is a 1-cocycle
     c6 = cyclic(6)
     m6 = trivial_module(c6, [3])
-    hom = Cochain(m6, 1, tuple(((2 * g) % 3,) for g in c6.elements()))
+    hom = Cochain(m6, 1, tuple((2 * g) % 3 for g in c6.elements()))
     assert coboundary(hom).is_zero
     # degree-0 coboundary under the trivial action vanishes
-    assert coboundary(Cochain(m6, 0, ((2,),))).is_zero
+    assert coboundary(Cochain(m6, 0, (2,))).is_zero
 
 
 def test_h0_equals_invariants():
@@ -143,7 +159,7 @@ def test_class_of_and_membership():
     assert h1.is_coboundary(rep.scale(3))
     assert h1.is_coboundary(zero_cochain(module, 1))
     with pytest.raises(ValueError):
-        h1.class_of(Cochain(module, 1, ((0,), (1,), (0,))))  # not a cocycle
+        h1.class_of(Cochain(module, 1, (0, 1, 0)))  # not a cocycle
 
 
 def test_representatives_are_independent_cocycles():
@@ -316,7 +332,8 @@ def test_conjugation_action_s3_on_c3():
     mats = action.matrices
     assert mats[0] == ((1,),)
     assert mats[1] == ((2,),)  # the nontrivial coset acts by -1 on Z/3
-    assert action.invariant_factors_of_fixed_subgroup() == ()
+    fixed_factors, _ = action.fixed_subgroup()
+    assert fixed_factors == ()
 
 
 def test_conjugation_trivial_cases():
@@ -397,6 +414,6 @@ def test_determinism():
     module2 = trivial_module(symmetric(3), [6])
     c = cohomology(symmetric(3), module2, 2)
     assert c is a
-    assert [rep.values for rep in c.representatives] == [
-        rep.values for rep in a.representatives
+    assert [rep.vector for rep in c.representatives] == [
+        rep.vector for rep in a.representatives
     ]
