@@ -26,13 +26,11 @@ from .gmodules import (
     BadCharacter,
     CyclotomicCharacter,
     GModule,
-    NotStable,
     all_characters,
     gmodule,
     invariants,
     mu_module,
     restrict_module,
-    submodule_quotient,
     trivial_module,
 )
 from .groups import (

@@ -51,16 +51,30 @@ def is_squarefree(n: int) -> bool:
 def admissible_m(g: int) -> list[int]:
     """All odd m >= 3 with phi(m) | 2g, in increasing order.
 
-    The scan up to 2g^2 + 1 is complete: phi(m)^2 >= 2m for every odd
-    m >= 5 (the ratio m / phi(m)^2 is multiplicative over prime powers and
-    maximal at m = 3, where it is 3/4; for every other odd prime power it is
-    at most 5/16), so phi(m) | 2g forces m <= 2g^2, and m = 3 is below the
-    bound as well.
+    phi is multiplicative, so such an m is a product of powers p^k of
+    distinct odd primes whose phi(p^k) = p^(k-1) (p - 1) multiply to a
+    divisor of 2g; in particular p - 1 divides 2g.  Each prime power is
+    extended only while the product still divides 2g.
     """
     if g < 1:
         raise ValueError("dimension must be positive")
-    bound = 2 * g * g + 1
-    return [m for m in range(3, bound + 1, 2) if (2 * g) % totient(m) == 0]
+    two_g = 2 * g
+    divisors = [1]
+    for p, e in factorize(two_g).items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    primes = sorted(d + 1 for d in divisors if d % 2 == 0 and factorize(d + 1) == {d + 1: 1})
+    found = []
+
+    def extend(start: int, m: int, phi: int) -> None:
+        for i in range(start, len(primes)):
+            q, phi_q = primes[i], phi * (primes[i] - 1)
+            while two_g % phi_q == 0:
+                found.append(m * q)
+                extend(i + 1, m * q, phi_q)
+                q, phi_q = q * primes[i], phi_q * primes[i]
+
+    extend(0, 1, 1)
+    return sorted(found)
 
 
 def is_fermat_prime(p: int) -> bool:

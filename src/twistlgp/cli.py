@@ -373,6 +373,11 @@ def cmd_admissible_m(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    try:
+        OracleBudget(args.budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     results = run_checks(name_filter=args.filter, budget=args.budget)
     if not results:
         print("error: no check matches the filter", file=sys.stderr)

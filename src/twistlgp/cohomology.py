@@ -233,9 +233,6 @@ class CohomologyGroup:
             raise ValueError("not a cocycle") from None
         return CohClass(self, coords)
 
-    def is_coboundary(self, cochain: Cochain) -> bool:
-        return all(c == 0 for c in self.class_of(cochain).coordinates)
-
     def element(self, coordinates) -> Cochain:
         """The representative cochain with the given generator coordinates."""
         acc = zero_cochain(self.module, self.degree)
@@ -314,7 +311,6 @@ class CohomologyMap:
     source: CohomologyGroup
     target: CohomologyGroup
     matrix: tuple[tuple[int, ...], ...]
-    label: str = ""
 
     def apply(self, cls: CohClass) -> CohClass:
         if cls.parent is not self.source:
@@ -324,22 +320,6 @@ class CohomologyMap:
             for row in self.matrix
         )
         return CohClass(self.target, coords)
-
-    def compose(self, other: "CohomologyMap") -> "CohomologyMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise ValueError("maps are not composable")
-        rows = len(self.matrix)
-        mid = len(other.matrix)
-        cols = len(other.matrix[0]) if other.matrix else len(other.source.invariant_factors)
-        mat = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(mid))
-                for j in range(cols)
-            )
-            for i in range(rows)
-        )
-        return CohomologyMap(other.source, self.target, mat, label=f"{self.label}*{other.label}")
 
     @property
     def is_zero(self) -> bool:
@@ -420,7 +400,7 @@ def restriction(coh: CohomologyGroup, subgroup: Subgroup) -> CohomologyMap:
     sub_group, embed = subgroup.as_group
     target = cohomology(sub_group, restrict_module(coh.module, subgroup), coh.degree)
     matrix = _induced_map(coh, target, embed, coh.module.action[0])
-    return CohomologyMap(coh, target, matrix, label=f"res_{subgroup.elements}")
+    return CohomologyMap(coh, target, matrix)
 
 
 def inflation(
@@ -457,7 +437,7 @@ def inflation(
     if coh.module.orders and span_subgroup(module.orders, emb).factors != coh.module.orders:
         raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree)
-    return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb), label="inf")
+    return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb))
 
 
 def _is_identity_mod(matrix, moduli) -> bool:
@@ -488,10 +468,6 @@ class ConjugationAction:
                 row = [mat[i][j] - (1 if i == j else 0) for j in range(len(b))]
                 rows.append((row, b[i]))
         return _subgroup_from_congruences(b, rows)
-
-    def is_trivial_action(self) -> bool:
-        b = self.cohomology.invariant_factors
-        return all(_is_identity_mod(mat, b) for mat in self.matrices)
 
 
 def conjugation_on_cohomology(

@@ -20,14 +20,11 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_generated
 from .linalg import (
-    NotInLattice,
-    ambient_quotient,
     diagonal_matrix,
     identity_matrix,
     int_matrix,
     kernel_subgroup,
     smith_normal_form,
-    span_subgroup,
     zero_matrix,
 )
 
@@ -38,14 +35,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class BadCharacter(ValueError):
     pass
-
-
-class NotStable(ValueError):
-    pass
-
-
-def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -120,9 +109,6 @@ class GModule:
 
     def zero(self) -> ModuleElement:
         return (0,) * self.rank
-
-    def reduce(self, vec) -> ModuleElement:
-        return tuple(int(v) % d for v, d in zip(vec, self.orders))
 
     def add(self, a: ModuleElement, b: ModuleElement) -> ModuleElement:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
@@ -284,36 +270,10 @@ def _fixed_points(module: GModule, elements):
     return quot, embed
 
 
-def _action_on_quotient(module: GModule, quot, acting) -> list[np.ndarray]:
-    """Matrix of each acting element on a lattice quotient, in the quotient's
-    coordinates (one column per generator); ``NotInLattice`` when an element
-    moves a generator out of the lattice."""
-    gens = quot.generators()
-    mats = []
-    for g in acting:
-        act = module.action_matrix(g)
-        cols = [quot.coordinates(act @ gen) for gen in gens]
-        mats.append(int_matrix(cols).T if cols else zero_matrix(0, 0))
-    return mats
-
-
-def fixed_submodule(module: GModule, elements=None):
-    """Invariant factors and generators of the fixed points under the given
-    group elements (all of G when omitted).
-
-    Returns (orders, embedding) where the embedding columns are generators
-    of the fixed submodule in module coordinates.
-    """
-    if elements is None:
-        elements = list(module.group.elements())
-    quot, embed = _fixed_points(module, elements)
-    return quot.factors, embed
-
-
 def invariants(module: GModule) -> GModule:
     """The fixed submodule M^G as a module with trivial action."""
-    orders, _ = fixed_submodule(module)
-    return trivial_module(module.group, orders)
+    quot, _ = _fixed_points(module, module.group.elements())
+    return trivial_module(module.group, quot.factors)
 
 
 def descend_to_quotient(module: GModule, proj: GroupHom):
@@ -326,7 +286,12 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
     quot, embed = _fixed_points(module, proj.kernel_elements())
-    mats = _action_on_quotient(module, quot, proj.section)
+    gens = quot.generators()
+    mats = []
+    for g in proj.section:
+        act = module.action_matrix(g)
+        cols = [quot.coordinates(act @ gen) for gen in gens]
+        mats.append(int_matrix(cols).T if cols else zero_matrix(0, 0))
     return gmodule(proj.target, quot.factors, mats), embed
 
 
@@ -339,29 +304,4 @@ def restrict_module(module: GModule, subgroup: Subgroup) -> GModule:
         group=sub,
         orders=module.orders,
         action=tuple(module.action[g] for g in embed),
-    )
-
-
-def submodule_quotient(module: GModule, generators):
-    """Split M along the subgroup spanned by the generators.
-
-    The span must be stable under the group action; returns the pair
-    (submodule, quotient module), both over the same group.
-    """
-    gens = [module.reduce(g) for g in generators]
-    r = module.rank
-    if r == 0:
-        return module, module
-    span = span_subgroup(module.orders, int_matrix(gens).T if gens else zero_matrix(r, 0))
-    acting = module.group.elements()
-    # the span is stable iff the action keeps its lift inside itself; the
-    # action maps the relation lattice into itself, so the generators decide
-    try:
-        span_action = _action_on_quotient(module, span, acting)
-    except NotInLattice:
-        raise NotStable("span is not stable under the group action") from None
-    quotient = ambient_quotient(span)
-    return (
-        gmodule(module.group, span.factors, span_action),
-        gmodule(module.group, quotient.factors, _action_on_quotient(module, quotient, acting)),
     )

@@ -15,8 +15,7 @@ ever overflows.  Conventions:
 * Finite subgroups of Z/d_1 + ... + Z/d_r are built in two ways, both as a
   ``LatticeQuotient`` of their lift to Z^r by the relation lattice:
   ``span_subgroup`` from spanning columns, ``kernel_subgroup`` from
-  congruences; ``ambient_quotient`` gives the quotient by such a subgroup.
-  No other module knows how lattices are represented.
+  congruences.  No other module knows how lattices are represented.
 """
 
 from __future__ import annotations
@@ -337,10 +336,3 @@ def kernel_subgroup(orders, congruences) -> LatticeQuotient:
     exponent = lcm(*orders, *(modulus for _, modulus in congruences))
     lift = congruence_kernel(len(orders), exponent, iter(congruences))
     return lattice_quotient(lift, diagonal_matrix(orders))
-
-
-def ambient_quotient(sub: LatticeQuotient) -> LatticeQuotient:
-    """(Z/d_1 + ... + Z/d_r) / S for a subgroup S built by ``span_subgroup``
-    or ``kernel_subgroup``, as Z^r / L with L the lift of S."""
-    whole = column_lattice(identity_matrix(sub.lattice.basis.shape[0]))
-    return lattice_quotient(whole, sub.lattice.basis)

@@ -127,32 +127,10 @@ def _quotient_invariants(cocycles, coboundaries, module):
 def brute_h1(
     group: FiniteGroup, module: GModule, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple[int, ...]:
-    """Invariant factors of H^1 by full enumeration of functions G -> M."""
-    n = group.order
-    size = module.size
-    if size**n > budget.max_functions:
-        raise BudgetExceeded(f"{size}^{n} functions exceed the budget")
-    if module.rank == 0:
-        return ()
-    elements = list(module.elements())
-    r = module.rank
-    cocycles = []
-    pairs = [(g, h, group.mul(g, h)) for g in group.elements() for h in group.elements()]
-    for func in itertools.product(elements, repeat=n):
-        ok = True
-        for g, h, gh in pairs:
-            lhs = func[gh]
-            rhs = module.add(module.act(g, func[h]), func[g])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            cocycles.append(tuple(c for v in func for c in v))
-    coboundaries = []
-    for m in elements:
-        vals = [module.add(module.act(g, m), module.neg(m)) for g in group.elements()]
-        coboundaries.append(tuple(c for v in vals for c in v))
-    return _quotient_invariants(cocycles, coboundaries, module)
+    """Invariant factors of H^1 by full enumeration of functions G -> M: the
+    locally-trivial part over the trivial subgroup, which imposes nothing,
+    since every 1-cocycle has f(1) = 0."""
+    return brute_sha(group, module, [Subgroup(group, (0,))], budget)
 
 
 def brute_h2(

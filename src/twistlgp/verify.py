@@ -38,7 +38,6 @@ from .groups import (
     named_group,
     quotient,
     subgroup_generated,
-    subgroups,
     symmetric,
 )
 from .lgp import Instance, decide
@@ -215,7 +214,7 @@ def check_inflation_restriction_collapse() -> tuple[bool, dict]:
     # inflation H^2(C2, Z/5) -> H^2(S3, Z/5) along S3 -> S3/C3
     s3 = symmetric(3)
     module5 = trivial_module(s3, [5])
-    c3 = next(s for s in subgroups(s3) if s.order == 3)
+    c3 = subgroup_generated(s3, [3])
     q5, proj5 = quotient(s3, c3)
     coeff5, embed5 = descend_to_quotient(module5, proj5)
     inf5 = inflation(cohomology(q5, coeff5, 2), proj5, module5, embed5)

@@ -43,6 +43,15 @@ def test_admissible_m_scan_bound_is_complete():
         assert short == wide
 
 
+
+def test_admissible_m_matches_the_scan():
+    # the reference: every odd m up to 2g^2 + 1, complete by the bound above
+    def scan(g):
+        return [m for m in range(3, 2 * g * g + 2, 2) if (2 * g) % totient(m) == 0]
+
+    for g in range(1, 61):
+        assert admissible_m(g) == scan(g), g
+
 def test_admissible_m_divisibility():
     for g in (1, 2, 3, 4, 5, 6, 7, 8, 12):
         for m in admissible_m(g):

@@ -374,6 +374,25 @@ def test_admissible_m_command(capsys):
     assert "note" in payload
 
 
+def test_admissible_m_command_large_genus(capsys, monkeypatch):
+    # built from the primes p with p - 1 | 2g: scanning the 10^12 odd
+    # m <= 2g^2 with a factorization each would not finish
+    calls = []
+    factorize = albert.factorize
+
+    def counted(n):
+        calls.append(n)
+        assert len(calls) < 1000, "admissible-m scanned the candidates"
+        return factorize(n)
+
+    monkeypatch.setattr(albert, "factorize", counted)
+    assert main(["admissible-m", "--genus", "1000000", "--json"]) == 0
+    monkeypatch.undo()
+    values = json.loads(capsys.readouterr().out)["admissible_m"]
+    assert values[:6] == [3, 5, 11, 15, 17, 25] and values == sorted(set(values))
+    assert all(m % 2 == 1 and 2 * 10**6 % albert.totient(m) == 0 for m in values)
+
+
 def test_verify_paper_filter(capsys):
     assert main(["verify-paper", "--filter", "admissible"]) == 0
     out = capsys.readouterr().out
@@ -385,6 +404,23 @@ def test_verify_paper_filter(capsys):
         assert captured.out == ""
         assert "no check matches" in captured.err
 
+
+
+@pytest.mark.parametrize(
+    "argv", [["--budget", "0"], ["--filter", "admissible", "--budget", "-5"]]
+)
+def test_verify_paper_rejects_a_bad_budget_before_any_check(argv, capsys, monkeypatch):
+    import twistlgp.verify as verify_mod
+
+    def refuse(*_args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify_mod, "CHECKS", (("admissible-m-tables", "", refuse),))
+    for mode in ([], ["--json"]):
+        assert main(["verify-paper", *argv, *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be positive\n"
 
 def test_verify_paper_detects_tampering(capsys, monkeypatch):
     import twistlgp.verify as verify_mod

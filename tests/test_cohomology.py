@@ -72,6 +72,17 @@ def full_subgroup(group):
     return Subgroup(group, tuple(group.elements()))
 
 
+def matrix_product(outer, inner):
+    """The matrix of ``outer`` after ``inner``, one column per generator of
+    inner.source."""
+    assert inner.target is outer.source
+    cols = len(inner.source.invariant_factors)
+    return [
+        [sum(row[k] * inner.matrix[k][j] for k in range(len(inner.matrix))) for j in range(cols)]
+        for row in outer.matrix
+    ]
+
+
 def test_coboundary_formulas():
     rng = random.Random(11)
     s3 = symmetric(3)
@@ -156,8 +167,8 @@ def test_class_of_and_membership():
     assert is_cocycle(rep)
     assert h1.class_of(rep).coordinates == (1,)
     assert h1.class_of(rep.add(rep)).coordinates == (2,)
-    assert h1.is_coboundary(rep.scale(3))
-    assert h1.is_coboundary(zero_cochain(module, 1))
+    assert h1.class_of(rep.scale(3)).is_zero
+    assert h1.class_of(zero_cochain(module, 1)).is_zero
     with pytest.raises(ValueError):
         h1.class_of(Cochain(module, 1, (0, 1, 0)))  # not a cocycle
 
@@ -178,7 +189,7 @@ def test_representatives_are_independent_cocycles():
                     1 if j == i else 0 for j in range(len(h.invariant_factors))
                 )
                 assert h.class_of(rep).coordinates == expected
-                assert not h.is_coboundary(rep)
+                assert not h.class_of(rep).is_zero
 
 
 def test_too_large(monkeypatch):
@@ -238,13 +249,13 @@ def test_restriction_functoriality():
         rot_group, embed = rotations.as_group
         positions = {g: i for i, g in enumerate(embed)}
         inner = Subgroup(rot_group, tuple(positions[g] for g in half_turn.elements))
-        composed = restriction(via_rotations.target, inner).compose(via_rotations)
+        second = restriction(via_rotations.target, inner)
+        composed = matrix_product(second, via_rotations)
         direct = restriction(h, half_turn)
-        assert composed.target is direct.target
+        assert second.target is direct.target
         b = direct.target.invariant_factors
         for i in range(len(b)):
-            for row_c, row_d in ((composed.matrix[i], direct.matrix[i]),):
-                assert all((x - y) % b[i] == 0 for x, y in zip(row_c, row_d))
+            assert all((x - y) % b[i] == 0 for x, y in zip(composed[i], direct.matrix[i]))
 
 
 def test_inflation_identity_for_trivial_kernel():
@@ -316,7 +327,8 @@ def test_inflation_restriction_exactness_h1():
         inf = inflation(x, proj, module, embed)
         res = restriction(inf.target, normal)
         # res o inf = 0 and ker(res) = im(inf), with inf injective
-        assert res.compose(inf).is_zero
+        b = res.target.invariant_factors
+        assert all(x % b[i] == 0 for i, row in enumerate(matrix_product(res, inf)) for x in row)
         assert inf.is_injective
         kernel_factors, _ = res.kernel()
         assert kernel_factors == inf.image_invariants()
@@ -342,14 +354,14 @@ def test_conjugation_trivial_cases():
     module = trivial_module(s3, [6])
     action = conjugation_on_cohomology(s3, full_subgroup(s3), module, 1)
     assert action.quotient_group.order == 1
-    assert action.is_trivial_action()
+    assert action.fixed_subgroup()[0] == action.cohomology.invariant_factors
     # abelian G with trivial action on M: trivial in all degrees
     for degree in (0, 1, 2):
         c6 = cyclic(6)
         mod = trivial_module(c6, [3])
         sub = subgroup_generated(c6, [2])
         act = conjugation_on_cohomology(c6, sub, mod, degree)
-        assert act.is_trivial_action()
+        assert act.fixed_subgroup()[0] == act.cohomology.invariant_factors
 
 
 def test_restriction_onto_conjugation_invariants_s3():

@@ -3,15 +3,12 @@ import pytest
 from twistlgp.gmodules import (
     BadCharacter,
     CyclotomicCharacter,
-    NotStable,
     all_characters,
     descend_to_quotient,
-    fixed_submodule,
     gmodule,
     invariants,
     mu_module,
     restrict_module,
-    submodule_quotient,
     trivial_module,
 )
 from twistlgp.groups import (
@@ -172,28 +169,9 @@ def test_descend_to_quotient():
 
 
 def test_fixed_submodule_under_subset():
+    # the fixed points under the identity alone: descend along G -> G/1
     s3 = symmetric(3)
     module = mu_module(s3, 3, all_characters(s3, 3)[-1])
-    orders, embed = fixed_submodule(module, [0])
-    assert orders == (3,)  # nothing is imposed by the identity
-
-
-def test_submodule_quotient():
-    c1 = cyclic(1)
-    m9 = trivial_module(c1, [9])
-    sub, quo = submodule_quotient(m9, [(3,)])
-    assert sub.orders == (3,)
-    assert quo.orders == (3,)
-    # taking everything leaves a trivial quotient
-    sub2, quo2 = submodule_quotient(m9, [(1,)])
-    assert sub2.orders == (9,) and quo2.is_trivial
-    # swap action on (Z/3)^2: the span of (1, 0) alone is not stable
-    c2 = cyclic(2)
-    swap = gmodule(c2, [3, 3], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    with pytest.raises(NotStable):
-        submodule_quotient(swap, [(1, 0)])
-    # the diagonal is stable
-    diag_sub, diag_quo = submodule_quotient(swap, [(1, 1)])
-    assert diag_sub.orders == (3,)
-    assert diag_quo.orders == (3,)
-    assert diag_sub.has_trivial_action  # swap fixes the diagonal pointwise
+    _, proj = quotient(s3, Subgroup(s3, (0,)))
+    sub, _ = descend_to_quotient(module, proj)
+    assert sub.orders == (3,)  # nothing is imposed by the identity

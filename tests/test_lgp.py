@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from twistlgp import groups, lgp
+from twistlgp import groups, lgp, verify
 from twistlgp.albert import AlbertProfile, admissible_m
 from twistlgp.cohomology import cohomology
 from twistlgp.gmodules import CyclotomicCharacter, descend_to_quotient, mu_module
@@ -410,6 +410,16 @@ def test_decide_never_enumerates_the_lattice(monkeypatch):
     e5 = entry(verdict, "coprime-normal-collapse")
     assert tuple(e5.hypotheses["normal_subgroup"]) == tuple(group.elements())
 
+
+
+def test_verify_paper_never_enumerates_the_lattice(monkeypatch):
+    def refuse(group):
+        raise AssertionError("verify-paper enumerated the subgroup lattice")
+
+    monkeypatch.setattr(groups, "subgroups", refuse)
+    monkeypatch.setattr(verify, "subgroups", refuse, raising=False)
+    (result,) = verify.run_checks("inflation-restriction-collapse")
+    assert result.passed, result.details
 
 def test_c5_failure_records_one_attempt():
     # S3 with m = 2: O_2'(S3) = C3 and H^2(S3/C3, Z/2) = Z/2; by
