@@ -10,22 +10,62 @@ criterion: gcd(m, d) = 1 certifies the local-global principle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
+
+from .cohomology import TooLarge
+
+# factorize trial-divides up to this bound and tests what is left for
+# primality; a cofactor it cannot prove prime is TooLarge.
+TRIAL_DIVISION_BOUND = 10**6
+
+# Miller-Rabin with the first 13 primes as bases is correct for every n below
+# this limit (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 
 class InconsistentProfile(ValueError):
     pass
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < MILLER_RABIN_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
+    """The prime factorization of n >= 1, or ``TooLarge`` when the cofactor
+    left after trial division is not provably prime."""
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    whole = n
+    for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND, 2)):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
+    else:
+        # no prime below the bound divides n, so a primality proof must end it
+        if n >= MILLER_RABIN_LIMIT or not _is_prime(n):
+            raise TooLarge(
+                f"cannot factorize {whole}: the cofactor {n} has no prime factor"
+                f" below {TRIAL_DIVISION_BOUND} and is not provably prime"
+            )
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

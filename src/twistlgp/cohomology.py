@@ -13,11 +13,13 @@ so that in the degrees used here
     (d2 f)(g, h, k) = g.f(h, k) - f(gh, k) + f(g, hk) - f(g, h)
 
 A cochain of degree n is a vector over (tuple, coordinate) positions, tuples
-of G^n in lexicographic order.  H^n is computed as a lattice quotient: the
-lattice of integer cocycle lifts (a congruence kernel) modulo coboundaries
-plus coefficient relations, all through Smith normal form.  The resulting
-witness data turns every later map (restriction, inflation, conjugation,
-locally-trivial kernels) into integer matrix algebra.
+of G^n in lexicographic order.  H^n is one ``linalg.subquotient`` of the
+cochain space: the integer cocycle lifts (the congruence kernel of the
+degree-n differential rows) modulo the columns of the degree-(n-1)
+differential matrix plus the coefficient relations.  The resulting witness
+data turns every later map (restriction, inflation, conjugation,
+locally-trivial kernels) into integer matrix algebra, and each kernel, fixed
+subgroup or image of such a map is another subquotient.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -37,11 +39,10 @@ from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
     LatticeQuotient,
     NotInLattice,
-    congruence_kernel,
+    fixed_subgroup,
     int_matrix,
     kernel_subgroup,
-    lattice_quotient,
-    span_subgroup,
+    subquotient,
     zero_matrix,
 )
 
@@ -181,21 +182,11 @@ def _differential_rows(group: FiniteGroup, module: GModule, n: int):
 
 def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.ndarray:
     """Integer lifts of the degree-n coboundaries: the matrix of the
-    degree-(n-1) differential (columns indexed by ((n-1)-tuple, coordinate),
-    none in degree 0), then one relation column d_i e_i per (n-tuple,
-    coordinate i); rows are indexed by (n-tuple, coordinate)."""
-    r = module.rank
-    rows = r * group.order**n
-    cols = r * group.order ** (n - 1) if n else 0
-    mat = zero_matrix(rows, cols + rows)
-    if n:
-        for out_idx, (row, _modulus) in enumerate(_differential_rows(group, module, n - 1)):
-            for j, val in enumerate(row):
-                if val:
-                    mat[out_idx, j] = val
-    for i in range(rows):
-        mat[i, cols + i] = module.orders[i % r]
-    return mat
+    degree-(n-1) differential, rows indexed by (n-tuple, coordinate) and
+    columns by ((n-1)-tuple, coordinate), none in degree 0."""
+    if not n:
+        return zero_matrix(module.rank, 0)
+    return int_matrix(row for row, _modulus in _differential_rows(group, module, n - 1))
 
 
 @dataclass(eq=False)
@@ -266,18 +257,15 @@ class CohClass:
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    r = module.rank
-    if r == 0:
+    if module.rank == 0:
         return CohomologyGroup(group, module, degree, (), ())
-    n_inputs = r * group.order**degree
-    cocycles = congruence_kernel(
-        n_inputs, module.exponent, _differential_rows(group, module, degree)
+    presentation = subquotient(
+        module.orders * group.order**degree,
+        module.exponent,
+        _differential_rows(group, module, degree),
+        _coboundary_generators(group, module, degree),
     )
-    presentation = lattice_quotient(cocycles, _coboundary_generators(group, module, degree))
-    reps = tuple(
-        Cochain(module, degree, tuple(presentation.generator(i)))
-        for i in range(len(presentation.factors))
-    )
+    reps = tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators())
     return CohomologyGroup(
         group=group,
         module=module,
@@ -330,17 +318,20 @@ class CohomologyMap:
 
     def kernel(self) -> tuple[tuple[int, ...], tuple[CohClass, ...]]:
         """Invariant factors and generators of the kernel subgroup."""
-        factors, gens = _subgroup_from_congruences(
+        factors, gens = _subgroup(
+            kernel_subgroup,
             self.source.invariant_factors,
-            [(row, self.target.invariant_factors[i]) for i, row in enumerate(self.matrix)],
+            [(self.matrix, self.target.invariant_factors)],
         )
         return factors, tuple(CohClass(self.source, g) for g in gens)
 
     def image_invariants(self) -> tuple[int, ...]:
-        b = self.target.invariant_factors
-        if not b:
+        """The image is Z^s / L for L the lift of the kernel."""
+        a = self.source.invariant_factors
+        if not a:
             return ()
-        return span_subgroup(b, int_matrix(self.matrix)).factors
+        lift = kernel_subgroup(a, [(self.matrix, self.target.invariant_factors)]).lattice
+        return tuple(sorted(d for d in lift.scales if d != 1))
 
     @property
     def is_injective(self) -> bool:
@@ -352,16 +343,14 @@ class CohomologyMap:
         return self.is_injective and self.source.order == self.target.order
 
 
-def _subgroup_from_congruences(ambient_factors, congruence_rows):
-    """Subgroup {x in sum Z/a_j : each row . x == 0 mod its modulus}.
-
-    Returns (invariant factors, generator coordinate tuples)."""
-    if not ambient_factors:
+def _subgroup(build, orders, arg):
+    """Invariant factors and generator coordinate tuples of the subgroup
+    ``build(orders, arg)`` of Z/a_1 + ... + Z/a_r, a = ``orders``."""
+    if not orders:
         return (), ()
-    quot = kernel_subgroup(ambient_factors, congruence_rows)
+    quot = build(orders, arg)
     gens = tuple(
-        tuple(int(x) % d for x, d in zip(quot.generator(i), ambient_factors))
-        for i in range(len(quot.factors))
+        tuple(int(x) % d for x, d in zip(g, orders)) for g in quot.generators()
     )
     return quot.factors, gens
 
@@ -434,7 +423,7 @@ def inflation(
             for j in range(coh.module.rank):
                 if (int(lhs[i, j]) - int(rhs[i, j])) % module.orders[i] != 0:
                     raise IncompatibleCoefficients("embedding is not equivariant")
-    if coh.module.orders and span_subgroup(module.orders, emb).factors != coh.module.orders:
+    if coh.module.orders and kernel_subgroup(coh.module.orders, [(emb, module.orders)]).factors:
         raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree)
     return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb))
@@ -460,14 +449,7 @@ class ConjugationAction:
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
     def fixed_subgroup(self):
-        b = self.cohomology.invariant_factors
-        rows = []
-        for q in self.quotient_group.elements():
-            mat = self.matrices[q]
-            for i in range(len(b)):
-                row = [mat[i][j] - (1 if i == j else 0) for j in range(len(b))]
-                rows.append((row, b[i]))
-        return _subgroup_from_congruences(b, rows)
+        return _subgroup(fixed_subgroup, self.cohomology.invariant_factors, self.matrices)
 
 
 def conjugation_on_cohomology(
@@ -511,12 +493,11 @@ def sha_finite(
     h1 = cohomology(group, module, 1)
     if h1.is_trivial:
         return CohomologyGroup(group, module, 1, (), ())
-    rows = []
+    maps = []
     for sub in family:
         res = restriction(h1, sub)
-        for i, row in enumerate(res.matrix):
-            rows.append((list(row), res.target.invariant_factors[i]))
-    factors, gens = _subgroup_from_congruences(h1.invariant_factors, rows)
+        maps.append((res.matrix, res.target.invariant_factors))
+    factors, gens = _subgroup(kernel_subgroup, h1.invariant_factors, maps)
     reps = tuple(h1.element(g) for g in gens)
     return CohomologyGroup(
         group=group,

@@ -21,9 +21,9 @@ import numpy as np
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_generated
 from .linalg import (
     diagonal_matrix,
+    fixed_subgroup,
     identity_matrix,
     int_matrix,
-    kernel_subgroup,
     smith_normal_form,
     zero_matrix,
 )
@@ -255,13 +255,7 @@ def _fixed_points(module: GModule, elements):
     """The fixed points under the given elements, {x : (action[g] - 1) x == 0},
     as a lattice quotient (its generators lift them to Z^r), with the
     embedding: one column per generator, reduced mod the module orders."""
-    r = module.rank
-    congruences = [
-        ([module.action[g][i][j] - (1 if i == j else 0) for j in range(r)], module.orders[i])
-        for g in elements
-        for i in range(r)
-    ]
-    quot = kernel_subgroup(module.orders, congruences)
+    quot = fixed_subgroup(module.orders, [module.action[g] for g in elements])
     gens = quot.generators()
     if gens:
         embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])

@@ -426,12 +426,7 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     to be complete for that order; raises CatalogIncomplete otherwise."""
     small = {
         1: lambda: [cyclic(1)],
-        2: lambda: [cyclic(2)],
-        3: lambda: [cyclic(3)],
-        4: lambda: [cyclic(4), direct_product(cyclic(2), cyclic(2))],
-        5: lambda: [cyclic(5)],
         6: lambda: [cyclic(6), symmetric(3)],
-        7: lambda: [cyclic(7)],
         8: lambda: [
             cyclic(8),
             direct_product(cyclic(4), cyclic(2)),
@@ -439,12 +434,6 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
             dihedral(4),
             quaternion(),
         ],
-        9: lambda: [cyclic(9), direct_product(cyclic(3), cyclic(3))],
-        10: lambda: [cyclic(10), dihedral(5)],
-        11: lambda: [cyclic(11)],
-        13: lambda: [cyclic(13)],
-        14: lambda: [cyclic(14), dihedral(7)],
-        15: lambda: [cyclic(15)],
     }
     if n in small:
         return small[n]()

@@ -1,6 +1,6 @@
 """Exact integer linear algebra: Smith normal form with unimodular transforms,
 lattices with their own coordinates, finite lattice quotients, and finite
-subgroups of Z/d_1 + ... + Z/d_r.
+subquotients of Z/d_1 + ... + Z/d_r.
 
 Matrices are numpy arrays with dtype=object holding Python ints, so nothing
 ever overflows.  Conventions:
@@ -10,12 +10,12 @@ ever overflows.  Conventions:
   inverses are tracked alongside).
 * A ``Lattice`` holds a basis (independent columns) with a unimodular
   ``forward`` matrix taking it to diag(scales) over zero rows.  Its only
-  builders are ``congruence_kernel`` and ``column_lattice``; both take it from
-  the Smith normal form they compute, so no basis is diagonalized twice.
-* Finite subgroups of Z/d_1 + ... + Z/d_r are built in two ways, both as a
-  ``LatticeQuotient`` of their lift to Z^r by the relation lattice:
-  ``span_subgroup`` from spanning columns, ``kernel_subgroup`` from
-  congruences.  No other module knows how lattices are represented.
+  builder is ``congruence_kernel``, which takes it from the Smith normal form
+  it computes, so no basis is diagonalized twice.
+* Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
+  L / (span(sub) + diag(d)) with L a congruence kernel; ``kernel_subgroup``
+  and ``fixed_subgroup`` are its cases with no ``sub``.  No other module
+  knows how lattices are represented.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class SmithNormalForm:
     u_inv: np.ndarray
     v_inv: np.ndarray
     diagonal: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
@@ -181,8 +177,7 @@ class Lattice:
     ``basis`` has linearly independent columns, ``forward`` is unimodular,
     and ``forward @ basis`` is diag(``scales``) stacked above zero rows, so
     ``solve_columns`` finds basis coordinates with one product.  Built by
-    ``congruence_kernel`` and ``column_lattice`` from the Smith normal form
-    each already computes.
+    ``congruence_kernel`` from the Smith normal form it already computes.
     """
 
     basis: np.ndarray
@@ -201,15 +196,6 @@ def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
     if (z[:k] % scales != 0).any():
         return None
     return z[:k] // scales
-
-
-def column_lattice(mat: np.ndarray) -> Lattice:
-    """The lattice generated by the columns of mat: with U @ mat @ V == S,
-    its basis is the columns of U^-1 scaled by the nonzero diagonal of S."""
-    snf = smith_normal_form(mat)
-    scales = tuple(d for d in snf.diagonal if d != 0)
-    basis = snf.u_inv[:, : len(scales)] * np.array(scales, dtype=object)
-    return Lattice(basis, snf.u, scales)
 
 
 def congruence_kernel(
@@ -269,8 +255,8 @@ class LatticeQuotient:
     """Structure of L / S for lattices S <= L of finite index.
 
     ``factors`` are the nontrivial invariant factors in ascending
-    divisibility order; ``generator(i)`` lifts the i-th summand generator
-    to L; ``coordinates(x)`` expresses x in L as summand coordinates.
+    divisibility order; ``generators()`` lifts the summand generators to L;
+    ``coordinates(x)`` expresses x in L as summand coordinates.
     """
 
     lattice: Lattice = field(repr=False, compare=False)
@@ -294,11 +280,8 @@ class LatticeQuotient:
         y = self._w_snf.u @ w[:, 0]
         return tuple(int(y[i] % self._diag[i]) for i in self._kept)
 
-    def generator(self, idx: int) -> np.ndarray:
-        return self.lattice.basis @ self._w_snf.u_inv[:, self._kept[idx]]
-
     def generators(self) -> list[np.ndarray]:
-        return [self.generator(i) for i in range(len(self.factors))]
+        return [self.lattice.basis @ self._w_snf.u_inv[:, i] for i in self._kept]
 
 
 def lattice_quotient(lattice: Lattice, sub_generators: np.ndarray) -> LatticeQuotient:
@@ -319,20 +302,30 @@ def lattice_quotient(lattice: Lattice, sub_generators: np.ndarray) -> LatticeQuo
     )
 
 
-def span_subgroup(orders, columns: np.ndarray) -> LatticeQuotient:
-    """The subgroup of Z/d_1 + ... + Z/d_r (d = ``orders``) spanned by the
-    columns, as L / R: R is the relation lattice generated by diag(orders)
-    and L is generated by the columns together with R."""
-    relations = diagonal_matrix(orders)
-    lift = column_lattice(np.concatenate([columns, relations], axis=1))
-    return lattice_quotient(lift, relations)
+def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQuotient:
+    """L / (span(sub) + R) for L = {x in Z^r : row . x == 0 (mod modulus)}
+    over the (row, modulus) congruences (``congruence_kernel``) and R the
+    relation lattice generated by diag(``orders``); sub's columns lie in L.
+    Z^r / L is the image of the congruence rows: its invariant factors are
+    the scales of L other than 1, largest first."""
+    lift = congruence_kernel(len(orders), exponent, congruences)
+    return lattice_quotient(lift, np.concatenate([sub, diagonal_matrix(orders)], axis=1))
 
 
-def kernel_subgroup(orders, congruences) -> LatticeQuotient:
-    """The subgroup {x in Z/d_1 + ... + Z/d_r : row . x == 0 (mod modulus)}
-    over the (row, modulus) congruences, as L / R with L its lift to Z^r and
-    R the relation lattice generated by diag(orders)."""
-    congruences = list(congruences)
-    exponent = lcm(*orders, *(modulus for _, modulus in congruences))
-    lift = congruence_kernel(len(orders), exponent, iter(congruences))
-    return lattice_quotient(lift, diagonal_matrix(orders))
+def kernel_subgroup(orders, maps) -> LatticeQuotient:
+    """The kernel in Z/d_1 + ... + Z/d_r (d = ``orders``) of the sum of the
+    (matrix, target orders) maps: row i of a matrix is taken mod target i."""
+    maps = list(maps)
+    exponent = lcm(*orders, *(d for _, targets in maps for d in targets))
+    congruences = ((row, d) for matrix, targets in maps for row, d in zip(matrix, targets))
+    return subquotient(orders, exponent, congruences, zero_matrix(len(orders), 0))
+
+
+def fixed_subgroup(orders, matrices) -> LatticeQuotient:
+    """The points of Z/d_1 + ... + Z/d_r fixed by every matrix: the kernel of
+    the stacked M - I."""
+    r = len(orders)
+    return kernel_subgroup(
+        orders,
+        [([[m[i][j] - (i == j) for j in range(r)] for i in range(r)], orders) for m in matrices],
+    )

@@ -7,11 +7,13 @@ from twistlgp.albert import (
     InconsistentProfile,
     admissible_m,
     coprimality_certificate,
+    factorize,
     fermat_squarefree_check,
     is_squarefree,
     totient,
     totient_divides,
 )
+from twistlgp.cohomology import TooLarge
 
 
 def test_totient():
@@ -22,6 +24,40 @@ def test_totient():
     for m in range(1, 400):
         for n in range(1, 16):
             assert totient_divides(m, n) == (n % totient(m) == 0), (m, n)
+
+
+def trial_division(n):
+    """The reference factorization: divide by every p with p^2 <= n."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division_and_never_lies():
+    for n in range(1, 10**5):
+        expected = trial_division(n)
+        assert factorize(n) == expected, n
+        phi = n
+        for p in expected:
+            phi = phi // p * (p - 1)
+        assert totient(n) == phi, n
+    # cofactors past the trial-division bound are proven prime
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    assert factorize(2 * (10**18 + 3) + 1) == {3: 2, 31541: 1, 7045503383603: 1}
+    assert factorize(1000003 * 2**40) == {2: 40, 1000003: 1}
+    # or rejected: two primes above the bound; a strong pseudoprime to the
+    # first 12 prime bases that base 41 exposes; and the least strong
+    # pseudoprime to all 13 bases, where the proven range ends
+    for n in (1000003 * 1000033, 399165290221 * 798330580441, 1287836182261 * 2575672364521):
+        with pytest.raises(TooLarge):
+            factorize(n)
 
 
 def test_admissible_m_published_tables():

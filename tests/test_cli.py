@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,24 @@ def test_large_twist_order_or_dimension_needs_no_factorization(monkeypatch):
     assert c2.outcome == "failed"
     assert c2.reason.startswith("inconsistent profile")
     assert len(factorized) < 20 and max(factorized, default=0) < 10**4
+
+
+def test_huge_twist_order_and_genus_finish(tmp_path, capsys):
+    # phi(2^61 - 1) and the primes p with p - 1 | 2g for g near 10^18 lie far
+    # past what trial division reaches
+    doc = {"m": 2**61 - 1, "g": 10**12, "group": "C1", "flags": {"mu_m_in_d": True}}
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["decide", path, "--json"]) == 0
+    assert time.perf_counter() - start < 2
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["criterion"]) == ("HOLDS", "full-decomposition-group")
+    c2 = next(e for e in payload["trace"] if e["criterion"] == "twist-order-coprime-to-rank")
+    assert c2["outcome"] == "failed" and c2["reason"]
+    start = time.perf_counter()
+    assert main(["admissible-m", "--genus", str(10**18 + 3), "--json"]) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["admissible_m"] == [3]
 
 
 def test_decide_batch_directory(tmp_path, capsys):

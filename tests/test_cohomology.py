@@ -310,10 +310,13 @@ def test_inflation_rejects_bad_coefficients():
 
 
 def test_inflation_restriction_exactness_h1():
+    c4xc4 = direct_product(cyclic(4), cyclic(4))
     cases = [
         (cyclic(6), subgroup_generated(cyclic(6), [2]), 6),
         (symmetric(3), None, 6),
         (direct_product(cyclic(2), cyclic(2)), None, 2),
+        # the image Z/2 x Z/4 is not cyclic, so the order of its factors shows
+        (c4xc4, subgroup_generated(c4xc4, [2]), 4),
     ]
     for group, normal, m in cases:
         if normal is None:

@@ -260,6 +260,20 @@ def test_groups_of_order():
         groups_of_order(21)  # 7 = 1 mod 3: a nonabelian group exists
 
 
+def test_groups_of_order_names_up_to_15():
+    # the names reach the case machine's output; order 6 says S3, not D3
+    names = {
+        1: ["C1"], 2: ["C2"], 3: ["C3"], 4: ["C4", "C2xC2"], 5: ["C5"],
+        6: ["C6", "S3"], 7: ["C7"], 8: ["C8", "C4xC2", "C2xC2xC2", "D4", "Q8"],
+        9: ["C9", "C3xC3"], 10: ["C10", "D5"], 11: ["C11"], 13: ["C13"],
+        14: ["C14", "D7"], 15: ["C15"],
+    }
+    for n, expected in names.items():
+        assert [g.name for g in groups_of_order(n)] == expected, n
+    with pytest.raises(CatalogIncomplete):
+        groups_of_order(12)
+
+
 def test_case_machine_shortcut():
     # g = 2, m = 5: phi(5) = 4 = 2g, so d = 1 and the shortcut fires
     analysis = case_machine_easylgp(2, 5)

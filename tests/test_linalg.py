@@ -1,13 +1,13 @@
 import itertools
 import random
-from math import gcd
+from collections import Counter
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from twistlgp.linalg import (
     NotInLattice,
-    column_lattice,
     congruence_kernel,
     identity_matrix,
     int_matrix,
@@ -15,10 +15,11 @@ from twistlgp.linalg import (
     lattice_quotient,
     smith_normal_form,
     solve_columns,
-    span_subgroup,
+    subquotient,
     xgcd,
     zero_matrix,
 )
+from twistlgp.oracle import invariant_factors_from_orders
 
 
 def is_identity(mat):
@@ -81,21 +82,12 @@ def test_snf_zero_and_rectangular():
 
 
 def test_solve_columns():
-    mat = int_matrix([[2, 0], [0, 3]])
-    lattice = column_lattice(mat)
+    # 2Z x 3Z
+    lattice = congruence_kernel(2, 6, iter([([1, 0], 2), ([0, 1], 3)]))
     rhs = int_matrix([[4], [9]])
     sol = solve_columns(lattice, rhs)
     assert (lattice.basis @ sol == rhs).all()
     assert solve_columns(lattice, int_matrix([[1], [0]])) is None
-
-
-def test_column_lattice_basis():
-    mat = int_matrix([[2, 0, 4], [0, 3, 3]])
-    basis = column_lattice(mat).basis
-    snf = smith_normal_form(basis)
-    # 2Z x 3Z contains (4, 3)? no; lattice is spanned by (2,0),(0,3),(4,3):
-    # (4,3) = 2*(2,0) + (0,3), so lattice = 2Z x 3Z with index 6 in Z^2.
-    assert abs(np.prod(snf.diagonal)) == 6
 
 
 def test_congruence_kernel_simple():
@@ -146,21 +138,21 @@ def test_congruence_kernel_brute_force():
 
 def test_lattice_quotient_structure():
     # Z^2 / <(2,0), (0,3)> == C2 x C3 == C6
-    q = lattice_quotient(column_lattice(identity_matrix(2)), int_matrix([[2, 0], [0, 3]]))
+    q = lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[2, 0], [0, 3]]))
     assert q.factors == (6,)
     assert q.order == 6
-    gen = q.generator(0)
+    gen = q.generators()[0]
     assert q.coordinates(gen) == (1,)
     assert q.coordinates(int_matrix([[2], [0]])[:, 0]) == (0,)
 
 
 def test_lattice_quotient_infinite_raises():
     with pytest.raises(ValueError):
-        lattice_quotient(column_lattice(identity_matrix(2)), int_matrix([[2], [0]]))
+        lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[2], [0]]))
 
 
 def test_lattice_quotient_membership_raises():
-    lattice = column_lattice(int_matrix([[2, 0], [0, 1]]))
+    lattice = congruence_kernel(2, 2, iter([([1, 0], 2)]))  # 2Z x Z
     q = lattice_quotient(lattice, int_matrix([[4, 0], [0, 5]]))
     assert q.factors == (10,)  # (2Z/4Z) + (Z/5Z) is cyclic of order 10
     with pytest.raises(NotInLattice):
@@ -184,10 +176,6 @@ def check_lattice(lattice, rng):
 
 def test_lattice_invariant_random():
     rng = random.Random(11)
-    for _ in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
-        mat = int_matrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-        check_lattice(column_lattice(mat), rng)
     for _ in range(40):
         n = rng.randint(1, 3)
         e = rng.choice([1, 2, 4, 6, 9, 12])
@@ -219,26 +207,51 @@ def generated(gens, orders):
     return seen
 
 
-def check_subgroup(quot, orders, expected):
+def check_subquotient(quot, orders, expected, sub=None):
+    """quot is expected / sub for subgroups sub <= expected of sum Z/orders,
+    given by their elements; the default sub is the zero subgroup."""
+    sub = sub or {tuple(0 for _ in orders)}
     gens = [tuple(int(x) % d for x, d in zip(g, orders)) for g in quot.generators()]
-    assert generated(gens, orders) == expected
-    assert quot.order == len(expected)
+    assert generated(gens + sorted(sub), orders) == expected
+    assert quot.order * len(sub) == len(expected)
     for a, b in zip(quot.factors, quot.factors[1:]):
         assert b % a == 0
     for x in expected:
         coords = quot.coordinates(int_matrix([list(x)])[0])
-        total = [sum(c * g[i] for c, g in zip(coords, gens)) % d for i, d in enumerate(orders)]
-        assert tuple(total) == x
+        total = [sum(c * g[i] for c, g in zip(coords, gens)) - x[i] for i in range(len(orders))]
+        assert tuple(t % d for t, d in zip(total, orders)) in sub
+    # the quotient's invariant factors, from the orders of the cosets (each
+    # coset counted once per element of sub)
+    counts = Counter(
+        next(n for n in itertools.count(1) if scale(x, n, orders) in sub) for x in expected
+    )
+    coset_orders = Counter({n: c // len(sub) for n, c in counts.items()})
+    assert quot.factors == invariant_factors_from_orders(coset_orders)
+
+
+def scale(x, n, orders):
+    return tuple((n * a) % d for a, d in zip(x, orders))
 
 
 def test_span_and_kernel_subgroups_brute_force():
     rng = random.Random(5)
+    sub_rng = random.Random(6)  # the subquotient draws leave rng's sequence as it was
     for _ in range(40):
         orders = [rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
         ambient = set(itertools.product(*(range(d) for d in orders)))
         cols = [tuple(rng.randrange(d) for d in orders) for _ in range(rng.randint(0, 2))]
-        columns = int_matrix(cols).T if cols else zero_matrix(len(orders), 0)
-        check_subgroup(span_subgroup(orders, columns), orders, generated(cols, orders))
+        if cols:
+            # the image of Z^k under the columns is Z^k / L for L the kernel lift
+            e = lcm(*orders)
+            lift = kernel_subgroup((e,) * len(cols), [(int_matrix(cols).T, orders)]).lattice
+            image = generated(cols, orders)
+            element_orders = Counter(
+                next(n for n in itertools.count(1) if not any(scale(x, n, orders)))
+                for x in image
+            )
+            assert tuple(sorted(d for d in lift.scales if d != 1)) == (
+                invariant_factors_from_orders(element_orders)
+            )
         # well defined on the quotient: row_j * d_j == 0 (mod modulus)
         congruences = []
         for _ in range(rng.randint(0, 3)):
@@ -249,4 +262,15 @@ def test_span_and_kernel_subgroups_brute_force():
             x for x in ambient
             if all(sum(r * v for r, v in zip(row, x)) % mod == 0 for row, mod in congruences)
         }
-        check_subgroup(kernel_subgroup(orders, congruences), orders, kernel)
+        rows = [row for row, _ in congruences]
+        moduli = [mod for _, mod in congruences]
+        check_subquotient(kernel_subgroup(orders, [(rows, moduli)]), orders, kernel)
+        # the kernel modulo the span of some of its elements
+        sub_cols = sub_rng.sample(sorted(kernel), sub_rng.randint(1, min(2, len(kernel))))
+        quot = subquotient(
+            orders,
+            lcm(*orders, *moduli),
+            iter(congruences),
+            int_matrix(sub_cols).T,
+        )
+        check_subquotient(quot, orders, kernel, generated(sub_cols, orders))
