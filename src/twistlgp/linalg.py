@@ -209,7 +209,7 @@ def congruence_kernel(
     so the number of constraints can be much larger than n.
     """
     e = exponent
-    if e == 1:
+    if e == 1 or n == 0:
         return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
     pivots: dict[int, list[int]] = {}
     for row, modulus in constraints:

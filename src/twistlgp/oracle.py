@@ -1,11 +1,14 @@
 """Brute-force cohomology on tiny instances, independent of the Smith normal
 form engine.
 
-Degree 1 enumerates every function G -> M and filters the cocycles; degree 2
-enumerates normalized 2-cochains (zero whenever an argument is the identity).
-Quotients by coboundaries are read off from element-order statistics, which
-determine a finite abelian group up to isomorphism, so no linear algebra from
-the main engine is reused.
+Degree 1 searches the functions G -> M and degree 2 the normalized
+2-cochains (zero whenever an argument is the identity), depth first: slots
+get their values in order, and each cocycle identity is checked as soon as
+the last slot it reads is set, so a branch ends at the first identity it
+breaks.  The cocycles found are exactly those a full enumeration would
+keep, in the same order.  Quotients by coboundaries are read off from
+element-order statistics, which determine a finite abelian group up to
+isomorphism, so no linear algebra from the main engine is reused.
 """
 
 from __future__ import annotations
@@ -124,10 +127,33 @@ def _quotient_invariants(cocycles, coboundaries, module):
     return invariant_factors_from_orders(orders)
 
 
+def _depth_first(values, identities_at, holds):
+    """Every assignment of ``values`` to the slots 0, 1, ... that satisfies
+    every identity, in the order of itertools.product(values, repeat=slots).
+
+    ``identities_at[s]`` lists the identities whose last slot is s;
+    ``holds(func, identity)`` is checked as soon as slot s is set, when
+    ``func`` holds the values of slots 0..s.  One list is yielded and then
+    changed in place, so a caller keeps a copy of what it needs."""
+    slots = len(identities_at)
+    func = [None] * slots
+
+    def extend(s):
+        if s == slots:
+            yield func
+            return
+        for v in values:
+            func[s] = v
+            if all(holds(func, identity) for identity in identities_at[s]):
+                yield from extend(s + 1)
+
+    return extend(0)
+
+
 def brute_h1(
     group: FiniteGroup, module: GModule, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple[int, ...]:
-    """Invariant factors of H^1 by full enumeration of functions G -> M: the
+    """Invariant factors of H^1 by a search of the functions G -> M: the
     locally-trivial part over the trivial subgroup, which imposes nothing,
     since every 1-cocycle has f(1) = 0."""
     return brute_sha(group, module, [Subgroup(group, (0,))], budget)
@@ -156,22 +182,28 @@ def brute_h2(
             return zero
         return func[slot_index[(g, h)]]
 
-    # triples with an identity entry hold automatically for normalized cochains
-    triples = [(g, h, k) for g in nontrivial for h in nontrivial for k in nontrivial]
-    cocycles = []
-    for func in itertools.product(elements, repeat=free):
-        ok = True
-        for g, h, k in triples:
-            acc = module.act(g, value(func, h, k))
-            acc = module.add(acc, module.neg(value(func, group.mul(g, h), k)))
-            acc = module.add(acc, value(func, g, group.mul(h, k)))
-            acc = module.add(acc, module.neg(value(func, g, h)))
-            if acc != zero:
-                ok = False
-                break
-        if ok:
-            flat = tuple(c for pair in free_slots for c in value(func, *pair))
-            cocycles.append(flat)
+    # triples with an identity entry hold automatically for normalized
+    # cochains; every other triple reads slot (h, k), so it has a last slot
+    triples_at = [[] for _ in free_slots]
+    for g in nontrivial:
+        for h in nontrivial:
+            for k in nontrivial:
+                read = [(h, k), (group.mul(g, h), k), (g, group.mul(h, k)), (g, h)]
+                last = max(slot_index[p] for p in read if 0 not in p)
+                triples_at[last].append((g, h, k))
+
+    def holds(func, triple):
+        g, h, k = triple
+        acc = module.act(g, value(func, h, k))
+        acc = module.add(acc, module.neg(value(func, group.mul(g, h), k)))
+        acc = module.add(acc, value(func, g, group.mul(h, k)))
+        acc = module.add(acc, module.neg(value(func, g, h)))
+        return acc == zero
+
+    cocycles = [
+        tuple(c for v in func for c in v)
+        for func in _depth_first(elements, triples_at, holds)
+    ]
     coboundaries = []
     for t in itertools.product(elements, repeat=max(n - 1, 0)):
         # normalized 1-cochains: t(identity) = 0
@@ -206,7 +238,17 @@ def brute_sha(
     if module.rank == 0:
         return ()
     elements = list(module.elements())
-    pairs = [(g, h, group.mul(g, h)) for g in group.elements() for h in group.elements()]
+    # the identity f(gh) = g.f(h) + f(g) is checked once f(max(g, h, gh)) is set
+    pairs_at = [[] for _ in range(n)]
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul(g, h)
+            pairs_at[max(g, h, gh)].append((g, h, gh))
+
+    def holds(func, pair):
+        g, h, gh = pair
+        return func[gh] == module.add(module.act(g, func[h]), func[g])
+
     local_boundaries = []
     for sub in family:
         bset = set()
@@ -219,14 +261,7 @@ def brute_sha(
             )
         local_boundaries.append((sub.elements, bset))
     cocycles = []
-    for func in itertools.product(elements, repeat=n):
-        ok = True
-        for g, h, gh in pairs:
-            if func[gh] != module.add(module.act(g, func[h]), func[g]):
-                ok = False
-                break
-        if not ok:
-            continue
+    for func in _depth_first(elements, pairs_at, holds):
         locally_trivial = all(
             tuple(func[h] for h in elems) in bset
             for elems, bset in local_boundaries

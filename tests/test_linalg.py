@@ -110,6 +110,12 @@ def test_congruence_kernel_mixed_moduli():
     assert abs(np.prod(snf.diagonal)) == 12
 
 
+def test_kernel_on_the_trivial_group():
+    # Z^0 with a nontrivial exponent: the congruences are vacuous
+    assert congruence_kernel(0, 6, iter([([], 3)])).basis.shape == (0, 0)
+    assert kernel_subgroup((), [([[]], (3,))]).factors == ()
+
+
 def test_congruence_kernel_brute_force():
     rng = random.Random(3)
     for _ in range(25):

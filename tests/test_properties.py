@@ -40,7 +40,7 @@ SMALL_FACTORS = [
     quaternion(),
     direct_product(cyclic(2), cyclic(2)),
 ]
-ORACLE_BUDGET = OracleBudget(max_functions=20000)
+ORACLE_BUDGET = OracleBudget(max_functions=10**6)
 
 
 def relabel(group: FiniteGroup, perm: list[int]) -> FiniteGroup:
