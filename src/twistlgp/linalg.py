@@ -6,8 +6,9 @@ Matrices are numpy arrays with dtype=object holding Python ints, so nothing
 ever overflows.  Conventions:
 
 * ``smith_normal_form(A)`` returns ``U @ A @ V == S`` with ``S`` diagonal,
-  ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular (their exact
-  inverses are tracked alongside).
+  ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular.  Only ``S``
+  is built eagerly: ``U``, ``V`` and their exact inverses are replayed from
+  the logged elementary operations when first read, then cached.
 * A ``Lattice`` holds a basis (independent columns) with a unimodular
   ``forward`` matrix taking it to diag(scales) over zero rows.  Its only
   builder is ``congruence_kernel``, which takes it from the Smith normal form
@@ -21,6 +22,7 @@ ever overflows.  Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator
 
@@ -66,57 +68,90 @@ def identity_matrix(n: int) -> np.ndarray:
     return diagonal_matrix([1] * n)
 
 
+def _replay(size: int, ops: list[tuple], inverse: bool) -> np.ndarray:
+    """Apply the logged row operations to the size x size identity: each op
+    itself, or with ``inverse`` the transpose of its inverse, in log order."""
+    mat = identity_matrix(size)
+    for op in ops:
+        if op[0] == "add":  # row_i += q * row_j
+            _, i, j, q = op
+            if inverse:
+                mat[j] -= q * mat[i]
+            else:
+                mat[i] += q * mat[j]
+        elif op[0] == "swap":
+            _, i, j = op
+            mat[[i, j]] = mat[[j, i]]
+        else:  # negate
+            mat[op[1]] = -mat[op[1]]
+    return mat
+
+
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """U @ A @ V == S with S = diag(diagonal), U, V unimodular."""
+    """U @ A @ V == S with S = diag(diagonal), U, V unimodular.
+
+    ``s`` and ``diagonal`` are computed eagerly; ``u``, ``v`` and their
+    inverses are replayed from the logged elementary operations when first
+    read, so a caller pays only for the transforms it uses.
+    """
 
     s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    u_inv: np.ndarray
-    v_inv: np.ndarray
     diagonal: tuple[int, ...]
+    _row_ops: list[tuple] = field(repr=False, compare=False)
+    _col_ops: list[tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _replay(self.s.shape[0], self._row_ops, inverse=False)
+
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        return _replay(self.s.shape[0], self._row_ops, inverse=True).T
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        # column operations on V are row operations on V^T
+        return _replay(self.s.shape[1], self._col_ops, inverse=False).T
+
+    @cached_property
+    def v_inv(self) -> np.ndarray:
+        return _replay(self.s.shape[1], self._col_ops, inverse=True)
 
 
 def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The diagonal is nonnegative and satisfies s_1 | s_2 | ... ; the
-    transforms and their inverses are maintained exactly.
+    operations are logged so the transforms can be rebuilt exactly.
     """
     s = np.array(mat, dtype=object, copy=True)
     if s.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, n = s.shape
-    u, u_inv = identity_matrix(m), identity_matrix(m)
-    v, v_inv = identity_matrix(n), identity_matrix(n)
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
-    # Elementary operations keep U @ A @ V == S; each also updates the
-    # tracked inverse by the inverse elementary operation.
+    # Elementary operations keep U @ A @ V == S for the logged U and V.
     def row_add(i: int, j: int, q: int) -> None:  # row_i += q * row_j
         s[i] += q * s[j]
-        u[i] += q * u[j]
-        u_inv[:, j] -= q * u_inv[:, i]
+        row_ops.append(("add", i, j, q))
 
     def row_swap(i: int, j: int) -> None:
         s[[i, j]] = s[[j, i]]
-        u[[i, j]] = u[[j, i]]
-        u_inv[:, [i, j]] = u_inv[:, [j, i]]
+        row_ops.append(("swap", i, j))
 
     def row_negate(i: int) -> None:
         s[i] = -s[i]
-        u[i] = -u[i]
-        u_inv[:, i] = -u_inv[:, i]
+        row_ops.append(("negate", i))
 
     def col_add(i: int, j: int, q: int) -> None:  # col_i += q * col_j
         s[:, i] += q * s[:, j]
-        v[:, i] += q * v[:, j]
-        v_inv[j] -= q * v_inv[i]
+        col_ops.append(("add", i, j, q))
 
     def col_swap(i: int, j: int) -> None:
         s[:, [i, j]] = s[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        v_inv[[i, j]] = v_inv[[j, i]]
+        col_ops.append(("swap", i, j))
 
     def min_entry(t: int) -> tuple[int, int] | None:
         sub = np.abs(s[t:, t:])
@@ -151,23 +186,19 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
                         dirty = True
             if dirty:
                 continue
-            # Row and column are clear; force the pivot to divide the rest.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i, j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            # Row and column are clear; force the pivot to divide the rest
+            # by adding the first row holding an entry it does not divide.
+            if abs(pivot) == 1:
                 break
-            row_add(t, offender, 1)
+            offenders = np.flatnonzero((s[t + 1:, t + 1:] % pivot != 0).any(axis=1))
+            if offenders.size == 0:
+                break
+            row_add(t, t + 1 + int(offenders[0]), 1)
         if s[t, t] < 0:
             row_negate(t)
 
     diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
-    return SmithNormalForm(s=s, u=u, v=v, u_inv=u_inv, v_inv=v_inv, diagonal=diagonal)
+    return SmithNormalForm(s=s, diagonal=diagonal, _row_ops=row_ops, _col_ops=col_ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,38 +237,50 @@ def congruence_kernel(
 
     Each constraint is scaled to a single modulus e and folded into a
     triangular row basis of the constraint lattice (which contains e*Z^n),
-    so the number of constraints can be much larger than n.
+    so the number of constraints can be much larger than n.  A modulus that
+    does not divide ``exponent`` raises ``ValueError``.
     """
     e = exponent
-    if e == 1 or n == 0:
-        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
+    # pivots[j] is the tail from column j of the pivot row for column j; the
+    # row is zero before j, as vec is when column j is reached.
     pivots: dict[int, list[int]] = {}
     for row, modulus in constraints:
+        if modulus == 0 or e % modulus:
+            raise ValueError(f"modulus {modulus} does not divide the exponent {e}")
         scale = e // modulus
         vec = [(scale * x) % e for x in row]
         for j in range(n):
             vj = vec[j]
             if vj == 0:
                 continue
+            tail = vec[j:]
             base = pivots.get(j)
-            a = base[j] if base is not None else e
-            g, x, y = xgcd(a, vj)
-            if base is not None:
-                new_pivot = [(x * bi + y * vi) % e for bi, vi in zip(base, vec)]
-                vec = [((a // g) * vi - (vj // g) * bi) % e for bi, vi in zip(base, vec)]
-            else:
+            if base is None:
                 # implicit pivot row e*e_j
-                new_pivot = [(y * vi) % e for vi in vec]
-                new_pivot[j] = g  # x*e + y*vj == g
-                vec = [((a // g) * vi) % e for vi in vec]
-            pivots[j] = new_pivot
+                g, _, y = xgcd(e, vj)
+                pivot = [(y * vi) % e for vi in tail]
+                pivot[0] = g  # x*e + y*vj == g
+                pivots[j] = pivot
+                vec[j:] = [((e // g) * vi) % e for vi in tail]
+                continue
+            a = base[0]
+            if vj != a and vj % a == 0:
+                # xgcd(a, vj) == (a, 1, 0): the pivot row stays as it is
+                q = vj // a
+                vec[j:] = [(vi - q * bi) % e for bi, vi in zip(base, tail)]
+                continue
+            g, x, y = xgcd(a, vj)
+            if (x, y) == (0, 1):  # vj | a (vj == a included): vec is the new pivot
+                pivots[j] = tail
+            else:
+                pivots[j] = [(x * bi + y * vi) % e for bi, vi in zip(base, tail)]
+            vec[j:] = [((a // g) * vi - (vj // g) * bi) % e for bi, vi in zip(base, tail)]
+    if e == 1 or n == 0:
+        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
     rows = []
     for j in range(n):
-        base = pivots.get(j)
-        if base is None:
-            base = [0] * n
-            base[j] = e
-        rows.append(base)
+        base = pivots.get(j, [e] + [0] * (n - j - 1))
+        rows.append([0] * j + base)
     reduced = int_matrix(rows)
     # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
     # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.

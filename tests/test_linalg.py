@@ -2,11 +2,17 @@ import itertools
 import random
 from collections import Counter
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from twistlgp import linalg
+from twistlgp.cohomology import _cohomology_cached
+from twistlgp.gmodules import trivial_module
+from twistlgp.groups import cyclic
 from twistlgp.linalg import (
+    Lattice,
     NotInLattice,
     congruence_kernel,
     identity_matrix,
@@ -140,6 +146,197 @@ def test_congruence_kernel_brute_force():
         index = abs(np.prod(snf.diagonal)) if basis.shape[1] == n else 0
         assert index != 0
         assert e**n // index == count
+
+
+def test_congruence_kernel_rejects_a_modulus_not_dividing_the_exponent():
+    # x == 0 (mod 3) cannot be scaled to modulus 4; it used to become x == 0 (mod 4)
+    with pytest.raises(ValueError):
+        congruence_kernel(1, 4, iter([([1], 3)]))
+    with pytest.raises(ValueError):
+        congruence_kernel(2, 1, iter([([1, 0], 2)]))
+    with pytest.raises(ValueError):
+        congruence_kernel(2, 6, iter([([1, 1], 0)]))
+
+
+def reference_snf(mat):
+    """The eager Smith normal form: all four transforms updated with every
+    elementary operation, and a nested-loop scan for the first row with an
+    entry the pivot does not divide."""
+    s = np.array(mat, dtype=object, copy=True)
+    m, n = s.shape
+    u, u_inv = identity_matrix(m), identity_matrix(m)
+    v, v_inv = identity_matrix(n), identity_matrix(n)
+
+    def row_add(i, j, q):
+        s[i] += q * s[j]
+        u[i] += q * u[j]
+        u_inv[:, j] -= q * u_inv[:, i]
+
+    def row_swap(i, j):
+        s[[i, j]] = s[[j, i]]
+        u[[i, j]] = u[[j, i]]
+        u_inv[:, [i, j]] = u_inv[:, [j, i]]
+
+    def col_add(i, j, q):
+        s[:, i] += q * s[:, j]
+        v[:, i] += q * v[:, j]
+        v_inv[j] -= q * v_inv[i]
+
+    def col_swap(i, j):
+        s[:, [i, j]] = s[:, [j, i]]
+        v[:, [i, j]] = v[:, [j, i]]
+        v_inv[[i, j]] = v_inv[[j, i]]
+
+    def min_entry(t):
+        sub = np.abs(s[t:, t:])
+        nonzero = sub != 0
+        if not nonzero.any():
+            return None
+        sentinel = sub.max() + 1
+        masked = np.where(nonzero, sub, sentinel)
+        i, j = divmod(int(np.argmin(masked)), masked.shape[1])
+        return t + i, t + j
+
+    for t in range(min(m, n)):
+        while True:
+            pos = min_entry(t)
+            if pos is None:
+                break
+            if pos != (t, t):
+                row_swap(t, pos[0])
+                col_swap(t, pos[1])
+            pivot = s[t, t]
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i, t] != 0:
+                    row_add(i, t, -(s[i, t] // pivot))
+                    if s[i, t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if s[t, j] != 0:
+                    col_add(j, t, -(s[t, j] // pivot))
+                    if s[t, j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if s[i, j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        if s[t, t] < 0:
+            s[t] = -s[t]
+            u[t] = -u[t]
+            u_inv[:, t] = -u_inv[:, t]
+    diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
+    return SimpleNamespace(s=s, u=u, v=v, u_inv=u_inv, v_inv=v_inv, diagonal=diagonal)
+
+
+def reference_congruence_kernel(n, e, constraints):
+    """The full-row fold: every elimination rebuilds the whole pivot row and
+    the whole constraint vector through xgcd."""
+    if e == 1 or n == 0:
+        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
+    pivots = {}
+    for row, modulus in constraints:
+        vec = [((e // modulus) * x) % e for x in row]
+        for j in range(n):
+            vj = vec[j]
+            if vj == 0:
+                continue
+            base = pivots.get(j)
+            a = base[j] if base is not None else e
+            g, x, y = xgcd(a, vj)
+            if base is not None:
+                new_pivot = [(x * bi + y * vi) % e for bi, vi in zip(base, vec)]
+                vec = [((a // g) * vi - (vj // g) * bi) % e for bi, vi in zip(base, vec)]
+            else:
+                new_pivot = [(y * vi) % e for vi in vec]
+                new_pivot[j] = g
+                vec = [((a // g) * vi) % e for vi in vec]
+            pivots[j] = new_pivot
+    rows = []
+    for j in range(n):
+        base = pivots.get(j)
+        if base is None:
+            base = [0] * n
+            base[j] = e
+        rows.append(base)
+    snf = reference_snf(int_matrix(rows))
+    scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
+    return Lattice(snf.v * np.array(scales, dtype=object), snf.v_inv, scales)
+
+
+def test_congruence_kernel_matches_the_reference_fold(monkeypatch):
+    built = []
+
+    def recorded(mat):
+        built.append(snf := smith_normal_form(mat))
+        return snf
+
+    monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+    rng = random.Random(17)
+    for _ in range(150):
+        e = rng.choice([2, 3, 4, 6, 8, 9, 12, 27, 36])
+        n = rng.randint(1, 12)
+        moduli = [rng.choice([d for d in range(1, e + 1) if e % d == 0]) for _ in range(rng.randint(n + 1, 2 * n + 4))]
+        rows = [[rng.randint(-2 * e, 2 * e) for _ in range(n)] for _ in moduli]
+        got = congruence_kernel(n, e, iter(zip(rows, moduli)))
+        want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
+        assert got.scales == want.scales
+        assert got.basis.shape == want.basis.shape and (got.basis == want.basis).all()
+        assert got.forward.shape == want.forward.shape and (got.forward == want.forward).all()
+    # the kernel reads V and V^-1 only; U and U^-1 are never built
+    assert built and all("u" not in vars(snf) and "u_inv" not in vars(snf) for snf in built)
+    assert all("v" in vars(snf) and "v_inv" in vars(snf) for snf in built)
+
+
+def test_snf_transforms_match_the_eager_reference():
+    rng = random.Random(19)
+    names = ["u", "u_inv", "v", "v_inv"]
+    for _ in range(150):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        mat = np.array(
+            [[rng.choice([0, rng.randint(-30, 30)]) for _ in range(n)] for _ in range(m)],
+            dtype=object,
+        ).reshape(m, n)
+        got, want = smith_normal_form(mat), reference_snf(mat)
+        assert (got.s == want.s).all() and got.diagonal == want.diagonal
+        rng.shuffle(names)
+        for name in names + names:  # each read twice, in shuffled order
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and (a == b).all(), name
+
+
+def test_h2_work_is_bounded(monkeypatch):
+    # H^2(C8, Z/9) = 0: a fold of 576 rows over 64 columns.  The full-row fold
+    # calls xgcd 5403 times; the divisible shortcut avoids most of them.
+    # Nothing reads U or U^-1 of any Smith form: the kernel reads V only, and
+    # a trivial quotient has no generators or coordinates to compute.
+    calls = []
+    built = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    def recorded(mat):
+        built.append(snf := smith_normal_form(mat))
+        return snf
+
+    monkeypatch.setattr(linalg, "xgcd", counted)
+    monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+    c8 = cyclic(8)
+    h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [9]), 2)
+    assert h2.invariant_factors == ()
+    assert 0 < len(calls) < 3000
+    assert built and all("u" not in vars(snf) and "u_inv" not in vars(snf) for snf in built)
 
 
 def test_lattice_quotient_structure():
