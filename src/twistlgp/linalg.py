@@ -2,21 +2,26 @@
 lattices with their own coordinates, finite lattice quotients, and finite
 subquotients of Z/d_1 + ... + Z/d_r.
 
-Matrices are numpy arrays with dtype=object holding Python ints, so nothing
-ever overflows.  Conventions:
+Matrices handed between functions are numpy arrays with dtype=object holding
+Python ints, so nothing ever overflows; the congruence fold works in int64,
+or over Python ints when the exponent is 2^31 or more.  Conventions:
 
 * ``smith_normal_form(A)`` returns ``U @ A @ V == S`` with ``S`` diagonal,
   ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular.  Only ``S``
   is built eagerly: ``U``, ``V`` and their exact inverses are replayed from
   the logged elementary operations when first read, then cached.
-* A ``Lattice`` holds a basis (independent columns) with a unimodular
-  ``forward`` matrix taking it to diag(scales) over zero rows.  Its only
-  builder is ``congruence_kernel``, which takes it from the Smith normal form
-  it computes, so no basis is diagonalized twice.
+* A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
+  folds the constraint rows into, numpy column by column over blocks of
+  rows.  Its basis (independent columns), the unimodular ``forward`` matrix
+  taking it to diag(scales) over zero rows, and the scales come from the
+  Smith normal form of ``reduced``, built the first time one of them is
+  read; membership needs only ``reduced``.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
   L / (span(sub) + diag(d)) with L a congruence kernel; ``kernel_subgroup``
-  and ``fixed_subgroup`` are its cases with no ``sub``.  No other module
-  knows how lattices are represented.
+  and ``fixed_subgroup`` are its cases with no ``sub``.  Its order is counted
+  first from the diagonals of two triangular folds, and only a nontrivial
+  subquotient is diagonalized.  No other module knows how lattices are
+  represented.
 """
 
 from __future__ import annotations
@@ -154,15 +159,13 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
         col_ops.append(("swap", i, j))
 
     def min_entry(t: int) -> tuple[int, int] | None:
-        sub = np.abs(s[t:, t:])
-        nonzero = sub != 0
-        if not nonzero.any():
+        # the first nonzero entry of least |value| in row-major order: one
+        # pass finds the nonzero entries, abs and argmin see only those
+        rows, cols = np.nonzero(s[t:, t:])
+        if not rows.size:
             return None
-        sentinel = sub.max() + 1
-        masked = np.where(nonzero, sub, sentinel)
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, masked.shape[1])
-        return t + i, t + j
+        k = int(np.argmin(np.abs(s[rows + t, cols + t])))
+        return t + int(rows[k]), t + int(cols[k])
 
     for t in range(min(m, n)):
         while True:
@@ -203,17 +206,56 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A lattice in Z^m that carries its own coordinates.
+    """The lattice {x in Z^n : reduced @ x == 0 (mod exponent)}, which
+    carries its own coordinates.
 
-    ``basis`` has linearly independent columns, ``forward`` is unimodular,
-    and ``forward @ basis`` is diag(``scales``) stacked above zero rows, so
-    ``solve_columns`` finds basis coordinates with one product.  Built by
-    ``congruence_kernel`` from the Smith normal form it already computes.
+    ``reduced`` is the upper triangular basis that ``congruence_kernel``
+    folds the constraint rows into; its rows span the constraint lattice
+    together with exponent * Z^n.  ``basis`` has linearly independent
+    columns, ``forward`` is unimodular, and ``forward @ basis`` is
+    diag(``scales``) stacked above zero rows, so ``solve_columns`` finds basis
+    coordinates with one product.  Those three come from the Smith normal
+    form of ``reduced``, built when one of them is first read; only they are
+    kept, not the Smith form.
     """
 
-    basis: np.ndarray
-    forward: np.ndarray
-    scales: tuple[int, ...]
+    reduced: np.ndarray
+    exponent: int
+
+    @cached_property
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        n, e = self.reduced.shape[0], self.exponent
+        if e == 1 or n == 0:
+            return identity_matrix(n), identity_matrix(n), (1,) * n
+        # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
+        # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.
+        snf = smith_normal_form(self.reduced)
+        scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
+        return snf.v * np.array(scales, dtype=object), snf.v_inv, scales
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._coordinates[0]
+
+    @property
+    def forward(self) -> np.ndarray:
+        return self._coordinates[1]
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        return self._coordinates[2]
+
+    def contains(self, vectors: np.ndarray) -> bool:
+        """Whether every column of ``vectors`` (or the vector) lies in the
+        lattice: one product with ``reduced``, no Smith form.  The product
+        is in int64 when no sum of entries in [0, e] can overflow."""
+        e, mat = self.exponent, self.reduced
+        rhs = np.asarray(vectors, dtype=object) % e
+        if mat.dtype != object and mat.shape[1] * e * e < 2**63:
+            product = mat @ rhs.astype(np.int64)
+        else:
+            product = np.asarray(mat, dtype=object) @ rhs
+        return not (product % e).any()
 
 
 def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
@@ -229,6 +271,89 @@ def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
     return z[:k] // scales
 
 
+# Rows folded at once: enough for numpy to pay off, few enough that the
+# block of a wide system stays small.
+_BLOCK_ROWS = 256
+
+
+def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
+    """Fold the rows of ``block`` (entries in [0, e)) into ``pivots``.
+
+    pivots[j] is the tail from column j of the pivot row for column j; the
+    row is zero before j, and a column without one has the implicit pivot
+    row e * e_j.  The block is reduced one column at a time, which gives the
+    pivots of folding it row by row: either way row k reaches column j
+    reduced by the pivots that rows < k left at columns < j.  In a column the
+    pivot value a changes only at a row whose entry v it does not divide,
+    which costs an xgcd; each new value properly divides the last, so a
+    column has at most Omega(e) such rows.  Between two of them a row with
+    v == a becomes the pivot row (xgcd(a, a) == (a, 0, 1)), and every row
+    loses (v / a) times the pivot row left by the rows above it, found with
+    one maximum.accumulate.
+    """
+    n = block.shape[1]
+    for j in range(n):
+        rows = block[:, j].nonzero()[0]
+        if not rows.size:
+            continue
+        vals = block[rows, j]
+        base = pivots.get(j)
+        if base is None:
+            base = np.zeros(n - j, dtype=block.dtype)
+            base[0] = e
+        a = int(base[0])
+        start = 0
+        while start < rows.size:
+            events = (vals[start:] % a).nonzero()[0]
+            stop = start + int(events[0]) if events.size else rows.size
+            if stop > start:
+                run = rows[start:stop]
+                q = vals[start:stop] // a
+                tails = block[run, j:]
+                new = (q == 1).nonzero()[0]
+                if new.size:
+                    last = np.full(run.size + 1, -1)
+                    last[new + 1] = new
+                    # row k reduces by row last[k] (-1: the pivot before the run)
+                    last = np.maximum.accumulate(last)[:-1]
+                    bases = tails[last]
+                    bases[last < 0] = base
+                    bases *= q[:, None]
+                    base = tails[new[-1]].copy()
+                else:
+                    bases = np.multiply.outer(q, base)
+                tails -= bases
+                tails %= e
+                block[run, j:] = tails
+            if stop < rows.size:
+                k, v = rows[stop], int(vals[stop])
+                g, x, y = xgcd(a, v)
+                tail = block[k, j:].copy()
+                block[k, j:] = ((a // g) * tail - (v // g) * base) % e
+                a, base = g, (x * base + y * tail) % e
+            start = stop + 1
+        pivots[j] = base
+
+
+def _reduced(pivots: dict[int, np.ndarray], n: int, e: int) -> np.ndarray:
+    """The upper triangular n x n matrix of the pivot rows, in the smallest
+    integer dtype that holds e: a lattice keeps it for as long as it lives."""
+    dtype = _dtype(e)
+    reduced = np.zeros((n, n), dtype=dtype if dtype == object else np.min_scalar_type(e))
+    for j in range(n):
+        base = pivots.get(j)
+        if base is None:
+            reduced[j, j] = e
+        else:
+            reduced[j, j:] = base
+    return reduced
+
+
+def _dtype(e: int):
+    # every product the fold forms is below 2 e^2
+    return np.int64 if e < 2**31 else object
+
+
 def congruence_kernel(
     n: int, exponent: int, constraints: Iterator[tuple[list[int], int]]
 ) -> Lattice:
@@ -237,56 +362,64 @@ def congruence_kernel(
 
     Each constraint is scaled to a single modulus e and folded into a
     triangular row basis of the constraint lattice (which contains e*Z^n),
-    so the number of constraints can be much larger than n.  A modulus that
-    does not divide ``exponent`` raises ``ValueError``.
+    ``_BLOCK_ROWS`` rows at a time, so the number of constraints can be much
+    larger than n.  A modulus that does not divide ``exponent`` raises
+    ``ValueError``.
     """
     e = exponent
-    # pivots[j] is the tail from column j of the pivot row for column j; the
-    # row is zero before j, as vec is when column j is reached.
-    pivots: dict[int, list[int]] = {}
+    dtype = _dtype(e)
+    pivots: dict[int, np.ndarray] = {}
+    block = np.empty((_BLOCK_ROWS, n), dtype=dtype)
+    moduli = np.empty((_BLOCK_ROWS, 1), dtype=dtype)
+    count = 0
+
+    def fold_block() -> None:
+        rows, m = block[:count], moduli[:count]
+        # (e / modulus) * x mod e == (e / modulus) * (x mod modulus)
+        rows %= m
+        rows *= e // m
+        _fold(pivots, rows, e)
+
     for row, modulus in constraints:
         if modulus == 0 or e % modulus:
             raise ValueError(f"modulus {modulus} does not divide the exponent {e}")
-        scale = e // modulus
-        vec = [(scale * x) % e for x in row]
-        for j in range(n):
-            vj = vec[j]
-            if vj == 0:
-                continue
-            tail = vec[j:]
-            base = pivots.get(j)
-            if base is None:
-                # implicit pivot row e*e_j
-                g, _, y = xgcd(e, vj)
-                pivot = [(y * vi) % e for vi in tail]
-                pivot[0] = g  # x*e + y*vj == g
-                pivots[j] = pivot
-                vec[j:] = [((e // g) * vi) % e for vi in tail]
-                continue
-            a = base[0]
-            if vj != a and vj % a == 0:
-                # xgcd(a, vj) == (a, 1, 0): the pivot row stays as it is
-                q = vj // a
-                vec[j:] = [(vi - q * bi) % e for bi, vi in zip(base, tail)]
-                continue
-            g, x, y = xgcd(a, vj)
-            if (x, y) == (0, 1):  # vj | a (vj == a included): vec is the new pivot
-                pivots[j] = tail
-            else:
-                pivots[j] = [(x * bi + y * vi) % e for bi, vi in zip(base, tail)]
-            vec[j:] = [((a // g) * vi - (vj // g) * bi) % e for bi, vi in zip(base, tail)]
-    if e == 1 or n == 0:
-        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
-    rows = []
-    for j in range(n):
-        base = pivots.get(j, [e] + [0] * (n - j - 1))
-        rows.append([0] * j + base)
-    reduced = int_matrix(rows)
-    # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
-    # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.
-    snf = smith_normal_form(reduced)
-    scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
-    return Lattice(snf.v * np.array(scales, dtype=object), snf.v_inv, scales)
+        try:
+            block[count] = row
+        except OverflowError:  # an entry past int64
+            block[count] = [x % modulus for x in row]
+        moduli[count] = modulus
+        count += 1
+        if count == _BLOCK_ROWS:
+            fold_block()
+            count = 0
+    if count:
+        fold_block()
+    return Lattice(_reduced(pivots, n, e), e)
+
+
+def _quotient_order(lattice: Lattice, sub: np.ndarray, orders) -> int:
+    """|L / (span(sub) + R)| for L = ``lattice``, R generated by
+    diag(``orders``), and span(sub) + R inside L, with no Smith form.
+
+    For E a multiple of e and of the orders, E * Z^n lies in both lattices.
+    [L : E Z^n] = prod(a) (E / e)^n for a the diagonal of ``reduced``, and
+    [span(sub) + R : E Z^n] = E^n / prod(b) for b the pivots of the columns of
+    sub and diag(orders) folded mod E, so the order is prod(a) prod(b) / e^n.
+    """
+    e, n = lattice.exponent, len(orders)
+    big = lcm(e, *orders)
+    dtype = _dtype(big)
+    pivots = {}
+    for i, d in enumerate(orders):
+        if d % big:
+            pivots[i] = np.zeros(n - i, dtype=dtype)
+            pivots[i][0] = d
+    gens = np.asarray(sub, dtype=object).T % big
+    for start in range(0, gens.shape[0], _BLOCK_ROWS):
+        _fold(pivots, gens[start:start + _BLOCK_ROWS].astype(dtype), big)
+    a = prod(int(lattice.reduced[j, j]) for j in range(n))
+    b = prod(int(pivots[j][0]) if j in pivots else big for j in range(n))
+    return a * b // e**n
 
 
 class NotInLattice(ValueError):
@@ -299,12 +432,14 @@ class LatticeQuotient:
 
     ``factors`` are the nontrivial invariant factors in ascending
     divisibility order; ``generators()`` lifts the summand generators to L;
-    ``coordinates(x)`` expresses x in L as summand coordinates.
+    ``coordinates(x)`` expresses x in L as summand coordinates.  A trivial
+    quotient that ``subquotient`` counted has no Smith form (``_w_snf`` is
+    None): it has no generators, and coordinates only tests membership.
     """
 
     lattice: Lattice = field(repr=False, compare=False)
     factors: tuple[int, ...]
-    _w_snf: SmithNormalForm = field(repr=False, compare=False)
+    _w_snf: SmithNormalForm | None = field(repr=False, compare=False)
     _kept: tuple[int, ...] = field(repr=False, compare=False)
     _diag: tuple[int, ...] = field(repr=False, compare=False)
 
@@ -317,6 +452,10 @@ class LatticeQuotient:
         return not self.factors
 
     def coordinates(self, x: np.ndarray) -> tuple[int, ...]:
+        if self._w_snf is None:
+            if not self.lattice.contains(x):
+                raise NotInLattice("vector is not in the ambient lattice")
+            return ()
         w = solve_columns(self.lattice, x.reshape(-1, 1))
         if w is None:
             raise NotInLattice("vector is not in the ambient lattice")
@@ -324,6 +463,8 @@ class LatticeQuotient:
         return tuple(int(y[i] % self._diag[i]) for i in self._kept)
 
     def generators(self) -> list[np.ndarray]:
+        if self._w_snf is None:
+            return []
         return [self.lattice.basis @ self._w_snf.u_inv[:, i] for i in self._kept]
 
 
@@ -350,9 +491,17 @@ def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQ
     over the (row, modulus) congruences (``congruence_kernel``) and R the
     relation lattice generated by diag(``orders``); sub's columns lie in L.
     Z^r / L is the image of the congruence rows: its invariant factors are
-    the scales of L other than 1, largest first."""
+    the scales of L other than 1, largest first.
+
+    The order is counted first (``_quotient_order``); only a nontrivial
+    subquotient pays for the Smith forms of ``lattice_quotient``."""
     lift = congruence_kernel(len(orders), exponent, congruences)
-    return lattice_quotient(lift, np.concatenate([sub, diagonal_matrix(orders)], axis=1))
+    gens = np.concatenate([sub, diagonal_matrix(orders)], axis=1)
+    if not lift.contains(gens):
+        raise NotInLattice("sub-generators do not lie in the lattice")
+    if _quotient_order(lift, sub, orders) == 1:
+        return LatticeQuotient(lattice=lift, factors=(), _w_snf=None, _kept=(), _diag=())
+    return lattice_quotient(lift, gens)
 
 
 def kernel_subgroup(orders, maps) -> LatticeQuotient:

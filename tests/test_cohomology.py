@@ -3,10 +3,13 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
+from twistlgp import linalg
 from twistlgp.cohomology import (
     Cochain,
+    CohomologyMap,
     IncompatibleCoefficients,
     TooLarge,
     coboundary,
@@ -30,6 +33,7 @@ from twistlgp.groups import (
     cyclic,
     cyclic_subgroups,
     direct_product,
+    named_group,
     quaternion,
     quotient,
     subgroup_generated,
@@ -432,3 +436,68 @@ def test_determinism():
     assert [rep.vector for rep in c.representatives] == [
         rep.vector for rep in a.representatives
     ]
+
+
+# the named groups of order at most 12
+SMALL_NAMED = [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 7)] + ["Q8", "S3"]
+
+
+def test_counted_order_equals_the_smith_order(monkeypatch):
+    # every subquotient that H^0, H^1, H^2 and sha_finite build: the order
+    # counted from the two folds is the product of the Smith path's factors
+    original = linalg.subquotient
+    orders_seen = []
+
+    def compared(orders, exponent, congruences, sub):
+        congruences = list(congruences)
+        lift = linalg.congruence_kernel(len(orders), exponent, iter(congruences))
+        gens = np.concatenate([sub, linalg.diagonal_matrix(orders)], axis=1)
+        smith = linalg.lattice_quotient(lift, gens)
+        assert linalg._quotient_order(lift, sub, orders) == smith.order
+        quot = original(orders, exponent, iter(congruences), sub)
+        assert quot.factors == smith.factors
+        orders_seen.append(smith.order)
+        return quot
+
+    monkeypatch.setattr(linalg, "subquotient", compared)
+    monkeypatch.setattr(cohomology_module, "subquotient", compared)
+    cohomology_module._cohomology_cached.cache_clear()
+    for name in SMALL_NAMED:
+        group = named_group(name)
+        for m in (2, 3, 4, 6):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                for degree in (0, 1, 2) if group.order <= 8 else (0, 1):
+                    cohomology(group, module, degree)
+                sha_finite(group, module, cyclic_subgroups(group))
+        if group.order > 8:
+            cohomology(group, trivial_module(group, [2]), 2)
+    cohomology_module._cohomology_cached.cache_clear()
+    assert len(orders_seen) > 400
+    assert 1 in orders_seen and max(orders_seen) > 1
+
+
+def test_class_of_on_a_counted_trivial_group():
+    # H^1(C3, Z/2) = 0 is counted, with no Smith form, yet class_of still
+    # tests the cocycle condition
+    group = cyclic(3)
+    module = trivial_module(group, [2])
+    h1 = cohomology(group, module, 1)
+    assert h1.is_trivial and h1._presentation._w_snf is None
+    assert h1.class_of(zero_cochain(module, 1)).coordinates == ()
+    with pytest.raises(ValueError, match="not a cocycle"):
+        h1.class_of(Cochain(module, 1, (1, 0, 0)))
+
+
+def test_image_invariants_of_an_injective_map():
+    # the identity and an automorphism of H^1: the kernel is counted
+    # trivial, the image is the whole group
+    for group, m in [(cyclic(6), 6), (direct_product(cyclic(2), cyclic(2)), 2)]:
+        h1 = cohomology(group, trivial_module(group, [m]), 1)
+        res = restriction(h1, full_subgroup(group))
+        assert res.kernel()[0] == () and res.is_injective
+        assert res.image_invariants() == h1.invariant_factors
+    h1 = cohomology(cyclic(6), trivial_module(cyclic(6), [6]), 1)
+    assert h1.invariant_factors == (6,)
+    unit = CohomologyMap(h1, h1, ((5,),))
+    assert unit.kernel()[0] == () and unit.image_invariants() == (6,)

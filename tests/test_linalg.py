@@ -12,7 +12,6 @@ from twistlgp.cohomology import _cohomology_cached
 from twistlgp.gmodules import trivial_module
 from twistlgp.groups import cyclic
 from twistlgp.linalg import (
-    Lattice,
     NotInLattice,
     congruence_kernel,
     identity_matrix,
@@ -239,10 +238,10 @@ def reference_snf(mat):
 
 
 def reference_congruence_kernel(n, e, constraints):
-    """The full-row fold: every elimination rebuilds the whole pivot row and
-    the whole constraint vector through xgcd."""
-    if e == 1 or n == 0:
-        return Lattice(identity_matrix(n), identity_matrix(n), (1,) * n)
+    """The row-by-row full-row fold: every elimination rebuilds the whole
+    pivot row and the whole constraint vector through xgcd.  Returns the
+    triangular basis ``reduced`` with the lattice's basis, forward and
+    scales."""
     pivots = {}
     for row, modulus in constraints:
         vec = [((e // modulus) * x) % e for x in row]
@@ -268,9 +267,12 @@ def reference_congruence_kernel(n, e, constraints):
             base = [0] * n
             base[j] = e
         rows.append(base)
-    snf = reference_snf(int_matrix(rows))
+    reduced = int_matrix(rows) if n else zero_matrix(0, 0)
+    if e == 1 or n == 0:
+        return SimpleNamespace(reduced=reduced, basis=identity_matrix(n), forward=identity_matrix(n), scales=(1,) * n)
+    snf = reference_snf(reduced)
     scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
-    return Lattice(snf.v * np.array(scales, dtype=object), snf.v_inv, scales)
+    return SimpleNamespace(reduced=reduced, basis=snf.v * np.array(scales, dtype=object), forward=snf.v_inv, scales=scales)
 
 
 def test_congruence_kernel_matches_the_reference_fold(monkeypatch):
@@ -289,12 +291,68 @@ def test_congruence_kernel_matches_the_reference_fold(monkeypatch):
         rows = [[rng.randint(-2 * e, 2 * e) for _ in range(n)] for _ in moduli]
         got = congruence_kernel(n, e, iter(zip(rows, moduli)))
         want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
+        assert got.reduced.shape == want.reduced.shape and (got.reduced == want.reduced).all()
         assert got.scales == want.scales
         assert got.basis.shape == want.basis.shape and (got.basis == want.basis).all()
         assert got.forward.shape == want.forward.shape and (got.forward == want.forward).all()
+        # the lattice keeps what it derived from the Smith form, not the form
+        assert set(vars(got)) == {"reduced", "exponent", "_coordinates"}
+        assert not any(isinstance(x, linalg.SmithNormalForm) for x in got._coordinates)
     # the kernel reads V and V^-1 only; U and U^-1 are never built
     assert built and all("u" not in vars(snf) and "u_inv" not in vars(snf) for snf in built)
     assert all("v" in vars(snf) and "v_inv" in vars(snf) for snf in built)
+
+
+def test_blocked_fold_matches_the_reference_fold():
+    # more rows than one block, and exponents past 2^31 (object dtype); row
+    # i is a sparse multiple of chain[level] for a level rising with i, so
+    # the pivots keep changing in every block
+    rng = random.Random(23)
+    for e in (720, 2**31 * 3, 2**40 + 4):
+        chain = [d for d in (e // 2, e // 6, e // 8, e // 48, 2**20, 48, 16, 3, 1) if e % d == 0]
+        for _ in range(3):
+            n = rng.randint(2, 8)
+            count = rng.randint(linalg._BLOCK_ROWS + 1, 3 * linalg._BLOCK_ROWS)
+            moduli = [e if rng.random() < 0.8 else rng.choice(chain[:-1]) for _ in range(count)]
+            rows = [
+                [0 if rng.random() < 0.5 else rng.randint(-3, 3) * chain[i * len(chain) // count] for _ in range(n)]
+                for i in range(count)
+            ]
+            got = congruence_kernel(n, e, iter(zip(rows, moduli)))
+            want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
+            assert (got.reduced.dtype == object) == (e >= 2**31)
+            assert (got.reduced == want.reduced).all()
+            assert got.scales == want.scales
+            assert (got.basis == want.basis).all() and (got.forward == want.forward).all()
+    # an entry past int64 with a small exponent is reduced before it is stored
+    big = congruence_kernel(2, 6, iter([([2**70 + 1, 3], 6)]))
+    small = congruence_kernel(2, 6, iter([([(2**70 + 1) % 6, 3], 6)]))
+    assert (big.reduced == small.reduced).all()
+
+
+def test_subquotient_rejects_generators_outside_the_lattice():
+    # L = 2Z: the column 1 is not in L
+    with pytest.raises(NotInLattice):
+        subquotient((2,), 2, iter([([1], 2)]), int_matrix([[1]]))
+    # L = 4Z: the relation 2 is not in L, with no sub at all
+    with pytest.raises(NotInLattice):
+        subquotient((2,), 4, iter([([1], 4)]), zero_matrix(1, 0))
+    # L = {x == y mod 2}: (1, 0) is not in L, (1, 1) is
+    congruences = [([1, -1], 2)]
+    with pytest.raises(NotInLattice):
+        subquotient((2, 2), 2, iter(congruences), int_matrix([[1], [0]]))
+    quot = subquotient((2, 2), 2, iter(congruences), int_matrix([[1], [1]]))
+    assert quot.factors == ()
+    with pytest.raises(NotInLattice):
+        quot.coordinates(int_matrix([[1, 0]])[0])
+    assert quot.coordinates(int_matrix([[3, 5]])[0]) == () and quot.generators() == []
+    # past 2^31 the lattice is kept over Python ints: L = 2^39 Z
+    e = 2**40
+    with pytest.raises(NotInLattice):
+        subquotient((e,), e, iter([([2], e)]), int_matrix([[1]]))
+    quot = subquotient((e,), e, iter([([2], e)]), int_matrix([[2**39]]))
+    assert quot.factors == () and quot.lattice.reduced.dtype == object
+    assert subquotient((e,), e, iter([([2], e)]), int_matrix([[2**41]])).factors == (2,)
 
 
 def test_snf_transforms_match_the_eager_reference():
@@ -316,9 +374,8 @@ def test_snf_transforms_match_the_eager_reference():
 
 def test_h2_work_is_bounded(monkeypatch):
     # H^2(C8, Z/9) = 0: a fold of 576 rows over 64 columns.  The full-row fold
-    # calls xgcd 5403 times; the divisible shortcut avoids most of them.
-    # Nothing reads U or U^-1 of any Smith form: the kernel reads V only, and
-    # a trivial quotient has no generators or coordinates to compute.
+    # calls xgcd 5403 times; xgcd runs only where a column's pivot changes.
+    # The count shows the quotient is trivial, so no Smith form is built.
     calls = []
     built = []
 
@@ -336,7 +393,18 @@ def test_h2_work_is_bounded(monkeypatch):
     h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [9]), 2)
     assert h2.invariant_factors == ()
     assert 0 < len(calls) < 3000
-    assert built and all("u" not in vars(snf) and "u_inv" not in vars(snf) for snf in built)
+    assert not built
+    # H^2(C8, Z/4) = Z/4 takes the Smith path: the kernel's Smith form and
+    # then the quotient's.  The kernel reads V and V^-1 only; the quotient
+    # reads U^-1 for the representatives and never U, since no coordinates
+    # are asked for.
+    h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [4]), 2)
+    assert h2.invariant_factors == (4,)
+    assert len(built) == 2
+    kernel, quotient = built
+    assert "u" not in vars(kernel) and "u_inv" not in vars(kernel)
+    assert "v" in vars(kernel) and "v_inv" in vars(kernel)
+    assert "u" not in vars(quotient) and "u_inv" in vars(quotient)
 
 
 def test_lattice_quotient_structure():
