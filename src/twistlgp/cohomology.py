@@ -13,13 +13,18 @@ so that in the degrees used here
     (d2 f)(g, h, k) = g.f(h, k) - f(gh, k) + f(g, hk) - f(g, h)
 
 A cochain of degree n is a vector over (tuple, coordinate) positions, tuples
-of G^n in lexicographic order.  H^n is one ``linalg.subquotient`` of the
-cochain space: the integer cocycle lifts (the congruence kernel of the
-degree-n differential rows) modulo the columns of the degree-(n-1)
-differential matrix plus the coefficient relations.  The resulting witness
-data turns every later map (restriction, inflation, conjugation,
-locally-trivial kernels) into integer matrix algebra, and each kernel, fixed
-subgroup or image of such a map is another subquotient.
+of G^n in lexicographic order.  The differential is built one block of
+tuples at a time, as a numpy matrix whose columns are gathers on the
+multiplication table; the kernel rows, the coboundary generators and
+``coboundary`` all read those same blocks.
+
+H^n is one ``linalg.subquotient`` of the cochain space: the integer cocycle
+lifts (the congruence kernel of the degree-n differential rows) modulo the
+columns of the degree-(n-1) differential matrix plus the coefficient
+relations.  The resulting witness data turns every later map (restriction,
+inflation, conjugation, locally-trivial kernels) into integer matrix
+algebra, and each kernel, fixed subgroup or image of such a map is another
+subquotient.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -37,10 +42,11 @@ import numpy as np
 from .groups import FiniteGroup, GroupHom, Subgroup, quotient
 from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
+    _BLOCK_ROWS,
     LatticeQuotient,
     NotInLattice,
+    _dtype,
     fixed_subgroup,
-    int_matrix,
     kernel_subgroup,
     subquotient,
     zero_matrix,
@@ -58,11 +64,9 @@ class IncompatibleCoefficients(ValueError):
     pass
 
 
-def group_tuples(order: int, degree: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(order), repeat=degree))
-
-
-def tuple_index(order: int, gs: tuple[int, ...]) -> int:
+def tuple_index(order: int, gs) -> int:
+    """Lexicographic index of gs in G^len(gs); digit arrays in, index array
+    out."""
     idx = 0
     for g in gs:
         idx = idx * order + g
@@ -116,7 +120,7 @@ class Cochain:
     def to_report(self) -> dict:
         return {
             ",".join(map(str, gs)): list(self(*gs))
-            for gs in group_tuples(self.module.group.order, self.degree)
+            for gs in itertools.product(range(self.module.group.order), repeat=self.degree)
         }
 
 
@@ -124,22 +128,37 @@ def zero_cochain(module: GModule, degree: int) -> Cochain:
     return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
-def _bar_terms(group: FiniteGroup, n: int):
-    """The degree-n bar differential, one (n+1)-tuple (g_1, ..., g_{n+1}) at
-    a time in lexicographic order: yields g_1, the index of the n-tuple
-    (g_2, ..., g_{n+1}) it acts on, and the (sign, n-tuple index) pairs of
-    the remaining terms."""
-    order = group.order
-    table = group.mul_table
-    signs = [(-1) ** i for i in range(1, n + 2)]
-    tails = order**n
-    for idx, gs in enumerate(itertools.product(range(order), repeat=n + 1)):
+def _differential_blocks(group: FiniteGroup, module: GModule, n: int):
+    """The degree-n differential, one block of (n+1)-tuples at a time in
+    lexicographic order.  Yields the block's matrix, one row per ((n+1)-tuple,
+    coordinate) over (n-tuple, coordinate) positions, and the modulus of
+    each row.  Column indices are gathers on the multiplication table; the
+    terms of a row may share a column (g_1 = 1 puts g_1.f(g_2, ..) and
+    f(g_1 g_2, ..) on one), so they are accumulated with ``np.add.at``.
+    Entries are int64 or, for an exponent past ``_dtype``'s bound, Python
+    ints."""
+    order, r = group.order, module.rank
+    table = np.array(group.mul_table)
+    dtype = _dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    signs = np.array([(-1) ** k for k in range(1, n + 2)], dtype=dtype)
+    n_inputs, count = r * order**n, order ** (n + 1)
+    i = np.arange(r)[:, None]
+    step = max(1, _BLOCK_ROWS // max(r, 1))
+    for first in range(0, count, step):
+        idx = np.arange(first, min(first + step, count))
+        digits = list(np.unravel_index(idx, (order,) * (n + 1)))
+        t = np.arange(idx.size)[:, None, None]
+        block = np.zeros((idx.size, r, n_inputs), dtype=dtype)
+        # g_1 acting on f(g_2, ..., g_{n+1}): row i of g_1's action matrix
+        block[t, i, (idx % order**n * r)[:, None, None] + i.T] = action[digits[0]]
+        # the products g_k g_{k+1}, then f(g_1, ..., g_n), each at coordinate i
         terms = [
-            (signs[i], tuple_index(order, gs[:i] + (table[gs[i]][gs[i + 1]],) + gs[i + 2:]))
-            for i in range(n)
-        ]
-        terms.append((signs[n], idx // order))
-        yield gs[0], idx % tails, terms
+            tuple_index(order, digits[:k] + [table[digits[k], digits[k + 1]]] + digits[k + 2:])
+            for k in range(n)
+        ] + [idx // order]
+        np.add.at(block, (t, i, np.stack(terms, axis=1)[:, None] * r + i), signs)
+        yield block.reshape(idx.size * r, n_inputs), list(module.orders) * idx.size
 
 
 def coboundary(cochain: Cochain) -> Cochain:
@@ -148,15 +167,9 @@ def coboundary(cochain: Cochain) -> Cochain:
     n = cochain.degree
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0..2")
-    f = cochain.vector
-    return Cochain(
-        module,
-        n + 1,
-        tuple(
-            sum(a * x for a, x in zip(row, f))
-            for row, _modulus in _differential_rows(module.group, module, n)
-        ),
-    )
+    f = np.array(cochain.vector, dtype=object)
+    values = [block @ f for block, _moduli in _differential_blocks(module.group, module, n)]
+    return Cochain(module, n + 1, tuple(np.concatenate(values)))
 
 
 def is_cocycle(cochain: Cochain) -> bool:
@@ -164,20 +177,10 @@ def is_cocycle(cochain: Cochain) -> bool:
 
 
 def _differential_rows(group: FiniteGroup, module: GModule, n: int):
-    """Rows of the degree-n differential with their moduli: one row per
-    ((n+1)-tuple, coordinate), over ((n)-tuple, coordinate) positions."""
-    r = module.rank
-    n_inputs = r * group.order**n
-    action, orders = module.action, module.orders
-    for g, acted, terms in _bar_terms(group, n):
-        mat = action[g]
-        start = acted * r
-        for i in range(r):
-            row = [0] * n_inputs
-            row[start:start + r] = mat[i]
-            for sign, t in terms:
-                row[t * r + i] += sign
-            yield row, orders[i]
+    """The rows of ``_differential_blocks`` with their moduli, one at a
+    time: the stream ``congruence_kernel`` reads."""
+    for block, moduli in _differential_blocks(group, module, n):
+        yield from zip(block, moduli)
 
 
 def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.ndarray:
@@ -186,7 +189,8 @@ def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.nd
     columns by ((n-1)-tuple, coordinate), none in degree 0."""
     if not n:
         return zero_matrix(module.rank, 0)
-    return int_matrix(row for row, _modulus in _differential_rows(group, module, n - 1))
+    blocks = [block for block, _moduli in _differential_blocks(group, module, n - 1)]
+    return np.concatenate(blocks).astype(object)
 
 
 @dataclass(eq=False)
@@ -361,22 +365,18 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     phi(t) for each element t of the target group and ``coefficients`` is
     the integer matrix C from source to target coordinates: one column per
     source generator, holding the target class of its image."""
-    r = source.module.rank
-    order = source.group.order
-    starts = [
-        tuple_index(order, gs) * r
-        for gs in itertools.product(elements, repeat=source.degree)
+    r, degree, order = source.module.rank, source.degree, source.group.order
+    count = len(elements) ** degree
+    # the index of (phi(t_1), ..., phi(t_n)) for each target tuple t
+    digits = np.indices((len(elements),) * degree).reshape(degree, count)
+    pulled = np.reshape(tuple_index(order, np.asarray(elements)[digits]), count)
+    reps = np.array([rep.vector for rep in source.representatives], dtype=object)
+    coeff = np.array(coefficients, dtype=object)
+    images = reps.reshape(len(reps), order**degree, r)[:, pulled] @ coeff.T
+    cols = [
+        target.class_of(Cochain(target.module, target.degree, tuple(image.ravel()))).coordinates
+        for image in images
     ]
-    cols = []
-    for rep in source.representatives:
-        f = rep.vector
-        image = [
-            sum(c * x for c, x in zip(row, f[start:start + r]))
-            for start in starts
-            for row in coefficients
-        ]
-        image_cochain = Cochain(target.module, target.degree, tuple(image))
-        cols.append(target.class_of(image_cochain).coordinates)
     return tuple(
         tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
     )

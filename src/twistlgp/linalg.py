@@ -13,9 +13,9 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
 * A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
   folds the constraint rows into, numpy column by column over blocks of
   rows.  Its basis (independent columns), the unimodular ``forward`` matrix
-  taking it to diag(scales) over zero rows, and the scales come from the
-  Smith normal form of ``reduced``, built the first time one of them is
-  read; membership needs only ``reduced``.
+  taking it to diag(scales), and the scales come from the Smith normal form
+  of ``reduced``, built the first time one of them is read; membership
+  needs only ``reduced``.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
   L / (span(sub) + diag(d)) with L a congruence kernel; ``kernel_subgroup``
   and ``fixed_subgroup`` are its cases with no ``sub``.  Its order is counted
@@ -213,10 +213,10 @@ class Lattice:
     folds the constraint rows into; its rows span the constraint lattice
     together with exponent * Z^n.  ``basis`` has linearly independent
     columns, ``forward`` is unimodular, and ``forward @ basis`` is
-    diag(``scales``) stacked above zero rows, so ``solve_columns`` finds basis
-    coordinates with one product.  Those three come from the Smith normal
-    form of ``reduced``, built when one of them is first read; only they are
-    kept, not the Smith form.
+    diag(``scales``), so ``solve_columns`` finds basis coordinates with one
+    product.  Those three come from the Smith normal form of ``reduced``,
+    built when one of them is first read; only they are kept, not the Smith
+    form.
     """
 
     reduced: np.ndarray
@@ -262,13 +262,10 @@ def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
     """The unique W with lattice.basis @ W == rhs; None if some column of
     rhs is not in the lattice."""
     z = lattice.forward @ rhs
-    k = len(lattice.scales)
-    if (z[k:] != 0).any():
-        return None
     scales = np.array(lattice.scales, dtype=object).reshape(-1, 1)
-    if (z[:k] % scales != 0).any():
+    if (z % scales != 0).any():
         return None
-    return z[:k] // scales
+    return z // scales
 
 
 # Rows folded at once: enough for numpy to pay off, few enough that the

@@ -7,6 +7,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -42,3 +44,29 @@ def test_verify_checks_match_the_registry():
     # a renamed check would read 0 s in the traced pass
     names = [name for name, _statement, _func in importlib.import_module("twistlgp.verify").CHECKS]
     assert load_tracer().VERIFY_CHECKS == names
+
+
+def test_congruence_kernel_reads_one_row_per_item(monkeypatch):
+    # the tracer's linalg.congruence_kernel.rows counter counts the items of
+    # ``constraints``; feeding blocks instead of rows would change that metric
+    linalg = importlib.import_module("twistlgp.linalg")
+    engine = importlib.import_module("twistlgp.cohomology")
+    groups = importlib.import_module("twistlgp.groups")
+    gmodules = importlib.import_module("twistlgp.gmodules")
+    congruence_kernel = linalg.congruence_kernel
+    fed = []
+
+    def counted_kernel(n, exponent, constraints):
+        def rows():
+            for item in constraints:
+                fed.append(item)
+                yield item
+        return congruence_kernel(n, exponent, rows())
+
+    monkeypatch.setattr(linalg, "congruence_kernel", counted_kernel)
+    s3 = groups.symmetric(3)
+    engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2)
+    assert len(fed) == 1 * 6**3
+    for row, modulus in fed:
+        assert np.ndim(row) == 1 and len(row) == 36
+        assert type(modulus) is int

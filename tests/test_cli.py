@@ -1,6 +1,10 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -451,3 +455,19 @@ def test_verify_paper_detects_tampering(capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert "admissible-m-tables" in err
+
+
+def test_verify_paper_json_matches_the_recorded_output():
+    # a cold ``python -m twistlgp verify-paper --json``, byte for byte against
+    # tests/data/verify_paper.json; a change that moves representatives on
+    # purpose regenerates that file and says so
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root.parent / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "twistlgp", "verify-paper", "--json"],
+        capture_output=True, env=env, check=True,
+    )
+    assert run.stdout == (root / "data" / "verify_paper.json").read_bytes()

@@ -19,6 +19,7 @@ from twistlgp.cohomology import (
     is_cocycle,
     restriction,
     sha_finite,
+    tuple_index,
     zero_cochain,
 )
 from twistlgp.gmodules import (
@@ -501,3 +502,97 @@ def test_image_invariants_of_an_injective_map():
     assert h1.invariant_factors == (6,)
     unit = CohomologyMap(h1, h1, ((5,),))
     assert unit.kernel()[0] == () and unit.image_invariants() == (6,)
+
+
+def reference_bar_terms(group, n):
+    """The degree-n bar differential one (n+1)-tuple at a time, built tuple
+    by tuple in Python: yields g_1, the index of the n-tuple (g_2, ...,
+    g_{n+1}) it acts on, and the (sign, n-tuple index) pairs of the
+    remaining terms."""
+    order = group.order
+    table = group.mul_table
+    signs = [(-1) ** i for i in range(1, n + 2)]
+    tails = order**n
+    for idx, gs in enumerate(itertools.product(range(order), repeat=n + 1)):
+        terms = [
+            (signs[i], tuple_index(order, gs[:i] + (table[gs[i]][gs[i + 1]],) + gs[i + 2:]))
+            for i in range(n)
+        ]
+        terms.append((signs[n], idx // order))
+        yield gs[0], idx % tails, terms
+
+
+def reference_differential_rows(group, module, n):
+    """Rows of the degree-n differential with their moduli, one Python list
+    per ((n+1)-tuple, coordinate)."""
+    r = module.rank
+    n_inputs = r * group.order**n
+    action, orders = module.action, module.orders
+    for g, acted, terms in reference_bar_terms(group, n):
+        mat = action[g]
+        start = acted * r
+        for i in range(r):
+            row = [0] * n_inputs
+            row[start:start + r] = mat[i]
+            for sign, t in terms:
+                row[t * r + i] += sign
+            yield row, orders[i]
+
+
+def differential_cases():
+    c2 = cyclic(2)
+    groups = [cyclic(1), c2, cyclic(6), symmetric(3), named_group("D4"), quaternion(),
+              direct_product(c2, c2, c2)]
+    for group in groups:
+        for m in (2, 3, 4, 6, 9):
+            for chi in all_characters(group, m)[:3]:
+                yield group, mu_module(group, m, chi)
+    yield cyclic(4), trivial_module(cyclic(4), [2, 4])
+    yield symmetric(3), trivial_module(symmetric(3), [3, 6])
+
+
+def test_differential_blocks_match_the_reference_rows():
+    # the same rows, in the same order, with the same moduli; repeated
+    # columns (g_1 = 1 in degree 1 and 2) must accumulate, not overwrite
+    systems = 0
+    for group, module in differential_cases():
+        for n in (0, 1, 2):
+            expected = list(reference_differential_rows(group, module, n))
+            got = list(cohomology_module._differential_rows(group, module, n))
+            assert len(got) == len(expected)
+            for (row, modulus), (ref_row, ref_modulus) in zip(got, expected):
+                assert modulus == ref_modulus and type(modulus) is int
+                assert row.tolist() == ref_row
+            if n:
+                gens = cohomology_module._coboundary_generators(group, module, n)
+                ref = linalg.int_matrix(
+                    row for row, _ in reference_differential_rows(group, module, n - 1)
+                )
+                assert gens.dtype == object and gens.shape == ref.shape
+                assert (gens == ref).all()
+            systems += 1
+    assert systems > 200
+
+
+TWO_64 = 2**64
+
+
+def test_cohomology_with_an_exponent_past_int64():
+    # the differential blocks switch to Python ints: int64 would overflow
+    for group in (cyclic(2), symmetric(3)):
+        module = trivial_module(group, [TWO_64])
+        assert [cohomology(group, module, n).invariant_factors for n in (0, 1, 2)] == [
+            (TWO_64,), (2,), (2,)
+        ]
+    c2 = cyclic(2)
+    h1 = cohomology(c2, trivial_module(c2, [TWO_64]), 1)
+    assert h1.invariant_factors == (2,)
+    rep = h1.representatives[0]
+    assert not rep.is_zero and is_cocycle(rep)
+    assert h1.class_of(rep).coordinates == (1,)
+    # C2 acting by -1: the action entry 2^64 - 1 itself is past int64
+    sign = gmodule(c2, [TWO_64], [[[1]], [[TWO_64 - 1]]])
+    groups = [cohomology(c2, sign, n) for n in (0, 1, 2)]
+    assert [h.invariant_factors for h in groups] == [(2,), (2,), (2,)]
+    assert all(is_cocycle(rep) for h in groups for rep in h.representatives)
+

@@ -1,9 +1,11 @@
+import json
 from math import gcd
 
 import pytest
 
 from twistlgp import groups, lgp, verify
 from twistlgp.albert import AlbertProfile, admissible_m
+from twistlgp.cli import parse_instance
 from twistlgp.cohomology import cohomology
 from twistlgp.gmodules import CyclotomicCharacter, descend_to_quotient, mu_module
 from twistlgp.groups import (
@@ -444,3 +446,13 @@ def test_c5_failure_records_one_attempt():
     assert e5.hypotheses["attempts"] == [
         {"normal_subgroup": [0, 3, 4], "h2_invariant_factors": [2]}
     ]
+
+
+def test_decide_with_a_twist_order_past_int64():
+    # C5 asks for H^2 with coefficients Z/10^40, past the int64 blocks
+    doc = {"m": 10**40, "group": "S3", "flags": {"dl_commutative": True}}
+    verdict = decide(parse_instance(json.dumps(doc)))
+    assert verdict.status == "UNKNOWN"
+    (c5,) = [e for e in verdict.trace if e.criterion == "coprime-normal-collapse"]
+    assert c5.outcome == "failed"
+    assert [a["h2_invariant_factors"] for a in c5.hypotheses["attempts"]] == [[2]]
