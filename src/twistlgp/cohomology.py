@@ -416,9 +416,10 @@ def inflation(
         col = emb[:, j] * d
         if any(int(col[i]) % module.orders[i] != 0 for i in range(module.rank)):
             raise IncompatibleCoefficients("embedding does not respect the orders")
-    for q, g in enumerate(proj.section):
+    # both sides are multiplicative in g, so generators of G suffice
+    for g in proj.source.generators:
         lhs = module.action_matrix(g) @ emb
-        rhs = emb @ coh.module.action_matrix(q)
+        rhs = emb @ coh.module.action_matrix(proj(g))
         for i in range(module.rank):
             for j in range(coh.module.rank):
                 if (int(lhs[i, j]) - int(rhs[i, j])) % module.orders[i] != 0:
@@ -470,10 +471,10 @@ def conjugation_on_cohomology(
         return _induced_map(coh, coh, elements, module.action[g])
 
     matrices = tuple(conjugated_matrix(g) for g in proj.section)
-    # inner conjugations must act trivially on cohomology
+    # inner conjugations must act trivially (they compose: N's generators suffice)
     b = coh.invariant_factors
     assert all(
-        _is_identity_mod(conjugated_matrix(n), b) for n in normal.elements
+        _is_identity_mod(conjugated_matrix(embed[x]), b) for x in sub_group.generators
     ), "inner action is not trivial"
     return ConjugationAction(
         cohomology=coh, quotient_group=q_group, projection=proj, matrices=matrices

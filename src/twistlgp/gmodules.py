@@ -18,7 +18,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_generated
+from .groups import FiniteGroup, GroupHom, Subgroup
 from .linalg import (
     diagonal_matrix,
     fixed_subgroup,
@@ -72,18 +72,18 @@ class GModule:
             for j in range(r):
                 if ident[i][j] != (1 if i == j else 0):
                     raise ValueError("identity must act trivially")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                gh = self.group.mul(g, h)
+        for x in self.group.generators:
+            for g in self.group.elements():
+                gx = self.group.mul(g, x)
                 for i in range(r):
                     for j in range(r):
                         acc = sum(
-                            self.action[g][i][k] * self.action[h][k][j]
+                            self.action[g][i][k] * self.action[x][k][j]
                             for k in range(r)
                         )
-                        if acc % orders[i] != self.action[gh][i][j]:
+                        if acc % orders[i] != self.action[gx][i][j]:
                             raise ValueError(
-                                f"action matrices incompatible at ({g}, {h})"
+                                f"action matrices incompatible at ({g}, {x})"
                             )
 
     @property
@@ -189,10 +189,12 @@ class CyclotomicCharacter:
         for g, v in enumerate(vals):
             if gcd(v, self.m) != 1:
                 raise BadCharacter(f"value {v} at element {g} is not a unit mod {self.m}")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                if (vals[g] * vals[h]) % self.m != vals[self.group.mul(g, h)]:
-                    raise BadCharacter(f"values are not multiplicative at ({g}, {h})")
+        if vals[0] != 1 % self.m:
+            raise BadCharacter("the identity must map to 1")
+        for x in self.group.generators:
+            for g in self.group.elements():
+                if (vals[g] * vals[x]) % self.m != vals[self.group.mul(g, x)]:
+                    raise BadCharacter(f"values are not multiplicative at ({g}, {x})")
 
     def __call__(self, g: int) -> int:
         return self.values[g]
@@ -220,21 +222,15 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
     if m == 1:
         return (CyclotomicCharacter.trivial(group, 1),)
     units = [u for u in range(m) if gcd(u, m) == 1]
-    gens: list[int] = []
-    span = {0}
-    for g in group.elements():
-        if g not in span:
-            gens.append(g)
-            span = set(subgroup_generated(group, gens).elements)
     found = set()
-    for images in itertools.product(units, repeat=len(gens)):
+    for images in itertools.product(units, repeat=len(group.generators)):
         values = [None] * group.order
         values[0] = 1
         frontier = [0]
         ok = True
         while frontier and ok:
             x = frontier.pop()
-            for g, u in zip(gens, images):
+            for g, u in zip(group.generators, images):
                 y = group.mul(x, g)
                 v = (values[x] * u) % m
                 if values[y] is None:

@@ -23,6 +23,7 @@ from twistlgp.cohomology import (
     zero_cochain,
 )
 from twistlgp.gmodules import (
+    CyclotomicCharacter,
     all_characters,
     descend_to_quotient,
     gmodule,
@@ -312,6 +313,20 @@ def test_inflation_rejects_bad_coefficients():
     x = cohomology(q, bad, 2)
     with pytest.raises(IncompatibleCoefficients):
         inflation(x, proj, module, [[1]])
+
+
+def test_inflation_rejects_coefficients_the_kernel_moves():
+    # N = {0, 1} acts on mu_4 by -1, so the trivial Z/4 over G/N does not
+    # embed equivariantly; the coset representatives 0 and 2 both act
+    # trivially, so a check on them alone would accept it
+    g = direct_product(cyclic(2), cyclic(2))
+    module = mu_module(g, 4, CyclotomicCharacter(g, 4, (1, 3, 1, 3)))
+    q, proj = quotient(g, Subgroup(g, (0, 1)))
+    assert proj.section == (0, 2)
+    for degree in range(3):
+        x = cohomology(q, trivial_module(q, [4]), degree)
+        with pytest.raises(IncompatibleCoefficients, match="not equivariant"):
+            inflation(x, proj, module, [[1]])
 
 
 def test_inflation_restriction_exactness_h1():
