@@ -16,8 +16,8 @@ from math import gcd
 
 from .cohomology import TooLarge
 
-# factorize trial-divides up to this bound and tests what is left for
-# primality; a cofactor it cannot prove prime is TooLarge.
+# is_prime and factorize trial-divide up to this bound and test what is left
+# with Miller-Rabin; a cofactor factorize cannot prove prime is TooLarge.
 TRIAL_DIVISION_BOUND = 10**6
 
 # Miller-Rabin with the first 13 primes as bases is correct for every n below
@@ -48,6 +48,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Trial division below TRIAL_DIVISION_BOUND and sqrt(n), then
+    Miller-Rabin; ``TooLarge`` only for n >= MILLER_RABIN_LIMIT."""
+    for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND, 2)):
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
+            return False
+    if n >= MILLER_RABIN_LIMIT:
+        raise TooLarge(f"cannot prove or refute that {n} is prime")
+    return _is_prime(n)
+
+
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization of n >= 1, or ``TooLarge`` when the cofactor
     left after trial division is not provably prime."""
@@ -61,7 +74,7 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     else:
         # no prime below the bound divides n, so a primality proof must end it
-        if n >= MILLER_RABIN_LIMIT or not _is_prime(n):
+        if not is_prime(n):
             raise TooLarge(
                 f"cannot factorize {whole}: the cofactor {n} has no prime factor"
                 f" below {TRIAL_DIVISION_BOUND} and is not provably prime"
@@ -102,7 +115,7 @@ def admissible_m(g: int) -> list[int]:
     divisors = [1]
     for p, e in factorize(two_g).items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    primes = sorted(d + 1 for d in divisors if d % 2 == 0 and factorize(d + 1) == {d + 1: 1})
+    primes = sorted(d + 1 for d in divisors if d % 2 == 0 and is_prime(d + 1))
     found = []
 
     def extend(start: int, m: int, phi: int) -> None:
@@ -118,7 +131,7 @@ def admissible_m(g: int) -> list[int]:
 
 
 def is_fermat_prime(p: int) -> bool:
-    if p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p < 3 or not is_prime(p):
         return False
     k = p - 1
     while k % 2 == 0:

@@ -21,10 +21,13 @@ multiplication table; the kernel rows, the coboundary generators and
 H^n is one ``linalg.subquotient`` of the cochain space: the integer cocycle
 lifts (the congruence kernel of the degree-n differential rows) modulo the
 columns of the degree-(n-1) differential matrix plus the coefficient
-relations.  The resulting witness data turns every later map (restriction,
-inflation, conjugation, locally-trivial kernels) into integer matrix
-algebra, and each kernel, fixed subgroup or image of such a map is another
-subquotient.
+relations, which are passed as the tuple of coefficient orders.  It is read
+only as matrices: the representatives are the columns of ``generators()``,
+and an induced map (restriction, inflation, conjugation) stacks the images
+of all source representatives as the columns of one matrix and reads their
+classes with one ``coordinates`` call; ``class_of`` is its one-column case.
+Each kernel, fixed subgroup or image of such a map is another subquotient,
+of Z/a_1 + ... + Z/a_s for a the invariant factors, read the same way.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -222,17 +225,23 @@ class CohomologyGroup:
             if not is_cocycle(cochain):
                 raise ValueError("not a cocycle")
             return CohClass(self, ())
+        column = np.array(cochain.vector, dtype=object).reshape(-1, 1)
+        return CohClass(self, tuple(self._coordinates(column)[:, 0]))
+
+    def _coordinates(self, cocycles: np.ndarray) -> np.ndarray:
+        """The class coordinates of the cocycle lifts in the columns of
+        ``cocycles``, one column each."""
         try:
-            coords = self._presentation.coordinates(np.array(cochain.vector, dtype=object))
+            return self._presentation.coordinates(cocycles)
         except NotInLattice:
             raise ValueError("not a cocycle") from None
-        return CohClass(self, coords)
 
     def element(self, coordinates) -> Cochain:
-        """The representative cochain with the given generator coordinates."""
+        """The representative cochain with the given generator coordinates,
+        each reduced mod its invariant factor."""
         acc = zero_cochain(self.module, self.degree)
-        for c, rep in zip(coordinates, self.representatives):
-            acc = acc.add(rep.scale(int(c)))
+        for c, d, rep in zip(coordinates, self.invariant_factors, self.representatives):
+            acc = acc.add(rep.scale(int(c) % d))
         return acc
 
     def to_report(self) -> dict:
@@ -261,15 +270,13 @@ class CohClass:
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    if module.rank == 0:
-        return CohomologyGroup(group, module, degree, (), ())
     presentation = subquotient(
         module.orders * group.order**degree,
         module.exponent,
         _differential_rows(group, module, degree),
         _coboundary_generators(group, module, degree),
     )
-    reps = tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators())
+    reps = tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators().T)
     return CohomologyGroup(
         group=group,
         module=module,
@@ -322,20 +329,17 @@ class CohomologyMap:
 
     def kernel(self) -> tuple[tuple[int, ...], tuple[CohClass, ...]]:
         """Invariant factors and generators of the kernel subgroup."""
-        factors, gens = _subgroup(
-            kernel_subgroup,
-            self.source.invariant_factors,
-            [(self.matrix, self.target.invariant_factors)],
-        )
-        return factors, tuple(CohClass(self.source, g) for g in gens)
+        quot = self._kernel()
+        return quot.factors, tuple(CohClass(self.source, g) for g in quot.generators().T)
+
+    def _kernel(self) -> LatticeQuotient:
+        a, b = self.source.invariant_factors, self.target.invariant_factors
+        return kernel_subgroup(a, [(self.matrix, b)])
 
     def image_invariants(self) -> tuple[int, ...]:
-        """The image is Z^s / L for L the lift of the kernel."""
+        """The image is the source modulo the kernel."""
         a = self.source.invariant_factors
-        if not a:
-            return ()
-        lift = kernel_subgroup(a, [(self.matrix, self.target.invariant_factors)]).lattice
-        return tuple(sorted(d for d in lift.scales if d != 1))
+        return subquotient(a, lcm(*a), iter(()), self._kernel().generators()).factors
 
     @property
     def is_injective(self) -> bool:
@@ -347,18 +351,6 @@ class CohomologyMap:
         return self.is_injective and self.source.order == self.target.order
 
 
-def _subgroup(build, orders, arg):
-    """Invariant factors and generator coordinate tuples of the subgroup
-    ``build(orders, arg)`` of Z/a_1 + ... + Z/a_r, a = ``orders``."""
-    if not orders:
-        return (), ()
-    quot = build(orders, arg)
-    gens = tuple(
-        tuple(int(x) % d for x, d in zip(g, orders)) for g in quot.generators()
-    )
-    return quot.factors, gens
-
-
 def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coefficients):
     """Matrix of the map on cohomology induced by the cochain map
     f -> (t -> C f(phi(t_1), ..., phi(t_n))), where ``elements`` lists
@@ -366,20 +358,15 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     the integer matrix C from source to target coordinates: one column per
     source generator, holding the target class of its image."""
     r, degree, order = source.module.rank, source.degree, source.group.order
-    count = len(elements) ** degree
+    s, count = len(source.representatives), len(elements) ** degree
     # the index of (phi(t_1), ..., phi(t_n)) for each target tuple t
     digits = np.indices((len(elements),) * degree).reshape(degree, count)
     pulled = np.reshape(tuple_index(order, np.asarray(elements)[digits]), count)
     reps = np.array([rep.vector for rep in source.representatives], dtype=object)
     coeff = np.array(coefficients, dtype=object)
-    images = reps.reshape(len(reps), order**degree, r)[:, pulled] @ coeff.T
-    cols = [
-        target.class_of(Cochain(target.module, target.degree, tuple(image.ravel()))).coordinates
-        for image in images
-    ]
-    return tuple(
-        tuple(col[i] for col in cols) for i in range(len(target.invariant_factors))
-    )
+    images = reps.reshape(s, order**degree, r)[:, pulled] @ coeff.T
+    coords = target._coordinates(images.reshape(s, count * target.module.rank).T)
+    return tuple(map(tuple, coords))
 
 
 def restriction(coh: CohomologyGroup, subgroup: Subgroup) -> CohomologyMap:
@@ -424,7 +411,7 @@ def inflation(
             for j in range(coh.module.rank):
                 if (int(lhs[i, j]) - int(rhs[i, j])) % module.orders[i] != 0:
                     raise IncompatibleCoefficients("embedding is not equivariant")
-    if coh.module.orders and kernel_subgroup(coh.module.orders, [(emb, module.orders)]).factors:
+    if kernel_subgroup(coh.module.orders, [(emb, module.orders)]).factors:
         raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree)
     return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb))
@@ -449,8 +436,10 @@ class ConjugationAction:
     projection: GroupHom
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def fixed_subgroup(self):
-        return _subgroup(fixed_subgroup, self.cohomology.invariant_factors, self.matrices)
+    def fixed_subgroup(self) -> tuple[tuple[int, ...], tuple[CohClass, ...]]:
+        """Invariant factors and generators of the fixed subgroup."""
+        quot = fixed_subgroup(self.cohomology.invariant_factors, self.matrices)
+        return quot.factors, tuple(CohClass(self.cohomology, g) for g in quot.generators().T)
 
 
 def conjugation_on_cohomology(
@@ -494,16 +483,13 @@ def sha_finite(
     h1 = cohomology(group, module, 1)
     if h1.is_trivial:
         return CohomologyGroup(group, module, 1, (), ())
-    maps = []
-    for sub in family:
-        res = restriction(h1, sub)
-        maps.append((res.matrix, res.target.invariant_factors))
-    factors, gens = _subgroup(kernel_subgroup, h1.invariant_factors, maps)
-    reps = tuple(h1.element(g) for g in gens)
+    restrictions = [restriction(h1, sub) for sub in family]
+    maps = [(res.matrix, res.target.invariant_factors) for res in restrictions]
+    quot = kernel_subgroup(h1.invariant_factors, maps)
     return CohomologyGroup(
         group=group,
         module=module,
         degree=1,
-        invariant_factors=factors,
-        representatives=reps,
+        invariant_factors=quot.factors,
+        representatives=tuple(h1.element(g) for g in quot.generators().T),
     )

@@ -25,7 +25,6 @@ from .linalg import (
     identity_matrix,
     int_matrix,
     smith_normal_form,
-    zero_matrix,
 )
 
 ModuleElement = tuple[int, ...]
@@ -127,7 +126,9 @@ class GModule:
         return itertools.product(*(range(d) for d in self.orders))
 
     def action_matrix(self, g: int) -> np.ndarray:
-        return int_matrix(self.action[g])
+        # the reshape keeps the 0 x 0 matrix of a zero module
+        rows = [[int(x) for x in row] for row in self.action[g]]
+        return np.array(rows, dtype=object).reshape(self.rank, self.rank)
 
 
 def gmodule(group: FiniteGroup, orders, action) -> GModule:
@@ -252,12 +253,7 @@ def _fixed_points(module: GModule, elements):
     as a lattice quotient (its generators lift them to Z^r), with the
     embedding: one column per generator, reduced mod the module orders."""
     quot = fixed_subgroup(module.orders, [module.action[g] for g in elements])
-    gens = quot.generators()
-    if gens:
-        embed = np.column_stack([g % np.array(module.orders, dtype=object) for g in gens])
-    else:
-        embed = zero_matrix(module.rank, 0)
-    return quot, embed
+    return quot, quot.generators() % np.array(module.orders, dtype=object).reshape(-1, 1)
 
 
 def invariants(module: GModule) -> GModule:
@@ -276,12 +272,7 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
     quot, embed = _fixed_points(module, proj.kernel_elements())
-    gens = quot.generators()
-    mats = []
-    for g in proj.section:
-        act = module.action_matrix(g)
-        cols = [quot.coordinates(act @ gen) for gen in gens]
-        mats.append(int_matrix(cols).T if cols else zero_matrix(0, 0))
+    mats = [quot.coordinates(module.action_matrix(g) @ embed) for g in proj.section]
     return gmodule(proj.target, quot.factors, mats), embed
 
 

@@ -402,6 +402,8 @@ class GroupHom:
     def __post_init__(self):
         if len(self.images) != self.source.order:
             raise ValueError("image list has wrong length")
+        if any(not 0 <= x < self.target.order for x in self.images):
+            raise ValueError("image outside the target group")
         if self.images[0] != 0:
             raise ValueError("homomorphism must send identity to identity")
         for x in self.source.generators:

@@ -17,11 +17,13 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   of ``reduced``, built the first time one of them is read; membership
   needs only ``reduced``.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
-  L / (span(sub) + diag(d)) with L a congruence kernel; ``kernel_subgroup``
-  and ``fixed_subgroup`` are its cases with no ``sub``.  Its order is counted
-  first from the diagonals of two triangular folds, and only a nontrivial
-  subquotient is diagonalized.  No other module knows how lattices are
-  represented.
+  L / (span(sub) + R) with L a congruence kernel and R = diag(d), passed as
+  the orders d and entering as a column scaling of ``forward``;
+  ``kernel_subgroup`` and ``fixed_subgroup`` are its cases with no ``sub``.
+  Its order is counted first from the diagonals of two triangular folds,
+  and only a nontrivial subquotient is diagonalized.  It is read as
+  matrices (``generators()``, ``coordinates(x)``); no other module reads a
+  ``Lattice``.
 """
 
 from __future__ import annotations
@@ -261,7 +263,11 @@ class Lattice:
 def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
     """The unique W with lattice.basis @ W == rhs; None if some column of
     rhs is not in the lattice."""
-    z = lattice.forward @ rhs
+    return _over_scales(lattice, lattice.forward @ rhs)
+
+
+def _over_scales(lattice: Lattice, z: np.ndarray) -> np.ndarray | None:
+    """Row i of z = forward @ rhs over scales[i]; None if rhs is not in L."""
     scales = np.array(lattice.scales, dtype=object).reshape(-1, 1)
     if (z % scales != 0).any():
         return None
@@ -428,17 +434,17 @@ class LatticeQuotient:
     """Structure of L / S for lattices S <= L of finite index.
 
     ``factors`` are the nontrivial invariant factors in ascending
-    divisibility order; ``generators()`` lifts the summand generators to L;
-    ``coordinates(x)`` expresses x in L as summand coordinates.  A trivial
-    quotient that ``subquotient`` counted has no Smith form (``_w_snf`` is
-    None): it has no generators, and coordinates only tests membership.
+    divisibility order; the columns of ``generators()`` lift the summand
+    generators to L; ``coordinates(x)`` holds the summand coordinates of the
+    columns of x, row i mod factors[i].  A trivial quotient that
+    ``subquotient`` counted has no Smith form (``_w_snf`` is None): it has no
+    generators, and coordinates only tests membership.
     """
 
     lattice: Lattice = field(repr=False, compare=False)
     factors: tuple[int, ...]
     _w_snf: SmithNormalForm | None = field(repr=False, compare=False)
     _kept: tuple[int, ...] = field(repr=False, compare=False)
-    _diag: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -448,57 +454,54 @@ class LatticeQuotient:
     def is_trivial(self) -> bool:
         return not self.factors
 
-    def coordinates(self, x: np.ndarray) -> tuple[int, ...]:
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
         if self._w_snf is None:
             if not self.lattice.contains(x):
                 raise NotInLattice("vector is not in the ambient lattice")
-            return ()
-        w = solve_columns(self.lattice, x.reshape(-1, 1))
+            return zero_matrix(0, x.shape[1])
+        w = solve_columns(self.lattice, x)
         if w is None:
             raise NotInLattice("vector is not in the ambient lattice")
-        y = self._w_snf.u @ w[:, 0]
-        return tuple(int(y[i] % self._diag[i]) for i in self._kept)
+        y = self._w_snf.u[list(self._kept)] @ w
+        return y % np.array(self.factors, dtype=object).reshape(-1, 1)
 
-    def generators(self) -> list[np.ndarray]:
+    def generators(self) -> np.ndarray:
         if self._w_snf is None:
-            return []
-        return [self.lattice.basis @ self._w_snf.u_inv[:, i] for i in self._kept]
+            return zero_matrix(self.lattice.reduced.shape[0], 0)
+        return self.lattice.basis @ self._w_snf.u_inv[:, list(self._kept)]
 
 
-def lattice_quotient(lattice: Lattice, sub_generators: np.ndarray) -> LatticeQuotient:
-    """Quotient of ``lattice`` by the sublattice generated by the columns of
-    ``sub_generators``, which must have finite index."""
-    w = solve_columns(lattice, sub_generators)
+def lattice_quotient(lattice: Lattice, sub: np.ndarray, orders) -> LatticeQuotient:
+    """L / (span(sub) + R) for L = ``lattice`` and R = diag(``orders``), of
+    full rank: forward @ diag(orders) is a column scaling of forward."""
+    forward = lattice.forward
+    z = np.concatenate([forward @ sub, forward * np.array(orders, dtype=object)], axis=1)
+    w = _over_scales(lattice, z)
     if w is None:
         raise NotInLattice("sub-generators do not lie in the lattice")
     w_snf = smith_normal_form(w)
-    k = len(lattice.scales)
-    diag = list(w_snf.diagonal) + [0] * (k - len(w_snf.diagonal))
-    if any(d == 0 for d in diag):
-        raise ValueError("quotient is infinite: sublattice has deficient rank")
-    kept = tuple(i for i, d in enumerate(diag) if d != 1)
-    factors = tuple(int(diag[i]) for i in kept)
-    return LatticeQuotient(
-        lattice=lattice, factors=factors, _w_snf=w_snf, _kept=kept, _diag=tuple(diag)
-    )
+    kept = tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
+    factors = tuple(w_snf.diagonal[i] for i in kept)
+    return LatticeQuotient(lattice=lattice, factors=factors, _w_snf=w_snf, _kept=kept)
 
 
 def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQuotient:
     """L / (span(sub) + R) for L = {x in Z^r : row . x == 0 (mod modulus)}
     over the (row, modulus) congruences (``congruence_kernel``) and R the
-    relation lattice generated by diag(``orders``); sub's columns lie in L.
-    Z^r / L is the image of the congruence rows: its invariant factors are
-    the scales of L other than 1, largest first.
+    relation lattice generated by diag(``orders``); sub's columns and R lie
+    in L.  Z^r / L is the image of the congruence rows: its invariant
+    factors are the scales of L other than 1, largest first.
 
     The order is counted first (``_quotient_order``); only a nontrivial
     subquotient pays for the Smith forms of ``lattice_quotient``."""
     lift = congruence_kernel(len(orders), exponent, congruences)
-    gens = np.concatenate([sub, diagonal_matrix(orders)], axis=1)
-    if not lift.contains(gens):
+    # R <= L iff reduced @ diag(orders) == 0 mod e: a column scaling
+    relations = lift.reduced * (np.array(orders, dtype=object) % exponent).astype(_dtype(exponent))
+    if not lift.contains(sub) or (relations % exponent).any():
         raise NotInLattice("sub-generators do not lie in the lattice")
     if _quotient_order(lift, sub, orders) == 1:
-        return LatticeQuotient(lattice=lift, factors=(), _w_snf=None, _kept=(), _diag=())
-    return lattice_quotient(lift, gens)
+        return LatticeQuotient(lattice=lift, factors=(), _w_snf=None, _kept=())
+    return lattice_quotient(lift, sub, orders)
 
 
 def kernel_subgroup(orders, maps) -> LatticeQuotient:

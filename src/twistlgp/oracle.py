@@ -231,6 +231,8 @@ def brute_sha(
     family = [sub if isinstance(sub, Subgroup) else Subgroup(group, tuple(sub)) for sub in family]
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
+    if any(sub.parent != group for sub in family):
+        raise ValueError("subgroup belongs to a different group")
     n = group.order
     size = module.size
     if size**n > budget.max_functions:

@@ -9,6 +9,8 @@ from twistlgp.albert import (
     coprimality_certificate,
     factorize,
     fermat_squarefree_check,
+    is_fermat_prime,
+    is_prime,
     is_squarefree,
     totient,
     totient_divides,
@@ -58,6 +60,31 @@ def test_factorize_matches_trial_division_and_never_lies():
     for n in (1000003 * 1000033, 399165290221 * 798330580441, 1287836182261 * 2575672364521):
         with pytest.raises(TooLarge):
             factorize(n)
+
+
+def test_is_prime_matches_trial_division_and_never_lies():
+    for n in range(-3, 10**5):
+        assert is_prime(n) == (n > 1 and trial_division(n) == {n: 1}), n
+    # past the trial-division bound: proven prime, or proven composite where
+    # factorize gives up (two primes above the bound; a strong pseudoprime to
+    # the first 12 prime bases that base 41 exposes)
+    assert is_prime(2**61 - 1) and is_prime(7045503383603)
+    assert not is_prime(1000003 * 1000033)
+    assert not is_prime(399165290221 * 798330580441)
+    # where the proven range ends, only a small factor still answers
+    with pytest.raises(TooLarge):
+        is_prime(1287836182261 * 2575672364521)
+    assert not is_prime(3 * 1287836182261 * 2575672364521)
+    assert [p for p in range(1, 300) if is_fermat_prime(p)] == [3, 5, 17, 257]
+    assert is_fermat_prime(65537) and not is_fermat_prime(2**32 + 1)
+
+
+def test_admissible_m_with_a_composite_past_the_bound():
+    # d + 1 = 1000036000099 = 1000003 * 1000033 for a divisor d of 2g: the
+    # primality test proves it composite where factorize gives up
+    assert admissible_m(500018000049) == [
+        3, 7, 9, 19, 27, 81, 163, 243, 487, 729, 111115111123, 333345333367
+    ]
 
 
 def test_admissible_m_published_tables():

@@ -401,19 +401,25 @@ def test_admissible_m_command_large_genus(capsys, monkeypatch):
     # built from the primes p with p - 1 | 2g: scanning the 10^12 odd
     # m <= 2g^2 with a factorization each would not finish
     calls = []
-    factorize = albert.factorize
 
-    def counted(n):
-        calls.append(n)
-        assert len(calls) < 1000, "admissible-m scanned the candidates"
-        return factorize(n)
+    def counted(fn):
+        def wrapped(n):
+            calls.append(n)
+            assert len(calls) < 1000, "admissible-m scanned the candidates"
+            return fn(n)
+        return wrapped
 
-    monkeypatch.setattr(albert, "factorize", counted)
+    monkeypatch.setattr(albert, "factorize", counted(albert.factorize))
+    monkeypatch.setattr(albert, "is_prime", counted(albert.is_prime))
     assert main(["admissible-m", "--genus", "1000000", "--json"]) == 0
     monkeypatch.undo()
     values = json.loads(capsys.readouterr().out)["admissible_m"]
     assert values[:6] == [3, 5, 11, 15, 17, 25] and values == sorted(set(values))
     assert all(m % 2 == 1 and 2 * 10**6 % albert.totient(m) == 0 for m in values)
+    # a divisor d of 2g with d + 1 composite past the trial-division bound
+    assert main(["admissible-m", "--genus", "500018000049", "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)["admissible_m"]
+    assert values[-2:] == [111115111123, 333345333367]
 
 
 def test_verify_paper_filter(capsys):

@@ -1,7 +1,9 @@
 import importlib
 import itertools
 import random
-from math import gcd
+from collections import Counter
+from math import gcd, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from twistlgp import linalg
 from twistlgp.cohomology import (
     Cochain,
+    CohClass,
     CohomologyMap,
     IncompatibleCoefficients,
     TooLarge,
@@ -42,6 +45,7 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
+from twistlgp.oracle import invariant_factors_from_orders
 
 # the package re-exports the function cohomology under the module's name
 cohomology_module = importlib.import_module("twistlgp.cohomology")
@@ -177,6 +181,18 @@ def test_class_of_and_membership():
     assert h1.class_of(zero_cochain(module, 1)).is_zero
     with pytest.raises(ValueError):
         h1.class_of(Cochain(module, 1, (0, 1, 0)))  # not a cocycle
+
+
+def test_element_reduces_each_coordinate():
+    # H^1(C2, Z/4 with the generator acting by -1) = Z/2, and twice the
+    # representative is a nonzero coboundary: element reads coordinate 3 as 1
+    c2 = cyclic(2)
+    h1 = cohomology(c2, mu_module(c2, 4, CyclotomicCharacter(c2, 4, (1, 3))), 1)
+    assert h1.invariant_factors == (2,)
+    rep = h1.representatives[0]
+    assert not rep.scale(2).is_zero and h1.class_of(rep.scale(2)).is_zero
+    assert h1.element((3,)) == h1.element((1,)) == rep
+    assert h1.element((2,)).is_zero
 
 
 def test_representatives_are_independent_cocycles():
@@ -329,6 +345,21 @@ def test_inflation_rejects_coefficients_the_kernel_moves():
             inflation(x, proj, module, [[1]])
 
 
+def test_inflation_from_the_zero_module():
+    # C6 acting on mu_3 through C6/C3: the order-2 subgroup fixes only 0, so
+    # the descended coefficients are the zero module; inflation from it used
+    # to fail on the 0 x 0 action matrix
+    c6 = cyclic(6)
+    module = mu_module(c6, 3, CyclotomicCharacter(c6, 3, (1, 2, 1, 2, 1, 2)))
+    q, proj = quotient(c6, subgroup_generated(c6, [3]))
+    zero, embed = descend_to_quotient(module, proj)
+    assert zero.is_trivial and embed.shape == (1, 0)
+    for degree in range(3):
+        inf = inflation(cohomology(q, zero, degree), proj, module, embed)
+        assert inf.source.is_trivial and inf.is_injective
+        assert inf.image_invariants() == () and inf.is_zero
+
+
 def test_inflation_restriction_exactness_h1():
     c4xc4 = direct_product(cyclic(4), cyclic(4))
     cases = [
@@ -377,7 +408,11 @@ def test_conjugation_trivial_cases():
     module = trivial_module(s3, [6])
     action = conjugation_on_cohomology(s3, full_subgroup(s3), module, 1)
     assert action.quotient_group.order == 1
-    assert action.fixed_subgroup()[0] == action.cohomology.invariant_factors
+    factors, gens = action.fixed_subgroup()
+    assert factors == action.cohomology.invariant_factors == (2,)
+    # the generators are classes of the cohomology group, as kernel() gives
+    assert [type(g) for g in gens] == [CohClass] and gens[0].parent is action.cohomology
+    assert gens[0].coordinates == (1,)
     # abelian G with trivial action on M: trivial in all degrees
     for degree in (0, 1, 2):
         c6 = cyclic(6)
@@ -458,20 +493,62 @@ def test_determinism():
 SMALL_NAMED = [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 7)] + ["Q8", "S3"]
 
 
+def reference_lattice_quotient(lattice, sub, orders):
+    """The quotient L / (span(sub) + diag(orders)) as built before the
+    relations entered as a column scaling: ``solve_columns`` on the dense
+    [sub | diag(orders)], a Smith diagonal padded with zeros to the rank of
+    L, generators as a list of vectors and coordinates one vector at a time."""
+    gens = np.concatenate([sub, linalg.diagonal_matrix(orders)], axis=1)
+    w = linalg.solve_columns(lattice, gens)
+    if w is None:
+        raise linalg.NotInLattice("sub-generators do not lie in the lattice")
+    w_snf = linalg.smith_normal_form(w)
+    k = len(lattice.scales)
+    diag = list(w_snf.diagonal) + [0] * (k - len(w_snf.diagonal))
+    if any(d == 0 for d in diag):
+        raise ValueError("quotient is infinite: sublattice has deficient rank")
+    kept = [i for i, d in enumerate(diag) if d != 1]
+
+    def coordinates(x):
+        w = linalg.solve_columns(lattice, x.reshape(-1, 1))
+        if w is None:
+            raise linalg.NotInLattice("vector is not in the ambient lattice")
+        y = w_snf.u @ w[:, 0]
+        return tuple(int(y[i] % diag[i]) for i in kept)
+
+    return SimpleNamespace(
+        factors=tuple(diag[i] for i in kept),
+        generators=[lattice.basis @ w_snf.u_inv[:, i] for i in kept],
+        coordinates=coordinates,
+    )
+
+
 def test_counted_order_equals_the_smith_order(monkeypatch):
     # every subquotient that H^0, H^1, H^2 and sha_finite build: the order
-    # counted from the two folds is the product of the Smith path's factors
+    # counted from the two folds is the product of the Smith path's factors,
+    # and the Smith path, with the relations as a column scaling, equals the
+    # dense reference entry for entry (factors, generators, coordinates)
     original = linalg.subquotient
     orders_seen = []
 
     def compared(orders, exponent, congruences, sub):
         congruences = list(congruences)
         lift = linalg.congruence_kernel(len(orders), exponent, iter(congruences))
-        gens = np.concatenate([sub, linalg.diagonal_matrix(orders)], axis=1)
-        smith = linalg.lattice_quotient(lift, gens)
+        smith = linalg.lattice_quotient(lift, sub, orders)
+        want = reference_lattice_quotient(lift, sub, orders)
         assert linalg._quotient_order(lift, sub, orders) == smith.order
+        assert smith.factors == want.factors
+        gens = smith.generators()
+        assert gens.shape == (len(orders), len(want.factors))
+        assert all((gens[:, i] == g).all() for i, g in enumerate(want.generators))
+        points = np.concatenate([lift.basis, gens, sub], axis=1)
+        coords = smith.coordinates(points)
+        assert coords.shape == (len(want.factors), points.shape[1])
+        for j in range(points.shape[1]):
+            assert tuple(coords[:, j]) == want.coordinates(points[:, j])
         quot = original(orders, exponent, iter(congruences), sub)
         assert quot.factors == smith.factors
+        assert (quot.generators() == gens).all() and (quot.coordinates(points) == coords).all()
         orders_seen.append(smith.order)
         return quot
 
@@ -517,6 +594,34 @@ def test_image_invariants_of_an_injective_map():
     assert h1.invariant_factors == (6,)
     unit = CohomologyMap(h1, h1, ((5,),))
     assert unit.kernel()[0] == () and unit.image_invariants() == (6,)
+
+
+def test_image_and_kernel_of_random_maps():
+    # maps of H^1(C2 x C4, Z/4) = Z/2 + Z/4 to itself; the image and the
+    # kernel are enumerated, and kernels with two generators occur
+    group = direct_product(cyclic(2), cyclic(4))
+    h1 = cohomology(group, trivial_module(group, [4]), 1)
+    a = h1.invariant_factors
+    assert a == (2, 4)
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(60):
+        matrix = tuple(tuple(rng.randrange(d) for _ in a) for d in a)
+        if any(matrix[i][j] * a[j] % a[i] for i in range(2) for j in range(2)):
+            continue  # not well defined on Z/2 + Z/4
+        f = CohomologyMap(h1, h1, matrix)
+        points = list(itertools.product(*(range(d) for d in a)))
+        image = {f.apply(CohClass(h1, x)).coordinates for x in points}
+        kernel_factors, kernel_gens = f.kernel()
+        seen.add(len(kernel_gens))
+        assert len(image) * prod(kernel_factors) == h1.order
+        assert all(f.apply(g).is_zero for g in kernel_gens)
+        orders = Counter(
+            next(n for n in itertools.count(1) if all(n * c % d == 0 for c, d in zip(y, a)))
+            for y in image
+        )
+        assert f.image_invariants() == invariant_factors_from_orders(orders)
+    assert {0, 1, 2} <= seen
 
 
 def reference_bar_terms(group, n):

@@ -166,6 +166,9 @@ def test_descend_to_quotient():
     sub3, embed3 = descend_to_quotient(module9, proj3)
     assert sub3.orders == (3,)
     assert not sub3.has_trivial_action  # the quotient C2 acts by -1
+    # the zero module descends to the zero module
+    zero, embed0 = descend_to_quotient(mu_module(c6, 1, CyclotomicCharacter.trivial(c6, 1)), proj)
+    assert zero.is_trivial and zero.group == q and embed0.shape == (0, 0)
 
 
 def test_fixed_submodule_under_subset():

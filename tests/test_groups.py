@@ -199,6 +199,14 @@ def test_quotient_hom_is_validated():
         GroupHom(cyclic(4), cyclic(2), (0, 1, 1, 1))
 
 
+def test_hom_rejects_images_outside_the_target():
+    # 5 is not an element of C2; this used to be an IndexError
+    for images in [(0, 5), (0, 2), (0, -1)]:
+        with pytest.raises(ValueError, match="outside the target"):
+            GroupHom(cyclic(2), cyclic(2), images)
+    assert GroupHom(cyclic(2), cyclic(2), (0, 1)).images == (0, 1)
+
+
 def test_section_is_least_preimage():
     s3 = symmetric(3)
     c3 = next(s for s in subgroups(s3) if s.order == 3)

@@ -448,6 +448,15 @@ def test_c5_failure_records_one_attempt():
     ]
 
 
+def test_decide_with_the_twist_order_one():
+    # mu_1 is the zero module: C5 descends it and asks for H^2 with no
+    # coefficients, which used to crash on the 0 x 0 action matrix
+    doc = {"m": 1, "group": "C2", "flags": {"dl_commutative": True}}
+    verdict = decide(parse_instance(json.dumps(doc)))
+    assert verdict.status == "HOLDS"
+    assert entry(verdict, "coprime-normal-collapse").outcome == "fired"
+
+
 def test_decide_with_a_twist_order_past_int64():
     # C5 asks for H^2 with coefficients Z/10^40, past the int64 blocks
     doc = {"m": 10**40, "group": "S3", "flags": {"dl_commutative": True}}

@@ -337,6 +337,10 @@ def test_subquotient_rejects_generators_outside_the_lattice():
     # L = 4Z: the relation 2 is not in L, with no sub at all
     with pytest.raises(NotInLattice):
         subquotient((2,), 4, iter([([1], 4)]), zero_matrix(1, 0))
+    # L = 2Z x Z and R = Z x 2Z have the same index, so the count alone
+    # would read a trivial quotient
+    with pytest.raises(NotInLattice):
+        subquotient((1, 2), 2, iter([([1, 0], 2)]), zero_matrix(2, 0))
     # L = {x == y mod 2}: (1, 0) is not in L, (1, 1) is
     congruences = [([1, -1], 2)]
     with pytest.raises(NotInLattice):
@@ -344,8 +348,9 @@ def test_subquotient_rejects_generators_outside_the_lattice():
     quot = subquotient((2, 2), 2, iter(congruences), int_matrix([[1], [1]]))
     assert quot.factors == ()
     with pytest.raises(NotInLattice):
-        quot.coordinates(int_matrix([[1, 0]])[0])
-    assert quot.coordinates(int_matrix([[3, 5]])[0]) == () and quot.generators() == []
+        quot.coordinates(int_matrix([[1], [0]]))
+    assert quot.coordinates(int_matrix([[3, 1], [5, 1]])).shape == (0, 2)
+    assert quot.generators().shape == (2, 0)
     # past 2^31 the lattice is kept over Python ints: L = 2^39 Z
     e = 2**40
     with pytest.raises(NotInLattice):
@@ -408,26 +413,27 @@ def test_h2_work_is_bounded(monkeypatch):
 
 
 def test_lattice_quotient_structure():
-    # Z^2 / <(2,0), (0,3)> == C2 x C3 == C6
-    q = lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[2, 0], [0, 3]]))
+    # Z^2 / <(2,0), (0,3)> == C2 x C3 == C6, with the relations as orders
+    q = lattice_quotient(congruence_kernel(2, 1, iter(())), zero_matrix(2, 0), (2, 3))
     assert q.factors == (6,)
     assert q.order == 6
-    gen = q.generators()[0]
-    assert q.coordinates(gen) == (1,)
-    assert q.coordinates(int_matrix([[2], [0]])[:, 0]) == (0,)
-
-
-def test_lattice_quotient_infinite_raises():
-    with pytest.raises(ValueError):
-        lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[2], [0]]))
+    gen = q.generators()
+    assert gen.shape == (2, 1)
+    assert (q.coordinates(gen) == int_matrix([[1]])).all()
+    assert (q.coordinates(int_matrix([[2, 1], [0, 0]])) == int_matrix([[0, 3]])).all()
+    # a sub column next to the relations: Z^2 / <(1,1), (2,0), (0,3)> is trivial
+    assert lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[1], [1]]), (2, 3)).factors == ()
 
 
 def test_lattice_quotient_membership_raises():
     lattice = congruence_kernel(2, 2, iter([([1, 0], 2)]))  # 2Z x Z
-    q = lattice_quotient(lattice, int_matrix([[4, 0], [0, 5]]))
+    q = lattice_quotient(lattice, zero_matrix(2, 0), (4, 5))
     assert q.factors == (10,)  # (2Z/4Z) + (Z/5Z) is cyclic of order 10
     with pytest.raises(NotInLattice):
-        q.coordinates(int_matrix([[1], [0]])[:, 0])
+        q.coordinates(int_matrix([[1], [0]]))
+    # a relation outside the lattice: 3 is not in 2Z
+    with pytest.raises(NotInLattice):
+        lattice_quotient(lattice, zero_matrix(2, 0), (3, 5))
 
 
 def check_lattice(lattice, rng):
@@ -482,13 +488,20 @@ def check_subquotient(quot, orders, expected, sub=None):
     """quot is expected / sub for subgroups sub <= expected of sum Z/orders,
     given by their elements; the default sub is the zero subgroup."""
     sub = sub or {tuple(0 for _ in orders)}
-    gens = [tuple(int(x) % d for x, d in zip(g, orders)) for g in quot.generators()]
+    lifts = quot.generators()
+    assert lifts.shape == (len(orders), len(quot.factors))
+    gens = [tuple(int(x) % d for x, d in zip(g, orders)) for g in lifts.T]
     assert generated(gens + sorted(sub), orders) == expected
     assert quot.order * len(sub) == len(expected)
     for a, b in zip(quot.factors, quot.factors[1:]):
         assert b % a == 0
-    for x in expected:
-        coords = quot.coordinates(int_matrix([list(x)])[0])
+    points = sorted(expected)
+    matrix = quot.coordinates(int_matrix(points).T)
+    assert matrix.shape == (len(quot.factors), len(points))
+    for j, x in enumerate(points):
+        # one column at a time gives the same coordinates as the whole matrix
+        coords = quot.coordinates(int_matrix([x]).T)[:, 0]
+        assert (coords == matrix[:, j]).all()
         total = [sum(c * g[i] for c, g in zip(coords, gens)) - x[i] for i in range(len(orders))]
         assert tuple(t % d for t, d in zip(total, orders)) in sub
     # the quotient's invariant factors, from the orders of the cosets (each

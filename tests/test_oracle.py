@@ -86,6 +86,19 @@ def test_brute_sha():
     assert partial == sha_finite(group, m2, [one_line]).invariant_factors
 
 
+def test_brute_sha_rejects_a_subgroup_of_another_group():
+    # {0, 1} is a subgroup of S3, not of C4; it used to be read as a subset of C4
+    c4 = cyclic(4)
+    module = trivial_module(c4, [2])
+    foreign = [Subgroup(symmetric(3), (0, 1))]
+    with pytest.raises(ValueError, match="different group"):
+        sha_finite(c4, module, foreign)
+    with pytest.raises(ValueError, match="different group"):
+        brute_sha(c4, module, foreign)
+    # the family may mix Subgroups of the group and element tuples
+    assert brute_sha(c4, module, [Subgroup(c4, (0, 2)), (0,)]) == brute_h1(c4, module)
+
+
 def test_oracle_matches_engine_on_catalog():
     budget = OracleBudget(300000)
     groups = [
