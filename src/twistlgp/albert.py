@@ -63,7 +63,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization of n >= 1, or ``TooLarge`` when the cofactor
-    left after trial division is not provably prime."""
+    left after trial division is proven composite (it has no prime factor
+    below the bound) or lies past the range ``is_prime`` can decide."""
     out: dict[int, int] = {}
     whole = n
     for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND, 2)):
@@ -73,11 +74,13 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     else:
-        # no prime below the bound divides n, so a primality proof must end it
+        # no prime below the bound divides n, so a primality proof must end
+        # it; is_prime raises TooLarge itself where it can neither prove nor
+        # refute
         if not is_prime(n):
             raise TooLarge(
-                f"cannot factorize {whole}: the cofactor {n} has no prime factor"
-                f" below {TRIAL_DIVISION_BOUND} and is not provably prime"
+                f"cannot factorize {whole}: the cofactor {n} is composite with no"
+                f" prime factor below {TRIAL_DIVISION_BOUND}"
             )
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -29,6 +29,16 @@ classes with one ``coordinates`` call; ``class_of`` is its one-column case.
 Each kernel, fixed subgroup or image of such a map is another subquotient,
 of Z/a_1 + ... + Z/a_s for a the invariant factors, read the same way.
 
+The rows whose last argument lies in a generating set X cut out the same
+cocycle lattice as all rows.  Evaluate d(d f) = 0 at (g_1, ..., g_n, h, k):
+every term but (d f)(g_1, ..., g_n, hk) has last argument h or k, so the k
+with (d f)(.., k) = 0 for all leading arguments are closed under products,
+and a non-empty X reaches all of G.  A different row set gives a different
+triangular basis of the same lattice, and so may give other representatives;
+so only H^n with n >= 1 and gcd(|G|, exponent of M) = 1 folds just those
+rows.  That H^n is 0 (restriction-corestriction), and its count and its
+membership test read only the lattice.
+
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
 """
@@ -38,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -131,25 +141,33 @@ def zero_cochain(module: GModule, degree: int) -> Cochain:
     return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
-def _differential_blocks(group: FiniteGroup, module: GModule, n: int):
+def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None):
     """The degree-n differential, one block of (n+1)-tuples at a time in
-    lexicographic order.  Yields the block's matrix, one row per ((n+1)-tuple,
-    coordinate) over (n-tuple, coordinate) positions, and the modulus of
-    each row.  Column indices are gathers on the multiplication table; the
-    terms of a row may share a column (g_1 = 1 puts g_1.f(g_2, ..) and
-    f(g_1 g_2, ..) on one), so they are accumulated with ``np.add.at``.
-    Entries are int64 or, for an exponent past ``_dtype``'s bound, Python
-    ints."""
+    lexicographic order; with ``last``, only the tuples whose last entry is
+    in ``last``, still in lexicographic order.  Yields the block's matrix,
+    one row per ((n+1)-tuple, coordinate) over (n-tuple, coordinate)
+    positions, and the modulus of each row.  Column indices are gathers on
+    the multiplication table; the terms of a row may share a column
+    (g_1 = 1 puts g_1.f(g_2, ..) and f(g_1 g_2, ..) on one), so they are
+    accumulated with ``np.add.at``.  Entries are int64 or, for an exponent
+    past ``_dtype``'s bound, Python ints."""
     order, r = group.order, module.rank
     table = np.array(group.mul_table)
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
     signs = np.array([(-1) ** k for k in range(1, n + 2)], dtype=dtype)
-    n_inputs, count = r * order**n, order ** (n + 1)
+    n_inputs = r * order**n
+    if last is None:
+        count = order ** (n + 1)
+    else:
+        ends = np.array(sorted(set(last)))
+        count = order**n * ends.size
     i = np.arange(r)[:, None]
     step = max(1, _BLOCK_ROWS // max(r, 1))
     for first in range(0, count, step):
         idx = np.arange(first, min(first + step, count))
+        if last is not None:  # the k-th kept tuple, as an index into G^(n+1)
+            idx = idx // ends.size * order + ends[idx % ends.size]
         digits = list(np.unravel_index(idx, (order,) * (n + 1)))
         t = np.arange(idx.size)[:, None, None]
         block = np.zeros((idx.size, r, n_inputs), dtype=dtype)
@@ -179,10 +197,10 @@ def is_cocycle(cochain: Cochain) -> bool:
     return coboundary(cochain).is_zero
 
 
-def _differential_rows(group: FiniteGroup, module: GModule, n: int):
+def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None):
     """The rows of ``_differential_blocks`` with their moduli, one at a
     time: the stream ``congruence_kernel`` reads."""
-    for block, moduli in _differential_blocks(group, module, n):
+    for block, moduli in _differential_blocks(group, module, n, last):
         yield from zip(block, moduli)
 
 
@@ -268,12 +286,26 @@ class CohClass:
         return all(c == 0 for c in self.coordinates)
 
 
+def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
+    """The last bar arguments whose differential rows span the cocycle
+    lattice: a generating set, never empty (C1's greedy set is empty, and
+    no rows at all would leave every cochain a cocycle)."""
+    return group.generators or (0,)
+
+
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
+    # Coprime order kills H^n for n >= 1, and a trivial H^n reads only the
+    # cocycle lattice, never a basis of it, so the generator rows do; every
+    # other call folds all rows, whose triangular basis fixes the
+    # representatives.
+    last = None
+    if degree and gcd(group.order, module.exponent) == 1:
+        last = _generator_ends(group)
     presentation = subquotient(
         module.orders * group.order**degree,
         module.exponent,
-        _differential_rows(group, module, degree),
+        _differential_rows(group, module, degree, last),
         _coboundary_generators(group, module, degree),
     )
     reps = tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators().T)

@@ -62,6 +62,16 @@ def test_factorize_matches_trial_division_and_never_lies():
             factorize(n)
 
 
+def test_factorize_says_why_it_gives_up():
+    # a cofactor proven composite is reported as composite, not as unproven;
+    # past the Miller-Rabin range the primality test's own refusal stands
+    assert 1000003 * 1000033 == 1000036000099
+    with pytest.raises(TooLarge, match="the cofactor 1000036000099 is composite with no prime"):
+        factorize(1000036000099)
+    with pytest.raises(TooLarge, match="cannot prove or refute"):
+        factorize(1287836182261 * 2575672364521)
+
+
 def test_is_prime_matches_trial_division_and_never_lies():
     for n in range(-3, 10**5):
         assert is_prime(n) == (n > 1 and trial_division(n) == {n: 1}), n

@@ -683,6 +683,17 @@ def test_differential_blocks_match_the_reference_rows():
             for (row, modulus), (ref_row, ref_modulus) in zip(got, expected):
                 assert modulus == ref_modulus and type(modulus) is int
                 assert row.tolist() == ref_row
+            # the rows whose last argument is a generator, in the same order
+            ends = cohomology_module._generator_ends(group)
+            kept = [
+                item for k, item in enumerate(expected)
+                if k // module.rank % group.order in ends
+            ]
+            got = list(cohomology_module._differential_rows(group, module, n, ends))
+            assert len(got) == len(kept) == len(expected) * len(ends) // group.order
+            for (row, modulus), (ref_row, ref_modulus) in zip(got, kept):
+                assert modulus == ref_modulus and type(modulus) is int
+                assert row.tolist() == ref_row
             if n:
                 gens = cohomology_module._coboundary_generators(group, module, n)
                 ref = linalg.int_matrix(
@@ -716,3 +727,81 @@ def test_cohomology_with_an_exponent_past_int64():
     assert [h.invariant_factors for h in groups] == [(2,), (2,), (2,)]
     assert all(is_cocycle(rep) for h in groups for rep in h.representatives)
 
+
+
+
+def test_generator_rows_span_the_cocycle_lattice():
+    # the rows whose last argument lies in the generating set cut out the
+    # same lattice as all rows, in every degree and whatever gcd(|G|, m):
+    # the same triangular diagonal, and each lattice holds the other's basis.
+    # Degree 2 takes the first character, and past order 8 three moduli.
+    groups = [named_group(name) for name in SMALL_NAMED]
+    groups.append(direct_product(cyclic(2), cyclic(2), cyclic(2)))
+    systems = 0
+    for group in groups:
+        ends = cohomology_module._generator_ends(group)
+        for m in range(2, 10):
+            for k, chi in enumerate(all_characters(group, m)[:4]):
+                module = mu_module(group, m, chi)
+                wide = not k and (group.order <= 8 or m in (2, 5, 7))
+                for n in (0, 1, 2) if wide else (0, 1):
+                    size, e = module.rank * group.order**n, module.exponent
+                    full = linalg.congruence_kernel(
+                        size, e, cohomology_module._differential_rows(group, module, n)
+                    )
+                    cut = linalg.congruence_kernel(
+                        size, e, cohomology_module._differential_rows(group, module, n, ends)
+                    )
+                    assert (np.diagonal(cut.reduced) == np.diagonal(full.reduced)).all()
+                    assert cut.contains(full.basis) and full.contains(cut.basis)
+                    systems += 1
+    assert systems > 800
+
+
+def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
+    # H^n with n >= 1 and gcd(|G|, m) = 1 feeds congruence_kernel the
+    # r |G|^n |X| generator rows, still folds them and builds no Smith form;
+    # H^0 and a non-coprime H^n feed all r |G|^(n+1) rows
+    congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
+    smith = linalg.smith_normal_form
+    fed, folded, built = [], [], []
+
+    def recorded_kernel(n, exponent, constraints):
+        items = list(constraints)
+        fed.append(len(items))
+        return congruence_kernel(n, exponent, iter(items))
+
+    def recorded_fold(pivots, block, e):
+        folded.append(block.shape)
+        return fold(pivots, block, e)
+
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
+    monkeypatch.setattr(linalg, "_fold", recorded_fold)
+    monkeypatch.setattr(linalg, "smith_normal_form", built.append)
+    c1, c8 = cyclic(1), cyclic(8)
+    c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
+    cases = [
+        (c8, trivial_module(c8, [9]), 2, 64),
+        (c2_3, trivial_module(c2_3, [5]), 1, 24),
+        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, 192),
+        (c1, trivial_module(c1, [3]), 1, 1),
+        (c1, trivial_module(c1, [3]), 2, 1),
+    ]
+    for group, module, degree, rows in cases:
+        fed.clear()
+        folded.clear()
+        coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
+        assert fed == [rows]
+        assert (rows, module.rank * group.order**degree) in folded
+        assert coh.is_trivial and coh._presentation._w_snf is None
+    assert not built
+    # all rows: H^0, coprime or not, and H^n with gcd(|G|, m) > 1
+    monkeypatch.setattr(linalg, "smith_normal_form", smith)
+    for group, module, degree in [
+        (c8, trivial_module(c8, [9]), 0),
+        (c2_3, trivial_module(c2_3, [5, 5]), 0),
+        (c8, trivial_module(c8, [2]), 1),
+    ]:
+        fed.clear()
+        cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
+        assert fed == [module.rank * group.order ** (degree + 1)]

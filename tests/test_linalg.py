@@ -378,9 +378,10 @@ def test_snf_transforms_match_the_eager_reference():
 
 
 def test_h2_work_is_bounded(monkeypatch):
-    # H^2(C8, Z/9) = 0: a fold of 576 rows over 64 columns.  The full-row fold
-    # calls xgcd 5403 times; xgcd runs only where a column's pivot changes.
-    # The count shows the quotient is trivial, so no Smith form is built.
+    # H^2(C8, Z/9) = 0: gcd(8, 9) = 1, so a fold of the 64 generator rows
+    # (of 576) over 64 columns.  It calls xgcd 68 times, as the fold of all
+    # 576 rows did: xgcd runs only where a column's pivot changes.  The count
+    # shows the quotient is trivial, so no Smith form is built.
     calls = []
     built = []
 
