@@ -297,7 +297,7 @@ def cmd_cohomology(args) -> int:
     if args.oracle:
         brute = {0: None, 1: brute_h1, 2: brute_h2}[args.degree]
         if brute is None:
-            payload["oracle"] = {"skipped": "degree 0 has no oracle", "agrees": True}
+            payload["oracle"] = {"skipped": "degree 0 has no oracle", "agrees": None}
         else:
             try:
                 factors = list(brute(group, module, budget))
@@ -306,9 +306,11 @@ def cmd_cohomology(args) -> int:
                     "agrees": factors == payload["invariant_factors"],
                 }
             except BudgetExceeded as exc:
-                payload["oracle"] = {"skipped": str(exc), "agrees": True}
+                payload["oracle"] = {"skipped": str(exc), "agrees": None}
     _emit(payload, args.json, _render_cohomology)
-    if args.oracle and not payload["oracle"]["agrees"]:
+    # a skipped oracle compared nothing: "agrees" is null, and only a
+    # disagreement fails
+    if args.oracle and payload["oracle"]["agrees"] is False:
         print("error: oracle disagrees with the engine", file=sys.stderr)
         return 1
     return 0

@@ -1,14 +1,20 @@
 """Brute-force cohomology on tiny instances, independent of the Smith normal
 form engine.
 
-Degree 1 searches the functions G -> M and degree 2 the normalized
-2-cochains (zero whenever an argument is the identity), depth first: slots
-get their values in order, and each cocycle identity is checked as soon as
-the last slot it reads is set, so a branch ends at the first identity it
-breaks.  The cocycles found are exactly those a full enumeration would
-keep, in the same order.  Quotients by coboundaries are read off from
-element-order statistics, which determine a finite abelian group up to
-isomorphism, so no linear algebra from the main engine is reused.
+Module elements are coded by their position in ``GModule.elements()``
+(code 0 is the zero element), and the sum, negation and action are
+tabulated once per call, so a cocycle identity is one chain of list
+look-ups.  Degree 1 searches the functions G -> M and degree 2 the
+normalized 2-cochains (zero whenever an argument is the identity), depth
+first: slots get their values in order, and each cocycle identity is
+checked as soon as the last slot it reads is set, so a branch ends at the
+first identity it breaks.  The cocycles found are exactly those a full
+enumeration would keep, in the same order.  The quotient Z / B by the
+coboundaries is read off from element orders: the order of the coset of f
+is the least k with k.f in B, and each coset holds |B| cocycles of that
+order, so counting orders over Z and dividing by |B| gives the order
+statistics of Z / B, which determine a finite abelian group up to
+isomorphism.  No linear algebra from the main engine is reused.
 """
 
 from __future__ import annotations
@@ -101,30 +107,45 @@ def invariant_factors_from_orders(orders: Counter) -> tuple[int, ...]:
     return factors
 
 
-def _quotient_invariants(cocycles, coboundaries, module):
-    """Structure of cocycles / coboundaries via canonical coset forms."""
-    r = module.rank
-    boundary_set = sorted(set(coboundaries))
+def _tables(module: GModule, budget: OracleBudget):
+    """The sum, negation and action on element codes: code i is the i-th
+    element of ``module.elements()``, so code 0 is the zero element.  The
+    |M|^2 sums count against the budget too: the cochain counts already
+    bound them, except over a group of order 1, or of order 2 in degree 2,
+    where a large module would otherwise build a table far past the
+    budget."""
+    size = module.size
+    if size * size > budget.max_functions:
+        raise BudgetExceeded(f"the {size}^2 sums of the addition table exceed the budget")
+    elements = list(module.elements())
+    code = {v: i for i, v in enumerate(elements)}
+    add = [[code[module.add(a, b)] for b in elements] for a in elements]
+    neg = [code[module.neg(a)] for a in elements]
+    act = [[code[module.act(g, a)] for a in elements] for g in module.group.elements()]
+    return add, neg, act
 
-    def add(a, b):
-        return tuple(
-            (x + y) % module.orders[i % r] for i, (x, y) in enumerate(zip(a, b))
-        )
 
-    def canonical(f):
-        return min(add(f, b) for b in boundary_set)
-
-    zero = canonical(tuple(0 for _ in cocycles[0])) if cocycles else ()
-    reps = sorted({canonical(f) for f in cocycles})
+def _quotient_invariants(cocycles, coboundaries, add):
+    """Structure of Z / B from element orders: the order of the coset of f is
+    the least k with k.f in B.  B is a subgroup of Z, so each coset holds |B|
+    cocycles, all of the same order, and dividing the count of each order
+    by |B| gives the order statistics of the quotient."""
+    boundary_set = set(coboundaries)
     orders = Counter()
-    for f in reps:
+    for f in cocycles:
         acc = f
         k = 1
-        while canonical(acc) != zero:
-            acc = add(acc, f)
+        while acc not in boundary_set:
+            acc = tuple([add[a][b] for a, b in zip(acc, f)])
             k += 1
         orders[k] += 1
-    return invariant_factors_from_orders(orders)
+    quotient = Counter()
+    for k, count in orders.items():
+        cosets, rest = divmod(count, len(boundary_set))
+        if rest:
+            raise ValueError("order statistics are inconsistent")
+        quotient[k] = cosets
+    return invariant_factors_from_orders(quotient)
 
 
 def _depth_first(values, identities_at, holds):
@@ -133,10 +154,12 @@ def _depth_first(values, identities_at, holds):
 
     ``identities_at[s]`` lists the identities whose last slot is s;
     ``holds(func, identity)`` is checked as soon as slot s is set, when
-    ``func`` holds the values of slots 0..s.  One list is yielded and then
-    changed in place, so a caller keeps a copy of what it needs."""
+    ``func`` holds the values of slots 0..s.  ``func`` has one more entry
+    after the slots, the zero code 0, for an identity to read where a
+    cochain is zero by definition.  One list is yielded and then changed in
+    place, so a caller keeps a copy of what it needs."""
     slots = len(identities_at)
-    func = [None] * slots
+    func = [0] * (slots + 1)
 
     def extend(s):
         if s == slots:
@@ -171,16 +194,15 @@ def brute_h2(
         raise BudgetExceeded(f"{size}^{free} normalized cochains exceed the budget")
     if module.rank == 0:
         return ()
-    elements = list(module.elements())
-    zero = module.zero()
+    add, neg, act = _tables(module, budget)
     nontrivial = [g for g in group.elements() if g != 0]
     free_slots = [(g, h) for g in nontrivial for h in nontrivial]
+    # f(g, h) with g or h the identity reads the zero entry after the slots
+    zero_slot = len(free_slots)
     slot_index = {pair: i for i, pair in enumerate(free_slots)}
 
-    def value(func, g, h):
-        if g == 0 or h == 0:
-            return zero
-        return func[slot_index[(g, h)]]
+    def slot(g, h):
+        return slot_index.get((g, h), zero_slot)
 
     # triples with an identity entry hold automatically for normalized
     # cochains; every other triple reads slot (h, k), so it has a last slot
@@ -188,36 +210,32 @@ def brute_h2(
     for g in nontrivial:
         for h in nontrivial:
             for k in nontrivial:
-                read = [(h, k), (group.mul(g, h), k), (g, group.mul(h, k)), (g, h)]
-                last = max(slot_index[p] for p in read if 0 not in p)
-                triples_at[last].append((g, h, k))
+                read = (
+                    slot(h, k),
+                    slot(group.mul(g, h), k),
+                    slot(g, group.mul(h, k)),
+                    slot(g, h),
+                )
+                last = max(i for i in read if i != zero_slot)
+                triples_at[last].append((act[g], *read))
 
     def holds(func, triple):
-        g, h, k = triple
-        acc = module.act(g, value(func, h, k))
-        acc = module.add(acc, module.neg(value(func, group.mul(g, h), k)))
-        acc = module.add(acc, value(func, g, group.mul(h, k)))
-        acc = module.add(acc, module.neg(value(func, g, h)))
-        return acc == zero
+        act_g, a, b, c, d = triple
+        return add[add[act_g[func[a]]][neg[func[b]]]][add[func[c]][neg[func[d]]]] == 0
 
     cocycles = [
-        tuple(c for v in func for c in v)
-        for func in _depth_first(elements, triples_at, holds)
+        tuple(func[:zero_slot]) for func in _depth_first(range(size), triples_at, holds)
     ]
-    coboundaries = []
-    for t in itertools.product(elements, repeat=max(n - 1, 0)):
-        # normalized 1-cochains: t(identity) = 0
-        chain = [zero] + list(t)
-        vals = []
-        for g, h in free_slots:
-            acc = module.act(g, chain[h])
-            acc = module.add(acc, module.neg(chain[group.mul(g, h)]))
-            acc = module.add(acc, chain[g])
-            vals.append(acc)
-        coboundaries.append(tuple(c for v in vals for c in v))
-    if not coboundaries:
-        coboundaries = [()]
-    return _quotient_invariants(cocycles, coboundaries, module)
+    # normalized 1-cochains t (t(identity) = 0); (d t)(g, h) = g.t(h) - t(gh) + t(g)
+    terms = [(act[g], h, group.mul(g, h), g) for g, h in free_slots]
+    coboundaries = [
+        tuple(
+            add[add[act_g[chain[h]]][neg[chain[gh]]]][chain[g]]
+            for act_g, h, gh, g in terms
+        )
+        for chain in ((0, *t) for t in itertools.product(range(size), repeat=n - 1))
+    ]
+    return _quotient_invariants(cocycles, coboundaries, add)
 
 
 def brute_sha(
@@ -239,39 +257,30 @@ def brute_sha(
         raise BudgetExceeded(f"{size}^{n} functions exceed the budget")
     if module.rank == 0:
         return ()
-    elements = list(module.elements())
+    add, neg, act = _tables(module, budget)
     # the identity f(gh) = g.f(h) + f(g) is checked once f(max(g, h, gh)) is set
     pairs_at = [[] for _ in range(n)]
     for g in group.elements():
         for h in group.elements():
             gh = group.mul(g, h)
-            pairs_at[max(g, h, gh)].append((g, h, gh))
+            pairs_at[max(g, h, gh)].append((act[g], g, h, gh))
 
     def holds(func, pair):
-        g, h, gh = pair
-        return func[gh] == module.add(module.act(g, func[h]), func[g])
+        act_g, g, h, gh = pair
+        return func[gh] == add[act_g[func[h]]][func[g]]
 
-    local_boundaries = []
-    for sub in family:
-        bset = set()
-        for m in elements:
-            bset.add(
-                tuple(
-                    module.add(module.act(h, m), module.neg(m))
-                    for h in sub.elements
-                )
-            )
-        local_boundaries.append((sub.elements, bset))
-    cocycles = []
-    for func in _depth_first(elements, pairs_at, holds):
-        locally_trivial = all(
-            tuple(func[h] for h in elems) in bset
-            for elems, bset in local_boundaries
-        )
-        if locally_trivial:
-            cocycles.append(tuple(c for v in func for c in v))
-    coboundaries = []
-    for m in elements:
-        vals = [module.add(module.act(g, m), module.neg(m)) for g in group.elements()]
-        coboundaries.append(tuple(c for v in vals for c in v))
-    return _quotient_invariants(cocycles, coboundaries, module)
+    def coboundary(elems, m):
+        # (d m)(g) = g.m - m on the given elements
+        return tuple(add[act[g][m]][neg[m]] for g in elems)
+
+    local_boundaries = [
+        (sub.elements, {coboundary(sub.elements, m) for m in range(size)})
+        for sub in family
+    ]
+    cocycles = [
+        tuple(func[:n])
+        for func in _depth_first(range(size), pairs_at, holds)
+        if all(tuple(func[h] for h in elems) in bset for elems, bset in local_boundaries)
+    ]
+    coboundaries = [coboundary(group.elements(), m) for m in range(size)]
+    return _quotient_invariants(cocycles, coboundaries, add)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlgp import albert
+from twistlgp import albert, cli
 from twistlgp.cli import (
     ALBERT_FIELDS,
     FLAG_NAMES,
@@ -296,8 +296,36 @@ def test_cohomology_with_oracle(capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["oracle"]["agrees"]
+    assert payload["oracle"]["agrees"] is True
     assert payload["oracle"]["invariant_factors"] == payload["invariant_factors"]
+
+
+@pytest.mark.parametrize(
+    "group, degree, reason",
+    [("C2", "0", "degree 0 has no oracle"), ("S3", "2", "normalized cochains exceed the budget")],
+)
+def test_cohomology_with_a_skipped_oracle(capsys, group, degree, reason):
+    # a skipped oracle compared nothing, so it reports "agrees": null
+    argv = ["cohomology", "--group", group, "--module", "mu:3", "--degree", degree, "--oracle"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle"]["agrees"] is None
+    assert reason in payload["oracle"]["skipped"]
+    assert "invariant_factors" not in payload["oracle"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("oracle skipped: ") and reason in lines[-1]
+
+
+def test_cohomology_oracle_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_h1", lambda group, module, budget: (7,))
+    argv = ["cohomology", "--group", "C4", "--module", "mu:2", "--degree", "1", "--oracle"]
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["oracle"] == {"invariant_factors": [7], "agrees": False}
+    assert "oracle disagrees" in captured.err
+    assert main(argv) == 1
+    assert "oracle agrees: False" in capsys.readouterr().out
 
 
 def test_cohomology_module_grammar(capsys):

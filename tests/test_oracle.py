@@ -1,5 +1,9 @@
+import ast
+import functools
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +19,17 @@ from twistlgp.groups import (
     Subgroup,
     cyclic,
     cyclic_subgroups,
+    dihedral,
     direct_product,
+    quaternion,
     symmetric,
 )
+from twistlgp import oracle
 from twistlgp.oracle import (
     BudgetExceeded,
     OracleBudget,
     _quotient_invariants,
+    _tables,
     brute_h1,
     brute_h2,
     brute_sha,
@@ -193,6 +201,34 @@ def flat(func):
     return tuple(c for v in func for c in v)
 
 
+def reference_quotient_invariants(cocycles, coboundaries, module):
+    """Structure of cocycles / coboundaries, given as flat coordinate tuples,
+    via canonical coset forms: the least element of each coset f + B, and the
+    order of each canonical form read by repeated addition."""
+    r = module.rank
+    boundary_set = sorted(set(coboundaries))
+
+    def add(a, b):
+        return tuple(
+            (x + y) % module.orders[i % r] for i, (x, y) in enumerate(zip(a, b))
+        )
+
+    def canonical(f):
+        return min(add(f, b) for b in boundary_set)
+
+    zero = canonical(tuple(0 for _ in cocycles[0])) if cocycles else ()
+    reps = sorted({canonical(f) for f in cocycles})
+    orders = Counter()
+    for f in reps:
+        acc = f
+        k = 1
+        while canonical(acc) != zero:
+            acc = add(acc, f)
+            k += 1
+        orders[k] += 1
+    return invariant_factors_from_orders(orders)
+
+
 def tables(group, module):
     """Module elements, and the action, sum and negation on their indices."""
     elements = list(module.elements())
@@ -203,6 +239,7 @@ def tables(group, module):
     return elements, act, add, neg
 
 
+@functools.lru_cache(maxsize=None)
 def reference_h1_cocycles(group, module):
     """The full enumeration the pruned search must agree with: every function
     G -> M, kept when f(gh) = g.f(h) + f(g) holds for every pair.  It runs
@@ -217,7 +254,9 @@ def reference_h1_cocycles(group, module):
     ]
 
 
-def reference_sha(group, module, family, cocycles):
+def sha_pair(group, module, family, cocycles):
+    """The locally-trivial cocycles among ``cocycles`` and the coboundaries,
+    as flat coordinate tuples."""
     def locally_trivial(func, sub):
         return any(
             all(func[h] == module.add(module.act(h, m), module.neg(m)) for h in sub.elements)
@@ -229,13 +268,18 @@ def reference_sha(group, module, family, cocycles):
         flat(module.add(module.act(g, m), module.neg(m)) for g in group.elements())
         for m in module.elements()
     ]
-    return _quotient_invariants(kept, coboundaries, module)
+    return kept, coboundaries
 
 
-def reference_h2(group, module):
-    """Every normalized 2-cochain, kept when the cocycle identity
+def reference_sha(group, module, family, cocycles):
+    return reference_quotient_invariants(*sha_pair(group, module, family, cocycles), module)
+
+
+def h2_pair(group, module):
+    """Every normalized 2-cochain kept when the cocycle identity
     g.f(h, k) - f(gh, k) + f(g, hk) - f(g, h) = 0 holds for every triple of
-    nontrivial elements."""
+    nontrivial elements, and the coboundaries of normalized 1-cochains, as
+    flat coordinate tuples."""
     elements, act, add, neg = tables(group, module)
     nontrivial = [g for g in group.elements() if g != 0]
     free_slots = [(g, h) for g in nontrivial for h in nontrivial]
@@ -270,10 +314,19 @@ def reference_h2(group, module):
                 for g, h in free_slots
             )
         )
-    return _quotient_invariants(cocycles, coboundaries or [()], module)
+    return cocycles, coboundaries or [()]
 
 
-def test_pruned_search_matches_full_enumeration():
+def reference_h2(group, module):
+    return reference_quotient_invariants(*h2_pair(group, module), module)
+
+
+SWAP = gmodule(cyclic(2), [3, 3], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+
+
+def pruned_search_cases():
+    """Every mu-module of size <= 9 over the groups of order <= 4 and S3,
+    plus the swap on (Z/3)^2, and whether degree 2 is compared too."""
     small = [
         cyclic(1),
         cyclic(2),
@@ -281,15 +334,20 @@ def test_pruned_search_matches_full_enumeration():
         cyclic(4),
         direct_product(cyclic(2), cyclic(2)),
     ]
-    c2 = cyclic(2)
-    swap = gmodule(c2, [3, 3], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     cases = [
         (group, mu_module(group, m, chi))
         for group in small + [symmetric(3)]
         for m in range(2, 10)
         for chi in all_characters(group, m)
-    ] + [(c2, swap)]
-    for group, module in cases:
+    ] + [(cyclic(2), SWAP)]
+    return [
+        (group, module, (group.order <= 4 and module.size <= 3) or module is SWAP)
+        for group, module in cases
+    ]
+
+
+def test_pruned_search_matches_full_enumeration():
+    for group, module, with_h2 in pruned_search_cases():
         cocycles = reference_h1_cocycles(group, module)
         trivial = [Subgroup(group, (0,))]
         family = cyclic_subgroups(group)
@@ -298,21 +356,122 @@ def test_pruned_search_matches_full_enumeration():
         assert brute_sha(group, module, family) == reference_sha(
             group, module, family, cocycles
         ), label
-        if (group.order <= 4 and module.size <= 3) or module is swap:
+        if with_h2:
             assert brute_h2(group, module) == reference_h2(group, module), label
 
 
+def test_coset_orders_match_canonical_cosets():
+    # the oracle's quotient, on element codes and coset orders, against the
+    # canonical coset forms on coordinate tuples, on the same pairs
+    compared = 0
+    for group, module, with_h2 in pruned_search_cases():
+        cocycles = reference_h1_cocycles(group, module)
+        pairs = [
+            sha_pair(group, module, family, cocycles)
+            for family in ([Subgroup(group, (0,))], cyclic_subgroups(group))
+        ]
+        if with_h2:
+            pairs.append(h2_pair(group, module))
+        code = {v: i for i, v in enumerate(module.elements())}
+        r = module.rank
+
+        def encode(vector):
+            return tuple(code[vector[i : i + r]] for i in range(0, len(vector), r))
+
+        add, _, _ = _tables(module, OracleBudget())
+        for cocycle_list, coboundaries in pairs:
+            assert _quotient_invariants(
+                [encode(f) for f in cocycle_list], [encode(b) for b in coboundaries], add
+            ) == reference_quotient_invariants(cocycle_list, coboundaries, module), (
+                group.name,
+                module.orders,
+                module.action,
+            )
+            compared += 1
+    # 115 modules, two families each, and 16 of them in degree 2
+    assert compared == 246
+
+
+def test_quotient_rejects_order_counts_that_do_not_divide():
+    # Z/4 with B = {0, 2} given only three cocycles: the orders cannot come
+    # from cosets of B
+    add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    with pytest.raises(ValueError, match="inconsistent"):
+        _quotient_invariants([(0,), (1,), (2,)], [(0,), (2,)], add)
+    assert _quotient_invariants([(a,) for a in range(4)], [(0,), (2,)], add) == (2,)
+
+
 def test_pruning_bounds_the_work(monkeypatch):
-    # the full enumeration of the 9^6 functions C6 -> Z/9 made 952,299 calls
-    calls = 0
+    # a full enumeration of the 9^6 functions C6 -> Z/9 makes 9^6 * 36 identity
+    # checks; the depth-first search makes 558, and the tables 6 * 9 actions
+    checks = 0
+    acts = 0
+    depth_first = oracle._depth_first
     act = GModule.act
 
+    def counting_depth_first(values, identities_at, holds):
+        def counting_holds(func, identity):
+            nonlocal checks
+            checks += 1
+            return holds(func, identity)
+
+        return depth_first(values, identities_at, counting_holds)
+
     def counting_act(self, g, a):
-        nonlocal calls
-        calls += 1
+        nonlocal acts
+        acts += 1
         return act(self, g, a)
 
+    monkeypatch.setattr(oracle, "_depth_first", counting_depth_first)
     monkeypatch.setattr(GModule, "act", counting_act)
     group = cyclic(6)
     assert brute_h1(group, trivial_module(group, [9])) == (3,)
-    assert calls < 10000
+    assert 0 < checks < 1000
+    assert acts <= 54
+
+
+def test_tables_count_against_the_budget():
+    # C1 admits |M| functions, but the addition table has |M|^2 entries
+    c1 = cyclic(1)
+    big = trivial_module(c1, [101])
+    with pytest.raises(BudgetExceeded, match="addition table"):
+        brute_h1(c1, big, OracleBudget(10**4))
+    with pytest.raises(BudgetExceeded, match="addition table"):
+        brute_h2(c1, big, OracleBudget(10**4))
+    assert brute_h1(c1, trivial_module(c1, [100]), OracleBudget(10**4)) == ()
+    assert brute_h2(c1, trivial_module(c1, [100]), OracleBudget(10**4)) == ()
+
+
+def test_degree_one_oracle_matches_engine_to_order_24():
+    groups = [
+        dihedral(6),
+        cyclic(12),
+        symmetric(4),
+        dihedral(12),
+        cyclic(24),
+        direct_product(quaternion(), cyclic(3)),
+    ]
+    compared = 0
+    for group in groups:
+        for m in (2, 3, 4, 6):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                budget = OracleBudget(module.size**group.order)
+                assert brute_h1(group, module, budget) == cohomology(
+                    group, module, 1
+                ).invariant_factors, (group.name, m, chi.values)
+                compared += 1
+    assert compared == 60
+
+
+def test_oracle_imports_only_the_stdlib_groups_and_gmodules():
+    # the oracle stays independent of the engine it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("gmodules", "groups"), node.module
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
