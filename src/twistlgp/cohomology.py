@@ -39,6 +39,18 @@ so only H^n with n >= 1 and gcd(|G|, exponent of M) = 1 folds just those
 rows.  That H^n is 0 (restriction-corestriction), and its count and its
 membership test read only the lattice.
 
+H^2 with coefficients Z/e (rank 1), e squarefree, below 2^31 and not prime
+to |G| is counted instead.  Z/e is the sum of its F_p parts, and over the
+field F_p rank is the only invariant, so dim H^2 = |G|^2 - rank d^2 -
+rank d^1, with d^2 read from its generator rows (they span over F_p too).
+Each rank is one ``linalg.rank_mod_p``, and the invariant factors follow
+from the dimensions.  ``decide`` and most checks read only those; the
+representatives and the presentation are built on first read, by the same
+subquotient of all rows as the eager path, which must find the same
+factors, so every representative keeps its bytes.  Only degree 2 counts:
+degree-1 groups feed ``restriction`` and ``sha_finite``, which read the
+representatives anyway, so a count there would be pure overhead.
+
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
 """
@@ -47,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -61,6 +73,7 @@ from .linalg import (
     _dtype,
     fixed_subgroup,
     kernel_subgroup,
+    rank_mod_p,
     subquotient,
     zero_matrix,
 )
@@ -293,28 +306,97 @@ def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
     return group.generators or (0,)
 
 
-@lru_cache(maxsize=None)
-def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    # Coprime order kills H^n for n >= 1, and a trivial H^n reads only the
-    # cocycle lattice, never a basis of it, so the generator rows do; every
-    # other call folds all rows, whose triangular basis fixes the
-    # representatives.
-    last = None
-    if degree and gcd(group.order, module.exponent) == 1:
-        last = _generator_ends(group)
-    presentation = subquotient(
+def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None):
+    """H^degree as one subquotient of the integer cochains, folding the rows
+    whose last argument lies in ``last`` (all rows for None)."""
+    return subquotient(
         module.orders * group.order**degree,
         module.exponent,
         _differential_rows(group, module, degree, last),
         _coboundary_generators(group, module, degree),
     )
-    reps = tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators().T)
+
+
+def _counted_factors(group: FiniteGroup, module: GModule, degree: int, primes) -> tuple[int, ...]:
+    """Invariant factors of H^degree(G, Z/e) for e the product of ``primes``.
+
+    Z/e is the sum of its F_p parts, and over F_p
+    dim H^n = |G|^n - rank d^n - rank d^(n-1), with d^n read from its
+    generator rows.  A factor is the product of the p whose dimension
+    reaches its place, smallest factor first."""
+    ends = _generator_ends(group)
+    dims = {}
+    for p in primes:
+        rows = (block for block, _ in _differential_blocks(group, module, degree, ends))
+        dims[p] = group.order**degree - rank_mod_p(rows, p)
+        if degree:
+            rows = (block for block, _ in _differential_blocks(group, module, degree - 1))
+            dims[p] -= rank_mod_p(rows, p)
+    top = max(dims.values(), default=0)
+    return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
+
+
+def _representatives(module: GModule, degree: int, presentation: LatticeQuotient):
+    return tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators().T)
+
+
+class _CountedCohomologyGroup(CohomologyGroup):
+    """H^2 with coefficients Z/e, e squarefree: the invariant factors are
+    counted over each F_p, and the presentation, so the representatives,
+    is built on first read by the same subquotient as the eager path, which
+    must find the same factors."""
+
+    def __init__(self, group: FiniteGroup, module: GModule, degree: int, factors):
+        self.group, self.module, self.degree = group, module, degree
+        self.invariant_factors = factors
+
+    @cached_property
+    def _presentation(self) -> LatticeQuotient:
+        presentation = _z_presentation(self.group, self.module, self.degree)
+        if presentation.factors != self.invariant_factors:
+            raise ArithmeticError(
+                f"counted invariant factors {self.invariant_factors} differ from "
+                f"the presentation's {presentation.factors}"
+            )
+        return presentation
+
+    @cached_property
+    def representatives(self) -> tuple[Cochain, ...]:
+        return _representatives(self.module, self.degree, self._presentation)
+
+    def __repr__(self) -> str:
+        # the dataclass repr would read, so build, the representatives
+        return (
+            f"{type(self).__name__}(group={self.group!r}, module={self.module!r}, "
+            f"degree={self.degree!r}, invariant_factors={self.invariant_factors!r})"
+        )
+
+
+@lru_cache(maxsize=None)
+def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
+    # A squarefree cyclic H^2 is counted over each F_p and presented only
+    # when read.  Coprime order kills H^n for n >= 1, and a trivial H^n reads
+    # only the cocycle lattice, never a basis of it, so the generator rows
+    # do; every other call folds all rows, whose triangular basis fixes the
+    # representatives.
+    e = module.exponent
+    if degree == 2 and module.rank == 1 and e < 2**31 and gcd(group.order, e) > 1:
+        from .albert import factorize  # albert imports this module
+
+        primes = factorize(e)
+        if all(k == 1 for k in primes.values()):
+            factors = _counted_factors(group, module, degree, tuple(primes))
+            return _CountedCohomologyGroup(group, module, degree, factors)
+    last = None
+    if degree and gcd(group.order, e) == 1:
+        last = _generator_ends(group)
+    presentation = _z_presentation(group, module, degree, last)
     return CohomologyGroup(
         group=group,
         module=module,
         degree=degree,
         invariant_factors=presentation.factors,
-        representatives=reps,
+        representatives=_representatives(module, degree, presentation),
         _presentation=presentation,
     )
 

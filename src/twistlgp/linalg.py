@@ -24,6 +24,8 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   and only a nontrivial subquotient is diagonalized.  It is read as
   matrices (``generators()``, ``coordinates(x)``); no other module reads a
   ``Lattice``.
+* ``rank_mod_p`` is the same fold over the field F_p, read only for the
+  number of its pivots.
 """
 
 from __future__ import annotations
@@ -336,6 +338,16 @@ def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
                 a, base = g, (x * base + y * tail) % e
             start = stop + 1
         pivots[j] = base
+
+
+def rank_mod_p(blocks, p: int) -> int:
+    """The rank over F_p (p prime, below 2^31) of the rows of the int64
+    ``blocks``: ``_fold`` mod p turns a column's pivot from p into 1 at its
+    first nonzero entry, so the rank is the number of pivots equal to 1."""
+    pivots: dict[int, np.ndarray] = {}
+    for block in blocks:
+        _fold(pivots, block % p, p)
+    return sum(int(base[0]) == 1 for base in pivots.values())
 
 
 def _reduced(pivots: dict[int, np.ndarray], n: int, e: int) -> np.ndarray:

@@ -3,8 +3,9 @@ form engine.
 
 Module elements are coded by their position in ``GModule.elements()``
 (code 0 is the zero element), and the sum, negation and action are
-tabulated once per call, so a cocycle identity is one chain of list
-look-ups.  Degree 1 searches the functions G -> M and degree 2 the
+tabulated once per call, so a cocycle identity is one chain of look-ups;
+the sums are windows of one range or rows built by translation, never
+|M|^2 module additions.  Degree 1 searches the functions G -> M and degree 2 the
 normalized 2-cochains (zero whenever an argument is the identity), depth
 first: slots get their values in order, and each cocycle identity is
 checked as soon as the last slot it reads is set, so a branch ends at the
@@ -20,6 +21,7 @@ isomorphism.  No linear algebra from the main engine is reused.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
@@ -109,17 +111,33 @@ def invariant_factors_from_orders(orders: Counter) -> tuple[int, ...]:
 
 def _tables(module: GModule, budget: OracleBudget):
     """The sum, negation and action on element codes: code i is the i-th
-    element of ``module.elements()``, so code 0 is the zero element.  The
-    |M|^2 sums count against the budget too: the cochain counts already
-    bound them, except over a group of order 1, or of order 2 in degree 2,
-    where a large module would otherwise build a table far past the
-    budget."""
+    element of ``module.elements()``, so code 0 is the zero element.
+
+    ``add[a][b]`` is the code of the sum.  Over Z/d the sums with a are the
+    codes a, a + 1, ... read cyclically, so row a is a window of one doubled
+    range, with no entries of its own.  Over a product of cyclic groups the
+    codes are mixed-radix numerals, and adding the unit of a digit is a
+    translation: row a + e_i reads the row of e_i at the entries of row a.
+    The |M|^2 sums still count against the budget, as when every entry was
+    tabulated: the cochain counts bound them, except over a group of order
+    1, or of order 2 in degree 2."""
     size = module.size
     if size * size > budget.max_functions:
         raise BudgetExceeded(f"the {size}^2 sums of the addition table exceed the budget")
     elements = list(module.elements())
     code = {v: i for i, v in enumerate(elements)}
-    add = [[code[module.add(a, b)] for b in elements] for a in elements]
+    if module.rank == 1:
+        window = memoryview(array("q", range(size)) * 2)
+        add = [window[a:a + size] for a in range(size)]
+    else:
+        # e_i, the unit of digit i, has code strides[i]: a nonzero a is e_i
+        # plus the smaller code a - strides[i], for i its last nonzero digit
+        strides = [prod(module.orders[i + 1:]) for i in range(module.rank)]
+        shift = [[code[module.add(elements[s], v)] for v in elements] for s in strides]
+        add = [list(range(size))]
+        for a in range(1, size):
+            i = max(i for i, digit in enumerate(elements[a]) if digit)
+            add.append([shift[i][x] for x in add[a - strides[i]]])
     neg = [code[module.neg(a)] for a in elements]
     act = [[code[module.act(g, a)] for a in elements] for g in module.group.elements()]
     return add, neg, act

@@ -65,7 +65,9 @@ def test_congruence_kernel_reads_one_row_per_item(monkeypatch):
 
     monkeypatch.setattr(linalg, "congruence_kernel", counted_kernel)
     s3 = groups.symmetric(3)
-    engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2)
+    # H^2(S3, Z/3) is counted over F_3; reading the representatives runs the
+    # congruence_kernel path
+    engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2).representatives
     assert len(fed) == 1 * 6**3
     for row, modulus in fed:
         assert np.ndim(row) == 1 and len(row) == 36

@@ -1,14 +1,18 @@
+import ast
 import importlib
 import itertools
 import random
 from collections import Counter
 from math import gcd, prod
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import closed_forms
 from twistlgp import linalg
+from twistlgp.albert import factorize
 from twistlgp.cohomology import (
     Cochain,
     CohClass,
@@ -561,10 +565,11 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
             for chi in all_characters(group, m):
                 module = mu_module(group, m, chi)
                 for degree in (0, 1, 2) if group.order <= 8 else (0, 1):
-                    cohomology(group, module, degree)
+                    # a counted H^2 builds its subquotient when read
+                    cohomology(group, module, degree).representatives
                 sha_finite(group, module, cyclic_subgroups(group))
         if group.order > 8:
-            cohomology(group, trivial_module(group, [2]), 2)
+            cohomology(group, trivial_module(group, [2]), 2).representatives
     cohomology_module._cohomology_cached.cache_clear()
     assert len(orders_seen) > 400
     assert 1 in orders_seen and max(orders_seen) > 1
@@ -805,3 +810,151 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
         fed.clear()
         cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
         assert fed == [module.rank * group.order ** (degree + 1)]
+
+
+SQUAREFREE_M = (2, 3, 5, 6, 10, 15, 30)
+
+
+def squarefree_cases():
+    """Every named group of order at most 12, every character, and each
+    squarefree m in SQUAREFREE_M."""
+    for name in SMALL_NAMED:
+        group = named_group(name)
+        for m in SQUAREFREE_M:
+            for k, chi in enumerate(all_characters(group, m)):
+                yield group, m, k, mu_module(group, m, chi)
+
+
+def test_counted_h2_matches_the_z_path():
+    # H^2 with gcd(|G|, m) > 1 is counted over each F_p.  For the first
+    # character of each m on a group of order at most 8, the forced
+    # presentation must have the same factors; every other case must have
+    # the order that the integer fold gives over Z/m (which for squarefree m
+    # fixes the group), of the rows whose last argument is a generator: they
+    # span the cocycle lattice over any ring
+    counted = forced = 0
+    for group, m, k, module in squarefree_cases():
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        if gcd(group.order, m) == 1:
+            assert type(h2) is cohomology_module.CohomologyGroup
+            continue
+        assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
+        assert "representatives" not in vars(h2) and "_presentation" not in vars(h2)
+        assert all(m % d == 0 for d in h2.invariant_factors)
+        counted += 1
+        if not k and group.order <= 8:
+            reps = h2.representatives
+            assert h2._presentation.factors == h2.invariant_factors
+            assert len(reps) == len(h2.invariant_factors)
+            assert all(is_cocycle(rep) for rep in reps)
+            forced += 1
+            continue
+        size = group.order**2
+        rows = cohomology_module._differential_rows(group, module, 2, group.generators)
+        lift = linalg.congruence_kernel(size, m, rows)
+        gens = cohomology_module._coboundary_generators(group, module, 2)
+        assert linalg._quotient_order(lift, gens, (m,) * size) == h2.order, (
+            group.name, m, module.action
+        )
+    assert counted == 271 and forced == 50
+
+
+def test_count_helper_in_degrees_0_and_1():
+    # the same F_p count, called directly below degree 2, against the Z path
+    compared = 0
+    for group, m, _k, module in squarefree_cases():
+        primes = tuple(factorize(m))
+        for degree in (0, 1):
+            assert cohomology_module._counted_factors(
+                group, module, degree, primes
+            ) == cohomology(group, module, degree).invariant_factors, (group.name, m, degree)
+            compared += 1
+    assert compared == 2 * 427
+
+
+def test_count_path_leaves_other_modules_to_the_z_path():
+    # p^2 | e, rank 2, coprime order, and a squarefree e past 2^31 build the
+    # presentation eagerly, as before, with the closed-form factors
+    big = 2 * 2147483659  # 2147483659 is prime
+    c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
+    cases = [
+        (c4, trivial_module(c4, [4]), (4,)),
+        (c6, trivial_module(c6, [12]), (6,)),
+        (symmetric(3), trivial_module(symmetric(3), [12]), (2,)),
+        (c2, trivial_module(c2, [2, 2]), (2, 2)),
+        (c2, trivial_module(c2, [3, 6]), (2,)),
+        (cyclic(3), trivial_module(cyclic(3), [10]), ()),
+        (c2, trivial_module(c2, [big]), (2,)),
+    ]
+    for group, module, factors in cases:
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        assert type(h2) is cohomology_module.CohomologyGroup
+        assert "representatives" in vars(h2)
+        assert h2.invariant_factors == factors, (group.name, module.orders)
+    # the squarefree part of the same groups is counted
+    for group, e, factors in [(c4, 2, (2,)), (c6, 6, (6,)), (c2, 2 * 3 * 5 * 7, (2,))]:
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, [e]), 2)
+        assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
+        assert h2.invariant_factors == factors
+
+
+def test_counted_h2_repr_builds_nothing():
+    # repr shows the counted factors without presenting the group
+    c6 = cyclic(6)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(c6, trivial_module(c6, [6]), 2)
+    assert "invariant_factors=(6,)" in repr(h2)
+    assert "representatives" not in vars(h2) and "_presentation" not in vars(h2)
+
+
+def test_counted_h2_reads_like_the_z_path():
+    # representatives, to_report, class_of and induced maps of a counted
+    # H^2 are those of the eager Z path, built when first read
+    c6, s3 = cyclic(6), symmetric(3)
+    for group, module in [(c6, trivial_module(c6, [6])), (s3, trivial_module(s3, [2]))]:
+        counted = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        assert isinstance(counted, cohomology_module._CountedCohomologyGroup)
+        presentation = cohomology_module._z_presentation(group, module, 2)
+        eager = [Cochain(module, 2, tuple(g)).vector for g in presentation.generators().T]
+        assert counted.to_report()["invariant_factors"] == list(presentation.factors)
+        assert [rep.vector for rep in counted.representatives] == eager
+        rep = counted.representatives[-1]
+        assert counted.class_of(rep).coordinates[-1] == 1
+    h2 = cohomology(c6, trivial_module(c6, [6]), 2)
+    res = restriction(h2, subgroup_generated(c6, [2]))
+    assert isinstance(res.target, cohomology_module._CountedCohomologyGroup)
+    assert res.matrix == ((1,),) and res.target.invariant_factors == (3,)
+
+
+@pytest.mark.parametrize(
+    "factors, m",
+    [
+        (["C16"], 2),
+        (["D8"], 2),
+        (["S4"], 2),
+        (["S4"], 3),
+        (["D16"], 2),
+        (["Q8", "C4"], 2),
+        (["C2"] * 5, 2),
+    ],
+)
+def test_counted_h2_matches_the_closed_form(factors, m):
+    group, expected = closed_forms.h2_trivial(factors, m)
+    h2 = cohomology(group, trivial_module(group, [m]), 2)
+    assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
+    assert h2.invariant_factors == expected
+
+
+def test_closed_form_helper():
+    # the helper alone, on groups the engine settles elsewhere, and its imports
+    assert closed_forms.abelianization(symmetric(4)) == (2,)
+    assert closed_forms.abelianization(quaternion()) == (2, 2)
+    assert closed_forms.invariant_factors([2, 4, 3, 1, 2]) == (2, 2, 12)
+    assert closed_forms.h2_trivial(["C6"], 6)[1] == (6,)
+    assert closed_forms.h2_trivial(["C2", "C2"], 2)[1] == (2, 2, 2)
+    assert closed_forms.h2_trivial(["D4"], 4)[1] == (2, 2, 2)
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+         for alias in node.names}
+    assert not {"twistlgp.linalg", "twistlgp.cohomology", "twistlgp"} & imported

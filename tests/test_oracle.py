@@ -442,6 +442,30 @@ def test_tables_count_against_the_budget():
     assert brute_h2(c1, trivial_module(c1, [100]), OracleBudget(10**4)) == ()
 
 
+def test_tables_match_the_module_arithmetic():
+    # windows of a doubled range (rank 1) and rows by translation (rank 2
+    # and 3) give the sums GModule.add gives
+    c2 = cyclic(2)
+    for module in [trivial_module(c2, [7]), SWAP, trivial_module(c2, [2, 4]),
+                   trivial_module(c2, [2, 2, 6])]:
+        elements = list(module.elements())
+        code = {v: i for i, v in enumerate(elements)}
+        add, neg, act = _tables(module, OracleBudget())
+        assert [list(row) for row in add] == [
+            [code[module.add(a, b)] for b in elements] for a in elements
+        ], module.orders
+        assert neg == [code[module.neg(a)] for a in elements]
+        assert act[1] == [code[module.act(1, a)] for a in elements]
+
+
+def test_brute_h1_on_a_large_cyclic_module():
+    # 3000^2 sums count against the budget, but none is tabulated: C2 acting
+    # trivially and by -1 on Z/3000
+    c2 = cyclic(2)
+    for module in (trivial_module(c2, [3000]), gmodule(c2, [3000], [[[1]], [[2999]]])):
+        assert brute_h1(c2, module) == cohomology(c2, module, 1).invariant_factors == (2,)
+
+
 def test_degree_one_oracle_matches_engine_to_order_24():
     groups = [
         dihedral(6),
