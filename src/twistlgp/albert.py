@@ -14,7 +14,10 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .cohomology import TooLarge
+
+class TooLarge(ValueError):
+    """An input past what the engine can factorize, prove prime or eliminate."""
+
 
 # is_prime and factorize trial-divide up to this bound and test what is left
 # with Miller-Rabin; a cofactor factorize cannot prove prime is TooLarge.

@@ -34,22 +34,28 @@ cocycle lattice as all rows.  Evaluate d(d f) = 0 at (g_1, ..., g_n, h, k):
 every term but (d f)(g_1, ..., g_n, hk) has last argument h or k, so the k
 with (d f)(.., k) = 0 for all leading arguments are closed under products,
 and a non-empty X reaches all of G.  A different row set gives a different
-triangular basis of the same lattice, and so may give other representatives;
-so only H^n with n >= 1 and gcd(|G|, exponent of M) = 1 folds just those
-rows.  That H^n is 0 (restriction-corestriction), and its count and its
-membership test read only the lattice.
+triangular basis of the same lattice, and so may give other representatives.
 
-H^2 with coefficients Z/e (rank 1), e squarefree, below 2^31 and not prime
-to |G| is counted instead.  Z/e is the sum of its F_p parts, and over the
-field F_p rank is the only invariant, so dim H^2 = |G|^2 - rank d^2 -
-rank d^1, with d^2 read from its generator rows (they span over F_p too).
-Each rank is one ``linalg.rank_mod_p``, and the invariant factors follow
-from the dimensions.  ``decide`` and most checks read only those; the
-representatives and the presentation are built on first read, by the same
-subquotient of all rows as the eager path, which must find the same
-factors, so every representative keeps its bytes.  Only degree 2 counts:
-degree-1 groups feed ``restriction`` and ``sha_finite``, which read the
-representatives anyway, so a count there would be pure overhead.
+A ``CohomologyGroup`` knows its invariant factors from construction.  Its
+presentation, and the representatives read from it, are built on first
+read: the subquotient of all rows, which must find the same factors.  A
+path that has already built a presentation hands it over, so no elimination
+runs twice and every representative keeps its bytes.  The rows each path
+folds:
+
+- H^2 with coefficients Z/e (rank 1), e squarefree, below 2^31 and not
+  prime to |G|: no rows of Z, it is counted.  Z/e is the sum of its F_p
+  parts, and over the field F_p rank is the only invariant, so
+  dim H^2 = |G|^2 - rank d^2 - rank d^1, with d^2 read from its generator
+  rows (they span over F_p too).  Each rank is one ``linalg.rank_mod_p``,
+  and the invariant factors follow from the dimensions; ``decide`` and
+  most checks read nothing else.  Only degree 2 counts: degree-1 groups
+  feed ``restriction`` and ``sha_finite``, which read the presentation
+  anyway, so a count there would be pure overhead.
+- H^n with n >= 1 and gcd(|G|, exponent of M) = 1: only the generator
+  rows.  That H^n is 0 (restriction-corestriction), and its count and its
+  membership test read only the lattice.
+- every other H^n: all rows, as a first read would.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -64,6 +70,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from .albert import TooLarge, factorize
 from .groups import FiniteGroup, GroupHom, Subgroup, quotient
 from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
@@ -80,10 +87,6 @@ from .linalg import (
 
 # Largest cochain-space dimension cohomology() will eliminate.
 SIZE_BOUND = 20000
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class IncompatibleCoefficients(ValueError):
@@ -125,8 +128,11 @@ class Cochain:
     def __call__(self, *gs: int) -> ModuleElement:
         if len(gs) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
-        r = self.module.rank
-        start = tuple_index(self.module.group.order, gs) * r
+        order, r = self.module.group.order, self.module.rank
+        for g in gs:
+            if not 0 <= g < order:
+                raise ValueError(f"argument {g} is not an element index 0..{order - 1}")
+        start = tuple_index(order, gs) * r
         return self.vector[start:start + r]
 
     @property
@@ -229,15 +235,30 @@ def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.nd
 
 @dataclass(eq=False)
 class CohomologyGroup:
-    """H^degree(G, M) with invariant factors, cocycle representatives, and
-    the witness data needed to express any cocycle in the generators."""
+    """H^degree(G, M) with invariant factors.  The presentation, which
+    expresses any cocycle in the generators, and the cocycle representatives
+    are built on first read unless a builder assigned them; ``sha_finite``
+    assigns representatives and no presentation (None)."""
 
     group: FiniteGroup
     module: GModule
     degree: int
     invariant_factors: tuple[int, ...]
-    representatives: tuple[Cochain, ...]
-    _presentation: LatticeQuotient | None = field(repr=False, default=None)
+
+    @cached_property
+    def _presentation(self) -> LatticeQuotient | None:
+        presentation = _z_presentation(self.group, self.module, self.degree)
+        if presentation.factors != self.invariant_factors:
+            raise ArithmeticError(
+                f"invariant factors {self.invariant_factors} differ from "
+                f"the presentation's {presentation.factors}"
+            )
+        return presentation
+
+    @cached_property
+    def representatives(self) -> tuple[Cochain, ...]:
+        generators = self._presentation.generators().T
+        return tuple(Cochain(self.module, self.degree, tuple(g)) for g in generators)
 
     @property
     def order(self) -> int:
@@ -336,69 +357,26 @@ def _counted_factors(group: FiniteGroup, module: GModule, degree: int, primes) -
     return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
 
 
-def _representatives(module: GModule, degree: int, presentation: LatticeQuotient):
-    return tuple(Cochain(module, degree, tuple(g)) for g in presentation.generators().T)
-
-
-class _CountedCohomologyGroup(CohomologyGroup):
-    """H^2 with coefficients Z/e, e squarefree: the invariant factors are
-    counted over each F_p, and the presentation, so the representatives,
-    is built on first read by the same subquotient as the eager path, which
-    must find the same factors."""
-
-    def __init__(self, group: FiniteGroup, module: GModule, degree: int, factors):
-        self.group, self.module, self.degree = group, module, degree
-        self.invariant_factors = factors
-
-    @cached_property
-    def _presentation(self) -> LatticeQuotient:
-        presentation = _z_presentation(self.group, self.module, self.degree)
-        if presentation.factors != self.invariant_factors:
-            raise ArithmeticError(
-                f"counted invariant factors {self.invariant_factors} differ from "
-                f"the presentation's {presentation.factors}"
-            )
-        return presentation
-
-    @cached_property
-    def representatives(self) -> tuple[Cochain, ...]:
-        return _representatives(self.module, self.degree, self._presentation)
-
-    def __repr__(self) -> str:
-        # the dataclass repr would read, so build, the representatives
-        return (
-            f"{type(self).__name__}(group={self.group!r}, module={self.module!r}, "
-            f"degree={self.degree!r}, invariant_factors={self.invariant_factors!r})"
-        )
-
-
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
     # A squarefree cyclic H^2 is counted over each F_p and presented only
     # when read.  Coprime order kills H^n for n >= 1, and a trivial H^n reads
     # only the cocycle lattice, never a basis of it, so the generator rows
     # do; every other call folds all rows, whose triangular basis fixes the
-    # representatives.
+    # representatives.  Both hand over the presentation they built.
     e = module.exponent
     if degree == 2 and module.rank == 1 and e < 2**31 and gcd(group.order, e) > 1:
-        from .albert import factorize  # albert imports this module
-
         primes = factorize(e)
         if all(k == 1 for k in primes.values()):
             factors = _counted_factors(group, module, degree, tuple(primes))
-            return _CountedCohomologyGroup(group, module, degree, factors)
+            return CohomologyGroup(group, module, degree, factors)
     last = None
     if degree and gcd(group.order, e) == 1:
         last = _generator_ends(group)
     presentation = _z_presentation(group, module, degree, last)
-    return CohomologyGroup(
-        group=group,
-        module=module,
-        degree=degree,
-        invariant_factors=presentation.factors,
-        representatives=_representatives(module, degree, presentation),
-        _presentation=presentation,
-    )
+    coh = CohomologyGroup(group, module, degree, presentation.factors)
+    coh._presentation = presentation
+    return coh
 
 
 def cohomology(group: FiniteGroup, module: GModule, degree: int) -> CohomologyGroup:
@@ -595,15 +573,13 @@ def sha_finite(
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
     h1 = cohomology(group, module, 1)
-    if h1.is_trivial:
-        return CohomologyGroup(group, module, 1, (), ())
-    restrictions = [restriction(h1, sub) for sub in family]
-    maps = [(res.matrix, res.target.invariant_factors) for res in restrictions]
-    quot = kernel_subgroup(h1.invariant_factors, maps)
-    return CohomologyGroup(
-        group=group,
-        module=module,
-        degree=1,
-        invariant_factors=quot.factors,
-        representatives=tuple(h1.element(g) for g in quot.generators().T),
-    )
+    factors, representatives = (), ()
+    if not h1.is_trivial:
+        restrictions = [restriction(h1, sub) for sub in family]
+        maps = [(res.matrix, res.target.invariant_factors) for res in restrictions]
+        quot = kernel_subgroup(h1.invariant_factors, maps)
+        factors = quot.factors
+        representatives = tuple(h1.element(g) for g in quot.generators().T)
+    sha = CohomologyGroup(group, module, 1, factors)
+    sha._presentation, sha.representatives = None, representatives
+    return sha

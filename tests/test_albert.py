@@ -1,7 +1,12 @@
+import ast
+import importlib
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import twistlgp
+from twistlgp import albert
 from twistlgp.albert import (
     AlbertProfile,
     InconsistentProfile,
@@ -221,3 +226,18 @@ def test_power_of_two_always_certified():
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(6) and is_squarefree(30)
     assert not is_squarefree(4) and not is_squarefree(12)
+
+
+def test_albert_imports_no_engine_module():
+    # albert defines TooLarge and imports nothing of twistlgp, so cohomology
+    # can import factorize at the top; the re-exports are one class
+    tree = ast.parse(Path(albert.__file__).read_text())
+    imported = {
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+         for alias in node.names}
+    assert not {name for name in imported if name.startswith((".", "twistlgp"))}
+    # the package re-exports the function cohomology under the module's name
+    cohomology = importlib.import_module("twistlgp.cohomology")
+    assert cohomology.TooLarge is albert.TooLarge is twistlgp.TooLarge is TooLarge

@@ -199,6 +199,22 @@ def test_element_reduces_each_coordinate():
     assert h1.element((2,)).is_zero
 
 
+def test_cochain_rejects_arguments_outside_the_group():
+    # tuple_index would wrap them onto another tuple's value
+    c2 = cyclic(2)
+    module = trivial_module(c2, [2])
+    h2 = cohomology(c2, module, 2)
+    (c,) = h2.representatives
+    assert c.vector == (0, 0, 0, 1) and c(1, 1) == (1,)
+    for args, bad in [((0, 2), 2), ((1, -1), -1), ((2, 0), 2), ((-1, 1), -1)]:
+        with pytest.raises(ValueError, match=f"argument {bad} "):
+            c(*args)
+    (h,) = cohomology(c2, module, 1).representatives
+    for g in (2, -1):
+        with pytest.raises(ValueError, match=f"argument {g} "):
+            h(g)
+
+
 def test_representatives_are_independent_cocycles():
     cases = [
         (direct_product(cyclic(2), cyclic(2)), 2),
@@ -836,9 +852,8 @@ def test_counted_h2_matches_the_z_path():
     for group, m, k, module in squarefree_cases():
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         if gcd(group.order, m) == 1:
-            assert type(h2) is cohomology_module.CohomologyGroup
+            assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
             continue
-        assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
         assert "representatives" not in vars(h2) and "_presentation" not in vars(h2)
         assert all(m % d == 0 for d in h2.invariant_factors)
         counted += 1
@@ -888,40 +903,73 @@ def test_count_path_leaves_other_modules_to_the_z_path():
     ]
     for group, module, factors in cases:
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-        assert type(h2) is cohomology_module.CohomologyGroup
-        assert "representatives" in vars(h2)
+        assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
         assert h2.invariant_factors == factors, (group.name, module.orders)
     # the squarefree part of the same groups is counted
     for group, e, factors in [(c4, 2, (2,)), (c6, 6, (6,)), (c2, 2 * 3 * 5 * 7, (2,))]:
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, [e]), 2)
-        assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
+        assert "_presentation" not in vars(h2)
         assert h2.invariant_factors == factors
 
 
 def test_counted_h2_repr_builds_nothing():
-    # repr shows the counted factors without presenting the group
+    # repr shows the four fields without presenting the group or building
+    # representatives: counted, Z path, and a sha_finite kernel
     c6 = cyclic(6)
     h2 = cohomology_module._cohomology_cached.__wrapped__(c6, trivial_module(c6, [6]), 2)
     assert "invariant_factors=(6,)" in repr(h2)
     assert "representatives" not in vars(h2) and "_presentation" not in vars(h2)
+    c4 = cyclic(4)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(c4, trivial_module(c4, [4]), 2)
+    assert "invariant_factors=(4,)" in repr(h2) and "representatives" not in repr(h2)
+    assert "representatives" not in vars(h2)
+    group = direct_product(cyclic(2), cyclic(2))
+    sha = sha_finite(group, trivial_module(group, [2]), [subgroup_generated(group, [1])])
+    assert "invariant_factors=(2,)" in repr(sha) and "representatives" not in repr(sha)
+    assert vars(sha)["_presentation"] is None and len(vars(sha)["representatives"]) == 1
+
+
+def restricted_cochain(cochain, target, subgroup):
+    """The cochain read on the subgroup's tuples, in the target's module."""
+    sub_group, embed = subgroup.as_group
+    values = [
+        cochain(*(embed[t] for t in ts))
+        for ts in itertools.product(range(sub_group.order), repeat=cochain.degree)
+    ]
+    return Cochain(target.module, cochain.degree, tuple(x for v in values for x in v))
 
 
 def test_counted_h2_reads_like_the_z_path():
-    # representatives, to_report, class_of and induced maps of a counted
-    # H^2 are those of the eager Z path, built when first read
-    c6, s3 = cyclic(6), symmetric(3)
-    for group, module in [(c6, trivial_module(c6, [6])), (s3, trivial_module(s3, [2]))]:
-        counted = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-        assert isinstance(counted, cohomology_module._CountedCohomologyGroup)
-        presentation = cohomology_module._z_presentation(group, module, 2)
-        eager = [Cochain(module, 2, tuple(g)).vector for g in presentation.generators().T]
-        assert counted.to_report()["invariant_factors"] == list(presentation.factors)
-        assert [rep.vector for rep in counted.representatives] == eager
-        rep = counted.representatives[-1]
-        assert counted.class_of(rep).coordinates[-1] == 1
+    # representatives, to_report, class_of and induced maps of every H^n are
+    # those of the Z path's generators, built when first read: counted H^2
+    # and the eager Z path alike
+    c6, s3, c8 = cyclic(6), symmetric(3), cyclic(8)
+    transposition = next(g for g in range(6) if g and s3.mul(g, g) == 0)
+    cases = [
+        (c6, trivial_module(c6, [6]), 2, [2]),
+        (s3, trivial_module(s3, [2]), 2, [transposition]),
+        (c8, trivial_module(c8, [4]), 2, [2]),
+        (s3, trivial_module(s3, [4]), 1, [transposition]),
+    ]
+    for group, module, degree, sub_gens in cases:
+        coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
+        assert "representatives" not in vars(coh)
+        presentation = cohomology_module._z_presentation(group, module, degree)
+        eager = [Cochain(module, degree, tuple(g)) for g in presentation.generators().T]
+        report = coh.to_report()
+        assert report["invariant_factors"] == list(presentation.factors)
+        assert report["representatives"] == [rep.to_report() for rep in eager]
+        assert [rep.vector for rep in coh.representatives] == [rep.vector for rep in eager]
+        rep = coh.representatives[-1]
+        assert coh.class_of(rep).coordinates[-1] == 1
+        subgroup = subgroup_generated(group, sub_gens)
+        res = restriction(coh, subgroup)
+        columns = [res.target.class_of(restricted_cochain(g, res.target, subgroup)).coordinates
+                   for g in eager]
+        assert res.matrix == tuple(zip(*columns)), (group.name, degree)
     h2 = cohomology(c6, trivial_module(c6, [6]), 2)
     res = restriction(h2, subgroup_generated(c6, [2]))
-    assert isinstance(res.target, cohomology_module._CountedCohomologyGroup)
+    assert "_presentation" in vars(res.target) and "representatives" not in vars(res.target)
     assert res.matrix == ((1,),) and res.target.invariant_factors == (3,)
 
 
@@ -940,7 +988,7 @@ def test_counted_h2_reads_like_the_z_path():
 def test_counted_h2_matches_the_closed_form(factors, m):
     group, expected = closed_forms.h2_trivial(factors, m)
     h2 = cohomology(group, trivial_module(group, [m]), 2)
-    assert isinstance(h2, cohomology_module._CountedCohomologyGroup)
+    assert "_presentation" not in vars(h2)
     assert h2.invariant_factors == expected
 
 

@@ -402,10 +402,12 @@ def test_h2_work_is_bounded(monkeypatch):
     assert not built
     # H^2(C8, Z/4) = Z/4 takes the Smith path: the kernel's Smith form and
     # then the quotient's.  The kernel reads V and V^-1 only; the quotient
-    # reads U^-1 for the representatives and never U, since no coordinates
-    # are asked for.
+    # reads U^-1 only when the representatives are first read, and never U,
+    # since no coordinates are asked for.
     h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [4]), 2)
     assert h2.invariant_factors == (4,)
+    assert "u_inv" not in vars(built[-1]) and "representatives" not in vars(h2)
+    assert len(h2.representatives) == 1
     assert len(built) == 2
     kernel, quotient = built
     assert "u" not in vars(kernel) and "u_inv" not in vars(kernel)
