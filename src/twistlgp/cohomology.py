@@ -38,24 +38,23 @@ triangular basis of the same lattice, and so may give other representatives.
 
 A ``CohomologyGroup`` knows its invariant factors from construction.  Its
 presentation, and the representatives read from it, are built on first
-read: the subquotient of all rows, which must find the same factors.  A
-path that has already built a presentation hands it over, so no elimination
-runs twice and every representative keeps its bytes.  The rows each path
-folds:
+read: the subquotient of all rows, which must find the same factors.  The
+factors come one of two ways:
 
-- H^2 with coefficients Z/e (rank 1), e squarefree, below 2^31 and not
-  prime to |G|: no rows of Z, it is counted.  Z/e is the sum of its F_p
-  parts, and over the field F_p rank is the only invariant, so
-  dim H^2 = |G|^2 - rank d^2 - rank d^1, with d^2 read from its generator
-  rows (they span over F_p too).  Each rank is one ``linalg.rank_mod_p``,
-  and the invariant factors follow from the dimensions; ``decide`` and
-  most checks read nothing else.  Only degree 2 counts: degree-1 groups
-  feed ``restriction`` and ``sha_finite``, which read the presentation
-  anyway, so a count there would be pure overhead.
-- H^n with n >= 1 and gcd(|G|, exponent of M) = 1: only the generator
-  rows.  That H^n is 0 (restriction-corestriction), and its count and its
-  membership test read only the lattice.
-- every other H^n: all rows, as a first read would.
+- counted, for H^n with n >= 1 and gcd(|G|, e) = 1, and for H^2 with e
+  squarefree (and below 2^31, where ``factorize`` is complete), e the
+  exponent of M.  The subquotient of the generator rows counts its order
+  N without a Smith form.  Coprime order kills H^n (restriction-
+  corestriction), so N = 1.  For squarefree e, H^n is killed by e, so it
+  is the sum of the (Z/p)^(d_p) for p | e and N alone fixes it: the
+  largest factor is gcd(N, e), the next is gcd(N / gcd(N, e), e), and so
+  on.  Only a trivial count is handed over as the presentation, since a
+  subquotient with no generators is the same whichever rows it folded;
+  any other presentation is built from all rows when first read.  Only
+  degree 2 counts past the coprime case: degree-1 groups feed
+  ``restriction`` and ``sha_finite``, which read the presentation anyway.
+- presented, for every other H^n: all rows, and the factors read from
+  that presentation, which is handed over.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -80,7 +79,6 @@ from .linalg import (
     _dtype,
     fixed_subgroup,
     kernel_subgroup,
-    rank_mod_p,
     subquotient,
     zero_matrix,
 )
@@ -292,8 +290,8 @@ class CohomologyGroup:
         """The representative cochain with the given generator coordinates,
         each reduced mod its invariant factor."""
         acc = zero_cochain(self.module, self.degree)
-        for c, d, rep in zip(coordinates, self.invariant_factors, self.representatives):
-            acc = acc.add(rep.scale(int(c) % d))
+        for c, rep in zip(CohClass(self, coordinates).coordinates, self.representatives):
+            acc = acc.add(rep.scale(c))
         return acc
 
     def to_report(self) -> dict:
@@ -310,9 +308,10 @@ class CohClass:
     coordinates: tuple[int, ...] = ()
 
     def __post_init__(self):
-        reduced = tuple(
-            int(c) % d for c, d in zip(self.coordinates, self.parent.invariant_factors)
-        )
+        factors = self.parent.invariant_factors
+        if len(self.coordinates) != len(factors):
+            raise ValueError(f"need {len(factors)} coordinates, got {len(self.coordinates)}")
+        reduced = tuple(int(c) % d for c, d in zip(self.coordinates, factors))
         object.__setattr__(self, "coordinates", reduced)
 
     @property
@@ -338,42 +337,29 @@ def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None)
     )
 
 
-def _counted_factors(group: FiniteGroup, module: GModule, degree: int, primes) -> tuple[int, ...]:
-    """Invariant factors of H^degree(G, Z/e) for e the product of ``primes``.
-
-    Z/e is the sum of its F_p parts, and over F_p
-    dim H^n = |G|^n - rank d^n - rank d^(n-1), with d^n read from its
-    generator rows.  A factor is the product of the p whose dimension
-    reaches its place, smallest factor first."""
-    ends = _generator_ends(group)
-    dims = {}
-    for p in primes:
-        rows = (block for block, _ in _differential_blocks(group, module, degree, ends))
-        dims[p] = group.order**degree - rank_mod_p(rows, p)
-        if degree:
-            rows = (block for block, _ in _differential_blocks(group, module, degree - 1))
-            dims[p] -= rank_mod_p(rows, p)
-    top = max(dims.values(), default=0)
-    return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
+def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
+    """The invariant factors of a finite abelian group of the given order
+    killed by the squarefree e, smallest first."""
+    factors = ()
+    while order > 1:
+        factors = (gcd(order, e),) + factors
+        order //= factors[0]
+    return factors
 
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    # A squarefree cyclic H^2 is counted over each F_p and presented only
-    # when read.  Coprime order kills H^n for n >= 1, and a trivial H^n reads
-    # only the cocycle lattice, never a basis of it, so the generator rows
-    # do; every other call folds all rows, whose triangular basis fixes the
-    # representatives.  Both hand over the presentation they built.
     e = module.exponent
-    if degree == 2 and module.rank == 1 and e < 2**31 and gcd(group.order, e) > 1:
-        primes = factorize(e)
-        if all(k == 1 for k in primes.values()):
-            factors = _counted_factors(group, module, degree, tuple(primes))
-            return CohomologyGroup(group, module, degree, factors)
-    last = None
-    if degree and gcd(group.order, e) == 1:
-        last = _generator_ends(group)
-    presentation = _z_presentation(group, module, degree, last)
+    if degree and (
+        gcd(group.order, e) == 1
+        or degree == 2 and e < 2**31 and max(factorize(e).values()) == 1
+    ):
+        count = _z_presentation(group, module, degree, _generator_ends(group))
+        coh = CohomologyGroup(group, module, degree, _squarefree_factors(count.order, e))
+        if count.is_trivial:
+            coh._presentation = count
+        return coh
+    presentation = _z_presentation(group, module, degree)
     coh = CohomologyGroup(group, module, degree, presentation.factors)
     coh._presentation = presentation
     return coh

@@ -20,12 +20,11 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   L / (span(sub) + R) with L a congruence kernel and R = diag(d), passed as
   the orders d and entering as a column scaling of ``forward``;
   ``kernel_subgroup`` and ``fixed_subgroup`` are its cases with no ``sub``.
-  Its order is counted first from the diagonals of two triangular folds,
-  and only a nontrivial subquotient is diagonalized.  It is read as
-  matrices (``generators()``, ``coordinates(x)``); no other module reads a
-  ``Lattice``.
-* ``rank_mod_p`` is the same fold over the field F_p, read only for the
-  number of its pivots.
+  A ``LatticeQuotient`` counts its order at construction, from the
+  diagonals of two triangular folds, and diagonalizes (``lattice_quotient``)
+  only when the factors, generators or coordinates of a nontrivial quotient
+  are first read.  It is read as matrices (``generators()``,
+  ``coordinates(x)``); no other module reads a ``Lattice``.
 """
 
 from __future__ import annotations
@@ -251,15 +250,18 @@ class Lattice:
 
     def contains(self, vectors: np.ndarray) -> bool:
         """Whether every column of ``vectors`` (or the vector) lies in the
-        lattice: one product with ``reduced``, no Smith form.  The product
-        is in int64 when no sum of entries in [0, e] can overflow."""
+        lattice: products with ``reduced``, ``_BLOCK_ROWS`` rows at a time
+        and from the block's first column on (it is upper triangular), no
+        Smith form.  Entries lie in [0, e], so a product is exact in float64
+        below 2^53, in int64 below 2^63, and over objects past."""
         e, mat = self.exponent, self.reduced
-        rhs = np.asarray(vectors, dtype=object) % e
-        if mat.dtype != object and mat.shape[1] * e * e < 2**63:
-            product = mat @ rhs.astype(np.int64)
-        else:
-            product = np.asarray(mat, dtype=object) @ rhs
-        return not (product % e).any()
+        bound = mat.shape[1] * e * e
+        dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+        rhs = (np.asarray(vectors, dtype=object) % e).astype(dtype)
+        return not any(
+            (mat[start:start + _BLOCK_ROWS, start:].astype(dtype) @ rhs[start:] % e).any()
+            for start in range(0, mat.shape[0], _BLOCK_ROWS)
+        )
 
 
 def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
@@ -340,23 +342,13 @@ def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
         pivots[j] = base
 
 
-def rank_mod_p(blocks, p: int) -> int:
-    """The rank over F_p (p prime, below 2^31) of the rows of the int64
-    ``blocks``: ``_fold`` mod p turns a column's pivot from p into 1 at its
-    first nonzero entry, so the rank is the number of pivots equal to 1."""
-    pivots: dict[int, np.ndarray] = {}
-    for block in blocks:
-        _fold(pivots, block % p, p)
-    return sum(int(base[0]) == 1 for base in pivots.values())
-
-
 def _reduced(pivots: dict[int, np.ndarray], n: int, e: int) -> np.ndarray:
     """The upper triangular n x n matrix of the pivot rows, in the smallest
     integer dtype that holds e: a lattice keeps it for as long as it lives."""
     dtype = _dtype(e)
     reduced = np.zeros((n, n), dtype=dtype if dtype == object else np.min_scalar_type(e))
     for j in range(n):
-        base = pivots.get(j)
+        base = pivots.pop(j, None)
         if base is None:
             reduced[j, j] = e
         else:
@@ -441,51 +433,65 @@ class NotInLattice(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LatticeQuotient:
-    """Structure of L / S for lattices S <= L of finite index.
+    """Structure of L / (span(sub) + R) for L = ``lattice`` and R generated
+    by diag(``orders``), both inside L.
 
-    ``factors`` are the nontrivial invariant factors in ascending
-    divisibility order; the columns of ``generators()`` lift the summand
-    generators to L; ``coordinates(x)`` holds the summand coordinates of the
-    columns of x, row i mod factors[i].  A trivial quotient that
-    ``subquotient`` counted has no Smith form (``_w_snf`` is None): it has no
-    generators, and coordinates only tests membership.
+    ``order`` is known from construction.  ``factors`` are the nontrivial
+    invariant factors in ascending divisibility order; the columns of
+    ``generators()`` lift the summand generators to L; ``coordinates(x)``
+    holds the summand coordinates of the columns of x, row i mod
+    factors[i].  A nontrivial quotient builds its Smith form on the first of
+    these reads; a trivial one never does: it has no generators, and
+    coordinates only tests membership.
     """
 
-    lattice: Lattice = field(repr=False, compare=False)
-    factors: tuple[int, ...]
-    _w_snf: SmithNormalForm | None = field(repr=False, compare=False)
-    _kept: tuple[int, ...] = field(repr=False, compare=False)
+    lattice: Lattice = field(repr=False)
+    sub: np.ndarray = field(repr=False)
+    orders: tuple[int, ...] = field(repr=False)
+    order: int
+
+    @cached_property
+    def _smith(self) -> tuple[SmithNormalForm, tuple[int, ...]]:
+        """The Smith form of the quotient and the places of its diagonal
+        entries other than 1."""
+        return lattice_quotient(self.lattice, self.sub, self.orders)._smith
 
     @property
-    def order(self) -> int:
-        return prod(self.factors) if self.factors else 1
+    def factors(self) -> tuple[int, ...]:
+        if self.is_trivial:
+            return ()
+        w_snf, kept = self._smith
+        return tuple(w_snf.diagonal[i] for i in kept)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.factors
+        return self.order == 1
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
-        if self._w_snf is None:
+        if self.is_trivial:
             if not self.lattice.contains(x):
                 raise NotInLattice("vector is not in the ambient lattice")
             return zero_matrix(0, x.shape[1])
         w = solve_columns(self.lattice, x)
         if w is None:
             raise NotInLattice("vector is not in the ambient lattice")
-        y = self._w_snf.u[list(self._kept)] @ w
+        w_snf, kept = self._smith
+        y = w_snf.u[list(kept)] @ w
         return y % np.array(self.factors, dtype=object).reshape(-1, 1)
 
     def generators(self) -> np.ndarray:
-        if self._w_snf is None:
+        if self.is_trivial:
             return zero_matrix(self.lattice.reduced.shape[0], 0)
-        return self.lattice.basis @ self._w_snf.u_inv[:, list(self._kept)]
+        w_snf, kept = self._smith
+        return self.lattice.basis @ w_snf.u_inv[:, list(kept)]
 
 
 def lattice_quotient(lattice: Lattice, sub: np.ndarray, orders) -> LatticeQuotient:
     """L / (span(sub) + R) for L = ``lattice`` and R = diag(``orders``), of
-    full rank: forward @ diag(orders) is a column scaling of forward."""
+    full rank, diagonalized now: forward @ diag(orders) is a column scaling
+    of forward."""
     forward = lattice.forward
     z = np.concatenate([forward @ sub, forward * np.array(orders, dtype=object)], axis=1)
     w = _over_scales(lattice, z)
@@ -493,8 +499,9 @@ def lattice_quotient(lattice: Lattice, sub: np.ndarray, orders) -> LatticeQuotie
         raise NotInLattice("sub-generators do not lie in the lattice")
     w_snf = smith_normal_form(w)
     kept = tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
-    factors = tuple(w_snf.diagonal[i] for i in kept)
-    return LatticeQuotient(lattice=lattice, factors=factors, _w_snf=w_snf, _kept=kept)
+    quot = LatticeQuotient(lattice, sub, tuple(orders), prod(w_snf.diagonal[i] for i in kept))
+    quot._smith = (w_snf, kept)
+    return quot
 
 
 def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQuotient:
@@ -504,16 +511,16 @@ def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQ
     in L.  Z^r / L is the image of the congruence rows: its invariant
     factors are the scales of L other than 1, largest first.
 
-    The order is counted first (``_quotient_order``); only a nontrivial
-    subquotient pays for the Smith forms of ``lattice_quotient``."""
+    The order is counted (``_quotient_order``); no Smith form is built
+    here."""
     lift = congruence_kernel(len(orders), exponent, congruences)
-    # R <= L iff reduced @ diag(orders) == 0 mod e: a column scaling
-    relations = lift.reduced * (np.array(orders, dtype=object) % exponent).astype(_dtype(exponent))
-    if not lift.contains(sub) or (relations % exponent).any():
+    # R <= L iff reduced @ diag(orders) == 0 mod e: a column scaling, of
+    # the columns whose order is not a multiple of e
+    scaled = [j for j, d in enumerate(orders) if d % exponent]
+    scales = np.array([orders[j] % exponent for j in scaled], dtype=_dtype(exponent))
+    if not lift.contains(sub) or (lift.reduced[:, scaled] * scales % exponent).any():
         raise NotInLattice("sub-generators do not lie in the lattice")
-    if _quotient_order(lift, sub, orders) == 1:
-        return LatticeQuotient(lattice=lift, factors=(), _w_snf=None, _kept=())
-    return lattice_quotient(lift, sub, orders)
+    return LatticeQuotient(lift, sub, tuple(orders), _quotient_order(lift, sub, orders))
 
 
 def kernel_subgroup(orders, maps) -> LatticeQuotient:

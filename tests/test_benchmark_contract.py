@@ -65,10 +65,19 @@ def test_congruence_kernel_reads_one_row_per_item(monkeypatch):
 
     monkeypatch.setattr(linalg, "congruence_kernel", counted_kernel)
     s3 = groups.symmetric(3)
-    # H^2(S3, Z/3) is counted over F_3; reading the representatives runs the
-    # congruence_kernel path
-    engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2).representatives
-    assert len(fed) == 1 * 6**3
+    # H^2(S3, Z/3) = 0 is counted from the 36 * 2 rows whose last argument
+    # is one of S3's two generators, and the trivial count is its
+    # presentation, so reading the representatives feeds nothing more
+    h2 = engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2)
+    assert len(fed) == 72
+    assert h2.representatives == () and len(fed) == 72
+    # H^2(S3, Z/2) = Z/2 is counted the same way; the first read of its
+    # representatives folds all 6^3 rows
+    fed.clear()
+    h2 = engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [2]), 2)
+    assert len(fed) == 72 and h2.invariant_factors == (2,)
+    assert len(h2.representatives) == 1
+    assert len(fed) == 72 + 1 * 6**3
     for row, modulus in fed:
         assert np.ndim(row) == 1 and len(row) == 36
         assert type(modulus) is int

@@ -597,10 +597,28 @@ def test_class_of_on_a_counted_trivial_group():
     group = cyclic(3)
     module = trivial_module(group, [2])
     h1 = cohomology(group, module, 1)
-    assert h1.is_trivial and h1._presentation._w_snf is None
+    assert h1.is_trivial and "_smith" not in vars(h1._presentation)
     assert h1.class_of(zero_cochain(module, 1)).coordinates == ()
     with pytest.raises(ValueError, match="not a cocycle"):
         h1.class_of(Cochain(module, 1, (1, 0, 0)))
+    assert "_smith" not in vars(h1._presentation)
+
+
+def test_class_coordinates_must_match_the_factors():
+    # one coordinate per invariant factor: a shorter or longer tuple is
+    # refused, not truncated or read as zero
+    group = direct_product(cyclic(2), cyclic(2))
+    h1 = cohomology(group, trivial_module(group, [2]), 1)
+    assert h1.invariant_factors == (2, 2)
+    for coords in [(), (1,), (1, 1, 1), (1, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            CohClass(h1, coords)
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            h1.element(coords)
+    assert CohClass(h1, (3, 1)).coordinates == (1, 1)
+    both = h1.element((1, 1))
+    assert both == h1.representatives[0].add(h1.representatives[1])
+    assert h1.class_of(both).coordinates == (1, 1)
 
 
 def test_image_invariants_of_an_injective_map():
@@ -814,7 +832,7 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
         coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
         assert fed == [rows]
         assert (rows, module.rank * group.order**degree) in folded
-        assert coh.is_trivial and coh._presentation._w_snf is None
+        assert coh.is_trivial and "_smith" not in vars(coh._presentation)
     assert not built
     # all rows: H^0, coprime or not, and H^n with gcd(|G|, m) > 1
     monkeypatch.setattr(linalg, "smith_normal_form", smith)
@@ -841,75 +859,142 @@ def squarefree_cases():
                 yield group, m, k, mu_module(group, m, chi)
 
 
+def reference_rank_mod_p(blocks, p):
+    """The rank over F_p (p prime) of the rows of the int64 ``blocks``:
+    ``_fold`` mod p turns a column's pivot from p into 1 at its first
+    nonzero entry, so the rank is the number of pivots equal to 1."""
+    pivots = {}
+    for block in blocks:
+        linalg._fold(pivots, block % p, p)
+    return sum(int(base[0]) == 1 for base in pivots.values())
+
+
+def reference_counted_factors(group, module, degree):
+    """Invariant factors of H^degree(G, Z/e) for e squarefree, from ranks
+    over each F_p p | e: Z/e is the sum of its F_p parts, and over F_p
+    dim H^n = |G|^n - rank d^n - rank d^(n-1), with d^n read from its
+    generator rows.  A factor is the product of the p whose dimension
+    reaches its place, smallest factor first."""
+    assert module.rank == 1
+    primes = tuple(factorize(module.exponent))
+    assert prod(primes) == module.exponent
+    ends = cohomology_module._generator_ends(group)
+    dims = {}
+    for p in primes:
+        rows = (block for block, _ in cohomology_module._differential_blocks(group, module, degree, ends))
+        dims[p] = group.order**degree - reference_rank_mod_p(rows, p)
+        if degree:
+            rows = (block for block, _ in cohomology_module._differential_blocks(group, module, degree - 1))
+            dims[p] -= reference_rank_mod_p(rows, p)
+    top = max(dims.values(), default=0)
+    return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
+
+
 def test_counted_h2_matches_the_z_path():
-    # H^2 with gcd(|G|, m) > 1 is counted over each F_p.  For the first
-    # character of each m on a group of order at most 8, the forced
-    # presentation must have the same factors; every other case must have
-    # the order that the integer fold gives over Z/m (which for squarefree m
-    # fixes the group), of the rows whose last argument is a generator: they
-    # span the cocycle lattice over any ring
-    counted = forced = 0
+    # every H^2 with squarefree m is counted from the generator rows, and
+    # the count is handed over as the presentation exactly when it is
+    # trivial.  The factors must be those of the F_p rank reference, and for
+    # the first character of each m on a group of order at most 8, those
+    # of the forced presentation of all rows
+    counted = not_coprime = forced = 0
     for group, m, k, module in squarefree_cases():
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-        if gcd(group.order, m) == 1:
-            assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
-            continue
-        assert "representatives" not in vars(h2) and "_presentation" not in vars(h2)
+        assert ("_presentation" in vars(h2)) == h2.is_trivial
+        assert "representatives" not in vars(h2)
         assert all(m % d == 0 for d in h2.invariant_factors)
+        assert reference_counted_factors(group, module, 2) == h2.invariant_factors, (
+            group.name, m, module.action
+        )
         counted += 1
+        if gcd(group.order, m) == 1:
+            assert h2.is_trivial
+            continue
+        not_coprime += 1
         if not k and group.order <= 8:
+            presentation = cohomology_module._z_presentation(group, module, 2)
+            assert presentation.factors == h2.invariant_factors
             reps = h2.representatives
             assert h2._presentation.factors == h2.invariant_factors
             assert len(reps) == len(h2.invariant_factors)
             assert all(is_cocycle(rep) for rep in reps)
             forced += 1
-            continue
-        size = group.order**2
-        rows = cohomology_module._differential_rows(group, module, 2, group.generators)
-        lift = linalg.congruence_kernel(size, m, rows)
-        gens = cohomology_module._coboundary_generators(group, module, 2)
-        assert linalg._quotient_order(lift, gens, (m,) * size) == h2.order, (
-            group.name, m, module.action
-        )
-    assert counted == 271 and forced == 50
+    assert counted == 427 and not_coprime == 271 and forced == 50
 
 
 def test_count_helper_in_degrees_0_and_1():
-    # the same F_p count, called directly below degree 2, against the Z path
+    # the F_p rank reference below degree 2, against the engine
     compared = 0
     for group, m, _k, module in squarefree_cases():
-        primes = tuple(factorize(m))
         for degree in (0, 1):
-            assert cohomology_module._counted_factors(
-                group, module, degree, primes
+            assert reference_counted_factors(
+                group, module, degree
             ) == cohomology(group, module, degree).invariant_factors, (group.name, m, degree)
             compared += 1
     assert compared == 2 * 427
 
 
+def direct_sum(*modules):
+    """The direct sum of modules over one group, coordinates in order."""
+    group = modules[0].group
+    orders = [d for module in modules for d in module.orders]
+    action = []
+    for g in range(group.order):
+        matrix = np.zeros((len(orders), len(orders)), dtype=object)
+        start = 0
+        for module in modules:
+            r = module.rank
+            matrix[start:start + r, start:start + r] = module.action_matrix(g)
+            start += r
+        action.append(matrix.tolist())
+    return gmodule(group, orders, action)
+
+
 def test_count_path_leaves_other_modules_to_the_z_path():
-    # p^2 | e, rank 2, coprime order, and a squarefree e past 2^31 build the
-    # presentation eagerly, as before, with the closed-form factors
+    # p^2 | e and a squarefree e past 2^31 build the presentation eagerly,
+    # as before, with the closed-form factors
     big = 2 * 2147483659  # 2147483659 is prime
     c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
     cases = [
         (c4, trivial_module(c4, [4]), (4,)),
         (c6, trivial_module(c6, [12]), (6,)),
         (symmetric(3), trivial_module(symmetric(3), [12]), (2,)),
-        (c2, trivial_module(c2, [2, 2]), (2, 2)),
-        (c2, trivial_module(c2, [3, 6]), (2,)),
-        (cyclic(3), trivial_module(cyclic(3), [10]), ()),
         (c2, trivial_module(c2, [big]), (2,)),
     ]
     for group, module, factors in cases:
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
         assert h2.invariant_factors == factors, (group.name, module.orders)
-    # the squarefree part of the same groups is counted
-    for group, e, factors in [(c4, 2, (2,)), (c6, 6, (6,)), (c2, 2 * 3 * 5 * 7, (2,))]:
-        h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, [e]), 2)
-        assert "_presentation" not in vars(h2)
+    # the squarefree part of the same groups, rank 2 and coprime order are
+    # counted; only a trivial count is handed over
+    for group, orders, factors in [
+        (c4, [2], (2,)),
+        (c6, [6], (6,)),
+        (c2, [2 * 3 * 5 * 7], (2,)),
+        (c2, [2, 2], (2, 2)),
+        (c2, [3, 6], (2,)),
+        (cyclic(3), [10], ()),
+    ]:
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, orders), 2)
+        assert ("_presentation" in vars(h2)) == (not factors)
         assert h2.invariant_factors == factors
+
+
+def test_counted_h2_of_higher_rank_matches_the_presentation():
+    # sums of two or three characters with squarefree exponent, against the
+    # forced presentation of all rows
+    cases = 0
+    for name in ("C2", "C4", "C6", "S3", "D4", "Q8"):
+        group = named_group(name)
+        for ms in ((2, 2), (3, 6), (2, 6), (2, 3, 6)):
+            chars = [all_characters(group, m) for m in ms]
+            for chis in itertools.islice(itertools.product(*chars), 2):
+                module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
+                h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+                assert ("_presentation" in vars(h2)) == h2.is_trivial
+                presentation = cohomology_module._z_presentation(group, module, 2)
+                assert h2.invariant_factors == presentation.factors, (name, ms, chis)
+                cases += 1
+    assert cases > 40
 
 
 def test_counted_h2_repr_builds_nothing():
@@ -988,8 +1073,43 @@ def test_counted_h2_reads_like_the_z_path():
 def test_counted_h2_matches_the_closed_form(factors, m):
     group, expected = closed_forms.h2_trivial(factors, m)
     h2 = cohomology(group, trivial_module(group, [m]), 2)
-    assert "_presentation" not in vars(h2)
+    assert ("_presentation" in vars(h2)) == (not expected)
     assert h2.invariant_factors == expected
+    # H^2(G, (Z/p)^2) = H^2(G, Z/p)^2
+    assert cohomology(group, trivial_module(group, [m, m]), 2).invariant_factors == expected * 2
+
+
+KUENNETH_PRODUCTS = [
+    ("C2", "C4"),
+    ("S3", "C2"),
+    ("D4", "C2"),
+    ("Q8", "C2"),
+    ("C4", "C4"),
+    ("S3", "C3"),
+    ("C2^2", "C2^2"),
+    ("Q8", "C4"),
+]
+
+
+def kuenneth_factor(name):
+    return direct_product(cyclic(2), cyclic(2)) if name == "C2^2" else named_group(name)
+
+
+@pytest.mark.parametrize("names", KUENNETH_PRODUCTS)
+def test_kuenneth_formula_over_f_p(names):
+    # over a field with trivial action, h^2(A x B) = h^2(A) + h^1(A) h^1(B)
+    # + h^2(B) for h^n = dim H^n(-, F_p): the H^2 of the product is counted
+    # from its generator rows, the H^1 are presented from all rows
+    a, b = (kuenneth_factor(name) for name in names)
+    product = direct_product(a, b)
+    for p in (2, 3):
+        def h(group, n):
+            factors = cohomology(group, trivial_module(group, [p]), n).invariant_factors
+            assert set(factors) <= {p}
+            return len(factors)
+
+        expected = h(a, 2) + h(a, 1) * h(b, 1) + h(b, 2)
+        assert h(product, 2) == expected, (names, p)
 
 
 def test_closed_form_helper():

@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,6 +358,74 @@ def test_subquotient_rejects_generators_outside_the_lattice():
     quot = subquotient((e,), e, iter([([2], e)]), int_matrix([[2**39]]))
     assert quot.factors == () and quot.lattice.reduced.dtype == object
     assert subquotient((e,), e, iter([([2], e)]), int_matrix([[2**41]])).factors == (2,)
+
+
+def object_contains(lattice, vectors):
+    """Membership by one product over Python ints."""
+    e = lattice.exponent
+    product = np.asarray(lattice.reduced, dtype=object) @ (np.asarray(vectors, dtype=object) % e)
+    return not (product % e).any()
+
+
+def test_contains_matches_the_object_product_across_the_bounds():
+    # the product is taken in float64 while n e^2 < 2^53, in int64 while
+    # n e^2 < 2^63 and over objects past that: members and non-members of
+    # random lattices on each side of both bounds, one vector and a matrix
+    rng = random.Random(31)
+    n = 4
+    for bound in (2**53, 2**63):
+        for side in (-3, 3):
+            e = isqrt(bound // n) + side
+            assert (n * e * e < bound) == (side < 0) and e < 2**31
+            for _ in range(10):
+                rows = [([rng.randrange(e) for _ in range(n)], e) for _ in range(2)]
+                lattice = congruence_kernel(n, e, iter(rows))
+                coeffs = int_matrix([[rng.randrange(-e, e) for _ in range(6)]
+                                     for _ in range(lattice.basis.shape[1])])
+                members = lattice.basis @ coeffs
+                others = members + int_matrix([[rng.randrange(e) for _ in range(6)]
+                                               for _ in range(n)])
+                assert lattice.contains(members) and object_contains(lattice, members)
+                outside = 0
+                for j in range(6):
+                    want = object_contains(lattice, others[:, j])
+                    assert lattice.contains(others[:, j]) == want
+                    assert lattice.contains(members[:, j])
+                    outside += not want
+                assert lattice.contains(others) == (outside == 0)
+                assert outside
+    # past _BLOCK_ROWS rows: a vector that breaks only the congruence folded
+    # into the last row lies outside
+    n = 2 * linalg._BLOCK_ROWS + 5
+    lattice = congruence_kernel(n, 2, iter([([0] * (n - 1) + [1], 2)]))
+    inside = np.zeros((n, 2), dtype=object)
+    inside[0] = 1
+    assert lattice.contains(inside)
+    inside[n - 1, 1] = 1
+    assert not lattice.contains(inside) and not object_contains(lattice, inside)
+
+
+def test_subquotient_counts_and_diagonalizes_on_first_read(monkeypatch):
+    # subquotient builds no Smith form; the first read of the factors of a
+    # nontrivial quotient builds it through lattice_quotient, once.  A
+    # relation outside L is rejected though its order is not a multiple of e
+    # only on some coordinates: orders (2, 4) with e = 4
+    built = []
+
+    def recorded(lattice, sub, orders):
+        built.append(orders)
+        return lattice_quotient(lattice, sub, orders)
+
+    monkeypatch.setattr(linalg, "lattice_quotient", recorded)
+    quot = subquotient((2, 4), 4, iter([([2, 1], 4)]), zero_matrix(2, 0))
+    assert quot.order == 2 and not built
+    assert quot.factors == (2,) and built == [(2, 4)]
+    assert quot.generators().shape == (2, 1) and len(built) == 1
+    with pytest.raises(NotInLattice):
+        subquotient((2, 4), 4, iter([([1, 0], 4)]), zero_matrix(2, 0))
+    with pytest.raises(NotInLattice):
+        subquotient((4, 2), 4, iter([([0, 1], 4)]), zero_matrix(2, 0))
+    assert subquotient((4, 2), 4, iter([([1, 0], 4)]), zero_matrix(2, 0)).factors == (2,)
 
 
 def test_snf_transforms_match_the_eager_reference():
