@@ -339,10 +339,13 @@ def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None)
 
 def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
     """The invariant factors of a finite abelian group of the given order
-    killed by the squarefree e, smallest first."""
+    killed by the squarefree e, smallest first.  An order with a prime
+    factor not in e is no such group: ``ArithmeticError``."""
     factors = ()
     while order > 1:
         factors = (gcd(order, e),) + factors
+        if factors[0] == 1:
+            raise ArithmeticError(f"the order has a factor {order} prime to {e}")
         order //= factors[0]
     return factors
 

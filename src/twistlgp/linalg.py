@@ -12,7 +12,8 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   the logged elementary operations when first read, then cached.
 * A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
   folds the constraint rows into, numpy column by column over blocks of
-  rows.  Its basis (independent columns), the unimodular ``forward`` matrix
+  rows from e * I, in the smallest integer dtype that holds the exponent e
+  (objects from 2^31).  Its basis (independent columns), the unimodular ``forward`` matrix
   taking it to diag(scales), and the scales come from the Smith normal form
   of ``reduced``, built the first time one of them is read; membership
   needs only ``reduced``.
@@ -283,20 +284,21 @@ def _over_scales(lattice: Lattice, z: np.ndarray) -> np.ndarray | None:
 _BLOCK_ROWS = 256
 
 
-def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
-    """Fold the rows of ``block`` (entries in [0, e)) into ``pivots``.
+def _fold(reduced: np.ndarray, block: np.ndarray, e: int) -> None:
+    """Fold the rows of ``block`` (entries in [0, e)) into ``reduced``.
 
-    pivots[j] is the tail from column j of the pivot row for column j; the
-    row is zero before j, and a column without one has the implicit pivot
-    row e * e_j.  The block is reduced one column at a time, which gives the
-    pivots of folding it row by row: either way row k reaches column j
-    reduced by the pivots that rows < k left at columns < j.  In a column the
-    pivot value a changes only at a row whose entry v it does not divide,
-    which costs an xgcd; each new value properly divides the last, so a
-    column has at most Omega(e) such rows.  Between two of them a row with
-    v == a becomes the pivot row (xgcd(a, a) == (a, 0, 1)), and every row
-    loses (v / a) times the pivot row left by the rows above it, found with
-    one maximum.accumulate.
+    Row j of the upper triangular ``reduced`` is the pivot row for column j,
+    from a diagonal start whose entries divide e (e * I for a kernel); a
+    column the block reaches reads it in ``block.dtype`` and writes it
+    back.  The block is reduced one column at a time, which gives the pivots of
+    folding it row by row: either way row k reaches column j reduced by the
+    pivots that rows < k left at columns < j.  In a column the pivot value a
+    changes only at a row whose entry v it does not divide, which costs an
+    xgcd; each new value properly divides the last, so a column has at most
+    Omega(e) such rows.  Between two of them a row with v == a becomes the
+    pivot row (xgcd(a, a) == (a, 0, 1)), and every row loses (v / a) times
+    the pivot row left by the rows above it, found with one
+    maximum.accumulate.
     """
     n = block.shape[1]
     for j in range(n):
@@ -304,10 +306,7 @@ def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
         if not rows.size:
             continue
         vals = block[rows, j]
-        base = pivots.get(j)
-        if base is None:
-            base = np.zeros(n - j, dtype=block.dtype)
-            base[0] = e
+        base = reduced[j, j:].astype(block.dtype)
         a = int(base[0])
         start = 0
         while start < rows.size:
@@ -339,21 +338,17 @@ def _fold(pivots: dict[int, np.ndarray], block: np.ndarray, e: int) -> None:
                 block[k, j:] = ((a // g) * tail - (v // g) * base) % e
                 a, base = g, (x * base + y * tail) % e
             start = stop + 1
-        pivots[j] = base
+        reduced[j, j:] = base
 
 
-def _reduced(pivots: dict[int, np.ndarray], n: int, e: int) -> np.ndarray:
-    """The upper triangular n x n matrix of the pivot rows, in the smallest
-    integer dtype that holds e: a lattice keeps it for as long as it lives."""
-    dtype = _dtype(e)
-    reduced = np.zeros((n, n), dtype=dtype if dtype == object else np.min_scalar_type(e))
-    for j in range(n):
-        base = pivots.pop(j, None)
-        if base is None:
-            reduced[j, j] = e
-        else:
-            reduced[j, j:] = base
-    return reduced
+def _diagonal(entries, e: int) -> np.ndarray:
+    """diag(entries), entries in [1, e], in the smallest integer dtype that
+    holds e: the start of a fold, which a lattice keeps for as long as it
+    lives."""
+    n = len(entries)
+    mat = np.zeros((n, n), dtype=np.min_scalar_type(e) if e < 2**31 else object)
+    mat[np.diag_indices(n)] = entries
+    return mat
 
 
 def _dtype(e: int):
@@ -375,7 +370,7 @@ def congruence_kernel(
     """
     e = exponent
     dtype = _dtype(e)
-    pivots: dict[int, np.ndarray] = {}
+    reduced = _diagonal([e] * n, e)
     block = np.empty((_BLOCK_ROWS, n), dtype=dtype)
     moduli = np.empty((_BLOCK_ROWS, 1), dtype=dtype)
     count = 0
@@ -385,7 +380,7 @@ def congruence_kernel(
         # (e / modulus) * x mod e == (e / modulus) * (x mod modulus)
         rows %= m
         rows *= e // m
-        _fold(pivots, rows, e)
+        _fold(reduced, rows, e)
 
     for row, modulus in constraints:
         if modulus == 0 or e % modulus:
@@ -401,7 +396,7 @@ def congruence_kernel(
             count = 0
     if count:
         fold_block()
-    return Lattice(_reduced(pivots, n, e), e)
+    return Lattice(reduced, e)
 
 
 def _quotient_order(lattice: Lattice, sub: np.ndarray, orders) -> int:
@@ -410,22 +405,18 @@ def _quotient_order(lattice: Lattice, sub: np.ndarray, orders) -> int:
 
     For E a multiple of e and of the orders, E * Z^n lies in both lattices.
     [L : E Z^n] = prod(a) (E / e)^n for a the diagonal of ``reduced``, and
-    [span(sub) + R : E Z^n] = E^n / prod(b) for b the pivots of the columns of
-    sub and diag(orders) folded mod E, so the order is prod(a) prod(b) / e^n.
+    [span(sub) + R : E Z^n] = E^n / prod(b) for b the diagonal left by
+    folding the columns of sub into diag(orders) mod E, so the order is
+    prod(a) prod(b) / e^n.
     """
     e, n = lattice.exponent, len(orders)
     big = lcm(e, *orders)
-    dtype = _dtype(big)
-    pivots = {}
-    for i, d in enumerate(orders):
-        if d % big:
-            pivots[i] = np.zeros(n - i, dtype=dtype)
-            pivots[i][0] = d
+    spanned = _diagonal(orders, big)
     gens = np.asarray(sub, dtype=object).T % big
     for start in range(0, gens.shape[0], _BLOCK_ROWS):
-        _fold(pivots, gens[start:start + _BLOCK_ROWS].astype(dtype), big)
+        _fold(spanned, gens[start:start + _BLOCK_ROWS].astype(_dtype(big)), big)
     a = prod(int(lattice.reduced[j, j]) for j in range(n))
-    b = prod(int(pivots[j][0]) if j in pivots else big for j in range(n))
+    b = prod(int(spanned[j, j]) for j in range(n))
     return a * b // e**n
 
 

@@ -547,13 +547,15 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
     # every subquotient that H^0, H^1, H^2 and sha_finite build: the order
     # counted from the two folds is the product of the Smith path's factors,
     # and the Smith path, with the relations as a column scaling, equals the
-    # dense reference entry for entry (factors, generators, coordinates)
+    # dense reference entry for entry (factors, generators, coordinates).
+    # Both read the lattice that the real subquotient folded, so its Smith
+    # form is built once
     original = linalg.subquotient
     orders_seen = []
 
     def compared(orders, exponent, congruences, sub):
-        congruences = list(congruences)
-        lift = linalg.congruence_kernel(len(orders), exponent, iter(congruences))
+        quot = original(orders, exponent, congruences, sub)
+        lift = quot.lattice
         smith = linalg.lattice_quotient(lift, sub, orders)
         want = reference_lattice_quotient(lift, sub, orders)
         assert linalg._quotient_order(lift, sub, orders) == smith.order
@@ -566,7 +568,6 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
         assert coords.shape == (len(want.factors), points.shape[1])
         for j in range(points.shape[1]):
             assert tuple(coords[:, j]) == want.coordinates(points[:, j])
-        quot = original(orders, exponent, iter(congruences), sub)
         assert quot.factors == smith.factors
         assert (quot.generators() == gens).all() and (quot.coordinates(points) == coords).all()
         orders_seen.append(smith.order)
@@ -810,9 +811,9 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
         fed.append(len(items))
         return congruence_kernel(n, exponent, iter(items))
 
-    def recorded_fold(pivots, block, e):
+    def recorded_fold(reduced, block, e):
         folded.append(block.shape)
-        return fold(pivots, block, e)
+        return fold(reduced, block, e)
 
     monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
     monkeypatch.setattr(linalg, "_fold", recorded_fold)
@@ -861,12 +862,14 @@ def squarefree_cases():
 
 def reference_rank_mod_p(blocks, p):
     """The rank over F_p (p prime) of the rows of the int64 ``blocks``:
-    ``_fold`` mod p turns a column's pivot from p into 1 at its first
-    nonzero entry, so the rank is the number of pivots equal to 1."""
-    pivots = {}
+    ``_fold`` mod p into p * I turns a column's pivot from p into 1 at its
+    first nonzero entry, so the rank is the number of 1s on the diagonal."""
+    reduced = None
     for block in blocks:
-        linalg._fold(pivots, block % p, p)
-    return sum(int(base[0]) == 1 for base in pivots.values())
+        if reduced is None:
+            reduced = linalg._diagonal([p] * block.shape[1], p)
+        linalg._fold(reduced, block % p, p)
+    return 0 if reduced is None else int((reduced.diagonal() == 1).sum())
 
 
 def reference_counted_factors(group, module, degree):
@@ -888,6 +891,16 @@ def reference_counted_factors(group, module, degree):
             dims[p] -= reference_rank_mod_p(rows, p)
     top = max(dims.values(), default=0)
     return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
+
+
+def test_squarefree_factors_reject_an_order_prime_to_e():
+    # a count broken by a fold bug must fail, not hang: an order with a
+    # prime factor that the squarefree e lacks is no group killed by e
+    assert cohomology_module._squarefree_factors(1, 6) == ()
+    assert cohomology_module._squarefree_factors(72, 6) == (2, 6, 6)
+    for order, e in [(5, 6), (10, 6), (28, 2)]:
+        with pytest.raises(ArithmeticError):
+            cohomology_module._squarefree_factors(order, e)
 
 
 def test_counted_h2_matches_the_z_path():
@@ -1110,6 +1123,47 @@ def test_kuenneth_formula_over_f_p(names):
 
         expected = h(a, 2) + h(a, 1) * h(b, 1) + h(b, 2)
         assert h(product, 2) == expected, (names, p)
+
+
+def p_part(order, p):
+    part = 1
+    while order % p == 0:
+        order, part = order // p, part * p
+    return part
+
+
+def sylow_subgroup(group, p):
+    """A Sylow p-subgroup, grown one element at a time: an element joins
+    while the subgroup stays a p-group.  Every p-subgroup lies in a Sylow
+    one, so after one pass no p-subgroup properly contains the result."""
+    gens = []
+    for g in group.elements():
+        size = len(subgroup_generated(group, gens + [g]).elements)
+        if p_part(size, p) == size:
+            gens.append(g)
+    sylow = subgroup_generated(group, gens)
+    assert len(sylow.elements) == p_part(group.order, p)
+    return sylow
+
+
+SYLOW_NAMED = [f"C{n}" for n in range(1, 25)] + [f"D{n}" for n in range(2, 13)] + ["Q8", "S3", "S4"]
+
+
+def test_restriction_to_a_sylow_subgroup_is_injective():
+    # H^n(G, Z/p) is killed by p, and restriction to a Sylow p-subgroup P is
+    # injective on the p-primary part (Brown, Cohomology of Groups, III.10),
+    # so Res: H^n(G, Z/p) -> H^n(P, Z/p) has trivial kernel
+    nontrivial = 0
+    for name in SYLOW_NAMED:
+        group = named_group(name)
+        for p in factorize(group.order):
+            sylow = sylow_subgroup(group, p)
+            module = trivial_module(group, [p])
+            for degree in (1, 2) if group.order <= 12 else (1,):
+                coh = cohomology(group, module, degree)
+                assert restriction(coh, sylow).is_injective, (name, p, degree)
+                nontrivial += not coh.is_trivial
+    assert nontrivial == 68
 
 
 def test_closed_form_helper():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd, isqrt, lcm
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from twistlgp import linalg
-from twistlgp.cohomology import _cohomology_cached
+from twistlgp.cohomology import _cohomology_cached, _differential_rows, _generator_ends
 from twistlgp.gmodules import trivial_module
 from twistlgp.groups import cyclic
 from twistlgp.linalg import (
@@ -328,6 +329,35 @@ def test_blocked_fold_matches_the_reference_fold():
     big = congruence_kernel(2, 6, iter([([2**70 + 1, 3], 6)]))
     small = congruence_kernel(2, 6, iter([([(2**70 + 1) % 6, 3], 6)]))
     assert (big.reduced == small.reduced).all()
+
+
+def test_wide_fold_keeps_its_pivot_rows_in_the_narrow_basis(monkeypatch):
+    # the generator rows of H^2(C32, Z/2), n = 1024: the fold's only store
+    # of pivot rows is the uint8 ``reduced`` it returns, so beyond it the
+    # peak is the block being folded and its temporaries, not n^2 / 2 int64
+    # tails (4 MB, two blocks' worth, here)
+    group = cyclic(32)
+    module = trivial_module(group, [2])
+    rows = [
+        (list(map(int, row)), int(modulus))
+        for row, modulus in _differential_rows(group, module, 2, _generator_ends(group))
+    ]
+    n = group.order**2
+    block_bytes = linalg._BLOCK_ROWS * n * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        got = congruence_kernel(n, 2, iter(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.reduced.dtype == np.uint8
+    assert peak < got.reduced.nbytes + 2 * block_bytes
+    # only the reference's triangular basis is compared: its Smith form of
+    # a 1024 x 1024 matrix would take minutes
+    no_snf = SimpleNamespace(diagonal=(), v=zero_matrix(n, 0), v_inv=None)
+    monkeypatch.setitem(globals(), "reference_snf", lambda mat: no_snf)
+    want = reference_congruence_kernel(n, 2, iter(rows))
+    assert (got.reduced == want.reduced).all()
 
 
 def test_subquotient_rejects_generators_outside_the_lattice():
