@@ -13,10 +13,12 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
 * A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
   folds the constraint rows into, numpy column by column over blocks of
   rows from e * I, in the smallest integer dtype that holds the exponent e
-  (objects from 2^31).  Its basis (independent columns), the unimodular ``forward`` matrix
-  taking it to diag(scales), and the scales come from the Smith normal form
-  of ``reduced``, built the first time one of them is read; membership
-  needs only ``reduced``.
+  (objects from 2^31).  A block holds up to 256^2 entries: 256 rows, or
+  more for a system narrower than 256 columns, so a tall degree-1 system
+  takes few blocks.  Its basis (independent columns), the unimodular
+  ``forward`` matrix taking it to diag(scales), and the scales come from
+  the Smith normal form of ``reduced``, built the first time one of them
+  is read; membership needs only ``reduced``.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
   L / (span(sub) + R) with L a congruence kernel and R = diag(d), passed as
   the orders d and entering as a column scaling of ``forward``;
@@ -279,8 +281,10 @@ def _over_scales(lattice: Lattice, z: np.ndarray) -> np.ndarray | None:
     return z // scales
 
 
-# Rows folded at once: enough for numpy to pay off, few enough that the
-# block of a wide system stays small.
+# Rows folded or multiplied at once: enough for numpy to pay off, few enough
+# that the block of a wide system stays small.  ``congruence_kernel`` takes
+# _BLOCK_ROWS^2 // n rows when that is more, so a narrow system's block
+# holds as many entries as a square one's.
 _BLOCK_ROWS = 256
 
 
@@ -356,6 +360,13 @@ def _dtype(e: int):
     return np.int64 if e < 2**31 else object
 
 
+def _grown(mat: np.ndarray, rows: int) -> np.ndarray:
+    """``mat`` with room for ``rows`` rows, the ones past it unset."""
+    out = np.empty((rows, mat.shape[1]), dtype=mat.dtype)
+    out[:len(mat)] = mat
+    return out
+
+
 def congruence_kernel(
     n: int, exponent: int, constraints: Iterator[tuple[list[int], int]]
 ) -> Lattice:
@@ -364,13 +375,19 @@ def congruence_kernel(
 
     Each constraint is scaled to a single modulus e and folded into a
     triangular row basis of the constraint lattice (which contains e*Z^n),
-    ``_BLOCK_ROWS`` rows at a time, so the number of constraints can be much
-    larger than n.  A modulus that does not divide ``exponent`` raises
+    in blocks of up to ``_BLOCK_ROWS``^2 entries: ``_BLOCK_ROWS`` rows, or
+    ``_BLOCK_ROWS``^2 // n rows when n is smaller, so the number of
+    constraints can be much larger than n and a tall, narrow system is
+    folded in few passes over its columns.  The pivots do not depend on
+    the block size (see ``_fold``).  A modulus that does not divide
+    ``exponent``, or a row that is not n entries long, raises
     ``ValueError``.
     """
     e = exponent
     dtype = _dtype(e)
     reduced = _diagonal([e] * n, e)
+    size = max(_BLOCK_ROWS, _BLOCK_ROWS**2 // max(n, 1))
+    # _BLOCK_ROWS rows first: most streams are shorter, and pay for no more
     block = np.empty((_BLOCK_ROWS, n), dtype=dtype)
     moduli = np.empty((_BLOCK_ROWS, 1), dtype=dtype)
     count = 0
@@ -386,14 +403,22 @@ def congruence_kernel(
         if modulus == 0 or e % modulus:
             raise ValueError(f"modulus {modulus} does not divide the exponent {e}")
         try:
+            length = len(row)
+        except TypeError:  # a scalar, which numpy would broadcast
+            length = "a scalar"
+        if length != n:
+            raise ValueError(f"expected a constraint row of {n} entries, got {length}")
+        try:
             block[count] = row
         except OverflowError:  # an entry past int64
             block[count] = [x % modulus for x in row]
         moduli[count] = modulus
         count += 1
-        if count == _BLOCK_ROWS:
+        if count == size:
             fold_block()
             count = 0
+        elif count == len(block):  # a longer stream: grow to ``size`` rows, once
+            block, moduli = _grown(block, size), _grown(moduli, size)
     if count:
         fold_block()
     return Lattice(reduced, e)

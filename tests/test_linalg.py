@@ -10,8 +10,8 @@ import pytest
 
 from twistlgp import linalg
 from twistlgp.cohomology import _cohomology_cached, _differential_rows, _generator_ends
-from twistlgp.gmodules import trivial_module
-from twistlgp.groups import cyclic
+from twistlgp.gmodules import all_characters, mu_module, trivial_module
+from twistlgp.groups import cyclic, direct_product, symmetric
 from twistlgp.linalg import (
     NotInLattice,
     congruence_kernel,
@@ -156,6 +156,18 @@ def test_congruence_kernel_rejects_a_modulus_not_dividing_the_exponent():
         congruence_kernel(2, 1, iter([([1, 0], 2)]))
     with pytest.raises(ValueError):
         congruence_kernel(2, 6, iter([([1, 1], 0)]))
+
+
+def test_congruence_kernel_rejects_a_row_of_the_wrong_length():
+    # numpy would broadcast a one-entry row or a scalar across all n
+    # columns: [[1]] on (Z/4)^3 used to read as x + y + z, a kernel of order 16
+    with pytest.raises(ValueError, match="of 3 entries, got 1"):
+        kernel_subgroup((4, 4, 4), [([[1]], (4,))])
+    with pytest.raises(ValueError, match="of 3 entries, got a scalar"):
+        congruence_kernel(3, 4, iter([(1, 4)]))
+    with pytest.raises(ValueError, match="of 2 entries, got 3"):
+        congruence_kernel(2, 4, iter([([1, 0], 4), ([1, 2, 3], 4)]))
+    assert kernel_subgroup((4, 4, 4), [([[1, 1, 1]], (4,))]).order == 16
 
 
 def reference_snf(mat):
@@ -325,6 +337,23 @@ def test_blocked_fold_matches_the_reference_fold():
             assert (got.reduced == want.reduced).all()
             assert got.scales == want.scales
             assert (got.basis == want.basis).all() and (got.forward == want.forward).all()
+    # past one block for n <= 8, which holds _BLOCK_ROWS^2 // n rows
+    rng = random.Random(29)
+    for e in (720, 2**31 * 3, 2**40 + 4):
+        chain = [d for d in (e // 2, e // 6, e // 8, e // 48, 2**20, 48, 16, 3, 1) if e % d == 0]
+        n = rng.randint(2, 8)
+        size = linalg._BLOCK_ROWS**2 // n
+        count = size + rng.randint(1, linalg._BLOCK_ROWS)
+        moduli = [e if rng.random() < 0.8 else rng.choice(chain[:-1]) for _ in range(count)]
+        rows = [
+            [0 if rng.random() < 0.5 else rng.randint(-3, 3) * chain[i * len(chain) // count] for _ in range(n)]
+            for i in range(count)
+        ]
+        got = congruence_kernel(n, e, iter(zip(rows, moduli)))
+        want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
+        assert (got.reduced == want.reduced).all()
+        assert got.scales == want.scales
+        assert (got.basis == want.basis).all() and (got.forward == want.forward).all()
     # an entry past int64 with a small exponent is reduced before it is stored
     big = congruence_kernel(2, 6, iter([([2**70 + 1, 3], 6)]))
     small = congruence_kernel(2, 6, iter([([(2**70 + 1) % 6, 3], 6)]))
@@ -358,6 +387,60 @@ def test_wide_fold_keeps_its_pivot_rows_in_the_narrow_basis(monkeypatch):
     monkeypatch.setitem(globals(), "reference_snf", lambda mat: no_snf)
     want = reference_congruence_kernel(n, 2, iter(rows))
     assert (got.reduced == want.reduced).all()
+
+
+def test_tall_narrow_fold_stays_within_a_few_blocks():
+    # the 2304 degree-1 rows of S4 x C2 with mu_4 coefficients, n = 48: a
+    # block takes _BLOCK_ROWS^2 // 48 rows, so beyond ``reduced`` the peak is
+    # that block and the temporaries of one column (1.4 blocks of
+    # _BLOCK_ROWS^2 int64 entries), not the whole stream as one block (3.0)
+    group = direct_product(symmetric(4), cyclic(2))
+    module = mu_module(group, 4, all_characters(group, 4)[-1])
+    rows = [(list(map(int, row)), int(modulus)) for row, modulus in _differential_rows(group, module, 1)]
+    n = group.order
+    assert len(rows) == n * n == 2304
+    tracemalloc.start()
+    try:
+        got = congruence_kernel(n, 4, iter(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.reduced.nbytes + 2 * linalg._BLOCK_ROWS**2 * np.dtype(np.int64).itemsize
+    assert (got.reduced == reference_congruence_kernel(n, 4, iter(rows)).reduced).all()
+
+
+def divisors(e):
+    small = [d for d in range(1, isqrt(e) + 1) if e % d == 0]
+    return sorted({*small, *(e // d for d in small)})
+
+
+def test_the_fold_does_not_depend_on_the_block_size(monkeypatch):
+    # the fold of blocks of 2, 3, 7 and 10^4 rows (times up to _BLOCK_ROWS / n
+    # for a narrow system) against the fold one row at a time, on streams of
+    # exactly one block, one block plus one row and random lengths.  Only
+    # the last row reaches the last column, so a fold that drops it, in the
+    # first block or past it, leaves e on the last diagonal entry or
+    # another pivot unchanged
+    rng = random.Random(41)
+    for trial in range(330):
+        e = (2, 3, 4, 6, 8, 12, 30, 36, 60, 2**31 + 11, 2 * (2**31 + 11))[trial % 11]
+        divs = divisors(e)
+        n = rng.randint(2, 7)
+        sizes = [max(b, b * b // n) for b in (2, 3, 7)]
+        count = rng.choice([*sizes, *(size + 1 for size in sizes), rng.randint(1, 60)])
+        system = [
+            ([rng.choice(divs) * rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n - 1)] + [0],
+             rng.choice(divs))
+            for _ in range(count)
+        ]
+        system[-1] = (system[-1][0][:-1] + [1], e)
+        folds = {}
+        for rows_a_block in (1, 2, 3, 7, 10**4):
+            monkeypatch.setattr(linalg, "_BLOCK_ROWS", rows_a_block)
+            folds[rows_a_block] = congruence_kernel(n, e, iter(system)).reduced
+        want = folds.pop(1)
+        for rows_a_block, got in folds.items():
+            assert got.dtype == want.dtype and (got == want).all(), (e, n, count, rows_a_block)
 
 
 def test_subquotient_rejects_generators_outside_the_lattice():
