@@ -37,24 +37,26 @@ and a non-empty X reaches all of G.  A different row set gives a different
 triangular basis of the same lattice, and so may give other representatives.
 
 A ``CohomologyGroup`` knows its invariant factors from construction.  Its
-presentation, and the representatives read from it, are built on first
-read: the subquotient of all rows, which must find the same factors.  The
-factors come one of two ways:
-
-- counted, for H^n with n >= 1 and gcd(|G|, e) = 1, and for H^2 with e
-  squarefree (and below 2^31, where ``factorize`` is complete), e the
-  exponent of M.  The subquotient of the generator rows counts its order
-  N without a Smith form.  Coprime order kills H^n (restriction-
-  corestriction), so N = 1.  For squarefree e, H^n is killed by e, so it
-  is the sum of the (Z/p)^(d_p) for p | e and N alone fixes it: the
-  largest factor is gcd(N, e), the next is gcd(N / gcd(N, e), e), and so
-  on.  Only a trivial count is handed over as the presentation, since a
-  subquotient with no generators is the same whichever rows it folded;
-  any other presentation is built from all rows when first read.  Only
-  degree 2 counts past the coprime case: degree-1 groups feed
-  ``restriction`` and ``sha_finite``, which read the presentation anyway.
-- presented, for every other H^n: all rows, and the factors read from
-  that presentation, which is handed over.
+presentation, and the representatives read from it, are built on first read:
+the subquotient of all rows, which must find the same factors.  One rule
+counts the factors with no Smith form: the generator-row subquotient orders
+N_i of H^n(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
+e = prod_p p^k_p the exponent of M.  N_i / N_(i-1) is the order of a sum of
+Z/p over the primes p still climbing (``_squarefree_factors``), one for each
+summand Z/p^a of H^n(G, M) with a >= i.  So each ratio must divide the
+one before (else ``ArithmeticError``), and the j-th largest factor is the
+product of the j-th largest factors of these layers.  This holds for n >= 1
+and gcd(|G|, e) = 1, where H^n = 0 (restriction-corestriction) and one rung
+d_1 = e counts 1; and for n = 2, e < 2^31 (where ``factorize`` is complete)
+and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
+lifts to Z_p^*: every value is +-1 mod 2^k, or for p odd a (p-1)-th root of
+1 mod p^k.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free
+Z_p-modules, and the universal coefficient theorem (Brown, *Cohomology of
+Groups*, ch. III) gives H^n(G, Z/p^i) = H^n(C)/p^i + H^(n+1)(C)[p^i], both
+finite.  Every other H^n is presented from all rows, handed over with its
+factors, as is a trivial count: a subquotient with no generators is the same
+whichever rows it folded.  Degree 1 counts only the coprime case: the others
+feed ``restriction`` and ``sha_finite``, which read the presentation anyway.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -350,21 +352,52 @@ def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
     return factors
 
 
+def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] | None:
+    """The moduli d_1 | d_2 | ... | e of the ladder that counts the factors of
+    H^degree (see the module docstring), or None for the Z path."""
+    e = module.exponent
+    if degree and gcd(group.order, e) == 1:
+        return (e,)
+    if degree != 2 or e >= 2**31:
+        return None
+    powers = factorize(e)
+    for p, k in powers.items():
+        q, values = p**k, [a[-1][-1] for a in module.action]
+        cyclic = module.rank == 1 or module.orders[-2] % p
+        lifts = all(v % q in (1, q - 1) if p == 2 else pow(v, p - 1, q) == 1 for v in values)
+        if k > 1 and not (cyclic and lifts):
+            return None
+    top = max(powers.values())
+    return tuple(prod(p ** min(i, k) for p, k in powers.items()) for i in range(1, top + 1))
+
+
+def _modulo(module: GModule, d: int) -> GModule:
+    """M / dM, without the coordinates whose order is prime to d."""
+    keep = [(i, gcd(o, d)) for i, o in enumerate(module.orders) if gcd(o, d) > 1]
+    action = (tuple(tuple(a[i][j] % o for j, _ in keep) for i, o in keep) for a in module.action)
+    orders = tuple(o for _, o in keep)
+    return module if orders == module.orders else GModule(module.group, orders, tuple(action))
+
+
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    e = module.exponent
-    if degree and (
-        gcd(group.order, e) == 1
-        or degree == 2 and e < 2**31 and max(factorize(e).values()) == 1
-    ):
-        count = _z_presentation(group, module, degree, _generator_ends(group))
-        coh = CohomologyGroup(group, module, degree, _squarefree_factors(count.order, e))
-        if count.is_trivial:
-            coh._presentation = count
+    rungs = _rungs(group, module, degree)
+    if rungs is None:
+        presentation = _z_presentation(group, module, degree)
+        coh = CohomologyGroup(group, module, degree, presentation.factors)
+        coh._presentation = presentation
         return coh
-    presentation = _z_presentation(group, module, degree)
-    coh = CohomologyGroup(group, module, degree, presentation.factors)
-    coh._presentation = presentation
+    factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
+    for d_below, d in zip((1,) + rungs, rungs):
+        count = _z_presentation(group, _modulo(module, d), degree, _generator_ends(group))
+        if count.order % below or ratio % (count.order // below):
+            raise ArithmeticError(f"the counts {below}, {count.order} climb no ladder")
+        ratio, below = count.order // below, count.order
+        layer = reversed(_squarefree_factors(ratio, d // d_below))
+        factors = [a * b for a, b in itertools.zip_longest(factors, layer, fillvalue=1)]
+    coh = CohomologyGroup(group, module, degree, tuple(reversed(factors)))
+    if count.is_trivial:
+        coh._presentation = count
     return coh
 
 

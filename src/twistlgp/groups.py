@@ -247,6 +247,8 @@ def build_group(spec) -> FiniteGroup:
             raise NotAGroup("named group needs a string name")
         return named_group(spec["name"])
     if kind == "table":
+        if missing := sorted({"order", "table"} - spec.keys()):
+            raise NotAGroup(f"table group spec is missing {missing[0]!r}")
         order, rows = spec["order"], spec["table"]
         if not is_json_int(order):
             raise NotAGroup("table order must be an integer")

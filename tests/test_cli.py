@@ -222,6 +222,15 @@ def test_large_twist_order_or_dimension_needs_no_factorization(monkeypatch):
     assert len(factorized) < 20 and max(factorized, default=0) < 10**4
 
 
+def test_a_missing_table_field_is_named(tmp_path, capsys):
+    doc = write_doc(tmp_path, {"m": 2, "group": {"kind": "table", "order": 2}}, "table.json")
+    assert main(["decide", doc]) == 1
+    assert "group: table group spec is missing 'table'" in capsys.readouterr().err
+    spec = json.dumps({"kind": "table", "order": 2})
+    assert main(["cohomology", "--group", spec, "--module", "mu:2", "--degree", "1"]) == 1
+    assert "error: table group spec is missing 'table'" in capsys.readouterr().err
+
+
 def test_huge_twist_order_and_genus_finish(tmp_path, capsys):
     # phi(2^61 - 1) and the primes p with p - 1 | 2g for g near 10^18 lie far
     # past what trial division reaches

@@ -517,7 +517,8 @@ def reference_lattice_quotient(lattice, sub, orders):
     """The quotient L / (span(sub) + diag(orders)) as built before the
     relations entered as a column scaling: ``solve_columns`` on the dense
     [sub | diag(orders)], a Smith diagonal padded with zeros to the rank of
-    L, generators as a list of vectors and coordinates one vector at a time."""
+    L, generators as a list of vectors, and coordinates as one tuple per
+    column."""
     gens = np.concatenate([sub, linalg.diagonal_matrix(orders)], axis=1)
     w = linalg.solve_columns(lattice, gens)
     if w is None:
@@ -530,11 +531,11 @@ def reference_lattice_quotient(lattice, sub, orders):
     kept = [i for i, d in enumerate(diag) if d != 1]
 
     def coordinates(x):
-        w = linalg.solve_columns(lattice, x.reshape(-1, 1))
+        w = linalg.solve_columns(lattice, x)
         if w is None:
             raise linalg.NotInLattice("vector is not in the ambient lattice")
-        y = w_snf.u @ w[:, 0]
-        return tuple(int(y[i] % diag[i]) for i in kept)
+        y = w_snf.u @ w
+        return [tuple(int(y[i, j] % diag[i]) for i in kept) for j in range(x.shape[1])]
 
     return SimpleNamespace(
         factors=tuple(diag[i] for i in kept),
@@ -544,16 +545,26 @@ def reference_lattice_quotient(lattice, sub, orders):
 
 
 def test_counted_order_equals_the_smith_order(monkeypatch):
-    # every subquotient that H^0, H^1, H^2 and sha_finite build: the order
-    # counted from the two folds is the product of the Smith path's factors,
-    # and the Smith path, with the relations as a column scaling, equals the
-    # dense reference entry for entry (factors, generators, coordinates).
-    # Both read the lattice that the real subquotient folded, so its Smith
-    # form is built once
-    original = linalg.subquotient
-    orders_seen = []
+    # every subquotient that H^0, H^1, H^2 (each rung of a counted one) and
+    # sha_finite build: the order counted from the two folds is the product
+    # of the Smith path's factors, and the Smith path, with the relations as
+    # a column scaling, equals the dense reference entry for entry (factors,
+    # generators, coordinates).  Both read the lattice that the real
+    # subquotient folded, so its Smith form is built once; a Smith form is a
+    # function of its matrix, so the reference and the quotient's first read
+    # reuse the one lattice_quotient built when they diagonalize the same
+    # matrix
+    original, smith = linalg.subquotient, linalg.smith_normal_form
+    orders_seen, smith_forms = [], {}
+
+    def memoized(mat):
+        key = (mat.shape, tuple(mat.flat))
+        if key not in smith_forms:
+            smith_forms[key] = smith(mat)
+        return smith_forms[key]
 
     def compared(orders, exponent, congruences, sub):
+        smith_forms.clear()
         quot = original(orders, exponent, congruences, sub)
         lift = quot.lattice
         smith = linalg.lattice_quotient(lift, sub, orders)
@@ -566,13 +577,13 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
         points = np.concatenate([lift.basis, gens, sub], axis=1)
         coords = smith.coordinates(points)
         assert coords.shape == (len(want.factors), points.shape[1])
-        for j in range(points.shape[1]):
-            assert tuple(coords[:, j]) == want.coordinates(points[:, j])
+        assert [tuple(column) for column in coords.T] == want.coordinates(points)
         assert quot.factors == smith.factors
         assert (quot.generators() == gens).all() and (quot.coordinates(points) == coords).all()
         orders_seen.append(smith.order)
         return quot
 
+    monkeypatch.setattr(linalg, "smith_normal_form", memoized)
     monkeypatch.setattr(linalg, "subquotient", compared)
     monkeypatch.setattr(cohomology_module, "subquotient", compared)
     cohomology_module._cohomology_cached.cache_clear()
@@ -962,24 +973,39 @@ def direct_sum(*modules):
     return gmodule(group, orders, action)
 
 
-def test_count_path_leaves_other_modules_to_the_z_path():
-    # p^2 | e and a squarefree e past 2^31 build the presentation eagerly,
-    # as before, with the closed-form factors
+def non_lifting_q8_module():
+    """Q8 on Z/8 through a character taking the value 3, which does not
+    lift to Z_2^*: H^2 = Z/4."""
+    q8 = quaternion()
+    chi = next(chi for chi in all_characters(q8, 8) if 3 in chi.values)
+    return q8, mu_module(q8, 8, chi)
+
+
+def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
+    # a character that does not lift, a p-part neither cyclic nor killed by
+    # p, and a squarefree e past 2^31 build the presentation eagerly, as
+    # before, with the Z path's or the closed-form factors
     big = 2 * 2147483659  # 2147483659 is prime
     c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
     cases = [
-        (c4, trivial_module(c4, [4]), (4,)),
-        (c6, trivial_module(c6, [12]), (6,)),
-        (symmetric(3), trivial_module(symmetric(3), [12]), (2,)),
+        (*non_lifting_q8_module(), (4,)),
+        (c2, trivial_module(c2, [2, 4]), (2, 2)),
         (c2, trivial_module(c2, [big]), (2,)),
     ]
     for group, module, factors in cases:
+        assert cohomology_module._rungs(group, module, 2) is None
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
         assert h2.invariant_factors == factors, (group.name, module.orders)
-    # the squarefree part of the same groups, rank 2 and coprime order are
-    # counted; only a trivial count is handed over
+    # the liftable modules with p^2 | e that took the Smith path before, the
+    # squarefree part of the same groups, rank 2 and coprime order are
+    # counted with no Smith form; only a trivial count is handed over
+    built = []
+    monkeypatch.setattr(linalg, "smith_normal_form", built.append)
     for group, orders, factors in [
+        (c4, [4], (4,)),
+        (c6, [12], (6,)),
+        (symmetric(3), [12], (2,)),
         (c4, [2], (2,)),
         (c6, [6], (6,)),
         (c2, [2 * 3 * 5 * 7], (2,)),
@@ -990,6 +1016,7 @@ def test_count_path_leaves_other_modules_to_the_z_path():
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, orders), 2)
         assert ("_presentation" in vars(h2)) == (not factors)
         assert h2.invariant_factors == factors
+    assert not built
 
 
 def test_counted_h2_of_higher_rank_matches_the_presentation():
@@ -1090,6 +1117,124 @@ def test_counted_h2_matches_the_closed_form(factors, m):
     assert h2.invariant_factors == expected
     # H^2(G, (Z/p)^2) = H^2(G, Z/p)^2
     assert cohomology(group, trivial_module(group, [m, m]), 2).invariant_factors == expected * 2
+
+
+# the named groups of order at most 8
+NAMED_TO_8 = [f"C{n}" for n in range(1, 9)] + ["D2", "D3", "D4", "Q8", "S3"]
+
+
+def test_ladder_matches_the_z_path(monkeypatch):
+    # every character mod 4, 8, 9 and 12 in degree 2: one that lifts to
+    # Z_p^* is counted on its rungs with no Smith form, and the factors are
+    # those of the presentation of all rows; one that does not takes the Z
+    # path.  A squarefree or coprime H^n is counted with no Smith form too
+    smith, built = linalg.smith_normal_form, []
+
+    def recorded(mat):
+        built.append(mat.shape)
+        return smith(mat)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+    counted = presented = 0
+    for name in NAMED_TO_8:
+        group = named_group(name)
+        for m in (4, 8, 9, 12):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                built.clear()
+                h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+                if cohomology_module._rungs(group, module, 2) is None:
+                    assert "_presentation" in vars(h2) and bool(built) != h2.is_trivial
+                    presented += 1
+                    continue
+                assert not built, (name, m, chi.values)
+                assert ("_presentation" in vars(h2)) == h2.is_trivial
+                want = cohomology_module._z_presentation(group, module, 2).factors
+                assert h2.invariant_factors == want, (name, m, chi.values)
+                counted += 1
+        for m in (2, 3, 5, 6, 7):
+            chi = all_characters(group, m)[-1]
+            module = mu_module(group, m, chi)
+            for degree in (1, 2) if gcd(group.order, m) == 1 else (2,):
+                built.clear()
+                cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
+                assert not built, (name, m, degree)
+    assert counted == 160 and presented == 54
+
+
+@pytest.mark.parametrize(
+    "factors, m",
+    [
+        (["S4"], 4),
+        (["D16"], 4),
+        (["Q8", "C4"], 4),
+        (["C2"] * 5, 4),
+        (["C8", "C2"], 8),
+        (["C9", "C3"], 9),
+    ],
+)
+def test_ladder_matches_the_closed_form(factors, m):
+    # orders 16 to 32 with m = 4, 8 or 9, where the Z path takes minutes
+    group, expected = closed_forms.h2_trivial(factors, m)
+    assert cohomology_module._rungs(group, trivial_module(group, [m]), 2) is not None
+    assert cohomology(group, trivial_module(group, [m]), 2).invariant_factors == expected
+
+
+def test_ladder_on_sums_of_characters():
+    # a p-part killed by p beside a cyclic liftable one climbs the ladder
+    # (Z/3 + Z/12, Z/5 + Z/20, Z/3 + Z/8 through a lifting character); a
+    # p-part that is neither (Z/2 + Z/4 in Z/2 + Z/12, Z/3 + Z/9 in
+    # Z/3 + Z/36) takes the Z path.  Either way the factors are the Z path's
+    cases = Counter()
+    for name in ("C2", "C4", "S3", "D4"):
+        group = named_group(name)
+        for ms in ((3, 12), (5, 20), (3, 8), (2, 12), (3, 36)):
+            chars = [all_characters(group, m) for m in ms]
+            for chis in itertools.islice(itertools.product(*chars), 2):
+                module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
+                rungs = cohomology_module._rungs(group, module, 2)
+                if ms in ((2, 12), (3, 36)):
+                    assert rungs is None
+                h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+                presentation = cohomology_module._z_presentation(group, module, 2)
+                assert h2.invariant_factors == presentation.factors, (name, ms, chis)
+                cases[rungs is not None] += 1
+    assert cases == {True: 20, False: 20}
+
+
+def test_ladder_needs_the_lift(monkeypatch):
+    # Q8 on Z/8 through a character taking the value 3 does not lift to
+    # Z_2^*: its rungs Z/2, Z/4, Z/8 count 4, 4, 4, which the ladder reads
+    # as (Z/2)^2 with no error, while H^2 = Z/4.  Without the gate the
+    # wrong factors stand until the presentation is first read
+    group, module = non_lifting_q8_module()
+    assert cohomology_module._rungs(group, module, 2) is None
+    assert cohomology_module._cohomology_cached.__wrapped__(group, module, 2).invariant_factors == (4,)
+    monkeypatch.setattr(cohomology_module, "_rungs", lambda group, module, degree: (2, 4, 8))
+    ungated = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+    assert ungated.invariant_factors == (2, 2)
+    with pytest.raises(ArithmeticError, match="differ from the presentation's"):
+        ungated.representatives
+
+
+def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
+    # a count below the rung beneath it, a ratio that does not divide the
+    # one before, and a ratio with a prime that has stopped climbing
+    c2 = cyclic(2)
+    module = trivial_module(c2, [12])
+    for rungs, orders, error in [
+        ((2, 4), [4, 2], "climb no ladder"),
+        ((2, 4), [2, 8], "climb no ladder"),
+        ((6, 12), [6, 18], "prime to 2"),
+    ]:
+        counts = iter(orders)
+        monkeypatch.setattr(cohomology_module, "_rungs", lambda *args, rungs=rungs: rungs)
+        monkeypatch.setattr(
+            cohomology_module, "_z_presentation",
+            lambda *args, counts=counts: SimpleNamespace(order=next(counts)),
+        )
+        with pytest.raises(ArithmeticError, match=error):
+            cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
 
 
 KUENNETH_PRODUCTS = [

@@ -83,6 +83,17 @@ def test_build_group_grammar():
         build_group({"kind": "mystery"})
 
 
+def test_table_spec_names_its_missing_field():
+    # not a bare KeyError, which the command line printed as just 'table'
+    for spec, missing in [
+        ({"kind": "table", "order": 2}, "'table'"),
+        ({"kind": "table", "table": [[0]]}, "'order'"),
+        ({"kind": "table"}, "'order'"),
+    ]:
+        with pytest.raises(NotAGroup, match=f"missing {missing}"):
+            build_group(spec)
+
+
 def test_rejects_non_groups():
     # identity not at 0
     with pytest.raises(NotAGroup):

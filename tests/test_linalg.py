@@ -11,7 +11,7 @@ import pytest
 from twistlgp import linalg
 from twistlgp.cohomology import _cohomology_cached, _differential_rows, _generator_ends
 from twistlgp.gmodules import all_characters, mu_module, trivial_module
-from twistlgp.groups import cyclic, direct_product, symmetric
+from twistlgp.groups import cyclic, direct_product, quaternion, symmetric
 from twistlgp.linalg import (
     NotInLattice,
     congruence_kernel,
@@ -581,11 +581,18 @@ def test_h2_work_is_bounded(monkeypatch):
     assert h2.invariant_factors == ()
     assert 0 < len(calls) < 3000
     assert not built
-    # H^2(C8, Z/4) = Z/4 takes the Smith path: the kernel's Smith form and
-    # then the quotient's.  The kernel reads V and V^-1 only; the quotient
-    # reads U^-1 only when the representatives are first read, and never U,
-    # since no coordinates are asked for.
+    # H^2(C8, Z/4) = Z/4 is counted on the rungs Z/2 and Z/4, with no Smith
+    # form until the representatives are read
     h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [4]), 2)
+    assert h2.invariant_factors == (4,) and not built
+    # Q8 on Z/8 through a character taking the value 3, which does not lift
+    # to Z_2^*, takes the Smith path: the kernel's Smith form and then the
+    # quotient's.  The kernel reads V and V^-1 only; the quotient reads U^-1
+    # only when the representatives are first read, and never U, since no
+    # coordinates are asked for.
+    q8 = quaternion()
+    chi = next(chi for chi in all_characters(q8, 8) if 3 in chi.values)
+    h2 = _cohomology_cached.__wrapped__(q8, mu_module(q8, 8, chi), 2)
     assert h2.invariant_factors == (4,)
     assert "u_inv" not in vars(built[-1]) and "representatives" not in vars(h2)
     assert len(h2.representatives) == 1
