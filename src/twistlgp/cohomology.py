@@ -41,11 +41,13 @@ presentation, and the representatives read from it, are built on first read:
 the subquotient of all rows, which must find the same factors.  One rule
 counts the factors with no Smith form: the generator-row subquotient orders
 N_i of H^n(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
-e = prod_p p^k_p the exponent of M.  N_i / N_(i-1) is the order of a sum of
-Z/p over the primes p still climbing (``_squarefree_factors``), one for each
-summand Z/p^a of H^n(G, M) with a >= i.  So each ratio must divide the
-one before (else ``ArithmeticError``), and the j-th largest factor is the
-product of the j-th largest factors of these layers.  This holds for n >= 1
+e = prod_p p^k_p the exponent of M, each folded from M's own rows
+(``_z_presentation`` with d = d_i), so no module M / d_i M is built.
+N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
+(``_squarefree_factors``), one for each summand Z/p^a of H^n(G, M) with
+a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
+and the j-th largest factor is the product of the j-th largest factors of
+these layers.  This holds for n >= 1
 and gcd(|G|, e) = 1, where H^n = 0 (restriction-corestriction) and one rung
 d_1 = e counts 1; and for n = 2, e < 2^31 (where ``factorize`` is complete)
 and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
@@ -80,6 +82,7 @@ from .linalg import (
     NotInLattice,
     _dtype,
     fixed_subgroup,
+    identity_matrix,
     kernel_subgroup,
     subquotient,
     zero_matrix,
@@ -160,17 +163,19 @@ def zero_cochain(module: GModule, degree: int) -> Cochain:
     return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
-def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None):
+def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None, d=0):
     """The degree-n differential, one block of (n+1)-tuples at a time in
     lexicographic order; with ``last``, only the tuples whose last entry is
     in ``last``, still in lexicographic order.  Yields the block's matrix,
     one row per ((n+1)-tuple, coordinate) over (n-tuple, coordinate)
-    positions, and the modulus of each row.  Column indices are gathers on
-    the multiplication table; the terms of a row may share a column
-    (g_1 = 1 puts g_1.f(g_2, ..) and f(g_1 g_2, ..) on one), so they are
-    accumulated with ``np.add.at``.  Entries are int64 or, for an exponent
+    positions, and the modulus of each row: its coordinate's order, cut to
+    the gcd with d for the complex of M / dM (d = 0 leaves it).  Column
+    indices are gathers on the multiplication table; the terms of a row may
+    share a column (g_1 = 1 puts g_1.f(g_2, ..) and f(g_1 g_2, ..) on one),
+    so they are accumulated with ``np.add.at``.  Entries are int64 or, for an exponent
     past ``_dtype``'s bound, Python ints."""
     order, r = group.order, module.rank
+    moduli = [gcd(o, d) for o in module.orders]
     table = np.array(group.mul_table)
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
@@ -198,7 +203,7 @@ def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None)
             for k in range(n)
         ] + [idx // order]
         np.add.at(block, (t, i, np.stack(terms, axis=1)[:, None] * r + i), signs)
-        yield block.reshape(idx.size * r, n_inputs), list(module.orders) * idx.size
+        yield block.reshape(idx.size * r, n_inputs), moduli * idx.size
 
 
 def coboundary(cochain: Cochain) -> Cochain:
@@ -216,10 +221,10 @@ def is_cocycle(cochain: Cochain) -> bool:
     return coboundary(cochain).is_zero
 
 
-def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None):
+def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None, d=0):
     """The rows of ``_differential_blocks`` with their moduli, one at a
     time: the stream ``congruence_kernel`` reads."""
-    for block, moduli in _differential_blocks(group, module, n, last):
+    for block, moduli in _differential_blocks(group, module, n, last, d):
         yield from zip(block, moduli)
 
 
@@ -328,13 +333,16 @@ def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
     return group.generators or (0,)
 
 
-def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None):
-    """H^degree as one subquotient of the integer cochains, folding the rows
-    whose last argument lies in ``last`` (all rows for None)."""
+def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None, d=0):
+    """H^degree(G, M / dM) as one subquotient of the integer cochains of M,
+    folding the rows whose last argument lies in ``last`` (all rows for
+    None).  The bar complex of M / dM is M's with each order and row modulus
+    cut to its gcd with d; a coordinate cut to order 1 adds nothing, and
+    d = 0 presents H^degree(G, M)."""
     return subquotient(
-        module.orders * group.order**degree,
-        module.exponent,
-        _differential_rows(group, module, degree, last),
+        tuple(gcd(o, d) for o in module.orders) * group.order**degree,
+        gcd(module.exponent, d),
+        _differential_rows(group, module, degree, last, d),
         _coboundary_generators(group, module, degree),
     )
 
@@ -371,14 +379,6 @@ def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] 
     return tuple(prod(p ** min(i, k) for p, k in powers.items()) for i in range(1, top + 1))
 
 
-def _modulo(module: GModule, d: int) -> GModule:
-    """M / dM, without the coordinates whose order is prime to d."""
-    keep = [(i, gcd(o, d)) for i, o in enumerate(module.orders) if gcd(o, d) > 1]
-    action = (tuple(tuple(a[i][j] % o for j, _ in keep) for i, o in keep) for a in module.action)
-    orders = tuple(o for _, o in keep)
-    return module if orders == module.orders else GModule(module.group, orders, tuple(action))
-
-
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
     rungs = _rungs(group, module, degree)
@@ -389,7 +389,7 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
         return coh
     factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
     for d_below, d in zip((1,) + rungs, rungs):
-        count = _z_presentation(group, _modulo(module, d), degree, _generator_ends(group))
+        count = _z_presentation(group, module, degree, _generator_ends(group), d)
         if count.order % below or ratio % (count.order // below):
             raise ArithmeticError(f"the counts {below}, {count.order} climb no ladder")
         ratio, below = count.order // below, count.order
@@ -416,6 +416,11 @@ def cohomology(group: FiniteGroup, module: GModule, degree: int) -> CohomologyGr
     return _cohomology_cached(group, module, degree)
 
 
+def _vanishes(matrix, moduli) -> bool:
+    """Whether row i of the matrix is 0 mod moduli[i], for every i."""
+    return all(int(x) % d == 0 for row, d in zip(matrix, moduli) for x in row)
+
+
 @dataclass(eq=False)
 class CohomologyMap:
     """A homomorphism between computed cohomology groups, as an integer
@@ -436,10 +441,7 @@ class CohomologyMap:
 
     @property
     def is_zero(self) -> bool:
-        b = self.target.invariant_factors
-        return all(
-            val % b[i] == 0 for i, row in enumerate(self.matrix) for val in row
-        )
+        return _vanishes(self.matrix, self.target.invariant_factors)
 
     def kernel(self) -> tuple[tuple[int, ...], tuple[CohClass, ...]]:
         """Invariant factors and generators of the kernel subgroup."""
@@ -457,8 +459,7 @@ class CohomologyMap:
 
     @property
     def is_injective(self) -> bool:
-        factors, _ = self.kernel()
-        return factors == ()
+        return self._kernel().is_trivial
 
     @property
     def is_isomorphism(self) -> bool:
@@ -513,31 +514,18 @@ def inflation(
     if emb.shape != (module.rank, coh.module.rank):
         raise IncompatibleCoefficients("embedding has the wrong shape")
     # the embedding must define an injective, equivariant homomorphism
-    for j, d in enumerate(coh.module.orders):
-        col = emb[:, j] * d
-        if any(int(col[i]) % module.orders[i] != 0 for i in range(module.rank)):
-            raise IncompatibleCoefficients("embedding does not respect the orders")
+    if not _vanishes(emb * np.array(coh.module.orders, dtype=object), module.orders):
+        raise IncompatibleCoefficients("embedding does not respect the orders")
     # both sides are multiplicative in g, so generators of G suffice
     for g in proj.source.generators:
         lhs = module.action_matrix(g) @ emb
         rhs = emb @ coh.module.action_matrix(proj(g))
-        for i in range(module.rank):
-            for j in range(coh.module.rank):
-                if (int(lhs[i, j]) - int(rhs[i, j])) % module.orders[i] != 0:
-                    raise IncompatibleCoefficients("embedding is not equivariant")
+        if not _vanishes(lhs - rhs, module.orders):
+            raise IncompatibleCoefficients("embedding is not equivariant")
     if kernel_subgroup(coh.module.orders, [(emb, module.orders)]).factors:
         raise IncompatibleCoefficients("embedding is not injective")
     target = cohomology(module.group, module, coh.degree)
     return CohomologyMap(coh, target, _induced_map(coh, target, proj.images, emb))
-
-
-def _is_identity_mod(matrix, moduli) -> bool:
-    """Whether the square matrix is the identity, row i taken mod moduli[i]."""
-    return all(
-        (matrix[i][j] - (1 if i == j else 0)) % d == 0
-        for i, d in enumerate(moduli)
-        for j in range(len(moduli))
-    )
 
 
 @dataclass(eq=False)
@@ -577,7 +565,8 @@ def conjugation_on_cohomology(
     # inner conjugations must act trivially (they compose: N's generators suffice)
     b = coh.invariant_factors
     assert all(
-        _is_identity_mod(conjugated_matrix(embed[x]), b) for x in sub_group.generators
+        _vanishes(conjugated_matrix(embed[x]) - identity_matrix(len(b)), b)
+        for x in sub_group.generators
     ), "inner action is not trivial"
     return ConjugationAction(
         cohomology=coh, quotient_group=q_group, projection=proj, matrices=matrices

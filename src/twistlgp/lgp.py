@@ -252,9 +252,11 @@ def _failed(criterion: str, reason: str, hypotheses: dict | None = None) -> Trac
     )
 
 
-def _normal_descending(subs) -> list[Subgroup]:
-    """The normal members of ``subs``, largest first, ties by elements."""
-    return sorted((s for s in subs if s.is_normal()), key=lambda s: (-s.order, s.elements))
+def _coprime_index_normal(group: FiniteGroup, subs, m: int) -> Subgroup | None:
+    """The largest normal member of ``subs`` whose index in ``group`` is
+    prime to m (ties by elements), or None."""
+    fits = (s for s in subs if gcd(group.order // s.order, m) == 1 and s.is_normal())
+    return min(fits, key=lambda s: (-s.order, s.elements), default=None)
 
 
 def _largest_coprime_normal(group: FiniteGroup, m: int) -> Subgroup:
@@ -400,18 +402,17 @@ def _check_c6(instance: Instance) -> TraceEntry:
     }
     for declared in instance.declared_decomposition_subgroups:
         realized.setdefault(declared.elements, (declared, "declared decomposition subgroup"))
-    for normal in _normal_descending(sub for sub, _ in realized.values()):
-        index = instance.group.order // normal.order
-        if gcd(index, instance.m) != 1:
-            continue
-        how = realized[normal.elements][1]
+    normal = _coprime_index_normal(
+        instance.group, (sub for sub, _ in realized.values()), instance.m
+    )
+    if normal is not None:
         return _fired(
             cid,
             {
                 "normal_subgroup": list(normal.elements),
-                "index": index,
+                "index": instance.group.order // normal.order,
                 "m": instance.m,
-                "realized": how,
+                "realized": realized[normal.elements][1],
             },
         )
     return _failed(
@@ -458,10 +459,7 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
 def _cyclic_normal_witness(group: FiniteGroup, m: int) -> Subgroup | None:
     """The largest nontrivial cyclic normal subgroup of index coprime to m
     (ties by elements), or None."""
-    for normal in _normal_descending(cyclic_subgroups(group)):
-        if normal.order > 1 and gcd(group.order // normal.order, m) == 1:
-            return normal
-    return None
+    return _coprime_index_normal(group, (s for s in cyclic_subgroups(group) if s.order > 1), m)
 
 
 @dataclass(frozen=True)

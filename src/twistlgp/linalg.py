@@ -56,8 +56,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
-    """Object-dtype matrix of Python ints."""
-    mat = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    """Object-dtype matrix of Python ints; no rows at all is the 0 x 0
+    matrix."""
+    rows = [[int(x) for x in row] for row in rows]
+    mat = np.array(rows, dtype=object) if rows else zero_matrix(0, 0)
     if mat.ndim != 2:
         raise ValueError("expected a rectangular matrix")
     return mat
@@ -79,22 +81,30 @@ def identity_matrix(n: int) -> np.ndarray:
     return diagonal_matrix([1] * n)
 
 
+def _apply(mat: np.ndarray, op: tuple, inverse: bool = False) -> tuple:
+    """Apply one logged row operation to ``mat`` in place (a column operation
+    on ``mat.T``): the op itself, or with ``inverse`` the transpose of its
+    inverse.  Returns the op, for the log."""
+    if op[0] == "add":  # row_i += q * row_j
+        _, i, j, q = op
+        if inverse:
+            mat[j] -= q * mat[i]
+        else:
+            mat[i] += q * mat[j]
+    elif op[0] == "swap":
+        _, i, j = op
+        mat[[i, j]] = mat[[j, i]]
+    else:  # negate
+        mat[op[1]] = -mat[op[1]]
+    return op
+
+
 def _replay(size: int, ops: list[tuple], inverse: bool) -> np.ndarray:
-    """Apply the logged row operations to the size x size identity: each op
-    itself, or with ``inverse`` the transpose of its inverse, in log order."""
+    """The logged row operations applied to the size x size identity, in log
+    order (see ``_apply``)."""
     mat = identity_matrix(size)
     for op in ops:
-        if op[0] == "add":  # row_i += q * row_j
-            _, i, j, q = op
-            if inverse:
-                mat[j] -= q * mat[i]
-            else:
-                mat[i] += q * mat[j]
-        elif op[0] == "swap":
-            _, i, j = op
-            mat[[i, j]] = mat[[j, i]]
-        else:  # negate
-            mat[op[1]] = -mat[op[1]]
+        _apply(mat, op, inverse)
     return mat
 
 
@@ -143,27 +153,6 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
 
-    # Elementary operations keep U @ A @ V == S for the logged U and V.
-    def row_add(i: int, j: int, q: int) -> None:  # row_i += q * row_j
-        s[i] += q * s[j]
-        row_ops.append(("add", i, j, q))
-
-    def row_swap(i: int, j: int) -> None:
-        s[[i, j]] = s[[j, i]]
-        row_ops.append(("swap", i, j))
-
-    def row_negate(i: int) -> None:
-        s[i] = -s[i]
-        row_ops.append(("negate", i))
-
-    def col_add(i: int, j: int, q: int) -> None:  # col_i += q * col_j
-        s[:, i] += q * s[:, j]
-        col_ops.append(("add", i, j, q))
-
-    def col_swap(i: int, j: int) -> None:
-        s[:, [i, j]] = s[:, [j, i]]
-        col_ops.append(("swap", i, j))
-
     def min_entry(t: int) -> tuple[int, int] | None:
         # the first nonzero entry of least |value| in row-major order: one
         # pass finds the nonzero entries, abs and argmin see only those
@@ -173,24 +162,26 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
         k = int(np.argmin(np.abs(s[rows + t, cols + t])))
         return t + int(rows[k]), t + int(cols[k])
 
+    # Elementary operations keep U @ A @ V == S for the logged U and V; a
+    # column operation is a row operation on the view s.T.
     for t in range(min(m, n)):
         while True:
             pos = min_entry(t)
             if pos is None:
                 break
             if pos != (t, t):
-                row_swap(t, pos[0])
-                col_swap(t, pos[1])
+                row_ops.append(_apply(s, ("swap", t, pos[0])))
+                col_ops.append(_apply(s.T, ("swap", t, pos[1])))
             pivot = s[t, t]
             dirty = False
             for i in range(t + 1, m):
                 if s[i, t] != 0:
-                    row_add(i, t, -(s[i, t] // pivot))
+                    row_ops.append(_apply(s, ("add", i, t, -(s[i, t] // pivot))))
                     if s[i, t] != 0:
                         dirty = True  # remainder smaller than pivot; rescan
             for j in range(t + 1, n):
                 if s[t, j] != 0:
-                    col_add(j, t, -(s[t, j] // pivot))
+                    col_ops.append(_apply(s.T, ("add", j, t, -(s[t, j] // pivot))))
                     if s[t, j] != 0:
                         dirty = True
             if dirty:
@@ -202,9 +193,9 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
             offenders = np.flatnonzero((s[t + 1:, t + 1:] % pivot != 0).any(axis=1))
             if offenders.size == 0:
                 break
-            row_add(t, t + 1 + int(offenders[0]), 1)
+            row_ops.append(_apply(s, ("add", t, t + 1 + int(offenders[0]), 1)))
         if s[t, t] < 0:
-            row_negate(t)
+            row_ops.append(_apply(s, ("negate", t)))
 
     diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
     return SmithNormalForm(s=s, diagonal=diagonal, _row_ops=row_ops, _col_ops=col_ops)
@@ -230,9 +221,7 @@ class Lattice:
 
     @cached_property
     def _coordinates(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        n, e = self.reduced.shape[0], self.exponent
-        if e == 1 or n == 0:
-            return identity_matrix(n), identity_matrix(n), (1,) * n
+        e = self.exponent
         # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
         # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.
         snf = smith_normal_form(self.reduced)

@@ -422,6 +422,21 @@ def test_sha_command(capsys):
     assert [0, 1, 2, 3] in payload["family"]
 
 
+def test_a_rank_zero_module_spec_is_the_zero_module(capsys):
+    # an empty action matrix is the 0 x 0 one, as "orders": [1] already
+    # gave the zero module; on a module of rank 1 it is the wrong shape
+    for orders in ([], [1]):
+        action = {"0": [[1]] * len(orders), "1": [[1]] * len(orders)}
+        spec = json.dumps({"orders": orders, "action": action})
+        for command in (["cohomology", "--degree", "2"], ["sha"]):
+            assert main([*command, "--group", "C2", "--module", spec, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["invariant_factors"] == [] and payload["representatives"] == []
+    spec = json.dumps({"orders": [2], "action": {"0": [], "1": []}})
+    assert main(["cohomology", "--group", "C2", "--module", spec, "--degree", "2"]) == 1
+    assert capsys.readouterr().err == "error: action matrix has wrong shape\n"
+
+
 def test_admissible_m_command(capsys):
     assert main(["admissible-m", "--genus", "6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -31,6 +31,7 @@ from twistlgp.cohomology import (
 )
 from twistlgp.gmodules import (
     CyclotomicCharacter,
+    GModule,
     all_characters,
     descend_to_quotient,
     gmodule,
@@ -347,8 +348,38 @@ def test_inflation_rejects_bad_coefficients():
     q, proj = quotient(c6, n)
     bad = trivial_module(q, [9])
     x = cohomology(q, bad, 2)
-    with pytest.raises(IncompatibleCoefficients):
+    with pytest.raises(IncompatibleCoefficients, match="not injective"):
         inflation(x, proj, module, [[1]])
+
+
+# inflation from C6/C2 to C6: the cohomology group, the module and the
+# embedding of each rejected call, with the message that names its fault.
+# The injectivity and equivariance checks have tests of their own, the one
+# above and the one below
+INFLATION_REJECTIONS = {
+    "cohomology is not over the quotient group": lambda c6, q: (
+        cohomology(c6, trivial_module(c6, [3]), 2), trivial_module(c6, [3]), [[1]]
+    ),
+    "module is not over the source group": lambda c6, q: (
+        cohomology(q, trivial_module(q, [3]), 2), trivial_module(q, [3]), [[1]]
+    ),
+    "embedding has the wrong shape": lambda c6, q: (
+        cohomology(q, trivial_module(q, [3]), 2), trivial_module(c6, [3]), [[1, 0]]
+    ),
+    # Z/3 -> Z/9 by 1 sends 3 to 3, not 0
+    "does not respect the orders": lambda c6, q: (
+        cohomology(q, trivial_module(q, [3]), 2), trivial_module(c6, [9]), [[1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("message", INFLATION_REJECTIONS)
+def test_inflation_names_each_rejection(message):
+    c6 = cyclic(6)
+    q, proj = quotient(c6, subgroup_generated(c6, [3]))
+    coh, module, embedding = INFLATION_REJECTIONS[message](c6, q)
+    with pytest.raises(IncompatibleCoefficients, match=message):
+        inflation(coh, proj, module, embedding)
 
 
 def test_inflation_rejects_coefficients_the_kernel_moves():
@@ -553,9 +584,10 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
     # subquotient folded, so its Smith form is built once; a Smith form is a
     # function of its matrix, so the reference and the quotient's first read
     # reuse the one lattice_quotient built when they diagonalize the same
-    # matrix
-    original, smith = linalg.subquotient, linalg.smith_normal_form
-    orders_seen, smith_forms = [], {}
+    # matrix.  Likewise the three coordinate reads of one subquotient solve
+    # the same points on the same lattice once
+    original, smith, solve = linalg.subquotient, linalg.smith_normal_form, linalg.solve_columns
+    orders_seen, smith_forms, solved = [], {}, {}
 
     def memoized(mat):
         key = (mat.shape, tuple(mat.flat))
@@ -563,8 +595,16 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
             smith_forms[key] = smith(mat)
         return smith_forms[key]
 
+    def shared(lattice, rhs):
+        # keyed by identity; the entry keeps both alive, so no id is reused
+        key = (id(lattice), id(rhs))
+        if key not in solved:
+            solved[key] = (lattice, rhs, solve(lattice, rhs))
+        return solved[key][2]
+
     def compared(orders, exponent, congruences, sub):
         smith_forms.clear()
+        solved.clear()
         quot = original(orders, exponent, congruences, sub)
         lift = quot.lattice
         smith = linalg.lattice_quotient(lift, sub, orders)
@@ -584,6 +624,7 @@ def test_counted_order_equals_the_smith_order(monkeypatch):
         return quot
 
     monkeypatch.setattr(linalg, "smith_normal_form", memoized)
+    monkeypatch.setattr(linalg, "solve_columns", shared)
     monkeypatch.setattr(linalg, "subquotient", compared)
     monkeypatch.setattr(cohomology_module, "subquotient", compared)
     cohomology_module._cohomology_cached.cache_clear()
@@ -1235,6 +1276,54 @@ def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
         )
         with pytest.raises(ArithmeticError, match=error):
             cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
+
+
+def quotient_module(module, d):
+    """M / dM, built as a module of its own: each order cut to its gcd with
+    d, and the action read mod the cut orders."""
+    return gmodule(module.group, [gcd(o, d) for o in module.orders], module.action)
+
+
+def test_a_rung_presents_the_quotient_module():
+    # H^n(G, M / dM) presented on M's own rows, each order and row modulus
+    # cut to its gcd with d, has the factors of the module M / dM built on
+    # its own; d prime to an order cuts that coordinate to 1, and d = 1
+    # leaves the zero module
+    c2, c4, s3 = cyclic(2), cyclic(4), symmetric(3)
+    modules = [
+        trivial_module(c4, [2, 12]),
+        direct_sum(mu_module(c4, 4, all_characters(c4, 4)[-1]), trivial_module(c4, [6])),
+        direct_sum(mu_module(s3, 3, all_characters(s3, 3)[-1]), trivial_module(s3, [4])),
+        mu_module(c2, 9, CyclotomicCharacter.trivial(c2, 9)),
+    ]
+    for module in modules:
+        group = module.group
+        for d in (1, 2, 3, 4, 6, 12, 5):
+            want = quotient_module(module, d)
+            for degree in (0, 1, 2):
+                got = cohomology_module._z_presentation(group, module, degree, d=d)
+                assert got.factors == cohomology(group, want, degree).invariant_factors, (
+                    module.orders, d, degree
+                )
+
+
+def test_the_ladder_builds_no_module(monkeypatch):
+    # the rungs of H^2(C8, Z/4) and of h2-mid's Q8/mu_4 count on the rows of
+    # M itself, so counting them constructs no GModule for M / 2M
+    c8, q8 = cyclic(8), quaternion()
+    modules = [trivial_module(c8, [4]), mu_module(q8, 4, all_characters(q8, 4)[-1])]
+    made, init = [], GModule.__post_init__
+
+    def counted(module):
+        made.append(module.orders)
+        init(module)
+
+    monkeypatch.setattr(GModule, "__post_init__", counted)
+    for module, want in zip(modules, [(4,), (2, 2)]):
+        assert cohomology_module._rungs(module.group, module, 2) == (2, 4)
+        h2 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
+        assert h2.invariant_factors == want
+    assert made == []
 
 
 KUENNETH_PRODUCTS = [
