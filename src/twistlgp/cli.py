@@ -186,6 +186,9 @@ def _parse_module_arg(text: str, group: FiniteGroup) -> GModule:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ParseError("module", "expected mu:M or a JSON object")
+    keys = {"kind", "m", "character"} if doc.get("kind") == "mu" else {"orders", "action"}
+    if unknown := sorted(doc.keys() - keys):
+        raise ParseError("module", f"unknown key {unknown[0]!r}")
     if doc.get("kind") == "mu":
         m, values = doc.get("m"), doc.get("character")
         if not is_json_int(m):

@@ -234,14 +234,20 @@ def build_group(spec) -> FiniteGroup:
     """Build a group from the spec grammar.
 
     Accepted forms: a bare name string, {"kind": "named", "name": ...},
-    {"kind": "table", "order": n, "table": [[...], ...]}, or
-    {"kind": "product", "factors": [spec, ...]}.
+    {"kind": "table", "order": n, "table": [[...], ...]} with an optional
+    "name", or {"kind": "product", "factors": [spec, ...]}.  Any other key
+    is rejected by name.
     """
     if isinstance(spec, str):
         return named_group(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise NotAGroup("group spec must be a name or a dict with a 'kind'")
     kind = spec["kind"]
+    keys = {"named": {"name"}, "table": {"order", "table", "name"}, "product": {"factors"}}
+    if not isinstance(kind, str) or kind not in keys:
+        raise NotAGroup(f"unknown group spec kind {kind!r}")
+    if unknown := sorted(spec.keys() - keys[kind] - {"kind"}):
+        raise NotAGroup(f"{kind} group spec has unknown key {unknown[0]!r}")
     if kind == "named":
         if not isinstance(spec.get("name"), str):
             raise NotAGroup("named group needs a string name")
@@ -260,11 +266,9 @@ def build_group(spec) -> FiniteGroup:
         if not isinstance(name, str):
             raise NotAGroup("table name must be a string")
         return FiniteGroup(order, tuple(tuple(row) for row in rows), name=name)
-    if kind == "product":
-        if not isinstance(spec.get("factors"), list):
-            raise NotAGroup("product factors must be a list of group specs")
-        return direct_product(*(build_group(f) for f in spec["factors"]))
-    raise NotAGroup(f"unknown group spec kind {kind!r}")
+    if not isinstance(spec.get("factors"), list):
+        raise NotAGroup("product factors must be a list of group specs")
+    return direct_product(*(build_group(f) for f in spec["factors"]))
 
 
 def group_spec(group: FiniteGroup) -> dict:

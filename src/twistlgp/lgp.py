@@ -11,22 +11,26 @@ failed.  Every criterion is evaluated even after a success, so the trace
 also records which other criteria would have fired.  The engine only ever
 certifies the principle; it never claims a counterexample.
 
-Criteria (in priority order, cheapest first):
+Criteria (the rows of ``CRITERIA``, in priority order, cheapest first),
+each with the flags it needs set and what it checks:
 
-  C0 all-endomorphisms-rational        D_L = D
-  C1 full-decomposition-group          some D_v = G (declared, or G cyclic)
-  C2 twist-order-coprime-to-rank       mu_m in D and gcd(m, d) = 1
-  C3 cm-field-coprime-order            CM field and gcd(m, |G|) = 1
-  C4 no-invariant-roots                commutative and mu_m^G = 1
-  C5 coprime-normal-collapse           commutative, N = O_{m'}(G) (the largest
-                                       normal subgroup of order coprime to m),
-                                       H^2(G/N, mu_m^N) = 1 (computed)
-  C6 coprime-index-decomposition       commutative, N normal, gcd([G:N], m) = 1,
-                                       N cyclic or declared as a D_v
-  C7 small-dimension-case-analysis     geometrically simple, mu_m in D,
-                                       g = 2^a or g <= 7, m odd >= 3:
-                                       enumerate the possible G and resolve
-                                       every case by C0/C1/C6
+  C0 all-endomorphisms-rational     dl_equals_d      D_L = D
+  C1 full-decomposition-group       -                some D_v = G (declared, or
+                                                     G cyclic)
+  C2 twist-order-coprime-to-rank    mu_m_in_d        gcd(m, d) = 1
+  C3 cm-field-coprime-order         dl_cm_field      gcd(m, |G|) = 1
+  C4 no-invariant-roots             dl_commutative   mu_m^G = 1
+  C5 coprime-normal-collapse        dl_commutative   N = O_{m'}(G) (the largest
+                                                     normal subgroup of order
+                                                     coprime to m), H^2(G/N,
+                                                     mu_m^N) = 1 (computed)
+  C6 coprime-index-decomposition    dl_commutative   N normal, gcd([G:N], m) = 1,
+                                                     N cyclic or declared as a D_v
+  C7 small-dimension-case-analysis  geometrically_simple, mu_m_in_d
+                                                     g = 2^a or g <= 7, m odd
+                                                     >= 3: enumerate the possible
+                                                     G and resolve every case by
+                                                     C0/C1/C6
 
 The commutativity flag is trusted as Hilbert 90 (a commutative endomorphism
 algebra of a geometrically simple variety is a field, so H^1 of every
@@ -35,7 +39,7 @@ subgroup in its units vanishes); it is never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import gcd
 
 from .albert import (
@@ -65,62 +69,6 @@ from .groups import (
 
 HOLDS = "HOLDS"
 UNKNOWN = "UNKNOWN"
-
-CRITERIA = (
-    "all-endomorphisms-rational",
-    "full-decomposition-group",
-    "twist-order-coprime-to-rank",
-    "cm-field-coprime-order",
-    "no-invariant-roots",
-    "coprime-normal-collapse",
-    "coprime-index-decomposition",
-    "small-dimension-case-analysis",
-)
-
-CITATIONS = {
-    "all-endomorphisms-rational": (
-        "Every geometric endomorphism is defined over the base field, so a "
-        "locally m-atic twist is given by a character that lands in mu_m at "
-        "a dense set of places, hence everywhere (Chebotarev)."
-    ),
-    "full-decomposition-group": (
-        "A place whose decomposition group is all of G leaves the "
-        "locally-trivial kernel nowhere to live; for cyclic G such a place "
-        "exists by Chebotarev."
-    ),
-    "twist-order-coprime-to-rank": (
-        "With mu_m inside the rational endomorphism algebra and m coprime "
-        "to d = 2g/[Z:Q], a determinant over the center assembles the local "
-        "twisting characters into a global one."
-    ),
-    "cm-field-coprime-order": (
-        "For a CM endomorphism field and gcd(m, |G|) = 1, H^2(G, mu_m) is "
-        "killed by |G| and by m, hence vanishes, and Hilbert 90 kills "
-        "H^1(G, units)."
-    ),
-    "no-invariant-roots": (
-        "A commutative endomorphism algebra identifies G with the Galois "
-        "group of the endomorphism field; Hilbert 90 plus mu_m^G = 1 force "
-        "the locally-trivial kernel to vanish."
-    ),
-    "coprime-normal-collapse": (
-        "A normal subgroup of order coprime to m has vanishing cohomology "
-        "with mu_m coefficients, so inflation collapses H^2(G, mu_m) onto "
-        "H^2(G/N, mu_m^N), which is checked to vanish."
-    ),
-    "coprime-index-decomposition": (
-        "For a normal decomposition subgroup of index coprime to m, "
-        "restriction is injective on the relevant cohomology, so local "
-        "triviality at that place forces global triviality."
-    ),
-    "small-dimension-case-analysis": (
-        "The dimension bounds the possible Galois groups of the "
-        "endomorphism field; every group in the enumeration is handled by "
-        "a coprimality, full-decomposition-group, or "
-        "coprime-index-decomposition argument."
-    ),
-}
-
 
 class Inconsistent(ValueError):
     pass
@@ -195,6 +143,14 @@ def validate(instance: Instance) -> Instance:
     return instance
 
 
+def _fields_of(record) -> dict:
+    """A dataclass record's fields by name, for JSON.  The values are shared,
+    not copied: they are JSON data already, and ``dataclasses.asdict``
+    deep-copies every leaf, which on Python 3.11 made serializing a verdict
+    some 50 times slower."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     criterion: str
@@ -204,13 +160,7 @@ class TraceEntry:
     citation: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "hypotheses": self.hypotheses,
-            "citation": self.citation,
-        }
+        return _fields_of(self)
 
 
 @dataclass(frozen=True)
@@ -225,31 +175,16 @@ class Verdict:
         return self.status == HOLDS
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "criterion": self.criterion,
-            "citations": list(self.citations),
-            "trace": [entry.to_dict() for entry in self.trace],
-        }
+        return _fields_of(self) | {"trace": [entry.to_dict() for entry in self.trace]}
 
 
-def _fired(criterion: str, hypotheses: dict) -> TraceEntry:
-    return TraceEntry(
-        criterion=criterion,
-        outcome="fired",
-        hypotheses=hypotheses,
-        citation=CITATIONS[criterion],
-    )
+@dataclass(frozen=True)
+class _Failed:
+    """What a check returns when it does not fire; a check that fires
+    returns its hypotheses."""
 
-
-def _failed(criterion: str, reason: str, hypotheses: dict | None = None) -> TraceEntry:
-    return TraceEntry(
-        criterion=criterion,
-        outcome="failed",
-        reason=reason,
-        hypotheses=hypotheses or {},
-        citation=CITATIONS[criterion],
-    )
+    reason: str
+    hypotheses: dict = field(default_factory=dict)
 
 
 def _coprime_index_normal(group: FiniteGroup, subs, m: int) -> Subgroup | None:
@@ -273,34 +208,22 @@ def _largest_coprime_normal(group: FiniteGroup, m: int) -> Subgroup:
     return subgroup_generated(group, inside)
 
 
-def _check_c0(instance: Instance) -> TraceEntry:
-    cid = "all-endomorphisms-rational"
-    if instance.dl_equals_d:
-        return _fired(cid, {"dl_equals_d": True})
-    return _failed(cid, "dl_equals_d is not set")
+def _check_c0(instance: Instance) -> dict:
+    return {"dl_equals_d": True}
 
 
-def _check_c1(instance: Instance) -> TraceEntry:
-    cid = "full-decomposition-group"
+def _check_c1(instance: Instance) -> dict | _Failed:
     everything = tuple(instance.group.elements())
     for sub in instance.declared_decomposition_subgroups:
         if sub.elements == everything:
-            return _fired(
-                cid, {"declared_full_decomposition_group": list(sub.elements)}
-            )
+            return {"declared_full_decomposition_group": list(sub.elements)}
     if instance.group.is_cyclic:
-        return _fired(
-            cid,
-            {
-                "group_is_cyclic": True,
-                "group_order": instance.group.order,
-                "realized_by": "Chebotarev: inert places have full decomposition group",
-            },
-        )
-    return _failed(
-        cid,
-        "no declared decomposition subgroup equals G and G is not cyclic",
-    )
+        return {
+            "group_is_cyclic": True,
+            "group_order": instance.group.order,
+            "realized_by": "Chebotarev: inert places have full decomposition group",
+        }
+    return _Failed("no declared decomposition subgroup equals G and G is not cyclic")
 
 
 def _profile_for(instance: Instance) -> AlbertProfile | None:
@@ -311,56 +234,42 @@ def _profile_for(instance: Instance) -> AlbertProfile | None:
     return None
 
 
-def _check_c2(instance: Instance) -> TraceEntry:
-    cid = "twist-order-coprime-to-rank"
-    if not instance.mu_m_in_d:
-        return _failed(cid, "mu_m_in_d is not set")
+def _check_c2(instance: Instance) -> dict | _Failed:
     profile = _profile_for(instance)
     if profile is None:
-        return _failed(cid, "no dimension or endomorphism data to bound d")
+        return _Failed("no dimension or endomorphism data to bound d")
     try:
         cert = coprimality_certificate(profile)
     except InconsistentProfile as exc:
-        return _failed(cid, f"inconsistent profile: {exc}")
+        return _Failed(f"inconsistent profile: {exc}")
     if cert is None:
-        return _failed(
-            cid,
+        return _Failed(
             "coprimality of m and d is not provable from the given data",
             {"m": instance.m, "g": profile.g},
         )
-    return _fired(cid, {"m": instance.m, "g": profile.g, "certificate": cert.to_dict()})
+    return {"m": instance.m, "g": profile.g, "certificate": cert.to_dict()}
 
 
-def _check_c3(instance: Instance) -> TraceEntry:
-    cid = "cm-field-coprime-order"
-    if not instance.dl_cm_field:
-        return _failed(cid, "dl_cm_field is not set")
+def _check_c3(instance: Instance) -> dict | _Failed:
     n = instance.group.order
     g = gcd(instance.m, n)
     if g != 1:
-        return _failed(cid, f"gcd(m, |G|) = {g} is not 1", {"m": instance.m, "group_order": n})
-    return _fired(cid, {"m": instance.m, "group_order": n, "gcd": 1})
+        return _Failed(f"gcd(m, |G|) = {g} is not 1", {"m": instance.m, "group_order": n})
+    return {"m": instance.m, "group_order": n, "gcd": 1}
 
 
-def _check_c4(instance: Instance) -> TraceEntry:
-    cid = "no-invariant-roots"
-    if not instance.dl_commutative:
-        return _failed(cid, "dl_commutative is not set")
+def _check_c4(instance: Instance) -> dict | _Failed:
     module = mu_module(instance.group, instance.m, instance.character)
     fixed = invariants(module)
     if not fixed.is_trivial:
-        return _failed(
-            cid,
+        return _Failed(
             "the fixed submodule of mu_m is nontrivial",
             {"fixed_invariant_factors": list(fixed.orders)},
         )
-    return _fired(cid, {"fixed_invariant_factors": []})
+    return {"fixed_invariant_factors": []}
 
 
-def _check_c5(instance: Instance) -> TraceEntry:
-    cid = "coprime-normal-collapse"
-    if not instance.dl_commutative:
-        return _failed(cid, "dl_commutative is not set")
+def _check_c5(instance: Instance) -> dict | _Failed:
     # For N normal of order coprime to m, H^q(N, mu_m) = 0 for q > 0, so the
     # Hochschild-Serre spectral sequence collapses and inflation
     # H^2(G/N, mu_m^N) -> H^2(G, mu_m) is an isomorphism.  Every such N thus
@@ -371,30 +280,23 @@ def _check_c5(instance: Instance) -> TraceEntry:
     coefficients, _ = descend_to_quotient(module, proj)
     h2 = cohomology(quotient_group, coefficients, 2)
     if h2.is_trivial:
-        return _fired(
-            cid,
-            {
-                "normal_subgroup": list(normal.elements),
-                "normal_order": normal.order,
-                "m": instance.m,
-                "h2_invariant_factors": [],
-            },
-        )
+        return {
+            "normal_subgroup": list(normal.elements),
+            "normal_order": normal.order,
+            "m": instance.m,
+            "h2_invariant_factors": [],
+        }
     attempt = {
         "normal_subgroup": list(normal.elements),
         "h2_invariant_factors": list(h2.invariant_factors),
     }
-    return _failed(
-        cid,
+    return _Failed(
         "no coprime-order normal subgroup has vanishing H^2 of the quotient",
         {"attempts": [attempt]},
     )
 
 
-def _check_c6(instance: Instance) -> TraceEntry:
-    cid = "coprime-index-decomposition"
-    if not instance.dl_commutative:
-        return _failed(cid, "dl_commutative is not set")
+def _check_c6(instance: Instance) -> dict | _Failed:
     # only cyclic or declared subgroups are realizable as decomposition groups
     realized = {
         s.elements: (s, "cyclic: realized by an unramified place (Chebotarev)")
@@ -406,19 +308,14 @@ def _check_c6(instance: Instance) -> TraceEntry:
         instance.group, (sub for sub, _ in realized.values()), instance.m
     )
     if normal is not None:
-        return _fired(
-            cid,
-            {
-                "normal_subgroup": list(normal.elements),
-                "index": instance.group.order // normal.order,
-                "m": instance.m,
-                "realized": realized[normal.elements][1],
-            },
-        )
-    return _failed(
-        cid,
-        "no normal subgroup of coprime index is realizable as a "
-        "decomposition group",
+        return {
+            "normal_subgroup": list(normal.elements),
+            "index": instance.group.order // normal.order,
+            "m": instance.m,
+            "realized": realized[normal.elements][1],
+        }
+    return _Failed(
+        "no normal subgroup of coprime index is realizable as a decomposition group"
     )
 
 
@@ -465,19 +362,13 @@ def _cyclic_normal_witness(group: FiniteGroup, m: int) -> Subgroup | None:
 @dataclass(frozen=True)
 class CaseAnalysis:
     resolved: bool
-    shortcut: dict | None
-    cases: tuple[dict, ...]
+    shortcut: dict | None = None
+    cases: tuple[dict, ...] = ()
     reason: str = ""
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "resolved": self.resolved,
-            "shortcut": self.shortcut,
-            "cases": list(self.cases),
-            "reason": self.reason,
-            "notes": list(self.notes),
-        }
+        return _fields_of(self)
 
 
 def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
@@ -503,8 +394,6 @@ def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
     if not totient_divides(m, 2 * g):
         return CaseAnalysis(
             resolved=False,
-            shortcut=None,
-            cases=(),
             reason=(
                 f"m = {m} is not an admissible twist order in dimension {g}: "
                 f"phi({m}) does not divide {2 * g}"
@@ -519,14 +408,11 @@ def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
                 "criterion": "twist-order-coprime-to-rank",
                 "certificate": cert.to_dict(),
             },
-            cases=(),
             notes=tuple(notes),
         )
     if not is_squarefree(g):
         return CaseAnalysis(
             resolved=False,
-            shortcut=None,
-            cases=(),
             reason=(
                 f"g = {g} is not squarefree, so the endomorphism algebra "
                 "cannot be certified commutative and the enumeration does "
@@ -562,66 +448,127 @@ def case_machine_easylgp(g: int, m: int) -> CaseAnalysis:
             cases.append(entry)
     return CaseAnalysis(
         resolved=all_resolved,
-        shortcut=None,
         cases=tuple(cases),
         reason="" if all_resolved else "some enumerated group is unresolved",
         notes=tuple(notes),
     )
 
 
-def _check_c7(instance: Instance) -> TraceEntry:
-    cid = "small-dimension-case-analysis"
-    if not instance.geometrically_simple:
-        return _failed(cid, "geometrically_simple is not set")
-    if not instance.mu_m_in_d:
-        return _failed(cid, "mu_m_in_d is not set")
+def _check_c7(instance: Instance) -> dict | _Failed:
     if instance.g is None:
-        return _failed(cid, "the dimension g is not given")
+        return _Failed("the dimension g is not given")
     g, m = instance.g, instance.m
     if m < 3 or m % 2 == 0:
-        return _failed(cid, f"m = {m} is not odd and at least 3")
+        return _Failed(f"m = {m} is not odd and at least 3")
     power_of_two = (g & (g - 1)) == 0
     if not (power_of_two or g <= 7):
-        return _failed(cid, f"g = {g} is neither a power of two nor at most 7")
+        return _Failed(f"g = {g} is neither a power of two nor at most 7")
     try:
         analysis = case_machine_easylgp(g, m)
     except CatalogIncomplete as exc:
-        return _failed(cid, f"catalog incomplete: {exc}")
+        return _Failed(f"catalog incomplete: {exc}")
     if not analysis.resolved:
-        return _failed(cid, analysis.reason, analysis.to_dict())
-    return _fired(cid, analysis.to_dict())
+        return _Failed(analysis.reason, analysis.to_dict())
+    return analysis.to_dict()
+
+
+# (id, flags it needs set, check, citation), in priority order.  A row whose
+# flags are all set runs its check, which returns its hypotheses when it
+# fires and a _Failed when it does not.
+CRITERIA = (
+    (
+        "all-endomorphisms-rational",
+        ("dl_equals_d",),
+        _check_c0,
+        "Every geometric endomorphism is defined over the base field, so a "
+        "locally m-atic twist is given by a character that lands in mu_m at "
+        "a dense set of places, hence everywhere (Chebotarev).",
+    ),
+    (
+        "full-decomposition-group",
+        (),
+        _check_c1,
+        "A place whose decomposition group is all of G leaves the "
+        "locally-trivial kernel nowhere to live; for cyclic G such a place "
+        "exists by Chebotarev.",
+    ),
+    (
+        "twist-order-coprime-to-rank",
+        ("mu_m_in_d",),
+        _check_c2,
+        "With mu_m inside the rational endomorphism algebra and m coprime "
+        "to d = 2g/[Z:Q], a determinant over the center assembles the local "
+        "twisting characters into a global one.",
+    ),
+    (
+        "cm-field-coprime-order",
+        ("dl_cm_field",),
+        _check_c3,
+        "For a CM endomorphism field and gcd(m, |G|) = 1, H^2(G, mu_m) is "
+        "killed by |G| and by m, hence vanishes, and Hilbert 90 kills "
+        "H^1(G, units).",
+    ),
+    (
+        "no-invariant-roots",
+        ("dl_commutative",),
+        _check_c4,
+        "A commutative endomorphism algebra identifies G with the Galois "
+        "group of the endomorphism field; Hilbert 90 plus mu_m^G = 1 force "
+        "the locally-trivial kernel to vanish.",
+    ),
+    (
+        "coprime-normal-collapse",
+        ("dl_commutative",),
+        _check_c5,
+        "A normal subgroup of order coprime to m has vanishing cohomology "
+        "with mu_m coefficients, so inflation collapses H^2(G, mu_m) onto "
+        "H^2(G/N, mu_m^N), which is checked to vanish.",
+    ),
+    (
+        "coprime-index-decomposition",
+        ("dl_commutative",),
+        _check_c6,
+        "For a normal decomposition subgroup of index coprime to m, "
+        "restriction is injective on the relevant cohomology, so local "
+        "triviality at that place forces global triviality.",
+    ),
+    (
+        "small-dimension-case-analysis",
+        ("geometrically_simple", "mu_m_in_d"),
+        _check_c7,
+        "The dimension bounds the possible Galois groups of the "
+        "endomorphism field; every group in the enumeration is handled by "
+        "a coprimality, full-decomposition-group, or "
+        "coprime-index-decomposition argument.",
+    ),
+)
 
 
 def decide(instance: Instance) -> Verdict:
     """Run every criterion and assemble the verdict.
 
-    A criterion that cannot run because a cohomology computation exceeds
-    the size bound is recorded as failed; if in the end nothing fired, the
-    size error is re-raised rather than reported as UNKNOWN.
+    A criterion whose check raises ``TooLarge`` (a cohomology computation
+    past the size bound, or a number whose factorization cannot be proved)
+    is recorded as failed; if in the end nothing fired, that error is
+    re-raised rather than reported as UNKNOWN.
     """
     validate(instance)
-    checks = (
-        _check_c0, _check_c1, _check_c2, _check_c3,
-        _check_c4, _check_c5, _check_c6, _check_c7,
-    )
     entries = []
     too_large: TooLarge | None = None
-    for cid, check in zip(CRITERIA, checks):
+    for cid, flags, check, citation in CRITERIA:
+        unset = next((flag for flag in flags if not getattr(instance, flag)), None)
         try:
-            entries.append(check(instance))
+            result = _Failed(f"{unset} is not set") if unset else check(instance)
         except TooLarge as exc:
             too_large = exc
-            entries.append(_failed(cid, f"size bound exceeded: {exc}"))
+            result = _Failed(f"size bound exceeded: {exc}")
+        if isinstance(result, _Failed):
+            entries.append(TraceEntry(cid, "failed", result.reason, result.hypotheses, citation))
+        else:
+            entries.append(TraceEntry(cid, "fired", hypotheses=result, citation=citation))
     fired = next((e for e in entries if e.outcome == "fired"), None)
     if fired is None:
         if too_large is not None:
             raise too_large
-        return Verdict(
-            status=UNKNOWN, criterion=None, citations=(), trace=tuple(entries)
-        )
-    return Verdict(
-        status=HOLDS,
-        criterion=fired.criterion,
-        citations=(CITATIONS[fired.criterion],),
-        trace=tuple(entries),
-    )
+        return Verdict(status=UNKNOWN, criterion=None, citations=(), trace=tuple(entries))
+    return Verdict(HOLDS, fired.criterion, (fired.citation,), tuple(entries))

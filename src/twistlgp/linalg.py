@@ -258,12 +258,8 @@ class Lattice:
 
 def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
     """The unique W with lattice.basis @ W == rhs; None if some column of
-    rhs is not in the lattice."""
-    return _over_scales(lattice, lattice.forward @ rhs)
-
-
-def _over_scales(lattice: Lattice, z: np.ndarray) -> np.ndarray | None:
-    """Row i of z = forward @ rhs over scales[i]; None if rhs is not in L."""
+    rhs is not in the lattice: row i of forward @ rhs over scales[i]."""
+    z = lattice.forward @ rhs
     scales = np.array(lattice.scales, dtype=object).reshape(-1, 1)
     if (z % scales != 0).any():
         return None
@@ -461,7 +457,7 @@ class LatticeQuotient:
     def _smith(self) -> tuple[SmithNormalForm, tuple[int, ...]]:
         """The Smith form of the quotient and the places of its diagonal
         entries other than 1."""
-        return lattice_quotient(self.lattice, self.sub, self.orders)._smith
+        return lattice_quotient(self.lattice, self.sub, self.orders)
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -493,20 +489,18 @@ class LatticeQuotient:
         return self.lattice.basis @ w_snf.u_inv[:, list(kept)]
 
 
-def lattice_quotient(lattice: Lattice, sub: np.ndarray, orders) -> LatticeQuotient:
-    """L / (span(sub) + R) for L = ``lattice`` and R = diag(``orders``), of
-    full rank, diagonalized now: forward @ diag(orders) is a column scaling
-    of forward."""
+def lattice_quotient(
+    lattice: Lattice, sub: np.ndarray, orders
+) -> tuple[SmithNormalForm, tuple[int, ...]]:
+    """The Smith form of L / (span(sub) + R) for L = ``lattice`` and R =
+    diag(``orders``), both inside L (``subquotient`` proved it), in basis
+    coordinates of L, and the places of its diagonal entries other than 1.
+    forward @ diag(orders) is a column scaling of forward, and every row of
+    forward @ [sub | diag(orders)] divides exactly by its scale."""
     forward = lattice.forward
     z = np.concatenate([forward @ sub, forward * np.array(orders, dtype=object)], axis=1)
-    w = _over_scales(lattice, z)
-    if w is None:
-        raise NotInLattice("sub-generators do not lie in the lattice")
-    w_snf = smith_normal_form(w)
-    kept = tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
-    quot = LatticeQuotient(lattice, sub, tuple(orders), prod(w_snf.diagonal[i] for i in kept))
-    quot._smith = (w_snf, kept)
-    return quot
+    w_snf = smith_normal_form(z // np.array(lattice.scales, dtype=object).reshape(-1, 1))
+    return w_snf, tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
 
 
 def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQuotient:

@@ -40,7 +40,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .lgp import Instance, decide
+from .lgp import Instance, _fields_of, decide
 from .oracle import BudgetExceeded, OracleBudget, brute_h1, brute_h2
 
 DEFAULT_VERIFY_BUDGET = 600000
@@ -54,12 +54,7 @@ class CheckResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return _fields_of(self)
 
 
 def _small_group(name: str):

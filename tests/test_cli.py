@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,70 @@ def test_a_rank_zero_module_spec_is_the_zero_module(capsys):
     spec = json.dumps({"orders": [2], "action": {"0": [], "1": []}})
     assert main(["cohomology", "--group", "C2", "--module", spec, "--degree", "2"]) == 1
     assert capsys.readouterr().err == "error: action matrix has wrong shape\n"
+
+
+def test_a_misspelled_spec_key_is_named(tmp_path, capsys):
+    # a key outside its form's grammar was ignored: "charcter" gave the
+    # trivial character's H^0 = Z/6 instead of Z/2
+    mu = {"kind": "mu", "m": 6, "character": [1, 5]}
+    assert main(["cohomology", "--group", "C2", "--module", json.dumps(mu), "--degree", "0"]) == 0
+    assert capsys.readouterr().out == "H^0 = Z/2\n"
+    explicit = {"orders": [3], "action": {"0": [[1]], "1": [[2]]}}
+    table = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]], "name": "T2"}
+    for command, group, module, key in [
+        ("cohomology", "C2", {"kind": "mu", "m": 6, "charcter": [1, 5]}, "charcter"),
+        ("cohomology", "C2", {**explicit, "kind": "explicit"}, "kind"),
+        ("sha", "C2", {**explicit, "oders": [3]}, "oders"),
+        ("sha", "C2", {"kind": "mu", "m": 2, "orders": [2]}, "orders"),
+    ]:
+        argv = [command, "--group", group, "--module", json.dumps(module)]
+        assert main(argv + (["--degree", "0"] if command == "cohomology" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: module: unknown key {key!r}\n" and captured.out == ""
+    for spec, message in [
+        ({"kind": "named", "name": "C2", "nmae": "C3"}, "named group spec has unknown key 'nmae'"),
+        ({**table, "orders": 2}, "table group spec has unknown key 'orders'"),
+        ({"kind": "product", "factors": ["C2"], "factor": ["C3"]},
+         "product group spec has unknown key 'factor'"),
+        ({"kind": "product", "factors": [{**table, "x": 1}]},
+         "table group spec has unknown key 'x'"),
+    ]:
+        for command in (["cohomology", "--degree", "0"], ["sha"]):
+            assert main([*command, "--group", json.dumps(spec), "--module", "mu:2"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(json.dumps({"m": 2, "group": spec}))
+        assert info.value.field == "group" and str(info.value) == f"group: {message}"
+        path = write_doc(tmp_path, {"m": 2, "group": spec})
+        assert main(["decide", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: group: {message}\n"
+    # every key of each form is still accepted, the optional ones included
+    assert main(["sha", "--group", json.dumps(table), "--module", json.dumps(explicit)]) == 0
+    assert parse_instance(json.dumps({"m": 2, "group": table})).group.name == "T2"
+
+
+def test_a_factorization_past_the_proof_bound_is_recorded(tmp_path, capsys):
+    # m = p q with p, q near 10^12 and 10^13: C2 cannot factor m.  With
+    # nothing else firing, decide re-raises the size error; with the whole
+    # group declared, C1 fires and C2's entry records it
+    m = 1000000000039 * 10000000000037
+    doc = {"m": m, "g": isqrt(m // 8) + 10, "group": "S3", "flags": {"mu_m_in_d": True}}
+    path = write_doc(tmp_path, doc)
+    assert main(["decide", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: cannot prove or refute that 10000000000427000000001443 is prime\n"
+    )
+    full = write_doc(tmp_path, {**doc, "declared_decomposition_subgroups": [list(range(6))]})
+    assert main(["decide", full, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["criterion"]) == ("HOLDS", "full-decomposition-group")
+    c2 = next(e for e in payload["trace"] if e["criterion"] == "twist-order-coprime-to-rank")
+    assert c2["outcome"] == "failed" and c2["hypotheses"] == {}
+    assert c2["reason"] == (
+        "size bound exceeded: cannot prove or refute that 10000000000427000000001443 is prime"
+    )
 
 
 def test_admissible_m_command(capsys):

@@ -402,10 +402,10 @@ def test_lattice_free_choices_match_the_full_lattice():
             )
             c6 = lgp._check_c6(inst)
             if old_c6 is None:
-                assert c6.outcome == "failed", (group, m)
+                assert isinstance(c6, lgp._Failed), (group, m)
             else:
-                assert tuple(c6.hypotheses["normal_subgroup"]) == old_c6.elements, (group, m)
-                assert c6.hypotheses["realized"].startswith(
+                assert tuple(c6["normal_subgroup"]) == old_c6.elements, (group, m)
+                assert c6["realized"].startswith(
                     "cyclic" if old_c6.is_cyclic else "declared"
                 )
             witness = lgp._cyclic_normal_witness(group, m)
@@ -465,3 +465,33 @@ def test_decide_with_a_twist_order_past_int64():
     (c5,) = [e for e in verdict.trace if e.criterion == "coprime-normal-collapse"]
     assert c5.outcome == "failed"
     assert [a["h2_invariant_factors"] for a in c5.hypotheses["attempts"]] == [[2]]
+
+
+def test_the_trace_lists_the_criteria_table_in_order():
+    # one entry per row of CRITERIA, in its order and with its citation; a
+    # row with an unset flag fails naming the first one, and a verdict cites
+    # the row that fired
+    s3 = symmetric(3)
+    for inst in [
+        make_instance(s3, 3),
+        make_instance(s3, 2, dl_commutative=True),
+        make_instance(cyclic(1), 3, g=1, dl_equals_d=True, mu_m_in_d=True),
+        make_instance(s3, 5, g=1, mu_m_in_d=True, geometrically_simple=True),
+    ]:
+        verdict = decide(inst)
+        assert [(e.criterion, e.citation) for e in verdict.trace] == [
+            (cid, citation) for cid, _flags, _check, citation in lgp.CRITERIA
+        ]
+        for e, (_cid, flags, _check, _citation) in zip(verdict.trace, lgp.CRITERIA):
+            unset = [flag for flag in flags if not getattr(inst, flag)]
+            if unset:
+                assert (e.outcome, e.reason) == ("failed", f"{unset[0]} is not set")
+                assert e.hypotheses == {}
+        if verdict.holds:
+            assert verdict.citations == (entry(verdict, verdict.criterion).citation,)
+    assert [cid for cid, *_ in lgp.CRITERIA] == [
+        "all-endomorphisms-rational", "full-decomposition-group",
+        "twist-order-coprime-to-rank", "cm-field-coprime-order", "no-invariant-roots",
+        "coprime-normal-collapse", "coprime-index-decomposition",
+        "small-dimension-case-analysis",
+    ]

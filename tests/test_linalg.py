@@ -605,7 +605,7 @@ def test_h2_work_is_bounded(monkeypatch):
 
 def test_lattice_quotient_structure():
     # Z^2 / <(2,0), (0,3)> == C2 x C3 == C6, with the relations as orders
-    q = lattice_quotient(congruence_kernel(2, 1, iter(())), zero_matrix(2, 0), (2, 3))
+    q = subquotient((2, 3), 1, iter(()), zero_matrix(2, 0))
     assert q.factors == (6,)
     assert q.order == 6
     gen = q.generators()
@@ -613,18 +613,18 @@ def test_lattice_quotient_structure():
     assert (q.coordinates(gen) == int_matrix([[1]])).all()
     assert (q.coordinates(int_matrix([[2, 1], [0, 0]])) == int_matrix([[0, 3]])).all()
     # a sub column next to the relations: Z^2 / <(1,1), (2,0), (0,3)> is trivial
-    assert lattice_quotient(congruence_kernel(2, 1, iter(())), int_matrix([[1], [1]]), (2, 3)).factors == ()
+    assert subquotient((2, 3), 1, iter(()), int_matrix([[1], [1]])).factors == ()
 
 
 def test_lattice_quotient_membership_raises():
-    lattice = congruence_kernel(2, 2, iter([([1, 0], 2)]))  # 2Z x Z
-    q = lattice_quotient(lattice, zero_matrix(2, 0), (4, 5))
+    congruences = [([1, 0], 2)]  # L = 2Z x Z
+    q = subquotient((4, 5), 2, iter(congruences), zero_matrix(2, 0))
     assert q.factors == (10,)  # (2Z/4Z) + (Z/5Z) is cyclic of order 10
     with pytest.raises(NotInLattice):
         q.coordinates(int_matrix([[1], [0]]))
     # a relation outside the lattice: 3 is not in 2Z
     with pytest.raises(NotInLattice):
-        lattice_quotient(lattice, zero_matrix(2, 0), (3, 5))
+        subquotient((3, 5), 2, iter(congruences), zero_matrix(2, 0))
 
 
 def check_lattice(lattice, rng):
