@@ -34,7 +34,10 @@ class InconsistentProfile(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < MILLER_RABIN_LIMIT."""
+    """Deterministic Miller-Rabin for odd n > 41; ``TooLarge`` for
+    n >= MILLER_RABIN_LIMIT."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise TooLarge(f"cannot prove or refute that {n} is prime")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -59,15 +62,13 @@ def is_prime(n: int) -> bool:
             return n > 1
         if n % p == 0:
             return False
-    if n >= MILLER_RABIN_LIMIT:
-        raise TooLarge(f"cannot prove or refute that {n} is prime")
     return _is_prime(n)
 
 
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization of n >= 1, or ``TooLarge`` when the cofactor
     left after trial division is proven composite (it has no prime factor
-    below the bound) or lies past the range ``is_prime`` can decide."""
+    below the bound) or lies past the range Miller-Rabin can decide."""
     out: dict[int, int] = {}
     whole = n
     for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND, 2)):
@@ -77,10 +78,9 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     else:
-        # no prime below the bound divides n, so a primality proof must end
-        # it; is_prime raises TooLarge itself where it can neither prove nor
-        # refute
-        if not is_prime(n):
+        # no prime below the bound divides n, so Miller-Rabin alone must
+        # prove it prime; is_prime would repeat the trial division first
+        if not _is_prime(n):
             raise TooLarge(
                 f"cannot factorize {whole}: the cofactor {n} is composite with no"
                 f" prime factor below {TRIAL_DIVISION_BOUND}"

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict, fields
 
 from .albert import AlbertProfile, fermat_squarefree_check, admissible_m
 from .cohomology import TooLarge, cohomology, sha_finite
@@ -37,14 +38,11 @@ class ParseError(ValueError):
         self.field = field
 
 
-INSTANCE_FIELDS = {
-    "m", "g", "group", "character", "flags", "albert", "declared_decomposition_subgroups",
-}
-FLAG_NAMES = (
-    "dl_equals_d", "dl_commutative", "dl_cm_field", "mu_m_in_d",
-    "geometrically_simple",
-)
-ALBERT_FIELDS = {"g", "m", "center_degree", "d", "delta", "e0"}
+# The document's schema is the dataclasses': the flags are the Instance
+# fields that default to False, nested under "flags".
+FLAG_NAMES = tuple(f.name for f in fields(Instance) if f.default is False)
+ALBERT_FIELDS = {f.name for f in fields(AlbertProfile)}
+INSTANCE_FIELDS = {f.name for f in fields(Instance)} - set(FLAG_NAMES) | {"flags"}
 
 
 def _is_int_list(value) -> bool:
@@ -115,14 +113,7 @@ def parse_instance(text: str) -> Instance:
             if not is_json_int(value):
                 raise ParseError("albert", f"{key} must be an integer")
         try:
-            albert = AlbertProfile(
-                g=raw.get("g", g if g is not None else 0),
-                m=raw.get("m", m),
-                center_degree=raw.get("center_degree"),
-                d=raw.get("d"),
-                delta=raw.get("delta"),
-                e0=raw.get("e0"),
-            )
+            albert = AlbertProfile(**{"g": g or 0, "m": m} | raw)
         except ValueError as exc:
             raise ParseError("albert", str(exc))
     subs = _parse_subgroups(
@@ -134,13 +125,9 @@ def parse_instance(text: str) -> Instance:
         group=group,
         character=character,
         g=g,
-        dl_equals_d=flags.get("dl_equals_d", False),
-        dl_commutative=flags.get("dl_commutative", False),
-        dl_cm_field=flags.get("dl_cm_field", False),
-        mu_m_in_d=flags.get("mu_m_in_d", False),
-        geometrically_simple=flags.get("geometrically_simple", False),
         albert=albert,
         declared_decomposition_subgroups=tuple(subs),
+        **flags,
     )
     return validate(instance)
 
@@ -158,14 +145,7 @@ def serialize_instance(instance: Instance) -> dict:
     if instance.g is not None:
         doc["g"] = instance.g
     if instance.albert is not None:
-        doc["albert"] = {
-            "g": instance.albert.g,
-            "m": instance.albert.m,
-            "center_degree": instance.albert.center_degree,
-            "d": instance.albert.d,
-            "delta": instance.albert.delta,
-            "e0": instance.albert.e0,
-        }
+        doc["albert"] = asdict(instance.albert)
     return doc
 
 

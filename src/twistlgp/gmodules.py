@@ -219,14 +219,14 @@ def mu_module(group: FiniteGroup, m: int, character: CyclotomicCharacter) -> GMo
 
 
 def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...]:
-    """Every homomorphism from the group into (Z/m)^*, sorted by value tuple."""
-    if m == 1:
-        return (CyclotomicCharacter.trivial(group, 1),)
+    """Every homomorphism from the group into (Z/m)^*, sorted by value tuple.
+    The generators reach every element, so each choice of their images that
+    is consistent defines a value everywhere."""
     units = [u for u in range(m) if gcd(u, m) == 1]
     found = set()
     for images in itertools.product(units, repeat=len(group.generators)):
         values = [None] * group.order
-        values[0] = 1
+        values[0] = 1 % m
         frontier = [0]
         ok = True
         while frontier and ok:
@@ -240,9 +240,8 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
                 elif values[y] != v:
                     ok = False
                     break
-        if not ok or any(v is None for v in values):
-            continue
-        found.add(tuple(values))
+        if ok:
+            found.add(tuple(values))
     return tuple(
         CyclotomicCharacter(group, m, vals) for vals in sorted(found)
     )
@@ -257,8 +256,9 @@ def _fixed_points(module: GModule, elements):
 
 
 def invariants(module: GModule) -> GModule:
-    """The fixed submodule M^G as a module with trivial action."""
-    quot, _ = _fixed_points(module, module.group.elements())
+    """The fixed submodule M^G as a module with trivial action: the points
+    the generators fix, which every element fixes."""
+    quot, _ = _fixed_points(module, module.group.generators)
     return trivial_module(module.group, quot.factors)
 
 

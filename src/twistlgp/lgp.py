@@ -40,6 +40,7 @@ subgroup in its units vanishes); it is never computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import gcd
 
 from .albert import (
@@ -52,7 +53,7 @@ from .albert import (
     totient_divides,
 )
 from .cohomology import TooLarge, cohomology
-from .gmodules import CyclotomicCharacter, descend_to_quotient, invariants, mu_module
+from .gmodules import CyclotomicCharacter, GModule, descend_to_quotient, invariants, mu_module
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -105,6 +106,11 @@ class Instance:
     geometrically_simple: bool = False
     albert: AlbertProfile | None = None
     declared_decomposition_subgroups: tuple[Subgroup, ...] = ()
+
+    @cached_property
+    def mu_m(self) -> GModule:
+        """mu_m as a module over the group, built once for C4 and C5."""
+        return mu_module(self.group, self.m, self.character)
 
 
 def validate(instance: Instance) -> Instance:
@@ -197,11 +203,12 @@ def _coprime_index_normal(group: FiniteGroup, subs, m: int) -> Subgroup | None:
 def _largest_coprime_normal(group: FiniteGroup, m: int) -> Subgroup:
     """O_{m'}(G), the largest normal subgroup of order coprime to m: the join
     of the normal closures <x^G> of order coprime to m.  (A product of
-    normal subgroups of order coprime to m has order coprime to m.)"""
+    normal subgroups of order coprime to m has order coprime to m.)  An x
+    whose order shares a prime with m lies in no such closure."""
     inside = {0}
     for x in group.elements():
-        if x in inside:
-            continue  # <x^G> lies in a closure already joined
+        if x in inside or gcd(group.element_order(x), m) != 1:
+            continue  # <x^G> is joined already, or its order shares a prime with m
         closure = normal_closure(group, [x])
         if gcd(closure.order, m) == 1:
             inside.update(closure.elements)
@@ -259,8 +266,7 @@ def _check_c3(instance: Instance) -> dict | _Failed:
 
 
 def _check_c4(instance: Instance) -> dict | _Failed:
-    module = mu_module(instance.group, instance.m, instance.character)
-    fixed = invariants(module)
+    fixed = invariants(instance.mu_m)
     if not fixed.is_trivial:
         return _Failed(
             "the fixed submodule of mu_m is nontrivial",
@@ -274,10 +280,9 @@ def _check_c5(instance: Instance) -> dict | _Failed:
     # Hochschild-Serre spectral sequence collapses and inflation
     # H^2(G/N, mu_m^N) -> H^2(G, mu_m) is an isomorphism.  Every such N thus
     # gives the same answer; the largest one gives the smallest quotient.
-    module = mu_module(instance.group, instance.m, instance.character)
     normal = _largest_coprime_normal(instance.group, instance.m)
     quotient_group, proj = quotient(instance.group, normal)
-    coefficients, _ = descend_to_quotient(module, proj)
+    coefficients, _ = descend_to_quotient(instance.mu_m, proj)
     h2 = cohomology(quotient_group, coefficients, 2)
     if h2.is_trivial:
         return {

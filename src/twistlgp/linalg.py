@@ -345,13 +345,6 @@ def _dtype(e: int):
     return np.int64 if e < 2**31 else object
 
 
-def _grown(mat: np.ndarray, rows: int) -> np.ndarray:
-    """``mat`` with room for ``rows`` rows, the ones past it unset."""
-    out = np.empty((rows, mat.shape[1]), dtype=mat.dtype)
-    out[:len(mat)] = mat
-    return out
-
-
 def congruence_kernel(
     n: int, exponent: int, constraints: Iterator[tuple[list[int], int]]
 ) -> Lattice:
@@ -364,25 +357,31 @@ def congruence_kernel(
     ``_BLOCK_ROWS``^2 // n rows when n is smaller, so the number of
     constraints can be much larger than n and a tall, narrow system is
     folded in few passes over its columns.  The pivots do not depend on
-    the block size (see ``_fold``).  A modulus that does not divide
-    ``exponent``, or a row that is not n entries long, raises
-    ``ValueError``.
+    the block size (see ``_fold``).  Each block is built once from the rows
+    it folds, so a short stream allocates no more than it holds; a row is
+    read only when its block is folded, so the stream must not change a
+    row it has handed over.  A modulus that does not divide ``exponent``,
+    or a row that is not n entries long, raises ``ValueError``.
     """
     e = exponent
     dtype = _dtype(e)
     reduced = _diagonal([e] * n, e)
     size = max(_BLOCK_ROWS, _BLOCK_ROWS**2 // max(n, 1))
-    # _BLOCK_ROWS rows first: most streams are shorter, and pay for no more
-    block = np.empty((_BLOCK_ROWS, n), dtype=dtype)
-    moduli = np.empty((_BLOCK_ROWS, 1), dtype=dtype)
-    count = 0
+    rows: list = []
+    moduli: list[int] = []
 
     def fold_block() -> None:
-        rows, m = block[:count], moduli[:count]
+        try:
+            block = np.array(rows, dtype=dtype)
+        except OverflowError:  # an entry past int64
+            block = np.array([[x % d for x in row] for row, d in zip(rows, moduli)], dtype=dtype)
+        m = np.array(moduli, dtype=dtype).reshape(-1, 1)
         # (e / modulus) * x mod e == (e / modulus) * (x mod modulus)
-        rows %= m
-        rows *= e // m
-        _fold(reduced, rows, e)
+        block %= m
+        block *= e // m
+        _fold(reduced, block, e)
+        rows.clear()
+        moduli.clear()
 
     for row, modulus in constraints:
         if modulus == 0 or e % modulus:
@@ -393,18 +392,11 @@ def congruence_kernel(
             length = "a scalar"
         if length != n:
             raise ValueError(f"expected a constraint row of {n} entries, got {length}")
-        try:
-            block[count] = row
-        except OverflowError:  # an entry past int64
-            block[count] = [x % modulus for x in row]
-        moduli[count] = modulus
-        count += 1
-        if count == size:
+        rows.append(row)
+        moduli.append(modulus)
+        if len(rows) == size:
             fold_block()
-            count = 0
-        elif count == len(block):  # a longer stream: grow to ``size`` rows, once
-            block, moduli = _grown(block, size), _grown(moduli, size)
-    if count:
+    if rows:
         fold_block()
     return Lattice(reduced, e)
 

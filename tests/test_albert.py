@@ -77,6 +77,24 @@ def test_factorize_says_why_it_gives_up():
         factorize(1287836182261 * 2575672364521)
 
 
+def test_factorize_trial_divides_once(monkeypatch):
+    # the cofactor left by trial division goes straight to Miller-Rabin;
+    # is_prime would trial-divide it a second time
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(albert, "is_prime", refuse)
+    p = 10**12 + 39
+    assert factorize(p) == {p: 1}
+    assert factorize(3 * p) == {3: 1, p: 1}
+    with pytest.raises(TooLarge, match="the cofactor 1000036000099 is composite with no prime"):
+        factorize(1000003 * 1000033)
+    semiprime = 1000000000039 * 10000000000037
+    with pytest.raises(TooLarge) as info:
+        factorize(semiprime)
+    assert str(info.value) == f"cannot prove or refute that {semiprime} is prime"
+
+
 def test_is_prime_matches_trial_division_and_never_lies():
     for n in range(-3, 10**5):
         assert is_prime(n) == (n > 1 and trial_division(n) == {n: 1}), n

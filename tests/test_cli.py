@@ -174,6 +174,52 @@ def test_round_trip():
         assert parse_instance(json.dumps(serialize_instance(instance))) == instance
 
 
+def test_round_trip_with_every_flag_and_albert_field_set():
+    # the trivial group and character admit every flag at once
+    doc = {
+        "m": 3,
+        "group": {"kind": "table", "order": 1, "table": [[0]], "name": "C1"},
+        "character": [1],
+        "flags": {name: True for name in FLAG_NAMES},
+        "declared_decomposition_subgroups": [[0]],
+        "g": 1,
+        "albert": {"g": 1, "m": 3, "center_degree": 2, "d": 1, "delta": 1, "e0": 1},
+    }
+    instance = parse_instance(json.dumps(doc))
+    assert all(getattr(instance, name) for name in FLAG_NAMES)
+    out = serialize_instance(instance)
+    assert out == doc
+    assert list(out["albert"]) == ["g", "m", "center_degree", "d", "delta", "e0"]
+    assert parse_instance(json.dumps(out)) == instance
+
+
+def test_the_schema_and_its_error_texts():
+    # read from Instance and AlbertProfile, the schema and its texts stay as
+    # they were when cli spelled them out
+    assert FLAG_NAMES == (
+        "dl_equals_d", "dl_commutative", "dl_cm_field", "mu_m_in_d", "geometrically_simple",
+    )
+    assert ALBERT_FIELDS == {"g", "m", "center_degree", "d", "delta", "e0"}
+    assert INSTANCE_FIELDS == {
+        "m", "g", "group", "character", "flags", "albert", "declared_decomposition_subgroups",
+    }
+    for extra, text in [
+        (
+            {"flags": {"bad": True}},
+            "flags: allowed flags are dl_equals_d, dl_commutative, dl_cm_field, "
+            "mu_m_in_d, geometrically_simple",
+        ),
+        (
+            {"albert": {"g": 1, "bad": 2}},
+            "albert: allowed fields are center_degree, d, delta, e0, g, m",
+        ),
+        ({"mystery": 1}, "mystery: unknown field"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_instance(json.dumps({"m": 3, "group": "C1", **extra}))
+        assert str(info.value) == text
+
+
 def test_decide_exit_codes(tmp_path, capsys):
     holds = write_doc(tmp_path, EC_DOC, "ec.json")
     assert main(["decide", holds]) == 0

@@ -15,11 +15,13 @@ from twistlgp.groups import (
     Subgroup,
     cyclic,
     direct_product,
+    named_group,
     quotient,
     subgroup_generated,
     subgroups,
     symmetric,
 )
+from twistlgp.linalg import fixed_subgroup
 
 
 def brute_fixed_points(module):
@@ -124,6 +126,42 @@ def test_all_characters_counts():
     assert len(all_characters(symmetric(3), 3)) == 2  # through S3^ab = C2
     assert len(all_characters(symmetric(3), 9)) == 2
     assert len(all_characters(cyclic(5), 3)) == 1
+
+
+def test_all_characters_mod_one_is_the_trivial_character():
+    for group in (cyclic(1), cyclic(4), direct_product(cyclic(2), cyclic(2)), symmetric(3)):
+        assert all_characters(group, 1) == (CyclotomicCharacter.trivial(group, 1),)
+
+
+# the named groups of order at most 12
+SMALL_NAMED = [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 7)] + ["Q8", "S3"]
+
+
+def _regular(group, chi):
+    """Z/m[G] with g sending e_h to chi(g) e_{gh}: a module of rank |G|."""
+    n = group.order
+    action = []
+    for g in group.elements():
+        mat = [[0] * n for _ in range(n)]
+        for h in group.elements():
+            mat[group.mul(g, h)][h] = chi(g)
+        action.append(mat)
+    return gmodule(group, [chi.m] * n, action)
+
+
+def test_invariants_are_the_points_every_element_fixes():
+    # invariants reads the generators only; the fixed subgroup of all
+    # elements gives the same module
+    for name in SMALL_NAMED:
+        group = named_group(name)
+        for m in (2, 3, 4, 6, 8, 9, 12):
+            chis = all_characters(group, m)
+            modules = [mu_module(group, m, chi) for chi in chis]
+            modules += [_regular(group, chi) for chi in chis[:2]]
+            for module in modules:
+                every = fixed_subgroup(module.orders, module.action)
+                expected = trivial_module(group, every.factors)
+                assert invariants(module) == expected, (name, m, module.orders)
 
 
 def test_restrict_module():

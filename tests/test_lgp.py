@@ -495,3 +495,45 @@ def test_the_trace_lists_the_criteria_table_in_order():
         "coprime-normal-collapse", "coprime-index-decomposition",
         "small-dimension-case-analysis",
     ]
+
+
+def test_decide_builds_mu_m_once(monkeypatch):
+    # C4 and C5 read one module per instance; an instance without
+    # dl_commutative runs neither and builds none
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mu_module(*args)
+
+    monkeypatch.setattr(lgp, "mu_module", counted)
+    s3 = symmetric(3)
+    chi = CyclotomicCharacter(s3, 3, (1, 2, 2, 1, 1, 2))
+    for inst, builds in [
+        (make_instance(s3, 3, chi, dl_commutative=True), 1),
+        (make_instance(s3, 2, dl_commutative=True), 1),
+        (make_instance(cyclic(4), 5, dl_commutative=True, dl_cm_field=True), 1),
+        (make_instance(s3, 3, chi), 0),
+    ]:
+        calls.clear()
+        decide(inst)
+        assert calls == [(inst.group, inst.m, inst.character)] * builds
+
+
+# the named groups of order at most 12, and S4
+COPRIME_NORMAL_GROUPS = (
+    [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 7)] + ["Q8", "S3", "S4"]
+)
+
+
+def test_largest_coprime_normal_by_enumeration():
+    # O_{m'}(G) is the largest normal subgroup of order prime to m; it is
+    # unique, and here found among all subgroups
+    for name in COPRIME_NORMAL_GROUPS:
+        group = groups.named_group(name)
+        normal = [s for s in subgroups(group) if s.is_normal()]
+        for m in range(1, 13):
+            coprime = [s for s in normal if gcd(s.order, m) == 1]
+            largest = max(s.order for s in coprime)
+            (expected,) = [s for s in coprime if s.order == largest]
+            assert lgp._largest_coprime_normal(group, m) == expected, (name, m)
