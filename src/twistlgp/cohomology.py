@@ -37,28 +37,28 @@ and a non-empty X reaches all of G.  A different row set gives a different
 triangular basis of the same lattice, and so may give other representatives.
 
 A ``CohomologyGroup`` knows its invariant factors from construction.  Its
-presentation, and the representatives read from it, are built on first read:
-the subquotient of all rows, which must find the same factors.  One rule
-counts the factors with no Smith form: the generator-row subquotient orders
-N_i of H^n(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
+presentation, and the representatives read from it, are built on first read
+(``_z_presentation``), and must find the same factors: every H^1 from the
+generator rows, H^0 and H^2 from all rows.  One rule counts the factors of
+H^2 with no Smith form: the generator-row subquotient orders N_i of
+H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
 e = prod_p p^k_p the exponent of M, each folded from M's own rows
 (``_z_presentation`` with d = d_i), so no module M / d_i M is built.
 N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
-(``_squarefree_factors``), one for each summand Z/p^a of H^n(G, M) with
+(``_squarefree_factors``), one for each summand Z/p^a of H^2(G, M) with
 a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
 and the j-th largest factor is the product of the j-th largest factors of
-these layers.  This holds for n >= 1
-and gcd(|G|, e) = 1, where H^n = 0 (restriction-corestriction) and one rung
-d_1 = e counts 1; and for n = 2, e < 2^31 (where ``factorize`` is complete)
-and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
-lifts to Z_p^*: every value is +-1 mod 2^k, or for p odd a (p-1)-th root of
-1 mod p^k.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free
-Z_p-modules, and the universal coefficient theorem (Brown, *Cohomology of
-Groups*, ch. III) gives H^n(G, Z/p^i) = H^n(C)/p^i + H^(n+1)(C)[p^i], both
-finite.  Every other H^n is presented from all rows, handed over with its
-factors, as is a trivial count: a subquotient with no generators is the same
-whichever rows it folded.  Degree 1 counts only the coprime case: the others
-feed ``restriction`` and ``sha_finite``, which read the presentation anyway.
+these layers.  This holds for gcd(|G|, e) = 1, where H^2 = 0
+(restriction-corestriction) and one rung d_1 = e counts 1; and for
+e < 2^31 (where ``factorize`` is complete) and each p-part with k_p > 1
+cyclic, Z/p^k through a character chi that lifts to Z_p^*: every value is
++-1 mod 2^k, or for p odd a (p-1)-th root of 1 mod p^k.  Then
+C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free Z_p-modules, and
+the universal coefficient theorem (Brown, *Cohomology of Groups*, ch. III)
+gives H^2(G, Z/p^i) = H^2(C)/p^i + H^3(C)[p^i], both finite.  Every other
+H^n is presented at once, handed over with its factors, as is a trivial
+count: a subquotient with no generators is the same whichever rows it
+folded.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -333,12 +333,15 @@ def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
     return group.generators or (0,)
 
 
-def _z_presentation(group: FiniteGroup, module: GModule, degree: int, last=None, d=0):
-    """H^degree(G, M / dM) as one subquotient of the integer cochains of M,
-    folding the rows whose last argument lies in ``last`` (all rows for
-    None).  The bar complex of M / dM is M's with each order and row modulus
-    cut to its gcd with d; a coordinate cut to order 1 adds nothing, and
-    d = 0 presents H^degree(G, M)."""
+def _z_presentation(group: FiniteGroup, module: GModule, degree: int, d=0):
+    """H^degree(G, M / dM) as one subquotient of the integer cochains of M.
+    The bar complex of M / dM is M's with each order and row modulus cut to
+    its gcd with d; a coordinate cut to order 1 adds nothing, and d = 0
+    presents H^degree(G, M).  It folds the generator rows, which cut out
+    the same lattice as all rows, for H^1 and for a ladder rung (d > 0).
+    The presentations of H^0 and H^2 fold all rows: representatives depend
+    on the row set, and ``verify-paper`` reports a map read on H^2's."""
+    last = _generator_ends(group) if degree == 1 or d else None
     return subquotient(
         tuple(gcd(o, d) for o in module.orders) * group.order**degree,
         gcd(module.exponent, d),
@@ -362,9 +365,10 @@ def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
 
 def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] | None:
     """The moduli d_1 | d_2 | ... | e of the ladder that counts the factors of
-    H^degree (see the module docstring), or None for the Z path."""
+    H^2 (see the module docstring), or None for the Z path, which every H^0
+    and H^1 takes."""
     e = module.exponent
-    if degree and gcd(group.order, e) == 1:
+    if degree == 2 and gcd(group.order, e) == 1:
         return (e,)
     if degree != 2 or e >= 2**31:
         return None
@@ -389,7 +393,7 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
         return coh
     factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
     for d_below, d in zip((1,) + rungs, rungs):
-        count = _z_presentation(group, module, degree, _generator_ends(group), d)
+        count = _z_presentation(group, module, degree, d)
         if count.order % below or ratio % (count.order // below):
             raise ArithmeticError(f"the counts {below}, {count.order} climb no ladder")
         ratio, below = count.order // below, count.order
@@ -583,6 +587,8 @@ def sha_finite(
     family = list(family)
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
+    if any(sub.parent != group for sub in family):
+        raise ValueError("subgroup belongs to a different group")
     h1 = cohomology(group, module, 1)
     factors, representatives = (), ()
     if not h1.is_trivial:

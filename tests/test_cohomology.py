@@ -50,7 +50,7 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
-from twistlgp.oracle import invariant_factors_from_orders
+from twistlgp.oracle import DEFAULT_BUDGET, brute_h1, brute_sha, invariant_factors_from_orders
 
 # the package re-exports the function cohomology under the module's name
 cohomology_module = importlib.import_module("twistlgp.cohomology")
@@ -525,6 +525,16 @@ def test_sha_representatives_restrict_trivially():
         assert res.apply(h1.class_of(rep)).is_zero
 
 
+def test_sha_finite_checks_the_family_whatever_h1():
+    # a subgroup of another group is rejected before the trivial shortcut:
+    # H^1(C4, Z/3) = 0 and H^1(C4, Z/2) = Z/2 alike
+    c4 = cyclic(4)
+    foreign = subgroup_generated(symmetric(3), [1])
+    for m in (3, 2):
+        with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+            sha_finite(c4, trivial_module(c4, [m]), [foreign])
+
+
 def test_determinism():
     group = symmetric(3)
     module = trivial_module(group, [6])
@@ -848,14 +858,15 @@ def test_generator_rows_span_the_cocycle_lattice():
 def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     # H^n with n >= 1 and gcd(|G|, m) = 1 feeds congruence_kernel the
     # r |G|^n |X| generator rows, still folds them and builds no Smith form;
-    # H^0 and a non-coprime H^n feed all r |G|^(n+1) rows
+    # H^0 feeds all r |G| rows, and every H^1 the r |G| |X| generator rows
     congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
     smith = linalg.smith_normal_form
-    fed, folded, built = [], [], []
+    fed, widths, folded, built = [], [], [], []
 
     def recorded_kernel(n, exponent, constraints):
         items = list(constraints)
         fed.append(len(items))
+        widths.append(n)
         return congruence_kernel(n, exponent, iter(items))
 
     def recorded_fold(reduced, block, e):
@@ -865,7 +876,7 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
     monkeypatch.setattr(linalg, "_fold", recorded_fold)
     monkeypatch.setattr(linalg, "smith_normal_form", built.append)
-    c1, c8 = cyclic(1), cyclic(8)
+    c1, c8, s3 = cyclic(1), cyclic(8), symmetric(3)
     c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
     cases = [
         (c8, trivial_module(c8, [9]), 2, 64),
@@ -882,16 +893,32 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
         assert (rows, module.rank * group.order**degree) in folded
         assert coh.is_trivial and "_smith" not in vars(coh._presentation)
     assert not built
-    # all rows: H^0, coprime or not, and H^n with gcd(|G|, m) > 1
+    # H^0, coprime or not, feeds all rows; H^1 with gcd(|G|, m) > 1 feeds
+    # the generator rows too, and reading its representatives, classes,
+    # restrictions and sha_finite feeds no further rows for G itself
     monkeypatch.setattr(linalg, "smith_normal_form", smith)
-    for group, module, degree in [
-        (c8, trivial_module(c8, [9]), 0),
-        (c2_3, trivial_module(c2_3, [5, 5]), 0),
-        (c8, trivial_module(c8, [2]), 1),
+    for group, module, degree, rows in [
+        (c8, trivial_module(c8, [9]), 0, 8),
+        (c2_3, trivial_module(c2_3, [5, 5]), 0, 16),
+        (c8, trivial_module(c8, [2]), 1, 8),
+        (s3, trivial_module(s3, [2]), 1, 12),
+        (c2_3, mu_module(c2_3, 4, all_characters(c2_3, 4)[-1]), 1, 24),
     ]:
         fed.clear()
         cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
-        assert fed == [module.rank * group.order ** (degree + 1)]
+        assert fed == [rows]
+        if not degree:
+            continue
+        coh = cohomology(group, module, 1)
+        assert not coh.is_trivial
+        widths.clear()
+        for rep in coh.representatives:
+            coh.class_of(rep)
+        family = cyclic_subgroups(group)
+        for subgroup in family:
+            restriction(coh, subgroup)
+        sha_finite(group, module, family)
+        assert module.rank * group.order not in widths, (group.name, widths)
 
 
 SQUAREFREE_M = (2, 3, 5, 6, 10, 15, 30)
@@ -1409,3 +1436,121 @@ def test_closed_form_helper():
     } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
          for alias in node.names}
     assert not {"twistlgp.linalg", "twistlgp.cohomology", "twistlgp"} & imported
+
+
+def test_generator_row_h1_is_the_all_row_h1():
+    # every H^1 is presented from the generator rows; the reference folds
+    # all r |G|^2 rows of d^1 over the same coboundaries.  The named groups
+    # of order at most 24, every character mod m; the oracles where the
+    # default budget allows
+    compared = brute = 0
+    for name in SYLOW_NAMED:
+        group = named_group(name)
+        family = cyclic_subgroups(group)
+        for m in (2, 3, 4, 6, 8, 12):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                reference = linalg.subquotient(
+                    module.orders * group.order,
+                    module.exponent,
+                    cohomology_module._differential_rows(group, module, 1),
+                    cohomology_module._coboundary_generators(group, module, 1),
+                )
+                h1 = cohomology(group, module, 1)
+                cut, full = h1._presentation.lattice, reference.lattice
+                assert cut.contains(full.basis) and full.contains(cut.basis)
+                assert h1.invariant_factors == reference.factors, (name, m, chi.values)
+                reps = h1.representatives
+                for i, rep in enumerate(reps):
+                    assert is_cocycle(rep)
+                    assert h1.class_of(rep).coordinates == tuple(int(i == j) for j in range(len(reps)))
+                for subgroup in family:
+                    res = restriction(h1, subgroup)
+                    columns = [
+                        res.target.class_of(restricted_cochain(rep, res.target, subgroup)).coordinates
+                        for rep in reps
+                    ]
+                    rows = len(res.target.invariant_factors)
+                    assert res.matrix == tuple(
+                        tuple(column[i] for column in columns) for i in range(rows)
+                    ), (name, m, chi.values, subgroup.elements)
+                sha = sha_finite(group, module, family)
+                if module.size**group.order <= DEFAULT_BUDGET.max_functions:
+                    assert brute_h1(group, module) == h1.invariant_factors
+                    assert brute_sha(group, module, family) == sha.invariant_factors
+                    brute += 1
+                compared += 1
+    assert compared == 672 and brute == 221
+
+
+def inflated_cochains(h2, proj, module, embedding):
+    """The representatives of H^2(G/N, M^N) pulled back to C^2(G, M), one
+    column each."""
+    quot, n = h2.group.order, module.group.order
+    pairs = np.array(proj.images)[np.indices((n, n)).reshape(2, n * n)]
+    reps = np.array([rep.vector for rep in h2.representatives], dtype=object)
+    reps = reps.reshape(len(h2.representatives), quot * quot, h2.module.rank)
+    inflated = reps[:, pairs[0] * quot + pairs[1]] @ np.array(embedding, dtype=object).T
+    return inflated.reshape(len(h2.representatives), n * n * module.rank).T
+
+
+def cochain_index(module, sub):
+    """|C / span(sub)| for C = C^2(G, M), as one counted subquotient."""
+    orders = module.orders * module.group.order**2
+    return linalg.subquotient(orders, module.exponent, iter(()), sub).order
+
+
+def test_five_term_inflation_restriction_sequence():
+    # 0 -> H^1(G/N, M^N) -> H^1(G, M) -> H^1(N, M)^(G/N) -> H^2(G/N, M^N)
+    # -> H^2(G, M) is exact (Neukirch-Schmidt-Wingberg, Prop. 1.6.7), for
+    # every normal N of the named groups of order at most 24 and every
+    # character mod 2, 3 and 4 (the trivial one first).  The H^2 term is
+    # read where |G/N| <= 12, by counting the inflated image, and through
+    # inflation where |G| <= 12 as well; past order 12 that leaves out only
+    # N = 1, where inflation is along an isomorphism and H^1(N, M) = 0
+    compared = h2_terms = 0
+    for name in SYLOW_NAMED:
+        group = named_group(name)
+        normals = [sub for sub in subgroups(group) if sub.is_normal()]
+        for m in (2, 3, 4):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                boundaries = cohomology_module._coboundary_generators(group, module, 2)
+                boundary_index = cochain_index(module, boundaries)
+                for normal in normals:
+                    q, proj = quotient(group, normal)
+                    fixed_module, embedding = descend_to_quotient(module, proj)
+                    inf = inflation(cohomology(q, fixed_module, 1), proj, module, embedding)
+                    assert inf.is_injective
+                    res = restriction(inf.target, normal)
+                    image = prod(res.image_invariants())
+                    assert inf.target.order == inf.source.order * image
+                    action = conjugation_on_cohomology(group, normal, module, 1)
+                    # the image of restriction is fixed by G/N
+                    b = res.target.invariant_factors
+                    restricted = np.array(res.matrix, dtype=object)
+                    restricted = restricted.reshape(len(b), len(inf.target.invariant_factors))
+                    for matrix in action.matrices:
+                        conjugate = np.array(matrix, dtype=object).reshape(len(b), len(b))
+                        moved = conjugate @ restricted - restricted
+                        assert all(x % d == 0 for row, d in zip(moved, b) for x in row), (
+                            name, m, chi.values, normal.elements
+                        )
+                    compared += 1
+                    if q.order > 12:
+                        continue
+                    # |ker inf| on H^2 from the order of the inflated
+                    # image in C^2(G, M) / B^2(G, M)
+                    h2, kernel = cohomology(q, fixed_module, 2), 1
+                    if not h2.is_trivial:
+                        inflated = inflated_cochains(h2, proj, module, embedding)
+                        spanned = cochain_index(module, np.concatenate([boundaries, inflated], axis=1))
+                        assert boundary_index % spanned == 0
+                        kernel = h2.order * spanned // boundary_index
+                        if group.order <= 12:
+                            inf2 = inflation(h2, proj, module, embedding)
+                            assert prod(inf2.kernel()[0]) == kernel
+                    fixed = prod(action.fixed_subgroup()[0])
+                    assert kernel * image == fixed, (name, m, chi.values, normal.elements)
+                    h2_terms += 1
+    assert compared == 902 and h2_terms == 807
