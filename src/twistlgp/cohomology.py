@@ -38,12 +38,13 @@ triangular basis of the same lattice, and so may give other representatives.
 
 A ``CohomologyGroup`` knows its invariant factors from construction.  Its
 presentation, and the representatives read from it, are built on first read
-(``_z_presentation``), and must find the same factors: every H^1 from the
-generator rows, H^0 and H^2 from all rows.  One rule counts the factors of
-H^2 with no Smith form: the generator-row subquotient orders N_i of
+(``_z_presentation``), and must find the same factors: every H^1 and every
+trivial H^n from the generator rows, a nontrivial H^0 or H^2 from all rows.
+One rule counts the factors of H^2 with no Smith form: the orders N_i of
 H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
-e = prod_p p^k_p the exponent of M, each folded from M's own rows
-(``_z_presentation`` with d = d_i), so no module M / d_i M is built.
+e = prod_p p^k_p the exponent of M, each counted in Cayley-graph
+coordinates (below) with every order and row modulus of M cut to its gcd
+with d_i, so no module M / d_i M is built.
 N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
 (``_squarefree_factors``), one for each summand Z/p^a of H^2(G, M) with
 a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
@@ -56,9 +57,28 @@ cyclic, Z/p^k through a character chi that lifts to Z_p^*: every value is
 C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free Z_p-modules, and
 the universal coefficient theorem (Brown, *Cohomology of Groups*, ch. III)
 gives H^2(G, Z/p^i) = H^2(C)/p^i + H^3(C)[p^i], both finite.  Every other
-H^n is presented at once, handed over with its factors, as is a trivial
-count: a subquotient with no generators is the same whichever rows it
-folded.
+H^n is presented at once and handed over with its factors.
+
+Cayley-graph coordinates.  Let T be the breadth-first spanning tree, rooted
+at 1, of the right Cayley graph of (G, X): an edge h -> hx for each h in G
+and x in X.  For an integer combination z of edges write f(z) for the sum
+of its coefficients times f(h, x) over its edges (h, x), and gz for its
+left translate, (h, x) -> (gh, x).  A 2-cocycle f is fixed by f(g, x) for
+g in G, x in X, and by f(1, 1): d f(g, 1, 1) = 0 gives f(g, 1) = g.f(1, 1),
+and d f(g, h, x) = 0 gives f(g, hx) = f(g, h) + f(gh, x) - g.f(h, x) along
+T, so f(g, k) = g.(f(1, 1) - f(P_k)) + f(g P_k) for P_k the tree path from
+1 to k once f(1, x) = f(1, 1).  Then d f(g, h, x) = g.f(z) - f(gz) for the
+cycle z = (h, x) + P_h - P_hx, which is 0 on the edges of T.  By the lemma
+above, values at these coordinates extend to a cocycle exactly when
+f(1, x) = f(1, 1) for x in X and g.f(z) = f(gz) for every g and every such
+fundamental cycle z.  The fundamental cycles are a basis of the cycles, and
+left translation maps cycles to cycles, so if the second condition holds
+for g and g' it holds for gg': g in X suffices.  The coboundary of a
+1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x), and c(1) at (1, 1).  So
+H^2 is one subquotient of Z^((|G| |X| + 1) r), cut out by
+r |X| (|G| |X| - |G| + 2) rows (``_cayley_h2``): for C2^6 and rank 1, 385
+columns and 1932 rows, where the bar complex has 4096 columns and 24576
+generator rows.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -163,19 +183,18 @@ def zero_cochain(module: GModule, degree: int) -> Cochain:
     return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
-def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None, d=0):
+def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None):
     """The degree-n differential, one block of (n+1)-tuples at a time in
     lexicographic order; with ``last``, only the tuples whose last entry is
     in ``last``, still in lexicographic order.  Yields the block's matrix,
     one row per ((n+1)-tuple, coordinate) over (n-tuple, coordinate)
-    positions, and the modulus of each row: its coordinate's order, cut to
-    the gcd with d for the complex of M / dM (d = 0 leaves it).  Column
+    positions, and the modulus of each row: its coordinate's order.  Column
     indices are gathers on the multiplication table; the terms of a row may
     share a column (g_1 = 1 puts g_1.f(g_2, ..) and f(g_1 g_2, ..) on one),
     so they are accumulated with ``np.add.at``.  Entries are int64 or, for an exponent
     past ``_dtype``'s bound, Python ints."""
     order, r = group.order, module.rank
-    moduli = [gcd(o, d) for o in module.orders]
+    moduli = list(module.orders)
     table = np.array(group.mul_table)
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
@@ -221,10 +240,10 @@ def is_cocycle(cochain: Cochain) -> bool:
     return coboundary(cochain).is_zero
 
 
-def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None, d=0):
+def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None):
     """The rows of ``_differential_blocks`` with their moduli, one at a
     time: the stream ``congruence_kernel`` reads."""
-    for block, moduli in _differential_blocks(group, module, n, last, d):
+    for block, moduli in _differential_blocks(group, module, n, last):
         yield from zip(block, moduli)
 
 
@@ -252,16 +271,12 @@ class CohomologyGroup:
 
     @cached_property
     def _presentation(self) -> LatticeQuotient | None:
-        presentation = _z_presentation(self.group, self.module, self.degree)
-        if presentation.factors != self.invariant_factors:
-            raise ArithmeticError(
-                f"invariant factors {self.invariant_factors} differ from "
-                f"the presentation's {presentation.factors}"
-            )
-        return presentation
+        return _z_presentation(self.group, self.module, self.degree, self.invariant_factors)
 
     @cached_property
     def representatives(self) -> tuple[Cochain, ...]:
+        if self.is_trivial:  # nothing to read from a presentation
+            return ()
         generators = self._presentation.generators().T
         return tuple(Cochain(self.module, self.degree, tuple(g)) for g in generators)
 
@@ -328,25 +343,103 @@ class CohClass:
 
 def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
     """The last bar arguments whose differential rows span the cocycle
-    lattice: a generating set, never empty (C1's greedy set is empty, and
-    no rows at all would leave every cochain a cocycle)."""
+    lattice, and the X of the Cayley-graph coordinates: a generating set,
+    never empty (C1's greedy set is empty, and no rows at all would leave
+    every cochain a cocycle)."""
     return group.generators or (0,)
 
 
-def _z_presentation(group: FiniteGroup, module: GModule, degree: int, d=0):
-    """H^degree(G, M / dM) as one subquotient of the integer cochains of M.
-    The bar complex of M / dM is M's with each order and row modulus cut to
-    its gcd with d; a coordinate cut to order 1 adds nothing, and d = 0
-    presents H^degree(G, M).  It folds the generator rows, which cut out
-    the same lattice as all rows, for H^1 and for a ladder rung (d > 0).
-    The presentations of H^0 and H^2 fold all rows: representatives depend
-    on the row set, and ``verify-paper`` reports a map read on H^2's."""
-    last = _generator_ends(group) if degree == 1 or d else None
-    return subquotient(
-        tuple(gcd(o, d) for o in module.orders) * group.order**degree,
-        gcd(module.exponent, d),
-        _differential_rows(group, module, degree, last, d),
+def _z_presentation(group: FiniteGroup, module: GModule, degree: int, factors=None):
+    """H^degree(G, M) as one subquotient of the integer cochains, which must
+    find the invariant ``factors`` when they are known (else
+    ``ArithmeticError``).  It folds the generator rows, which cut out the
+    same lattice as all rows, for H^1 and for a group known to be trivial,
+    which has no generators to read.  The presentations of a nontrivial H^0
+    and H^2 fold all rows: representatives depend on the row set, and
+    ``verify-paper`` reports a map read on H^2's."""
+    last = _generator_ends(group) if degree == 1 or factors == () else None
+    presentation = subquotient(
+        module.orders * group.order**degree,
+        module.exponent,
+        _differential_rows(group, module, degree, last),
         _coboundary_generators(group, module, degree),
+    )
+    if factors is not None and presentation.factors != factors:
+        raise ArithmeticError(
+            f"invariant factors {factors} differ from the presentation's {presentation.factors}"
+        )
+    return presentation
+
+
+def _cayley_cycles(group: FiniteGroup, ends) -> np.ndarray:
+    """The fundamental cycles of the right Cayley graph of (G, X), X =
+    ``ends``, for its breadth-first spanning tree rooted at 1: one row per
+    edge h -> hx outside the tree, over the edges (g, x) at g |X| + (the
+    place of x in X), holding that edge plus the tree path to h minus the
+    tree path to hx.  They are a basis of the graph's cycles."""
+    order, table, nx = group.order, group.mul_table, len(ends)
+    paths = {0: np.zeros(order * nx, dtype=np.int64)}
+    cycles = []
+    queue = [0]
+    for h in queue:  # the queue grows as the search reaches new elements
+        for k, x in enumerate(ends):
+            hx, edge = table[h][x], h * nx + k
+            if hx in paths:
+                cycle = paths[h] - paths[hx]
+                cycle[edge] += 1
+                cycles.append(cycle)
+            else:
+                paths[hx] = paths[h].copy()
+                paths[hx][edge] = 1
+                queue.append(hx)
+    return np.array(cycles)
+
+
+def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
+    """H^2(G, M / dM) as one subquotient of Z^((|G| |X| + 1) r) in
+    Cayley-graph coordinates (see the module docstring), with each order and
+    row modulus of M cut to its gcd with d, so no module M / dM is built.
+    The rows stream into ``congruence_kernel`` one block at a time: the
+    rows f(1, x) = f(1, 1) for x in X, then for each g in X the rows
+    g.f(z) = f(gz) over the fundamental cycles z.  The columns of the
+    coboundary matrix hold g.c(x) - c(gx) + c(g) at (g, x) and c(1) at
+    (1, 1) for c the coordinates of a 1-cochain.  Entries are int64 or, for
+    an exponent past ``_dtype``'s bound, Python ints."""
+    ends = _generator_ends(group)
+    order, r, nx = group.order, module.rank, len(ends)
+    edges = order * nx  # the coordinate f(1, 1) follows the edges
+    width = (edges + 1) * r
+    moduli = [gcd(o, d) for o in module.orders]
+    dtype = _dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    table = np.array(group.mul_table)
+    cycles = _cayley_cycles(group, ends).astype(dtype)
+    eye = np.eye(r, dtype=dtype)
+
+    def rows():
+        block = np.zeros((nx, r, edges + 1, r), dtype=dtype)
+        block[:, :, edges] = -eye
+        block[np.arange(nx), :, np.arange(nx)] += eye  # the edges (1, x)
+        yield from zip(block.reshape(nx * r, width), moduli * nx)
+        for g in ends:
+            block = np.zeros((len(cycles), r, edges + 1, r), dtype=dtype)
+            block[:, :, :edges] = cycles[:, None, :, None] * action[g][:, None, :]
+            moved = (table[g][:, None] * nx + np.arange(nx)).ravel()  # (p, x) -> (gp, x)
+            for i in range(r):
+                block[:, i, moved, i] -= cycles
+            yield from zip(block.reshape(len(cycles) * r, width), moduli * len(cycles))
+
+    g, x = np.arange(edges) // nx, np.array(ends * order)
+    sub = np.zeros((edges + 1, r, order, r), dtype=dtype)
+    sub[np.arange(edges), :, x] += action[g]
+    sub[np.arange(edges), :, table[g, x]] -= eye
+    sub[np.arange(edges), :, g] += eye
+    sub[edges, :, 0] = eye
+    return subquotient(
+        tuple(moduli) * (edges + 1),
+        gcd(module.exponent, d),
+        rows(),
+        sub.reshape(width, order * r).astype(object),
     )
 
 
@@ -393,16 +486,13 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
         return coh
     factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
     for d_below, d in zip((1,) + rungs, rungs):
-        count = _z_presentation(group, module, degree, d)
-        if count.order % below or ratio % (count.order // below):
-            raise ArithmeticError(f"the counts {below}, {count.order} climb no ladder")
-        ratio, below = count.order // below, count.order
+        order = _cayley_h2(group, module, d).order
+        if order % below or ratio % (order // below):
+            raise ArithmeticError(f"the counts {below}, {order} climb no ladder")
+        ratio, below = order // below, order
         layer = reversed(_squarefree_factors(ratio, d // d_below))
         factors = [a * b for a, b in itertools.zip_longest(factors, layer, fillvalue=1)]
-    coh = CohomologyGroup(group, module, degree, tuple(reversed(factors)))
-    if count.is_trivial:
-        coh._presentation = count
-    return coh
+    return CohomologyGroup(group, module, degree, tuple(reversed(factors)))
 
 
 def cohomology(group: FiniteGroup, module: GModule, degree: int) -> CohomologyGroup:
@@ -475,7 +565,10 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     f -> (t -> C f(phi(t_1), ..., phi(t_n))), where ``elements`` lists
     phi(t) for each element t of the target group and ``coefficients`` is
     the integer matrix C from source to target coordinates: one column per
-    source generator, holding the target class of its image."""
+    source generator, holding the target class of its image.  A trivial
+    source maps to no column, so nothing of the target is read."""
+    if source.is_trivial:
+        return ((),) * len(target.invariant_factors)
     r, degree, order = source.module.rank, source.degree, source.group.order
     s, count = len(source.representatives), len(elements) ** degree
     # the index of (phi(t_1), ..., phi(t_n)) for each target tuple t

@@ -39,6 +39,7 @@ from twistlgp.gmodules import (
     trivial_module,
 )
 from twistlgp.groups import (
+    FiniteGroup,
     Subgroup,
     cyclic,
     cyclic_subgroups,
@@ -856,9 +857,11 @@ def test_generator_rows_span_the_cocycle_lattice():
 
 
 def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
-    # H^n with n >= 1 and gcd(|G|, m) = 1 feeds congruence_kernel the
-    # r |G|^n |X| generator rows, still folds them and builds no Smith form;
-    # H^0 feeds all r |G| rows, and every H^1 the r |G| |X| generator rows
+    # H^1 with gcd(|G|, m) = 1 feeds congruence_kernel the r |G| |X|
+    # generator rows, and H^2 its Cayley-graph rows, r |X| (|G| |X| - |G| +
+    # 2) of width r (|G| |X| + 1); each still folds them and builds no Smith
+    # form.  The first read of a trivial H^2's presentation feeds its r |G|^2
+    # |X| bar generator rows, and builds no Smith form either
     congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
     smith = linalg.smith_normal_form
     fed, widths, folded, built = [], [], [], []
@@ -879,19 +882,25 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     c1, c8, s3 = cyclic(1), cyclic(8), symmetric(3)
     c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
     cases = [
-        (c8, trivial_module(c8, [9]), 2, 64),
-        (c2_3, trivial_module(c2_3, [5]), 1, 24),
-        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, 192),
-        (c1, trivial_module(c1, [3]), 1, 1),
-        (c1, trivial_module(c1, [3]), 2, 1),
+        (c8, trivial_module(c8, [9]), 2, (2, 9), (64, 64)),
+        (c2_3, trivial_module(c2_3, [5]), 1, (24, 8), None),
+        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, (54, 25), (192, 64)),
+        (c1, trivial_module(c1, [3]), 1, (1, 1), None),
+        (c1, trivial_module(c1, [3]), 2, (2, 2), (1, 1)),
     ]
-    for group, module, degree, rows in cases:
+    for group, module, degree, (rows, width), bar in cases:
         fed.clear()
         folded.clear()
         coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
         assert fed == [rows]
-        assert (rows, module.rank * group.order**degree) in folded
-        assert coh.is_trivial and "_smith" not in vars(coh._presentation)
+        assert (rows, width) in folded
+        assert coh.is_trivial
+        if bar is not None:
+            assert "_presentation" not in vars(coh)
+            rows, width = bar
+            assert coh.class_of(zero_cochain(module, degree)).coordinates == ()
+            assert fed[1:] == [rows] and (rows, width) in folded
+        assert "_smith" not in vars(coh._presentation)
     assert not built
     # H^0, coprime or not, feeds all rows; H^1 with gcd(|G|, m) > 1 feeds
     # the generator rows too, and reading its representatives, classes,
@@ -978,15 +987,15 @@ def test_squarefree_factors_reject_an_order_prime_to_e():
 
 
 def test_counted_h2_matches_the_z_path():
-    # every H^2 with squarefree m is counted from the generator rows, and
-    # the count is handed over as the presentation exactly when it is
-    # trivial.  The factors must be those of the F_p rank reference, and for
+    # every H^2 with squarefree m is counted in Cayley-graph coordinates,
+    # and the count is never handed over as the presentation: it is in other
+    # coordinates.  The factors must be those of the F_p rank reference, and for
     # the first character of each m on a group of order at most 8, those
     # of the forced presentation of all rows
     counted = not_coprime = forced = 0
     for group, m, k, module in squarefree_cases():
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-        assert ("_presentation" in vars(h2)) == h2.is_trivial
+        assert "_presentation" not in vars(h2)
         assert "representatives" not in vars(h2)
         assert all(m % d == 0 for d in h2.invariant_factors)
         assert reference_counted_factors(group, module, 2) == h2.invariant_factors, (
@@ -1062,7 +1071,7 @@ def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
         assert h2.invariant_factors == factors, (group.name, module.orders)
     # the liftable modules with p^2 | e that took the Smith path before, the
     # squarefree part of the same groups, rank 2 and coprime order are
-    # counted with no Smith form; only a trivial count is handed over
+    # counted with no Smith form, and no count is handed over
     built = []
     monkeypatch.setattr(linalg, "smith_normal_form", built.append)
     for group, orders, factors in [
@@ -1077,7 +1086,7 @@ def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
         (cyclic(3), [10], ()),
     ]:
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, trivial_module(group, orders), 2)
-        assert ("_presentation" in vars(h2)) == (not factors)
+        assert "_presentation" not in vars(h2)
         assert h2.invariant_factors == factors
     assert not built
 
@@ -1093,7 +1102,7 @@ def test_counted_h2_of_higher_rank_matches_the_presentation():
             for chis in itertools.islice(itertools.product(*chars), 2):
                 module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-                assert ("_presentation" in vars(h2)) == h2.is_trivial
+                assert "_presentation" not in vars(h2)
                 presentation = cohomology_module._z_presentation(group, module, 2)
                 assert h2.invariant_factors == presentation.factors, (name, ms, chis)
                 cases += 1
@@ -1176,7 +1185,7 @@ def test_counted_h2_reads_like_the_z_path():
 def test_counted_h2_matches_the_closed_form(factors, m):
     group, expected = closed_forms.h2_trivial(factors, m)
     h2 = cohomology(group, trivial_module(group, [m]), 2)
-    assert ("_presentation" in vars(h2)) == (not expected)
+    assert "_presentation" not in vars(h2)
     assert h2.invariant_factors == expected
     # H^2(G, (Z/p)^2) = H^2(G, Z/p)^2
     assert cohomology(group, trivial_module(group, [m, m]), 2).invariant_factors == expected * 2
@@ -1211,7 +1220,7 @@ def test_ladder_matches_the_z_path(monkeypatch):
                     presented += 1
                     continue
                 assert not built, (name, m, chi.values)
-                assert ("_presentation" in vars(h2)) == h2.is_trivial
+                assert "_presentation" not in vars(h2)
                 want = cohomology_module._z_presentation(group, module, 2).factors
                 assert h2.invariant_factors == want, (name, m, chi.values)
                 counted += 1
@@ -1293,7 +1302,7 @@ def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
         counts = iter(orders)
         monkeypatch.setattr(cohomology_module, "_rungs", lambda *args, rungs=rungs: rungs)
         monkeypatch.setattr(
-            cohomology_module, "_z_presentation",
+            cohomology_module, "_cayley_h2",
             lambda *args, counts=counts: SimpleNamespace(order=next(counts)),
         )
         with pytest.raises(ArithmeticError, match=error):
@@ -1307,10 +1316,10 @@ def quotient_module(module, d):
 
 
 def test_a_rung_presents_the_quotient_module():
-    # H^n(G, M / dM) presented on M's own rows, each order and row modulus
-    # cut to its gcd with d, has the factors of the module M / dM built on
-    # its own; d prime to an order cuts that coordinate to 1, and d = 1
-    # leaves the zero module
+    # H^2(G, M / dM) in Cayley-graph coordinates on M's own rows, each order
+    # and row modulus cut to its gcd with d, has the factors of the module
+    # M / dM built on its own; d prime to an order cuts that coordinate to
+    # 1, and d = 1 leaves the zero module
     c2, c4, s3 = cyclic(2), cyclic(4), symmetric(3)
     modules = [
         trivial_module(c4, [2, 12]),
@@ -1322,11 +1331,8 @@ def test_a_rung_presents_the_quotient_module():
         group = module.group
         for d in (1, 2, 3, 4, 6, 12, 5):
             want = quotient_module(module, d)
-            for degree in (0, 1, 2):
-                got = cohomology_module._z_presentation(group, module, degree, d=d)
-                assert got.factors == cohomology(group, want, degree).invariant_factors, (
-                    module.orders, d, degree
-                )
+            got = cohomology_module._cayley_h2(group, module, d)
+            assert got.factors == cohomology(group, want, 2).invariant_factors, (module.orders, d)
 
 
 def test_the_ladder_builds_no_module(monkeypatch):
@@ -1346,6 +1352,175 @@ def test_the_ladder_builds_no_module(monkeypatch):
         h2 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
         assert h2.invariant_factors == want
     assert made == []
+
+
+def reference_h2_order(group, module):
+    """|H^2(G, M)| from the bar complex: the subquotient of the r |G|^2
+    cochain coordinates cut out by the generator rows."""
+    rows = cohomology_module._differential_rows(
+        group, module, 2, cohomology_module._generator_ends(group)
+    )
+    gens = cohomology_module._coboundary_generators(group, module, 2)
+    return linalg.subquotient(module.orders * group.order**2, module.exponent, rows, gens).order
+
+
+# the named groups of order at most 24
+NAMED_TO_24 = [f"C{n}" for n in range(1, 25)] + [f"D{n}" for n in range(2, 13)] + ["Q8", "S3", "S4"]
+
+
+def cayley_cases():
+    """Every mu_m character of the named groups of order at most 24, m in
+    (2, 3, 4, 6, 8, 9, 12), and the rank-2 sums of
+    ``test_ladder_on_sums_of_characters``."""
+    for name in NAMED_TO_24:
+        group = named_group(name)
+        for m in (2, 3, 4, 6, 8, 9, 12):
+            for chi in all_characters(group, m):
+                yield mu_module(group, m, chi)
+    for name in ("C2", "C4", "S3", "D4"):
+        group = named_group(name)
+        for ms in ((3, 12), (5, 20), (3, 8), (2, 12), (3, 36)):
+            chars = [all_characters(group, m) for m in ms]
+            for chis in itertools.islice(itertools.product(*chars), 2):
+                yield direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_cayley_count_matches_the_quotient_module():
+    # on every rung d, or on d = e for a module the ladder leaves to the Z
+    # path, the Cayley-graph count of H^2(G, M / dM) is the bar complex's
+    # order for the module M / dM built on its own (many coincide, so each
+    # is counted once); to order 8, with d = e, the factors of the Cayley
+    # subquotient are those ``cohomology`` reads, from the ladder or the Z
+    # path
+    want, cases, presented = {}, 0, 0
+    for module in cayley_cases():
+        group = module.group
+        for d in cohomology_module._rungs(group, module, 2) or (module.exponent,):
+            count = cohomology_module._cayley_h2(group, module, d)
+            quotient = quotient_module(module, d)
+            if quotient not in want:
+                want[quotient] = reference_h2_order(group, quotient)
+            assert count.order == want[quotient], (group.name, module.orders, d)
+            cases += 1
+        if group.order <= 8:
+            factors = cohomology(group, module, 2).invariant_factors
+            assert count.factors == factors, (group.name, module.orders)
+            presented += 1
+    assert cases == 1256 and len(want) == 830 and presented == 323
+
+
+def relabelled_module(module, perm):
+    """The same module over the group with element g renamed perm[g] (perm
+    fixes 0)."""
+    group = module.group
+    inverse = [0] * group.order
+    for g, new in enumerate(perm):
+        inverse[new] = g
+    table = [[perm[group.mul(inverse[a], inverse[b])] for b in group.elements()]
+             for a in group.elements()]
+    moved = FiniteGroup(group.order, tuple(map(tuple, table)), name=group.name)
+    return gmodule(moved, module.orders, [module.action[inverse[g]] for g in moved.elements()])
+
+
+def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
+    # the count is an invariant of the module: a relabelled group, whose
+    # greedy generators and breadth-first tree differ, the greedy generators
+    # in reverse order, and to order 8 every element but 1 as the
+    # generating set count the same on every d dividing the exponent
+    rng = random.Random(26)
+    compared = 0
+    for name in ("C6", "S3", "D4", "Q8", "C12", "D6", "S4"):
+        group = named_group(name)
+        for m in (2, 3, 4, 6, 8):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+                moved = relabelled_module(module, perm)
+                orders = [cohomology_module._cayley_h2(group, module, d).order for d in divisors(m)]
+                assert orders == [
+                    cohomology_module._cayley_h2(moved.group, moved, d).order for d in divisors(m)
+                ], (name, m, chi.values, perm)
+                ends = [tuple(reversed(group.generators))]
+                if group.order <= 8:
+                    ends.append(tuple(range(1, group.order)))
+                for x in ends:
+                    monkeypatch.setattr(cohomology_module, "_generator_ends", lambda g, x=x: x)
+                    assert orders == [
+                        cohomology_module._cayley_h2(group, module, d).order for d in divisors(m)
+                    ], (name, m, chi.values, x)
+                    monkeypatch.undo()
+                compared += 1
+    assert compared > 100
+
+
+@pytest.mark.parametrize("count, m", [(5, 2), (5, 4), (6, 2), (6, 4)])
+def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m):
+    # C2^6 has 4096 bar cochain coordinates and 385 Cayley-graph ones
+    group, expected = closed_forms.h2_trivial(["C2"] * count, m)
+    module = trivial_module(group, [m])
+    assert cohomology_module._rungs(group, module, 2) == tuple(divisors(m)[1:])
+    assert cohomology(group, module, 2).invariant_factors == expected
+    assert cohomology_module._cayley_h2(group, module, m).order == prod(expected)
+
+
+def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
+    # S3 on trivial Z/(10^40 + 1), which is prime to 6: the one rung is e
+    # itself, and the count feeds, folds and relates Python ints
+    e = 10**40 + 1
+    s3 = symmetric(3)
+    module = trivial_module(s3, [e])
+    assert gcd(6, e) == 1 and cohomology_module._rungs(s3, module, 2) == (e,)
+    congruence_kernel, fed = linalg.congruence_kernel, []
+
+    def recorded(n, exponent, constraints):
+        fed.extend(constraints)
+        return congruence_kernel(n, exponent, iter(fed))
+
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 2)
+    assert h2.is_trivial and len(fed) == 16
+    assert all(row.dtype == object and modulus == e for row, modulus in fed)
+    count = cohomology_module._cayley_h2(s3, module, e)
+    assert count.order == 1 and count.lattice.reduced.dtype == object
+    assert count.sub.dtype == object and {type(x) for x in count.sub.flat} == {int}
+
+
+def test_maps_from_a_trivial_group_present_nothing(monkeypatch):
+    # inflation, restriction and conjugation from a trivial H^n return one
+    # empty row per target factor, and build no presentation of the source
+    # or the target: inflation from H^2(S4/S4, Z/2) = 0 into H^2(S4, Z/2)
+    # built the target's presentation of all 24^3 rows only to return that
+    built, z_presentation = [], cohomology_module._z_presentation
+    monkeypatch.setattr(
+        cohomology_module, "_z_presentation",
+        lambda *args: built.append(args[:3]) or z_presentation(*args),
+    )
+    cohomology_module._cohomology_cached.cache_clear()
+    s4 = symmetric(4)
+    module = trivial_module(s4, [2])
+    q, proj = quotient(s4, full_subgroup(s4))
+    sub, embed = descend_to_quotient(module, proj)
+    source = cohomology(q, sub, 2)
+    inf = inflation(source, proj, module, embed)
+    assert source.is_trivial and inf.target.invariant_factors == (2, 2)
+    assert inf.matrix == ((), ()) and inf.is_zero
+    h2 = cohomology(s4, trivial_module(s4, [3]), 2)
+    c3 = subgroup_generated(s4, [next(g for g in s4.elements() if s4.element_order(g) == 3)])
+    res = restriction(h2, c3)
+    assert h2.is_trivial and res.target.invariant_factors == (3,) and res.matrix == ((),)
+    s3 = symmetric(3)
+    a3 = subgroup_generated(s3, [next(g for g in s3.elements() if s3.element_order(g) == 3)])
+    action = conjugation_on_cohomology(s3, a3, trivial_module(s3, [2]), 2)
+    assert action.cohomology.is_trivial and action.matrices == ((), ())
+    assert action.fixed_subgroup()[0] == ()
+    assert built == []
+    for coh in (source, inf.target, h2, res.target, action.cohomology):
+        assert "_presentation" not in vars(coh)
+    cohomology_module._cohomology_cached.cache_clear()
 
 
 KUENNETH_PRODUCTS = [
