@@ -36,9 +36,10 @@ with (d f)(.., k) = 0 for all leading arguments are closed under products,
 and a non-empty X reaches all of G.  A different row set gives a different
 triangular basis of the same lattice, and so may give other representatives.
 
-A ``CohomologyGroup`` knows its invariant factors from construction.  Its
-presentation, and the representatives read from it, are built on first read
-(``_z_presentation``), and must find the same factors: every H^1 and every
+A ``CohomologyGroup`` knows its invariant factors from construction.  Every
+H^1 is presented in Cayley-graph coordinates (below) when it is computed.
+The presentation of H^0 and H^2, and the representatives read from it, are
+built on first read (``_z_presentation``), and must find the same factors: a
 trivial H^n from the generator rows, a nontrivial H^0 or H^2 from all rows.
 One rule counts the factors of H^2 with no Smith form: the orders N_i of
 H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
@@ -61,21 +62,40 @@ H^n is presented at once and handed over with its factors.
 
 Cayley-graph coordinates.  Let T be the breadth-first spanning tree, rooted
 at 1, of the right Cayley graph of (G, X): an edge h -> hx for each h in G
-and x in X.  For an integer combination z of edges write f(z) for the sum
-of its coefficients times f(h, x) over its edges (h, x), and gz for its
-left translate, (h, x) -> (gh, x).  A 2-cocycle f is fixed by f(g, x) for
+and x in X.  Write P_k for the tree path from 1 to k; each edge h -> hx
+outside T closes the fundamental cycle z = (h, x) + P_h - P_hx, and these
+|G| (|X| - 1) + 1 cycles are a basis of the cycles (``_cayley_tree``).
+
+A 1-cocycle f has f(1) = 0 and f(hx) = f(h) + h.f(x), which is
+d f(h, x) = 0.  For a combination z of edges write z.f for the sum of its
+coefficients times h.f(x) over its edges (h, x).  Along T, f(k) = P_k.f, so
+f is fixed by its values f(x), x in X, and d f(h, x) = z.f for the cycle z
+of the edge; z is 0 on the edges of T.  Conversely, take any values at X
+with z.f = 0 for every fundamental cycle z, and set f(k) = P_k.f.  Then
+d f(h, x) = 0 for every h and x in X, and f(x) = P_x.f is the value given
+(the edge 1 -> x is in T, or its cycle says so).  By the lemma above that
+makes f a cocycle.  So the cycle rows are complete: H^1 is one subquotient
+of Z^(|X| r), cut out by r (|G| (|X| - 1) + 1) rows, with the coboundary of
+m reading x.m - m at x (``_cayley_h1``); for S4 x C2 and rank 1, 4 columns
+and 145 rows, where the bar complex has 48 columns and 192 generator rows.
+The representatives are rebuilt as bar cochains by one product with the
+tree-path matrix.  Reading a cochain at X is injective on cocycles only, so
+a class is read only from a cochain whose values at X lie in the lattice
+and rebuild it.
+
+For an integer combination z of edges write f(z) for the sum of its
+coefficients times f(h, x) over its edges (h, x), and gz for its left
+translate, (h, x) -> (gh, x).  A 2-cocycle f is fixed by f(g, x) for
 g in G, x in X, and by f(1, 1): d f(g, 1, 1) = 0 gives f(g, 1) = g.f(1, 1),
 and d f(g, h, x) = 0 gives f(g, hx) = f(g, h) + f(gh, x) - g.f(h, x) along
-T, so f(g, k) = g.(f(1, 1) - f(P_k)) + f(g P_k) for P_k the tree path from
-1 to k once f(1, x) = f(1, 1).  Then d f(g, h, x) = g.f(z) - f(gz) for the
-cycle z = (h, x) + P_h - P_hx, which is 0 on the edges of T.  By the lemma
-above, values at these coordinates extend to a cocycle exactly when
-f(1, x) = f(1, 1) for x in X and g.f(z) = f(gz) for every g and every such
-fundamental cycle z.  The fundamental cycles are a basis of the cycles, and
-left translation maps cycles to cycles, so if the second condition holds
-for g and g' it holds for gg': g in X suffices.  The coboundary of a
-1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x), and c(1) at (1, 1).  So
-H^2 is one subquotient of Z^((|G| |X| + 1) r), cut out by
+T, so f(g, k) = g.(f(1, 1) - f(P_k)) + f(g P_k) once f(1, x) = f(1, 1).
+Then d f(g, h, x) = g.f(z) - f(gz) for the cycle z of the edge h -> hx.  By
+the lemma above, values at these coordinates extend to a cocycle exactly
+when f(1, x) = f(1, 1) for x in X and g.f(z) = f(gz) for every g and every
+fundamental cycle z.  Left translation maps cycles to cycles, so if the
+second condition holds for g and g' it holds for gg': g in X suffices.  The
+coboundary of a 1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x), and c(1)
+at (1, 1).  So H^2 is one subquotient of Z^((|G| |X| + 1) r), cut out by
 r |X| (|G| |X| - |G| + 2) rows (``_cayley_h2``): for C2^6 and rank 1, 385
 columns and 1932 rows, where the bar complex has 4096 columns and 24576
 generator rows.
@@ -259,10 +279,13 @@ def _coboundary_generators(group: FiniteGroup, module: GModule, n: int) -> np.nd
 
 @dataclass(eq=False)
 class CohomologyGroup:
-    """H^degree(G, M) with invariant factors.  The presentation, which
-    expresses any cocycle in the generators, and the cocycle representatives
-    are built on first read unless a builder assigned them; ``sha_finite``
-    assigns representatives and no presentation (None)."""
+    """H^degree(G, M) with invariant factors.  The presentation answers
+    ``factors``, ``generators()`` (bar cochains, one per column) and
+    ``coordinates(x)`` (bar cochains in, class coordinates out), whatever
+    its coordinates.  It and the cocycle representatives are built on first
+    read unless a builder assigned them: ``_cohomology_cached`` assigns
+    every H^1 its Cayley-graph presentation (``_cayley_h1``), and
+    ``sha_finite`` assigns representatives and no presentation (None)."""
 
     group: FiniteGroup
     module: GModule
@@ -342,22 +365,24 @@ class CohClass:
 
 
 def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
-    """The last bar arguments whose differential rows span the cocycle
-    lattice, and the X of the Cayley-graph coordinates: a generating set,
-    never empty (C1's greedy set is empty, and no rows at all would leave
-    every cochain a cocycle)."""
+    """The X of the Cayley-graph coordinates of H^1 and H^2, and the last
+    bar arguments whose differential rows span the cocycle lattice (the
+    rows a trivial H^n's presentation folds): a generating set, never empty
+    (C1's greedy set is empty, and no rows at all would leave every cochain
+    a cocycle)."""
     return group.generators or (0,)
 
 
 def _z_presentation(group: FiniteGroup, module: GModule, degree: int, factors=None):
-    """H^degree(G, M) as one subquotient of the integer cochains, which must
-    find the invariant ``factors`` when they are known (else
-    ``ArithmeticError``).  It folds the generator rows, which cut out the
-    same lattice as all rows, for H^1 and for a group known to be trivial,
-    which has no generators to read.  The presentations of a nontrivial H^0
-    and H^2 fold all rows: representatives depend on the row set, and
-    ``verify-paper`` reports a map read on H^2's."""
-    last = _generator_ends(group) if degree == 1 or factors == () else None
+    """H^degree(G, M) as one subquotient of the integer bar cochains, which
+    must find the invariant ``factors`` when they are known (else
+    ``ArithmeticError``): the presentation of H^0 and the reads of H^2
+    (every H^1 is ``_cayley_h1``'s).  A group known to be trivial has no
+    generators to read, so it folds the generator rows, which cut out the
+    same lattice as all rows.  A nontrivial one folds all rows:
+    representatives depend on the row set, and ``verify-paper`` reports a
+    map read on H^2's."""
+    last = _generator_ends(group) if factors == () else None
     presentation = subquotient(
         module.orders * group.order**degree,
         module.exponent,
@@ -371,28 +396,109 @@ def _z_presentation(group: FiniteGroup, module: GModule, degree: int, factors=No
     return presentation
 
 
-def _cayley_cycles(group: FiniteGroup, ends) -> np.ndarray:
-    """The fundamental cycles of the right Cayley graph of (G, X), X =
-    ``ends``, for its breadth-first spanning tree rooted at 1: one row per
-    edge h -> hx outside the tree, over the edges (g, x) at g |X| + (the
-    place of x in X), holding that edge plus the tree path to h minus the
-    tree path to hx.  They are a basis of the graph's cycles."""
+@lru_cache(maxsize=None)
+def _cayley_tree(group: FiniteGroup, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The breadth-first spanning tree, rooted at 1, of the right Cayley
+    graph of (G, X), X = ``ends``, over the edges h -> hx at h |X| + (the
+    place of x in X): the tree path from 1 to each k, one row per k, and
+    the fundamental cycles, one row per edge h -> hx outside the tree,
+    holding that edge plus the tree path to h minus the tree path to hx.
+    The cycles are a basis of the graph's cycles.  Every entry is 0 or +-1,
+    so both are int8, and read only: the cache keeps them for every caller."""
     order, table, nx = group.order, group.mul_table, len(ends)
-    paths = {0: np.zeros(order * nx, dtype=np.int64)}
+    paths = np.zeros((order, order * nx), dtype=np.int8)
+    reached = {0}
     cycles = []
     queue = [0]
     for h in queue:  # the queue grows as the search reaches new elements
         for k, x in enumerate(ends):
             hx, edge = table[h][x], h * nx + k
-            if hx in paths:
+            if hx in reached:
                 cycle = paths[h] - paths[hx]
                 cycle[edge] += 1
                 cycles.append(cycle)
             else:
-                paths[hx] = paths[h].copy()
-                paths[hx][edge] = 1
+                paths[hx] = paths[h]
+                paths[hx, edge] = 1
+                reached.add(hx)
                 queue.append(hx)
-    return np.array(cycles)
+    cycles = np.array(cycles, dtype=np.int8)
+    paths.flags.writeable = cycles.flags.writeable = False
+    return paths, cycles
+
+
+def _edge_sums(edges: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """For each row z of ``edges``, a combination of the edges (h, x) of the
+    Cayley graph, the r x |X| r matrix taking the values f(x), x in X, of a
+    1-cochain to sum_(h, x) z_(h, x) h.f(x): one block of r rows per z, in
+    ``action``'s dtype.  A path z from 1 to k rebuilds f(k) of a cocycle,
+    and a cycle z gives 0."""
+    order, r = action.shape[:2]
+    nx = edges.shape[1] // order
+    z = edges.reshape(len(edges), order, nx).astype(action.dtype)
+    blocks = np.tensordot(z, action, axes=([1], [0]))  # (z, x, i, j)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(edges) * r, nx * r)
+
+
+@dataclass(eq=False)
+class _CayleyH1:
+    """H^1(G, M) presented in Cayley-graph coordinates and read in bar
+    coordinates: ``quotient`` is the subquotient of the values f(x), x in
+    X = ``_generator_ends(group)``, ``reads`` picks the bar positions that
+    hold them, and ``rebuild`` takes them to the bar cocycle, each position
+    mod its coordinate's order in ``moduli``."""
+
+    quotient: LatticeQuotient
+    reads: np.ndarray = field(repr=False)
+    rebuild: np.ndarray = field(repr=False)
+    moduli: np.ndarray = field(repr=False)
+
+    @property
+    def factors(self) -> tuple[int, ...]:
+        return self.quotient.factors
+
+    def generators(self) -> np.ndarray:
+        """The representatives, one bar cochain per column."""
+        return self.rebuild @ self.quotient.generators()
+
+    def coordinates(self, cochains: np.ndarray) -> np.ndarray:
+        """The class coordinates of the bar 1-cochains in the columns of
+        ``cochains``.  Reading at X is injective on cocycles only, so a
+        column is a cocycle (else ``NotInLattice``) when its values at X lie
+        in the lattice and rebuild it.  The rebuild is compared in int64
+        while |X| r e^2 is below 2^63, and over Python ints past that."""
+        e = self.quotient.lattice.exponent
+        dtype = np.int64 if self.rebuild.shape[1] * e * e < 2**63 else object
+        moduli = self.moduli.astype(dtype, copy=False)
+        cochains = (np.asarray(cochains, dtype=object) % moduli).astype(dtype)
+        values = cochains[self.reads]
+        if ((self.rebuild.astype(dtype, copy=False) @ values - cochains) % moduli).any():
+            raise NotInLattice("the values at X rebuild another cochain")
+        return self.quotient.coordinates(values)
+
+
+def _cayley_h1(group: FiniteGroup, module: GModule) -> _CayleyH1:
+    """H^1(G, M) as one subquotient of Z^(|X| r) in Cayley-graph
+    coordinates (see the module docstring): r rows for each fundamental
+    cycle z, sum over the edges (h, x) of z of z_(h, x) h.f(x) = 0, and the
+    coboundary of m reading x.m - m at x.  Its bar representatives are
+    rebuilt along the tree paths.  Entries are int64 or, for an exponent
+    past ``_dtype``'s bound, Python ints."""
+    ends = _generator_ends(group)
+    paths, cycles = _cayley_tree(group, ends)
+    order, r, nx = group.order, module.rank, len(ends)
+    dtype = _dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    sub = action[list(ends)] - np.eye(r, dtype=dtype)
+    quotient = subquotient(
+        module.orders * nx,
+        module.exponent,
+        zip(_edge_sums(cycles, action), module.orders * len(cycles)),
+        sub.reshape(nx * r, r).astype(object),
+    )
+    reads = (np.array(ends)[:, None] * r + np.arange(r)).ravel()
+    moduli = np.array(module.orders * order, dtype=dtype).reshape(order * r, 1)
+    return _CayleyH1(quotient, reads, _edge_sums(paths, action) % moduli, moduli)
 
 
 def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
@@ -413,7 +519,7 @@ def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
     table = np.array(group.mul_table)
-    cycles = _cayley_cycles(group, ends).astype(dtype)
+    cycles = _cayley_tree(group, ends)[1].astype(dtype)
     eye = np.eye(r, dtype=dtype)
 
     def rows():
@@ -480,7 +586,9 @@ def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] 
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
     rungs = _rungs(group, module, degree)
     if rungs is None:
-        presentation = _z_presentation(group, module, degree)
+        presentation = (
+            _cayley_h1(group, module) if degree == 1 else _z_presentation(group, module, degree)
+        )
         coh = CohomologyGroup(group, module, degree, presentation.factors)
         coh._presentation = presentation
         return coh

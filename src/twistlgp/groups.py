@@ -114,6 +114,13 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         return any(self.element_order(a) == self.order for a in self.elements())
 
+    @cached_property
+    def _cyclic_subgroups(self) -> tuple["Subgroup", ...]:
+        found = {_closure(self, [g]) for g in self.elements()}
+        return tuple(
+            Subgroup(self, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+        )
+
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
@@ -392,11 +399,9 @@ def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def cyclic_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The cyclic subgroups: exactly the decomposition groups of unramified
-    places that Chebotarev guarantees to occur."""
-    found = {_closure(group, [g]) for g in group.elements()}
-    return tuple(
-        Subgroup(group, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-    )
+    places that Chebotarev guarantees to occur.  Built once per group, so
+    each subgroup builds its ``as_group`` table once, whatever the module."""
+    return group._cyclic_subgroups
 
 
 @dataclass(frozen=True)
