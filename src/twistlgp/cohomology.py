@@ -24,8 +24,9 @@ columns of the degree-(n-1) differential matrix plus the coefficient
 relations, which are passed as the tuple of coefficient orders.  It is read
 only as matrices: the representatives are the columns of ``generators()``,
 and an induced map (restriction, inflation, conjugation) stacks the images
-of all source representatives as the columns of one matrix and reads their
-classes with one ``coordinates`` call; ``class_of`` is its one-column case.
+of all source representatives, at the positions the target's presentation
+reads (below), as the columns of one matrix and reads their classes with one
+call; ``class_of`` reads one cochain, and checks that it is a cocycle.
 Each kernel, fixed subgroup or image of such a map is another subquotient,
 of Z/a_1 + ... + Z/a_s for a the invariant factors, read the same way.
 
@@ -80,8 +81,9 @@ m reading x.m - m at x (``_cayley_h1``); for S4 x C2 and rank 1, 4 columns
 and 145 rows, where the bar complex has 48 columns and 192 generator rows.
 The representatives are rebuilt as bar cochains by one product with the
 tree-path matrix.  Reading a cochain at X is injective on cocycles only, so
-a class is read only from a cochain whose values at X lie in the lattice
-and rebuild it.
+``class_of`` reads a class only from a cochain whose values at X lie in the
+lattice and rebuild it.  The image of a cocycle under a cochain map is a
+cocycle, so an induced map reads its images at X alone.
 
 For an integer combination z of edges write f(z) for the sum of its
 coefficients times f(h, x) over its edges (h, x), and gz for its left
@@ -303,6 +305,13 @@ class CohomologyGroup:
         generators = self._presentation.generators().T
         return tuple(Cochain(self.module, self.degree, tuple(g)) for g in generators)
 
+    @cached_property
+    def _representative_matrix(self) -> np.ndarray:
+        """The representatives' vectors as the rows of one object matrix."""
+        width = self.module.rank * self.group.order**self.degree
+        vectors = [rep.vector for rep in self.representatives]
+        return np.array(vectors, dtype=object).reshape(len(vectors), width)
+
     @property
     def order(self) -> int:
         return prod(self.invariant_factors) if self.invariant_factors else 1
@@ -333,11 +342,13 @@ class CohomologyGroup:
 
     def element(self, coordinates) -> Cochain:
         """The representative cochain with the given generator coordinates,
-        each reduced mod its invariant factor."""
-        acc = zero_cochain(self.module, self.degree)
-        for c, rep in zip(CohClass(self, coordinates).coordinates, self.representatives):
-            acc = acc.add(rep.scale(c))
-        return acc
+        each reduced mod its invariant factor: one product with the
+        representatives' matrix, reduced mod the orders."""
+        coordinates = CohClass(self, coordinates).coordinates
+        if not coordinates:
+            return zero_cochain(self.module, self.degree)
+        vector = np.array(coordinates, dtype=object) @ self._representative_matrix
+        return Cochain(self.module, self.degree, tuple(vector))
 
     def to_report(self) -> dict:
         return {
@@ -446,7 +457,9 @@ class _CayleyH1:
     coordinates: ``quotient`` is the subquotient of the values f(x), x in
     X = ``_generator_ends(group)``, ``reads`` picks the bar positions that
     hold them, and ``rebuild`` takes them to the bar cocycle, each position
-    mod its coordinate's order in ``moduli``."""
+    mod its coordinate's order in ``moduli``.  An induced map reads the
+    image of a cocycle, which is a cocycle, at ``reads`` only, with
+    ``quotient.coordinates`` and no rebuild."""
 
     quotient: LatticeQuotient
     reads: np.ndarray = field(repr=False)
@@ -465,8 +478,10 @@ class _CayleyH1:
         """The class coordinates of the bar 1-cochains in the columns of
         ``cochains``.  Reading at X is injective on cocycles only, so a
         column is a cocycle (else ``NotInLattice``) when its values at X lie
-        in the lattice and rebuild it.  The rebuild is compared in int64
-        while |X| r e^2 is below 2^63, and over Python ints past that."""
+        in the lattice and rebuild it, and its class is then read from
+        those values as an induced map reads one.  The rebuild is compared
+        in int64 while |X| r e^2 is below 2^63, and over Python ints past
+        that."""
         e = self.quotient.lattice.exponent
         dtype = np.int64 if self.rebuild.shape[1] * e * e < 2**63 else object
         moduli = self.moduli.astype(dtype, copy=False)
@@ -673,20 +688,28 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     f -> (t -> C f(phi(t_1), ..., phi(t_n))), where ``elements`` lists
     phi(t) for each element t of the target group and ``coefficients`` is
     the integer matrix C from source to target coordinates: one column per
-    source generator, holding the target class of its image.  A trivial
-    source maps to no column, so nothing of the target is read."""
+    source generator, holding the target class of its image.  The image of
+    a cocycle is a cocycle, so it is pulled back only at the positions the
+    target's presentation reads: the values at X of an H^1 in Cayley-graph
+    coordinates, read with no rebuild, and every position of a bar
+    presentation.  A trivial source maps to no column, so nothing of the
+    target is read."""
     if source.is_trivial:
         return ((),) * len(target.invariant_factors)
     r, degree, order = source.module.rank, source.degree, source.group.order
-    s, count = len(source.representatives), len(elements) ** degree
-    # the index of (phi(t_1), ..., phi(t_n)) for each target tuple t
-    digits = np.indices((len(elements),) * degree).reshape(degree, count)
-    pulled = np.reshape(tuple_index(order, np.asarray(elements)[digits]), count)
-    reps = np.array([rep.vector for rep in source.representatives], dtype=object)
-    coeff = np.array(coefficients, dtype=object)
-    images = reps.reshape(s, order**degree, r)[:, pulled] @ coeff.T
-    coords = target._coordinates(images.reshape(s, count * target.module.rank).T)
-    return tuple(map(tuple, coords))
+    presentation, rank, n = target._presentation, target.module.rank, len(elements)
+    # the target tuples t read, every coordinate of each, in position order
+    if isinstance(presentation, _CayleyH1):
+        tuples, read = presentation.reads[::rank] // rank, presentation.quotient.coordinates
+    else:
+        tuples, read = np.arange(n**degree), target._coordinates
+    # the index of (phi(t_1), ..., phi(t_n)) for each, from the digits of t
+    pulled, elements = 0, np.asarray(elements)
+    for k in reversed(range(degree)):
+        pulled = pulled * order + elements[tuples // n**k % n]
+    reps = source._representative_matrix.reshape(-1, order**degree, r)[:, pulled]
+    images = reps @ np.array(coefficients, dtype=object).T
+    return tuple(map(tuple, read(images.reshape(len(reps), -1).T)))
 
 
 def restriction(coh: CohomologyGroup, subgroup: Subgroup) -> CohomologyMap:
@@ -769,10 +792,9 @@ def conjugation_on_cohomology(
     matrices = tuple(conjugated_matrix(g) for g in proj.section)
     # inner conjugations must act trivially (they compose: N's generators suffice)
     b = coh.invariant_factors
-    assert all(
-        _vanishes(conjugated_matrix(embed[x]) - identity_matrix(len(b)), b)
-        for x in sub_group.generators
-    ), "inner action is not trivial"
+    for x in sub_group.generators:
+        if not _vanishes(conjugated_matrix(embed[x]) - identity_matrix(len(b)), b):
+            raise ArithmeticError("inner action is not trivial")
     return ConjugationAction(
         cohomology=coh, quotient_group=q_group, projection=proj, matrices=matrices
     )

@@ -22,7 +22,6 @@ from .groups import FiniteGroup, GroupHom, Subgroup
 from .linalg import (
     diagonal_matrix,
     fixed_subgroup,
-    identity_matrix,
     int_matrix,
     smith_normal_form,
 )
@@ -38,7 +37,10 @@ class BadCharacter(ValueError):
 
 @dataclass(frozen=True)
 class GModule:
-    """Use the ``gmodule`` factory; the constructor insists on canonical form."""
+    """Use the ``gmodule`` factory; the constructor insists on canonical form
+    and checks that the matrices are an action.  ``_unchecked`` skips both
+    checks, for fields that are canonical and an action by construction;
+    the result is the same value, with the same hash, as the checked one."""
 
     group: FiniteGroup
     orders: tuple[int, ...]
@@ -84,6 +86,13 @@ class GModule:
                             raise ValueError(
                                 f"action matrices incompatible at ({g}, {x})"
                             )
+
+    @classmethod
+    def _unchecked(cls, group: FiniteGroup, orders, action) -> "GModule":
+        module = object.__new__(cls)
+        for name, value in (("group", group), ("orders", orders), ("action", action)):
+            object.__setattr__(module, name, value)
+        return module
 
     @property
     def rank(self) -> int:
@@ -167,9 +176,16 @@ def gmodule(group: FiniteGroup, orders, action) -> GModule:
 
 
 def trivial_module(group: FiniteGroup, orders) -> GModule:
-    r = len(list(orders))
-    ident = identity_matrix(r)
-    return gmodule(group, orders, [ident] * group.order)
+    """Z/d_1 + ... + Z/d_s with trivial action.  The canonical orders are
+    the entries other than 1 of one Smith form of diag(orders), and the
+    identity is an action on any orders, so nothing is checked again."""
+    orders = [int(d) for d in orders]
+    if any(d < 1 for d in orders):
+        raise ValueError("orders must be positive")
+    canonical = tuple(d for d in smith_normal_form(diagonal_matrix(orders)).diagonal if d != 1)
+    r = range(len(canonical))
+    ident = tuple(tuple(int(i == j) for j in r) for i in r)
+    return GModule._unchecked(group, canonical, (ident,) * group.order)
 
 
 @dataclass(frozen=True)
@@ -210,12 +226,17 @@ class CyclotomicCharacter:
 
 
 def mu_module(group: FiniteGroup, m: int, character: CyclotomicCharacter) -> GModule:
-    """Z/m with g acting by multiplication by character(g)."""
+    """Z/m with g acting by multiplication by character(g).  A
+    ``CyclotomicCharacter`` is checked when built: its values are units
+    reduced mod m and multiplicative, so they are already the canonical
+    action of rank 1 (rank 0 for m = 1), and nothing is checked again."""
     if character.group != group:
         raise BadCharacter("character is defined on a different group")
     if character.m != m:
         raise BadCharacter("character has the wrong modulus")
-    return gmodule(group, [m], [[[character(g)]] for g in group.elements()])
+    orders = (m,) if m > 1 else ()
+    action = tuple(((v,),) * len(orders) for v in character.values)
+    return GModule._unchecked(group, orders, action)
 
 
 def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...]:
@@ -277,12 +298,10 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
 
 
 def restrict_module(module: GModule, subgroup: Subgroup) -> GModule:
-    """The same abelian group seen as a module over the subgroup."""
+    """The same abelian group seen as a module over the subgroup.  The
+    orders stay canonical, and an action restricted along the embedding of
+    ``as_group`` is an action, so nothing is checked again."""
     if subgroup.parent != module.group:
         raise ValueError("subgroup belongs to a different group")
     sub, embed = subgroup.as_group
-    return GModule(
-        group=sub,
-        orders=module.orders,
-        action=tuple(module.action[g] for g in embed),
-    )
+    return GModule._unchecked(sub, module.orders, tuple(module.action[g] for g in embed))

@@ -1721,6 +1721,100 @@ def test_class_of_reads_only_cocycles():
     assert refused == 756
 
 
+def pulled_back_classes(source, target, elements, coefficients):
+    """An induced map's matrix by the checked read: each representative's
+    image at every tuple of the target, coefficient matrix times its value
+    at the tuple's images in ``elements``, its class read through the target
+    presentation's ``coordinates`` (for H^1, after the rebuild check)."""
+    if source.is_trivial:
+        return ((),) * len(target.invariant_factors)
+    coefficients = np.array(coefficients, dtype=object)
+    tuples = list(itertools.product(range(len(elements)), repeat=source.degree))
+    columns = [
+        [x for ts in tuples for x in coefficients @ np.array(rep(*(elements[t] for t in ts)))]
+        for rep in source.representatives
+    ]
+    return tuple(map(tuple, target._presentation.coordinates(np.array(columns, dtype=object).T)))
+
+
+def test_induced_maps_read_the_images_at_x():
+    # the image of a cocycle is a cocycle, so an induced map into H^1 reads
+    # its images at X of the target group only, with no rebuild; that read
+    # matches the checked read of the whole pull-back: restriction to every
+    # subgroup generated by two elements (the cyclic ones among them) of the
+    # named groups of order at most 24, and to order 12, inflation from
+    # G/N and the G/N-action on H^1(N, M) for every normal subgroup N
+    restricted = maps = 0
+    for name in SYLOW_NAMED:
+        group = named_group(name)
+        pairs = itertools.combinations_with_replacement(group.elements(), 2)
+        spans = list({sub.elements: sub for sub in (subgroup_generated(group, p) for p in pairs)}.values())
+        normals = [sub for sub in subgroups(group) if sub.is_normal()] if group.order <= 12 else []
+        for m in (2, 3, 4, 6, 8, 12):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                h1 = cohomology(group, module, 1)
+                for sub in spans:
+                    res = restriction(h1, sub)
+                    expected = pulled_back_classes(h1, res.target, sub.as_group[1], module.action[0])
+                    assert res.matrix == expected, (name, m, chi.values, sub.elements)
+                    restricted += not h1.is_trivial and not res.target.is_trivial
+                for normal in normals:
+                    q, proj = quotient(group, normal)
+                    fixed_module, embedding = descend_to_quotient(module, proj)
+                    inf = inflation(cohomology(q, fixed_module, 1), proj, module, embedding)
+                    expected = pulled_back_classes(inf.source, h1, proj.images, embedding)
+                    assert inf.matrix == expected, (name, m, chi.values, normal.elements)
+                    action = conjugation_on_cohomology(group, normal, module, 1)
+                    embed = normal.as_group[1]
+                    for g, matrix in zip(proj.section, action.matrices):
+                        moved = [group.mul(group.mul(group.inv(g), n), g) for n in embed]
+                        elements = [embed.index(n) for n in moved]
+                        coh = action.cohomology
+                        expected = pulled_back_classes(coh, coh, elements, module.action[g])
+                        assert matrix == expected, (name, m, chi.values, normal.elements, g)
+                    maps += 1
+    assert (restricted, maps) == (5147, 1632)
+
+
+def test_inner_conjugation_must_act_trivially(monkeypatch):
+    # conjugation_on_cohomology checks that N acts trivially on H^n(N, M)
+    # with a check that python -O keeps: an induced map that moves the
+    # class of H^1(C3, Z/3) raises ArithmeticError
+    s3 = symmetric(3)
+    c3 = subgroup_generated(s3, [next(g for g in s3.elements() if s3.element_order(g) == 3)])
+    module = trivial_module(s3, [3])
+    assert conjugation_on_cohomology(s3, c3, module, 1).cohomology.invariant_factors == (3,)
+    monkeypatch.setattr(cohomology_module, "_induced_map", lambda *args: ((2,),))
+    with pytest.raises(ArithmeticError, match="inner action is not trivial"):
+        conjugation_on_cohomology(s3, c3, module, 1)
+
+
+def test_element_is_one_product_with_the_representatives():
+    # element multiplies the coordinates into the representatives' matrix
+    # and reduces once; the sum of scaled representatives, reduced at each
+    # step, gives the same cochain, in degrees 0..2 and for the sha_finite
+    # kernel, whose representatives are assigned
+    rng = random.Random(28)
+    compared = 0
+    for name in ("C4", "S3", "D4", "Q8", "C12"):
+        group = named_group(name)
+        for m in (2, 4, 6):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                groups = [cohomology(group, module, degree) for degree in (0, 1, 2)]
+                groups.append(sha_finite(group, module, [Subgroup(group, (0,))]))
+                for coh in groups:
+                    for _ in range(3):
+                        coords = tuple(rng.randrange(-2 * d, 2 * d) for d in coh.invariant_factors)
+                        expected = zero_cochain(module, coh.degree)
+                        for c, rep in zip(CohClass(coh, coords).coordinates, coh.representatives):
+                            expected = expected.add(rep.scale(c))
+                        assert coh.element(coords) == expected, (name, m, chi.values, coh.degree)
+                        compared += bool(coords)
+    assert compared == 396
+
+
 def test_cayley_h1_ignores_labels_and_generating_set(monkeypatch):
     # H^1 is an invariant of the module: a relabelled group, whose greedy
     # generators and breadth-first tree differ, the greedy generators in

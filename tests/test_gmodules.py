@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from twistlgp.gmodules import (
     BadCharacter,
     CyclotomicCharacter,
+    GModule,
     all_characters,
     descend_to_quotient,
     gmodule,
@@ -21,7 +24,7 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
-from twistlgp.linalg import fixed_subgroup
+from twistlgp.linalg import fixed_subgroup, identity_matrix
 
 
 def brute_fixed_points(module):
@@ -178,6 +181,45 @@ def test_restrict_module():
     # restriction to C3: the sign character dies there
     c3 = next(s for s in subgroups(s3) if s.order == 3)
     assert restrict_module(module, c3).has_trivial_action
+
+
+def same_module(built, checked):
+    """Equal as values and as memo keys, with the same Python types."""
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
+
+
+def test_unchecked_builds_equal_the_checked_ones():
+    # mu_module and restrict_module skip the module checks; each result is
+    # the module the checked gmodule or GModule builds from the same data,
+    # for every character mod 1..12 and every subgroup, on mu_m and, to
+    # order 8, on the rank-|G| regular module
+    built = 0
+    for name in SMALL_NAMED + ["S4"]:
+        group = named_group(name)
+        subs = subgroups(group)
+        for m in range(1, 13):
+            chis = all_characters(group, m)
+            for chi in chis:
+                module = mu_module(group, m, chi)
+                same_module(module, gmodule(group, [m], [[[chi(g)]] for g in group.elements()]))
+                regular = chi is chis[-1] and m > 1 and group.order <= 8
+                modules = [module, _regular(group, chi)] if regular else [module]
+                for module, sub in itertools.product(modules, subs):
+                    sub_group, embed = sub.as_group
+                    checked = GModule(sub_group, module.orders, tuple(module.action[g] for g in embed))
+                    same_module(restrict_module(module, sub), checked)
+                    built += 1
+    assert built == 5259
+
+
+@pytest.mark.parametrize("orders", [[], [1], [2, 3], [4, 6], [12, 18, 5]])
+def test_trivial_module_is_the_checked_build(orders):
+    for group in (cyclic(1), cyclic(2), symmetric(3), named_group("Q8")):
+        checked = gmodule(group, orders, [identity_matrix(len(orders))] * group.order)
+        same_module(trivial_module(group, orders), checked)
+    with pytest.raises(ValueError, match="positive"):
+        trivial_module(cyclic(2), orders + [0])
 
 
 def test_descend_to_quotient():
