@@ -13,22 +13,17 @@ so that in the degrees used here
     (d2 f)(g, h, k) = g.f(h, k) - f(gh, k) + f(g, hk) - f(g, h)
 
 A cochain of degree n is a vector over (tuple, coordinate) positions, tuples
-of G^n in lexicographic order.  The differential is built one block of
-tuples at a time, as a numpy matrix whose columns are gathers on the
-multiplication table; the kernel rows, the coboundary generators and
-``coboundary`` all read those same blocks.
+of G^n in lexicographic order.  The differential is built as numpy blocks of
+tuples, gathers on the multiplication table, which the kernel rows, the
+coboundary generators and ``coboundary`` all read.
 
-H^n is one ``linalg.subquotient`` of the cochain space: the integer cocycle
-lifts (the congruence kernel of the degree-n differential rows) modulo the
-columns of the degree-(n-1) differential matrix plus the coefficient
-relations, which are passed as the tuple of coefficient orders.  It is read
-only as matrices: the representatives are the columns of ``generators()``,
-and an induced map (restriction, inflation, conjugation) stacks the images
-of all source representatives, at the positions the target's presentation
-reads (below), as the columns of one matrix and reads their classes with one
-call; ``class_of`` reads one cochain, and checks that it is a cocycle.
-Each kernel, fixed subgroup or image of such a map is another subquotient,
-of Z/a_1 + ... + Z/a_s for a the invariant factors, read the same way.
+Each H^n is read through one ``linalg.subquotient``, only as matrices: the
+columns of ``generators()`` are the representatives; an induced map
+(restriction, inflation, conjugation) reads the classes of all source
+images, at the positions the target's presentation reads, with one call;
+``class_of`` reads one cochain and checks that it is a cocycle.  Kernels,
+fixed subgroups and images of such maps are subquotients of
+Z/a_1 + ... + Z/a_s, for a the invariant factors, read the same way.
 
 The rows whose last argument lies in a generating set X cut out the same
 cocycle lattice as all rows.  Evaluate d(d f) = 0 at (g_1, ..., g_n, h, k):
@@ -37,29 +32,29 @@ with (d f)(.., k) = 0 for all leading arguments are closed under products,
 and a non-empty X reaches all of G.  A different row set gives a different
 triangular basis of the same lattice, and so may give other representatives.
 
-A ``CohomologyGroup`` knows its invariant factors from construction.  Every
-H^1 is presented in Cayley-graph coordinates (below) when it is computed.
-The presentation of H^0 and H^2, and the representatives read from it, are
-built on first read (``_z_presentation``), and must find the same factors: a
-trivial H^n from the generator rows, a nontrivial H^0 or H^2 from all rows.
-One rule counts the factors of H^2 with no Smith form: the orders N_i of
-H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
-e = prod_p p^k_p the exponent of M, each counted in Cayley-graph
-coordinates (below) with every order and row modulus of M cut to its gcd
-with d_i, so no module M / d_i M is built.
+A ``CohomologyGroup`` knows its invariant factors from construction, found
+on one path per degree.  H^0 is the fixed submodule (``fixed_subgroup``, on
+the degree-0 differential's rows in their order) and H^1 is presented in
+Cayley-graph coordinates (below), both when computed.  H^2 reads its factors
+in Cayley-graph coordinates, and builds its presentation on first read from
+the bar complex (``_z_presentation``: the integer cocycle lifts modulo the
+coboundaries and the coefficient orders), which must find the same factors:
+from the generator rows if H^2 is trivial, else from all rows.
+The factors are those of the one Cayley-graph quotient at e, with no Smith
+form when it is trivial, as for gcd(|G|, e) = 1 (restriction-corestriction),
+or are counted on a ladder with none: the orders N_i of H^2(G, M / d_i M) on
+the rungs d_i = prod_p p^min(i, k_p), for e = prod_p p^k_p the exponent of
+M, each with every order and row modulus of M cut to its gcd with d_i.
 N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
 (``_squarefree_factors``), one for each summand Z/p^a of H^2(G, M) with
 a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
 and the j-th largest factor is the product of the j-th largest factors of
-these layers.  This holds for gcd(|G|, e) = 1, where H^2 = 0
-(restriction-corestriction) and one rung d_1 = e counts 1; and for
-e < 2^31 (where ``factorize`` is complete) and each p-part with k_p > 1
-cyclic, Z/p^k through a character chi that lifts to Z_p^*: every value is
-+-1 mod 2^k, or for p odd a (p-1)-th root of 1 mod p^k.  Then
-C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free Z_p-modules, and
-the universal coefficient theorem (Brown, *Cohomology of Groups*, ch. III)
-gives H^2(G, Z/p^i) = H^2(C)/p^i + H^3(C)[p^i], both finite.  Every other
-H^n is presented at once and handed over with its factors.
+these layers.  This holds for e < 2^31 (where ``factorize`` is complete)
+and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
+lifts to Z_p^*: every value is +-1 mod 2^k, or for p odd a (p-1)-th root of
+1 mod p^k.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free
+Z_p-modules, and the universal coefficient theorem (Brown, *Cohomology of
+Groups*, ch. III) gives H^2(G, Z/p^i) = H^2(C)/p^i + H^3(C)[p^i].
 
 Cayley-graph coordinates.  Let T be the breadth-first spanning tree, rooted
 at 1, of the right Cayley graph of (G, X): an edge h -> hx for each h in G
@@ -77,13 +72,12 @@ d f(h, x) = 0 for every h and x in X, and f(x) = P_x.f is the value given
 (the edge 1 -> x is in T, or its cycle says so).  By the lemma above that
 makes f a cocycle.  So the cycle rows are complete: H^1 is one subquotient
 of Z^(|X| r), cut out by r (|G| (|X| - 1) + 1) rows, with the coboundary of
-m reading x.m - m at x (``_cayley_h1``); for S4 x C2 and rank 1, 4 columns
-and 145 rows, where the bar complex has 48 columns and 192 generator rows.
-The representatives are rebuilt as bar cochains by one product with the
-tree-path matrix.  Reading a cochain at X is injective on cocycles only, so
-``class_of`` reads a class only from a cochain whose values at X lie in the
-lattice and rebuild it.  The image of a cocycle under a cochain map is a
-cocycle, so an induced map reads its images at X alone.
+m reading x.m - m at x (``_cayley_h1``).  The representatives are rebuilt
+as bar cochains by one product with the tree-path matrix.  Reading a
+cochain at X is injective on cocycles only, so ``class_of`` reads a class
+only from a cochain whose values at X lie in the lattice and rebuild it.
+The image of a cocycle under a cochain map is a cocycle, so an induced map
+reads its images at X alone.
 
 For an integer combination z of edges write f(z) for the sum of its
 coefficients times f(h, x) over its edges (h, x), and gz for its left
@@ -99,8 +93,7 @@ second condition holds for g and g' it holds for gg': g in X suffices.  The
 coboundary of a 1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x), and c(1)
 at (1, 1).  So H^2 is one subquotient of Z^((|G| |X| + 1) r), cut out by
 r |X| (|G| |X| - |G| + 2) rows (``_cayley_h2``): for C2^6 and rank 1, 385
-columns and 1932 rows, where the bar complex has 4096 columns and 24576
-generator rows.
+columns and 1932 rows, where the bar complex has 4096 and 24576.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -284,10 +277,10 @@ class CohomologyGroup:
     """H^degree(G, M) with invariant factors.  The presentation answers
     ``factors``, ``generators()`` (bar cochains, one per column) and
     ``coordinates(x)`` (bar cochains in, class coordinates out), whatever
-    its coordinates.  It and the cocycle representatives are built on first
-    read unless a builder assigned them: ``_cohomology_cached`` assigns
-    every H^1 its Cayley-graph presentation (``_cayley_h1``), and
-    ``sha_finite`` assigns representatives and no presentation (None)."""
+    its coordinates.  ``_cohomology_cached`` assigns H^0 the fixed submodule
+    and H^1 ``_cayley_h1``'s; an H^2 builds it from the bar complex, and the
+    representatives, on first read; ``sha_finite`` assigns representatives
+    and no presentation (None)."""
 
     group: FiniteGroup
     module: GModule
@@ -386,13 +379,12 @@ def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
 
 def _z_presentation(group: FiniteGroup, module: GModule, degree: int, factors=None):
     """H^degree(G, M) as one subquotient of the integer bar cochains, which
-    must find the invariant ``factors`` when they are known (else
-    ``ArithmeticError``): the presentation of H^0 and the reads of H^2
-    (every H^1 is ``_cayley_h1``'s).  A group known to be trivial has no
-    generators to read, so it folds the generator rows, which cut out the
-    same lattice as all rows.  A nontrivial one folds all rows:
-    representatives depend on the row set, and ``verify-paper`` reports a
-    map read on H^2's."""
+    must find the invariant ``factors`` when known (else ``ArithmeticError``):
+    the reads of H^2, and the tests' reference in any degree.  A group known
+    to be trivial has no generators to read, so it folds the generator rows,
+    which cut out the same lattice as all rows.  A nontrivial one folds all
+    rows: representatives depend on the row set, and ``verify-paper``
+    reports a map read on H^2's."""
     last = _generator_ends(group) if factors == () else None
     presentation = subquotient(
         module.orders * group.order**degree,
@@ -457,9 +449,7 @@ class _CayleyH1:
     coordinates: ``quotient`` is the subquotient of the values f(x), x in
     X = ``_generator_ends(group)``, ``reads`` picks the bar positions that
     hold them, and ``rebuild`` takes them to the bar cocycle, each position
-    mod its coordinate's order in ``moduli``.  An induced map reads the
-    image of a cocycle, which is a cocycle, at ``reads`` only, with
-    ``quotient.coordinates`` and no rebuild."""
+    mod its coordinate's order in ``moduli``."""
 
     quotient: LatticeQuotient
     reads: np.ndarray = field(repr=False)
@@ -577,14 +567,12 @@ def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
     return factors
 
 
-def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] | None:
+def _rungs(group: FiniteGroup, module: GModule) -> tuple[int, ...] | None:
     """The moduli d_1 | d_2 | ... | e of the ladder that counts the factors of
-    H^2 (see the module docstring), or None for the Z path, which every H^0
-    and H^1 takes."""
+    H^2 (see the module docstring), or None where the one quotient at e is
+    read: gcd(|G|, e) = 1, e past ``factorize``'s bound, or no lift."""
     e = module.exponent
-    if degree == 2 and gcd(group.order, e) == 1:
-        return (e,)
-    if degree != 2 or e >= 2**31:
+    if gcd(group.order, e) == 1 or e >= 2**31:
         return None
     powers = factorize(e)
     for p, k in powers.items():
@@ -597,16 +585,12 @@ def _rungs(group: FiniteGroup, module: GModule, degree: int) -> tuple[int, ...] 
     return tuple(prod(p ** min(i, k) for p, k in powers.items()) for i in range(1, top + 1))
 
 
-@lru_cache(maxsize=None)
-def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
-    rungs = _rungs(group, module, degree)
+def _h2_factors(group: FiniteGroup, module: GModule) -> tuple[int, ...]:
+    """The invariant factors of H^2(G, M): climbed on the ladder's rungs when
+    ``_rungs`` finds them, else read from the one Cayley-graph quotient at e."""
+    rungs = _rungs(group, module)
     if rungs is None:
-        presentation = (
-            _cayley_h1(group, module) if degree == 1 else _z_presentation(group, module, degree)
-        )
-        coh = CohomologyGroup(group, module, degree, presentation.factors)
-        coh._presentation = presentation
-        return coh
+        return _cayley_h2(group, module, module.exponent).factors
     factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
     for d_below, d in zip((1,) + rungs, rungs):
         order = _cayley_h2(group, module, d).order
@@ -615,7 +599,19 @@ def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
         ratio, below = order // below, order
         layer = reversed(_squarefree_factors(ratio, d // d_below))
         factors = [a * b for a, b in itertools.zip_longest(factors, layer, fillvalue=1)]
-    return CohomologyGroup(group, module, degree, tuple(reversed(factors)))
+    return tuple(reversed(factors))
+
+
+@lru_cache(maxsize=None)
+def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
+    if degree == 2:  # presented from the bar complex on first read
+        return CohomologyGroup(group, module, 2, _h2_factors(group, module))
+    presentation = _cayley_h1(group, module) if degree else fixed_subgroup(
+        module.orders, module.action
+    )
+    coh = CohomologyGroup(group, module, degree, presentation.factors)
+    coh._presentation = presentation
+    return coh
 
 
 def cohomology(group: FiniteGroup, module: GModule, degree: int) -> CohomologyGroup:
@@ -685,16 +681,14 @@ class CohomologyMap:
 
 def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coefficients):
     """Matrix of the map on cohomology induced by the cochain map
-    f -> (t -> C f(phi(t_1), ..., phi(t_n))), where ``elements`` lists
-    phi(t) for each element t of the target group and ``coefficients`` is
-    the integer matrix C from source to target coordinates: one column per
-    source generator, holding the target class of its image.  The image of
-    a cocycle is a cocycle, so it is pulled back only at the positions the
-    target's presentation reads: the values at X of an H^1 in Cayley-graph
-    coordinates, read with no rebuild, and every position of a bar
-    presentation.  A trivial source maps to no column, so nothing of the
-    target is read."""
-    if source.is_trivial:
+    f -> (t -> C f(phi(t_1), ..., phi(t_n))), ``elements`` listing phi(t)
+    for each t in the target group and ``coefficients`` the integer matrix
+    C: one column per source generator, the target class of its image.  The
+    image of a cocycle is a cocycle, so it is pulled back only where the
+    target's presentation reads: an H^1's values at X, with no rebuild, and
+    every position of an H^0 or H^2.  A trivial source maps to no column and
+    a trivial target has no row, so neither presentation is read."""
+    if source.is_trivial or target.is_trivial:
         return ((),) * len(target.invariant_factors)
     r, degree, order = source.module.rank, source.degree, source.group.order
     presentation, rank, n = target._presentation, target.module.rank, len(elements)

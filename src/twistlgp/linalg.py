@@ -451,6 +451,12 @@ class LatticeQuotient:
         entries other than 1."""
         return lattice_quotient(self.lattice, self.sub, self.orders)
 
+    @cached_property
+    def _reader(self) -> tuple[np.ndarray, np.ndarray]:
+        """U's kept rows and the factors as a column: ``coordinates``' reader."""
+        w_snf, kept = self._smith
+        return w_snf.u[list(kept)], np.array(self.factors, dtype=object).reshape(-1, 1)
+
     @property
     def factors(self) -> tuple[int, ...]:
         if self.is_trivial:
@@ -470,9 +476,8 @@ class LatticeQuotient:
         w = solve_columns(self.lattice, x)
         if w is None:
             raise NotInLattice("vector is not in the ambient lattice")
-        w_snf, kept = self._smith
-        y = w_snf.u[list(kept)] @ w
-        return y % np.array(self.factors, dtype=object).reshape(-1, 1)
+        u, factors = self._reader
+        return u @ w % factors
 
     def generators(self) -> np.ndarray:
         if self.is_trivial:

@@ -51,7 +51,15 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
-from twistlgp.oracle import DEFAULT_BUDGET, brute_h1, brute_sha, invariant_factors_from_orders
+from twistlgp.oracle import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    OracleBudget,
+    brute_h1,
+    brute_h2,
+    brute_sha,
+    invariant_factors_from_orders,
+)
 
 # the package re-exports the function cohomology under the module's name
 cohomology_module = importlib.import_module("twistlgp.cohomology")
@@ -1058,8 +1066,9 @@ def non_lifting_q8_module():
 
 def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
     # a character that does not lift, a p-part neither cyclic nor killed by
-    # p, and a squarefree e past 2^31 build the presentation eagerly, as
-    # before, with the Z path's or the closed-form factors
+    # p, and a squarefree e past 2^31 read the factors of the one
+    # Cayley-graph quotient at e, the Z path's or the closed-form ones, and
+    # leave the Z path's presentation to the first read, which finds them too
     big = 2 * 2147483659  # 2147483659 is prime
     c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
     cases = [
@@ -1068,10 +1077,11 @@ def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
         (c2, trivial_module(c2, [big]), (2,)),
     ]
     for group, module, factors in cases:
-        assert cohomology_module._rungs(group, module, 2) is None
+        assert cohomology_module._rungs(group, module) is None
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-        assert "_presentation" in vars(h2) and "representatives" not in vars(h2)
+        assert "_presentation" not in vars(h2) and "representatives" not in vars(h2)
         assert h2.invariant_factors == factors, (group.name, module.orders)
+        assert h2._presentation.factors == factors
     # the liftable modules with p^2 | e that took the Smith path before, the
     # squarefree part of the same groups, rank 2 and coprime order are
     # counted with no Smith form, and no count is handed over
@@ -1141,15 +1151,17 @@ def restricted_cochain(cochain, target, subgroup):
 
 def test_counted_h2_reads_like_the_z_path():
     # representatives, to_report, class_of and induced maps of every H^n are
-    # those of the Z path's generators, built when first read: counted H^2
-    # and the eager Z path alike
+    # those of the Z path's generators, built when first read: H^2 counted
+    # on the ladder and read from the one Cayley-graph quotient alike
     c6, s3, c8 = cyclic(6), symmetric(3), cyclic(8)
     transposition = next(g for g in range(6) if g and s3.mul(g, g) == 0)
+    q8, non_lifting = non_lifting_q8_module()
     cases = [
         (c6, trivial_module(c6, [6]), 2, [2]),
         (s3, trivial_module(s3, [2]), 2, [transposition]),
         (c8, trivial_module(c8, [4]), 2, [2]),
         (s3, trivial_module(s3, [4]), 1, [transposition]),
+        (q8, non_lifting, 2, [next(g for g in range(8) if q8.element_order(g) == 4)]),
     ]
     for group, module, degree, sub_gens in cases:
         coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
@@ -1200,9 +1212,11 @@ NAMED_TO_8 = [f"C{n}" for n in range(1, 9)] + ["D2", "D3", "D4", "Q8", "S3"]
 
 def test_ladder_matches_the_z_path(monkeypatch):
     # every character mod 4, 8, 9 and 12 in degree 2: one that lifts to
-    # Z_p^* is counted on its rungs with no Smith form, and the factors are
-    # those of the presentation of all rows; one that does not takes the Z
-    # path.  A squarefree or coprime H^n is counted with no Smith form too
+    # Z_p^* is counted on its rungs with no Smith form; one that does not,
+    # or a coprime one, reads the one Cayley-graph quotient at e, with a
+    # Smith form exactly when H^2 is nontrivial.  Either way the factors are
+    # those of the presentation of all rows.  A squarefree or coprime H^n is
+    # counted with no Smith form too
     smith, built = linalg.smith_normal_form, []
 
     def recorded(mat):
@@ -1210,7 +1224,7 @@ def test_ladder_matches_the_z_path(monkeypatch):
         return smith(mat)
 
     monkeypatch.setattr(linalg, "smith_normal_form", recorded)
-    counted = presented = 0
+    counted = read = 0
     for name in NAMED_TO_8:
         group = named_group(name)
         for m in (4, 8, 9, 12):
@@ -1218,15 +1232,16 @@ def test_ladder_matches_the_z_path(monkeypatch):
                 module = mu_module(group, m, chi)
                 built.clear()
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-                if cohomology_module._rungs(group, module, 2) is None:
-                    assert "_presentation" in vars(h2) and bool(built) != h2.is_trivial
-                    presented += 1
-                    continue
-                assert not built, (name, m, chi.values)
                 assert "_presentation" not in vars(h2)
+                factors = h2.invariant_factors
+                if cohomology_module._rungs(group, module) is None:
+                    assert bool(built) != h2.is_trivial, (name, m, chi.values)
+                    read += 1
+                else:
+                    assert not built, (name, m, chi.values)
+                    counted += 1
                 want = cohomology_module._z_presentation(group, module, 2).factors
-                assert h2.invariant_factors == want, (name, m, chi.values)
-                counted += 1
+                assert factors == want, (name, m, chi.values)
         for m in (2, 3, 5, 6, 7):
             chi = all_characters(group, m)[-1]
             module = mu_module(group, m, chi)
@@ -1234,7 +1249,7 @@ def test_ladder_matches_the_z_path(monkeypatch):
                 built.clear()
                 cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
                 assert not built, (name, m, degree)
-    assert counted == 160 and presented == 54
+    assert counted == 128 and read == 86
 
 
 @pytest.mark.parametrize(
@@ -1251,7 +1266,7 @@ def test_ladder_matches_the_z_path(monkeypatch):
 def test_ladder_matches_the_closed_form(factors, m):
     # orders 16 to 32 with m = 4, 8 or 9, where the Z path takes minutes
     group, expected = closed_forms.h2_trivial(factors, m)
-    assert cohomology_module._rungs(group, trivial_module(group, [m]), 2) is not None
+    assert cohomology_module._rungs(group, trivial_module(group, [m])) is not None
     assert cohomology(group, trivial_module(group, [m]), 2).invariant_factors == expected
 
 
@@ -1259,7 +1274,8 @@ def test_ladder_on_sums_of_characters():
     # a p-part killed by p beside a cyclic liftable one climbs the ladder
     # (Z/3 + Z/12, Z/5 + Z/20, Z/3 + Z/8 through a lifting character); a
     # p-part that is neither (Z/2 + Z/4 in Z/2 + Z/12, Z/3 + Z/9 in
-    # Z/3 + Z/36) takes the Z path.  Either way the factors are the Z path's
+    # Z/3 + Z/36) reads the one Cayley-graph quotient at e.  Either way the
+    # factors are the Z path's
     cases = Counter()
     for name in ("C2", "C4", "S3", "D4"):
         group = named_group(name)
@@ -1267,7 +1283,7 @@ def test_ladder_on_sums_of_characters():
             chars = [all_characters(group, m) for m in ms]
             for chis in itertools.islice(itertools.product(*chars), 2):
                 module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
-                rungs = cohomology_module._rungs(group, module, 2)
+                rungs = cohomology_module._rungs(group, module)
                 if ms in ((2, 12), (3, 36)):
                     assert rungs is None
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
@@ -1283,13 +1299,189 @@ def test_ladder_needs_the_lift(monkeypatch):
     # as (Z/2)^2 with no error, while H^2 = Z/4.  Without the gate the
     # wrong factors stand until the presentation is first read
     group, module = non_lifting_q8_module()
-    assert cohomology_module._rungs(group, module, 2) is None
+    assert cohomology_module._rungs(group, module) is None
     assert cohomology_module._cohomology_cached.__wrapped__(group, module, 2).invariant_factors == (4,)
-    monkeypatch.setattr(cohomology_module, "_rungs", lambda group, module, degree: (2, 4, 8))
+    monkeypatch.setattr(cohomology_module, "_rungs", lambda group, module: (2, 4, 8))
     ungated = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
     assert ungated.invariant_factors == (2, 2)
     with pytest.raises(ArithmeticError, match="differ from the presentation's"):
         ungated.representatives
+
+
+def local_smith_valuations(a, p, k, b=None):
+    """The p-adic valuations of the Smith diagonal of the int64 matrix ``a``
+    over Z/p^k, one per pivot: a pivot of least valuation is a unit times
+    p^v, so it clears its column and row with no entry past p^k, and its row
+    is set aside.  Each column operation is mirrored on the rows of ``b`` by
+    its inverse, so a matrix b with a b = 0 ends as Q^-1 b for the final a Q
+    (clearing the pivot's row touches no other row, so only b records it)."""
+    q = p**k
+    rest = (a % q).astype(np.int16)  # q <= 9 here: products stay below 2^15
+    vals = []
+    for t in range(a.shape[1]):
+        if not t % 16:
+            rest = rest[rest[:, t:].any(axis=1)]
+        for v in range(k):  # the first entry of least valuation v
+            hits = rest[:, t:] % p ** (v + 1) != 0
+            if hits.any():
+                break
+        else:  # no entry left
+            break
+        r, c = divmod(int(np.argmax(hits)), hits.shape[1])
+        c, pv = c + t, p**v
+        rest[:, [t, c]] = rest[:, [c, t]]
+        pivot = rest[r].copy()
+        rest[r] = rest[-1]
+        rest = rest[:-1]
+        inv = pow(int(pivot[t]) // pv, -1, q)
+        rest[:, t:] = (rest[:, t:] - np.outer(rest[:, t] // pv * inv % q, pivot[t:])) % q
+        if b is not None:
+            b[[t, c]] = b[[c, t]]
+            b[t] = (b[t] + pivot[t + 1:] // pv * inv % q @ b[t + 1:]) % q
+        vals.append(v)
+    return vals
+
+
+def reference_local_h2_factors(group, module):
+    """Invariant factors of H^2(G, M) from the bar complex over each Z/p^k
+    with p^k exactly dividing e, with no lattice, Cayley graph or integer
+    Smith form: in the coordinates y of a Smith form of d^2 mod p^k the
+    cocycles are the y with y_i in p^(k - a_i) Z/p^k for a_i the valuation
+    of pivot i (k past the pivots), so H^2 is the sum of Z/p^(a_i) modulo
+    the coboundaries, read off in the same coordinates.  The factors of the
+    p-parts are multiplied place by place, largest with largest."""
+    e = module.exponent
+    ends = cohomology_module._generator_ends(group)
+    d2 = np.concatenate([block for block, _ in cohomology_module._differential_blocks(
+        group, module, 2, ends
+    )])
+    d1 = cohomology_module._coboundary_generators(group, module, 2)
+    factors = []
+    for p, k in factorize(e).items():
+        q = p**k
+        b = (d1 % q).astype(np.int64)
+        vals = local_smith_valuations(d2, p, k, b)
+        vals += [k] * (d2.shape[1] - len(vals))
+        kept = [i for i, a in enumerate(vals) if a]
+        t = np.array([b[i] // p ** (k - vals[i]) for i in kept], dtype=np.int64)
+        t = np.concatenate([t.reshape(len(kept), -1), np.diag([p ** vals[i] for i in kept])], 1)
+        layer = local_smith_valuations(t, p, k)
+        layer += [k] * (len(kept) - len(layer))
+        layer = sorted((p**v for v in layer if v), reverse=True)
+        factors = [x * y for x, y in itertools.zip_longest(factors, layer, fillvalue=1)]
+    return tuple(reversed(factors))
+
+
+# the named groups of order at most 16
+NAMED_TO_16 = [f"C{n}" for n in range(1, 17)] + [f"D{n}" for n in range(2, 9)] + ["Q8", "S3"]
+
+
+def test_one_quotient_reads_like_the_z_path():
+    # every character mod 4, 8, 9 and 12 of the named groups to order 16
+    # with gcd(|G|, m) > 1 that does not lift reads its factors from the one
+    # Cayley-graph quotient at e.  They are those of the bar complex over
+    # each Z/p^k, of the Z path's presentation of all rows to order 10 (its
+    # integer Smith forms grow slow past that), and of the oracle where its
+    # budget allows
+    read, by_z, by_oracle = 0, 0, 0
+    for name in NAMED_TO_16:
+        group = named_group(name)
+        for m in (4, 8, 9, 12):
+            for chi in all_characters(group, m):
+                module = mu_module(group, m, chi)
+                if gcd(group.order, m) == 1 or cohomology_module._rungs(group, module):
+                    continue
+                factors = cohomology_module._cohomology_cached.__wrapped__(
+                    group, module, 2
+                ).invariant_factors
+                case = (name, m, chi.values)
+                assert factors == reference_local_h2_factors(group, module), case
+                read += 1
+                if 8 < group.order <= 10:  # to order 8 in test_ladder_matches_the_z_path
+                    assert factors == cohomology_module._z_presentation(group, module, 2).factors
+                    by_z += 1
+                try:
+                    assert factors == brute_h2(group, module, OracleBudget(10**6)), case
+                    by_oracle += 1
+                except BudgetExceeded:
+                    pass
+    assert (read, by_z, by_oracle) == (98, 6, 4)
+
+
+def test_one_quotient_folds_no_bar_row(monkeypatch):
+    # a factor read of an H^2 with no ladder folds only Cayley-graph rows, of
+    # width (|G| |X| + 1) r, reaches no presentation of the bar complex, and
+    # builds Smith forms of at most (|G| |X| + 1) r rows and that many
+    # columns plus the |G| r coboundary columns: the kernel's and, for a
+    # nontrivial H^2, the quotient's.  S4 and D16 (order 32) with mu_8
+    # through 3 or 5 would fold 24^3 and 32^3 bar rows
+    congruence_kernel, smith = linalg.congruence_kernel, linalg.smith_normal_form
+    widths, shapes = [], []
+
+    def recorded_kernel(n, exponent, constraints):
+        widths.append(n)
+        return congruence_kernel(n, exponent, constraints)
+
+    def recorded_smith(mat):
+        shapes.append(mat.shape)
+        return smith(mat)
+
+    def no_bar(*args):
+        raise AssertionError("a factor read reached the bar complex")
+
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
+    monkeypatch.setattr(linalg, "smith_normal_form", recorded_smith)
+    monkeypatch.setattr(cohomology_module, "_z_presentation", no_bar)
+    cases = [(*non_lifting_q8_module(), (4,))]
+    for name, value, want in [("D8", 3, (4,)), ("D16", 3, (4,)), ("D16", 5, (2,)),
+                              ("S4", 3, (2,)), ("C15", 7, ())]:
+        group = named_group(name)
+        m = 9 if value == 7 else 8
+        chi = next(chi for chi in all_characters(group, m) if value in chi.values)
+        cases.append((group, mu_module(group, m, chi), want))
+    for group, module, want in cases:
+        widths.clear()
+        shapes.clear()
+        assert cohomology_module._rungs(group, module) is None
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        assert h2.invariant_factors == want, group.name
+        width = (group.order * len(cohomology_module._generator_ends(group)) + 1) * module.rank
+        assert widths == [width], group.name
+        assert len(shapes) == 2 * (not h2.is_trivial)
+        for rows, cols in shapes:
+            assert rows <= width and cols <= width + group.order * module.rank, group.name
+
+
+def test_h0_is_the_fixed_submodule():
+    # H^0 is presented as the fixed submodule, on the rows of the degree-0
+    # differential in their order, so its factors, representatives and
+    # classes are those of the Z path's presentation: rank-2 sums of
+    # characters, trivial and mixing modules
+    c2, c4, s3, d4 = cyclic(2), cyclic(4), symmetric(3), named_group("D4")
+    modules = [
+        trivial_module(c4, [2, 4]),
+        trivial_module(s3, [3, 6]),
+        gmodule(c2, [3, 3], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+        gmodule(c2, [4, 4], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+        direct_sum(*(mu_module(s3, m, all_characters(s3, m)[-1]) for m in (3, 5))),
+    ]
+    for group in (c4, s3, d4):
+        for ms in ((2, 4), (3, 6), (4, 8), (2, 12)):
+            chars = [all_characters(group, m) for m in ms]
+            for chis in itertools.islice(itertools.product(*chars), 3):
+                modules.append(direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis))))
+    nontrivial = 0
+    for module in modules:
+        h0 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 0)
+        presentation = cohomology_module._z_presentation(module.group, module, 0)
+        assert h0.invariant_factors == presentation.factors
+        want = [Cochain(module, 0, tuple(g)) for g in presentation.generators().T]
+        assert [rep.vector for rep in h0.representatives] == [rep.vector for rep in want]
+        for rep in want:
+            column = np.array(rep.vector, dtype=object).reshape(-1, 1)
+            assert h0.class_of(rep).coordinates == tuple(presentation.coordinates(column)[:, 0])
+        nontrivial += not h0.is_trivial
+    assert (len(modules), nontrivial) == (39, 38)
 
 
 def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
@@ -1351,7 +1543,7 @@ def test_the_ladder_builds_no_module(monkeypatch):
 
     monkeypatch.setattr(GModule, "__post_init__", counted)
     for module, want in zip(modules, [(4,), (2, 2)]):
-        assert cohomology_module._rungs(module.group, module, 2) == (2, 4)
+        assert cohomology_module._rungs(module.group, module) == (2, 4)
         h2 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
         assert h2.invariant_factors == want
     assert made == []
@@ -1393,16 +1585,17 @@ def divisors(n):
 
 
 def test_cayley_count_matches_the_quotient_module():
-    # on every rung d, or on d = e for a module the ladder leaves to the Z
-    # path, the Cayley-graph count of H^2(G, M / dM) is the bar complex's
-    # order for the module M / dM built on its own (many coincide, so each
-    # is counted once); to order 8, with d = e, the factors of the Cayley
-    # subquotient are those ``cohomology`` reads, from the ladder or the Z
-    # path
+    # on every rung d, or on d = e for a module with no ladder, the
+    # Cayley-graph count of H^2(G, M / dM) is the bar complex's order for
+    # the module M / dM built on its own (many coincide, so each is counted
+    # once); to order 8, with d = e, the factors of the Cayley subquotient
+    # are those ``cohomology`` reads, from the ladder or from that quotient
+    # itself (``test_one_quotient_reads_like_the_z_path`` compares those
+    # with the Z path)
     want, cases, presented = {}, 0, 0
     for module in cayley_cases():
         group = module.group
-        for d in cohomology_module._rungs(group, module, 2) or (module.exponent,):
+        for d in cohomology_module._rungs(group, module) or (module.exponent,):
             count = cohomology_module._cayley_h2(group, module, d)
             quotient = quotient_module(module, d)
             if quotient not in want:
@@ -1465,18 +1658,19 @@ def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m):
     # C2^6 has 4096 bar cochain coordinates and 385 Cayley-graph ones
     group, expected = closed_forms.h2_trivial(["C2"] * count, m)
     module = trivial_module(group, [m])
-    assert cohomology_module._rungs(group, module, 2) == tuple(divisors(m)[1:])
+    assert cohomology_module._rungs(group, module) == tuple(divisors(m)[1:])
     assert cohomology(group, module, 2).invariant_factors == expected
     assert cohomology_module._cayley_h2(group, module, m).order == prod(expected)
 
 
 def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
-    # S3 on trivial Z/(10^40 + 1), which is prime to 6: the one rung is e
-    # itself, and the count feeds, folds and relates Python ints
+    # S3 on trivial Z/(10^40 + 1), which is prime to 6: no ladder, so the
+    # one Cayley-graph quotient at e is read, and it feeds, folds and
+    # relates Python ints
     e = 10**40 + 1
     s3 = symmetric(3)
     module = trivial_module(s3, [e])
-    assert gcd(6, e) == 1 and cohomology_module._rungs(s3, module, 2) == (e,)
+    assert gcd(6, e) == 1 and cohomology_module._rungs(s3, module) is None
     congruence_kernel, fed = linalg.congruence_kernel, []
 
     def recorded(n, exponent, constraints):
