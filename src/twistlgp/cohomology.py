@@ -81,19 +81,25 @@ reads its images at X alone.
 
 For an integer combination z of edges write f(z) for the sum of its
 coefficients times f(h, x) over its edges (h, x), and gz for its left
-translate, (h, x) -> (gh, x).  A 2-cocycle f is fixed by f(g, x) for
-g in G, x in X, and by f(1, 1): d f(g, 1, 1) = 0 gives f(g, 1) = g.f(1, 1),
-and d f(g, h, x) = 0 gives f(g, hx) = f(g, h) + f(gh, x) - g.f(h, x) along
-T, so f(g, k) = g.(f(1, 1) - f(P_k)) + f(g P_k) once f(1, x) = f(1, 1).
-Then d f(g, h, x) = g.f(z) - f(gz) for the cycle z of the edge h -> hx.  By
-the lemma above, values at these coordinates extend to a cocycle exactly
-when f(1, x) = f(1, 1) for x in X and g.f(z) = f(gz) for every g and every
-fundamental cycle z.  Left translation maps cycles to cycles, so if the
-second condition holds for g and g' it holds for gg': g in X suffices.  The
-coboundary of a 1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x), and c(1)
-at (1, 1).  So H^2 is one subquotient of Z^((|G| |X| + 1) r), cut out by
-r |X| (|G| |X| - |G| + 2) rows (``_cayley_h2``): for C2^6 and rank 1, 385
-columns and 1932 rows, where the bar complex has 4096 and 24576.
+translate, (h, x) -> (gh, x).  The coboundary of a 1-cochain c reads
+g.c(x) - c(gx) + c(g) at (g, x), and c(1) at (1, 1).  A 2-cocycle f is
+cohomologous to one that vanishes at (1, 1) and on T: take c(1) = -f(1, 1),
+so f + dc reads f(1, x) - f(1, 1) = 0 at each edge 1 -> x (d f(1, 1, x) =
+0), and choose c(k) along T for each other edge h -> k.  For such an f,
+d f(g, 1, 1) = 0 and d f(g, h, x) = 0 give f(g, 1) = 0 and, along T,
+f(g, k) = f(g P_k) - g.f(P_k); then d f(g, h, x) = g.f(z) - f(gz) for the
+cycle z of the edge h -> hx.  So f is fixed by the value F_z at the one
+edge of each fundamental cycle z outside T, and by the lemma above any
+values F_z extend to a cocycle exactly when g.f(z) = f(gz) for every g and
+z.  Translates of cycles are cycles, so g in X suffices.  The coboundaries
+left are the dc with c(1) = 0 and c(k) = P_k.c, and dc reads z.c at the
+edge of z: H^1's cycle rows.  So H^2 is one subquotient of
+Z^(r (|G| (|X| - 1) + 1)), cut out by r |X| (|G| (|X| - 1) + 1) rows, with
+|X| r coboundary columns (``_cayley_h2``): for C2^6 and rank 1, 321
+columns, 1926 rows and 6 columns, where the bar complex has 4096, 24576
+and 64.  C1 has X = {1} (``_generator_ends``): the loop 1 -> 1 is its one
+cycle z, F_z = f(1, 1) is the whole cochain, its row reads F_z - F_z = 0,
+and dc = z.c = c(1) kills it: H^2(C1, M) = 0.
 
 Generators are ordered by Smith pivot order, so identical inputs always
 produce identical representatives.
@@ -435,7 +441,7 @@ def _edge_sums(edges: np.ndarray, action: np.ndarray) -> np.ndarray:
     Cayley graph, the r x |X| r matrix taking the values f(x), x in X, of a
     1-cochain to sum_(h, x) z_(h, x) h.f(x): one block of r rows per z, in
     ``action``'s dtype.  A path z from 1 to k rebuilds f(k) of a cocycle,
-    and a cycle z gives 0."""
+    and a cycle z gives 0, and for any 1-cochain c gives dc(z)."""
     order, r = action.shape[:2]
     nx = edges.shape[1] // order
     z = edges.reshape(len(edges), order, nx).astype(action.dtype)
@@ -507,50 +513,40 @@ def _cayley_h1(group: FiniteGroup, module: GModule) -> _CayleyH1:
 
 
 def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
-    """H^2(G, M / dM) as one subquotient of Z^((|G| |X| + 1) r) in
-    Cayley-graph coordinates (see the module docstring), with each order and
-    row modulus of M cut to its gcd with d, so no module M / dM is built.
-    The rows stream into ``congruence_kernel`` one block at a time: the
-    rows f(1, x) = f(1, 1) for x in X, then for each g in X the rows
-    g.f(z) = f(gz) over the fundamental cycles z.  The columns of the
-    coboundary matrix hold g.c(x) - c(gx) + c(g) at (g, x) and c(1) at
-    (1, 1) for c the coordinates of a 1-cochain.  Entries are int64 or, for
-    an exponent past ``_dtype``'s bound, Python ints."""
+    """H^2(G, M / dM) as one subquotient of Z^(r (|G| (|X| - 1) + 1)) in
+    Cayley-graph coordinates (see the module docstring), F_z at the edge
+    outside the tree of each fundamental cycle z, with each order and row
+    modulus of M cut to its gcd with d, so no module M / dM is built.  The
+    rows stream into ``congruence_kernel`` one block I (x) g - T_g (x) I_r
+    per g in X: g.F_z = f(gz), T_g holding the coefficients of the
+    translates gz at the edges outside the tree.  The coboundary columns
+    are H^1's cycle rows.  Entries are int64 or, for an exponent past
+    ``_dtype``'s bound, Python ints."""
     ends = _generator_ends(group)
     order, r, nx = group.order, module.rank, len(ends)
-    edges = order * nx  # the coordinate f(1, 1) follows the edges
-    width = (edges + 1) * r
+    paths, cycles = _cayley_tree(group, ends)
+    n = len(cycles)
     moduli = [gcd(o, d) for o in module.orders]
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
-    table = np.array(group.mul_table)
-    cycles = _cayley_tree(group, ends)[1].astype(dtype)
+    # the one edge h -> hx outside the tree that each cycle holds, as (h, place of x)
+    outside = np.flatnonzero(~paths.any(axis=0))
+    own_h, own_x = divmod(outside[np.nonzero(cycles[:, outside])[1]], nx)
     eye = np.eye(r, dtype=dtype)
 
     def rows():
-        block = np.zeros((nx, r, edges + 1, r), dtype=dtype)
-        block[:, :, edges] = -eye
-        block[np.arange(nx), :, np.arange(nx)] += eye  # the edges (1, x)
-        yield from zip(block.reshape(nx * r, width), moduli * nx)
         for g in ends:
-            block = np.zeros((len(cycles), r, edges + 1, r), dtype=dtype)
-            block[:, :, :edges] = cycles[:, None, :, None] * action[g][:, None, :]
-            moved = (table[g][:, None] * nx + np.arange(nx)).ravel()  # (p, x) -> (gp, x)
-            for i in range(r):
-                block[:, i, moved, i] -= cycles
-            yield from zip(block.reshape(len(cycles) * r, width), moduli * len(cycles))
+            # gz holds at the edge (h, x) the coefficient of z at (g^-1 h, x)
+            back = np.array(group.mul_table[group.inv(g)])[own_h] * nx + own_x
+            block = -np.kron(cycles[:, back].astype(dtype), eye).reshape(n, r, n, r)
+            block[np.arange(n), :, np.arange(n)] += action[g]
+            yield from zip(block.reshape(n * r, n * r), moduli * n)
 
-    g, x = np.arange(edges) // nx, np.array(ends * order)
-    sub = np.zeros((edges + 1, r, order, r), dtype=dtype)
-    sub[np.arange(edges), :, x] += action[g]
-    sub[np.arange(edges), :, table[g, x]] -= eye
-    sub[np.arange(edges), :, g] += eye
-    sub[edges, :, 0] = eye
     return subquotient(
-        tuple(moduli) * (edges + 1),
+        tuple(moduli) * n,
         gcd(module.exponent, d),
         rows(),
-        sub.reshape(width, order * r).astype(object),
+        _edge_sums(cycles, action).astype(object),
     )
 
 

@@ -65,25 +65,25 @@ def test_congruence_kernel_reads_one_row_per_item(monkeypatch):
 
     monkeypatch.setattr(linalg, "congruence_kernel", counted_kernel)
     s3 = groups.symmetric(3)
-    # H^2(S3, Z/3) = 0 is counted in Cayley-graph coordinates, 6 * 2 + 1 = 13
-    # columns for S3's two generators x: 2 rows f(1, x) = f(1, 1), and for
-    # each generator g and each of the 6 * 2 - 5 = 7 fundamental cycles z one
-    # row g.f(z) = f(g z).  It has no representatives to read, and the first
-    # read of its presentation folds the 36 * 2 bar rows whose last argument
-    # is a generator
+    # H^2(S3, Z/3) = 0 is counted in Cayley-graph coordinates, one column at
+    # the edge outside the tree of each of the 6 * 2 - 5 = 7 fundamental
+    # cycles z for S3's two generators, and for each generator g and each z
+    # one row g.f(z) = f(g z).  It has no representatives to read, and the
+    # first read of its presentation folds the 36 * 2 bar rows whose last
+    # argument is a generator
     h2 = engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [3]), 2)
-    assert len(fed) == 2 + 2 * 7
-    assert h2.representatives == () and len(fed) == 16
+    assert len(fed) == 2 * 7
+    assert h2.representatives == () and len(fed) == 14
     assert h2.class_of(engine.zero_cochain(h2.module, 2)).coordinates == ()
-    assert len(fed) == 16 + 72
+    assert len(fed) == 14 + 72
     # H^2(S3, Z/2) = Z/2 is counted the same way; the first read of its
     # representatives folds all 6^3 rows
     counted = len(fed)
     h2 = engine._cohomology_cached.__wrapped__(s3, gmodules.trivial_module(s3, [2]), 2)
-    assert len(fed) == counted + 16 and h2.invariant_factors == (2,)
+    assert len(fed) == counted + 14 and h2.invariant_factors == (2,)
     assert len(h2.representatives) == 1
-    assert len(fed) == counted + 16 + 1 * 6**3
-    widths = [13] * 16 + [36] * 72 + [13] * 16 + [36] * 6**3
+    assert len(fed) == counted + 14 + 1 * 6**3
+    widths = [7] * 14 + [36] * 72 + [7] * 14 + [36] * 6**3
     for (row, modulus), width in zip(fed, widths, strict=True):
         assert np.ndim(row) == 1 and len(row) == width
         assert type(modulus) is int

@@ -867,9 +867,10 @@ def test_generator_rows_span_the_cocycle_lattice():
 def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     # H^1 with gcd(|G|, m) = 1 feeds congruence_kernel its Cayley-graph
     # rows, r (|G| (|X| - 1) + 1) of width r |X|, and H^2 its Cayley-graph
-    # rows, r |X| (|G| |X| - |G| + 2) of width r (|G| |X| + 1); each still
-    # folds them and builds no Smith form.  The first read of a trivial H^2's presentation feeds its r |G|^2
-    # |X| bar generator rows, and builds no Smith form either
+    # rows on the edges outside the tree, r |X| (|G| (|X| - 1) + 1) of width
+    # r (|G| (|X| - 1) + 1); each still folds them and builds no Smith
+    # form.  The first read of a trivial H^2's presentation feeds its
+    # r |G|^2 |X| bar generator rows, and builds no Smith form either
     congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
     smith = linalg.smith_normal_form
     fed, widths, folded, built = [], [], [], []
@@ -890,11 +891,11 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     c1, c8, s3 = cyclic(1), cyclic(8), symmetric(3)
     c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
     cases = [
-        (c8, trivial_module(c8, [9]), 2, (2, 9), (64, 64)),
+        (c8, trivial_module(c8, [9]), 2, (1, 1), (64, 64)),
         (c2_3, trivial_module(c2_3, [5]), 1, (17, 3), None),
-        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, (54, 25), (192, 64)),
+        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, (51, 17), (192, 64)),
         (c1, trivial_module(c1, [3]), 1, (1, 1), None),
-        (c1, trivial_module(c1, [3]), 2, (2, 2), (1, 1)),
+        (c1, trivial_module(c1, [3]), 2, (1, 1), (1, 1)),
     ]
     for group, module, degree, (rows, width), bar in cases:
         fed.clear()
@@ -1410,10 +1411,10 @@ def test_one_quotient_reads_like_the_z_path():
 
 def test_one_quotient_folds_no_bar_row(monkeypatch):
     # a factor read of an H^2 with no ladder folds only Cayley-graph rows, of
-    # width (|G| |X| + 1) r, reaches no presentation of the bar complex, and
-    # builds Smith forms of at most (|G| |X| + 1) r rows and that many
-    # columns plus the |G| r coboundary columns: the kernel's and, for a
-    # nontrivial H^2, the quotient's.  S4 and D16 (order 32) with mu_8
+    # width (|G| (|X| - 1) + 1) r, reaches no presentation of the bar
+    # complex, and builds Smith forms of at most (|G| (|X| - 1) + 1) r rows
+    # and that many columns plus the |X| r coboundary columns: the kernel's
+    # and, for a nontrivial H^2, the quotient's.  S4 and D16 (order 32) with mu_8
     # through 3 or 5 would fold 24^3 and 32^3 bar rows
     congruence_kernel, smith = linalg.congruence_kernel, linalg.smith_normal_form
     widths, shapes = [], []
@@ -1445,11 +1446,12 @@ def test_one_quotient_folds_no_bar_row(monkeypatch):
         assert cohomology_module._rungs(group, module) is None
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         assert h2.invariant_factors == want, group.name
-        width = (group.order * len(cohomology_module._generator_ends(group)) + 1) * module.rank
+        nx = len(cohomology_module._generator_ends(group))
+        width = (group.order * (nx - 1) + 1) * module.rank
         assert widths == [width], group.name
         assert len(shapes) == 2 * (not h2.is_trivial)
         for rows, cols in shapes:
-            assert rows <= width and cols <= width + group.order * module.rank, group.name
+            assert rows <= width and cols <= width + nx * module.rank, group.name
 
 
 def test_h0_is_the_fixed_submodule():
@@ -1626,9 +1628,16 @@ def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
     # the count is an invariant of the module: a relabelled group, whose
     # greedy generators and breadth-first tree differ, the greedy generators
     # in reverse order, and to order 8 every element but 1 as the
-    # generating set count the same on every d dividing the exponent
+    # generating set count the same on every d dividing the exponent, and
+    # find the same factors at d = m
     rng = random.Random(26)
     compared = 0
+
+    def counts(group, module):
+        e = module.exponent
+        quotients = [cohomology_module._cayley_h2(group, module, d) for d in divisors(e)]
+        return [q.order for q in quotients], quotients[-1].factors
+
     for name in ("C6", "S3", "D4", "Q8", "C12", "D6", "S4"):
         group = named_group(name)
         for m in (2, 3, 4, 6, 8):
@@ -1636,18 +1645,14 @@ def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
                 module = mu_module(group, m, chi)
                 perm = [0] + rng.sample(range(1, group.order), group.order - 1)
                 moved = relabelled_module(module, perm)
-                orders = [cohomology_module._cayley_h2(group, module, d).order for d in divisors(m)]
-                assert orders == [
-                    cohomology_module._cayley_h2(moved.group, moved, d).order for d in divisors(m)
-                ], (name, m, chi.values, perm)
+                want = counts(group, module)
+                assert want == counts(moved.group, moved), (name, m, chi.values, perm)
                 ends = [tuple(reversed(group.generators))]
                 if group.order <= 8:
                     ends.append(tuple(range(1, group.order)))
                 for x in ends:
                     monkeypatch.setattr(cohomology_module, "_generator_ends", lambda g, x=x: x)
-                    assert orders == [
-                        cohomology_module._cayley_h2(group, module, d).order for d in divisors(m)
-                    ], (name, m, chi.values, x)
+                    assert want == counts(group, module), (name, m, chi.values, x)
                     monkeypatch.undo()
                 compared += 1
     assert compared > 100
@@ -1655,7 +1660,7 @@ def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
 
 @pytest.mark.parametrize("count, m", [(5, 2), (5, 4), (6, 2), (6, 4)])
 def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m):
-    # C2^6 has 4096 bar cochain coordinates and 385 Cayley-graph ones
+    # C2^6 has 4096 bar cochain coordinates and 321 Cayley-graph ones
     group, expected = closed_forms.h2_trivial(["C2"] * count, m)
     module = trivial_module(group, [m])
     assert cohomology_module._rungs(group, module) == tuple(divisors(m)[1:])
@@ -1679,11 +1684,143 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
 
     monkeypatch.setattr(linalg, "congruence_kernel", recorded)
     h2 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 2)
-    assert h2.is_trivial and len(fed) == 16
+    assert h2.is_trivial and len(fed) == 14
     assert all(row.dtype == object and modulus == e for row, modulus in fed)
     count = cohomology_module._cayley_h2(s3, module, e)
     assert count.order == 1 and count.lattice.reduced.dtype == object
     assert count.sub.dtype == object and {type(x) for x in count.sub.flat} == {int}
+
+
+
+def reference_cayley_h2(group, module, d):
+    """H^2(G, M / dM) as one subquotient of Z^((|G| |X| + 1) r): the value
+    f(g, x) at every edge of the Cayley graph and f(1, 1), with no gauge
+    fixed.  The rows f(1, x) = f(1, 1) for x in X, then for each g in X the
+    rows g.f(z) = f(gz) over the fundamental cycles z; the coboundary of a
+    1-cochain c reads g.c(x) - c(gx) + c(g) at (g, x) and c(1) at (1, 1)."""
+    ends = cohomology_module._generator_ends(group)
+    order, r, nx = group.order, module.rank, len(ends)
+    edges = order * nx  # the coordinate f(1, 1) follows the edges
+    width = (edges + 1) * r
+    moduli = [gcd(o, d) for o in module.orders]
+    dtype = linalg._dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    table = np.array(group.mul_table)
+    cycles = cohomology_module._cayley_tree(group, ends)[1].astype(dtype)
+    eye = np.eye(r, dtype=dtype)
+
+    def rows():
+        block = np.zeros((nx, r, edges + 1, r), dtype=dtype)
+        block[:, :, edges] = -eye
+        block[np.arange(nx), :, np.arange(nx)] += eye  # the edges (1, x)
+        yield from zip(block.reshape(nx * r, width), moduli * nx)
+        for g in ends:
+            block = np.zeros((len(cycles), r, edges + 1, r), dtype=dtype)
+            block[:, :, :edges] = cycles[:, None, :, None] * action[g][:, None, :]
+            moved = (table[g][:, None] * nx + np.arange(nx)).ravel()  # (p, x) -> (gp, x)
+            for i in range(r):
+                block[:, i, moved, i] -= cycles
+            yield from zip(block.reshape(len(cycles) * r, width), moduli * len(cycles))
+
+    g, x = np.arange(edges) // nx, np.array(ends * order)
+    sub = np.zeros((edges + 1, r, order, r), dtype=dtype)
+    sub[np.arange(edges), :, x] += action[g]
+    sub[np.arange(edges), :, table[g, x]] -= eye
+    sub[np.arange(edges), :, g] += eye
+    sub[edges, :, 0] = eye
+    return linalg.subquotient(
+        tuple(moduli) * (edges + 1),
+        gcd(module.exponent, d),
+        rows(),
+        sub.reshape(width, order * r).astype(object),
+    )
+
+
+def coset_module(group, m):
+    """Z/m on the left cosets of {1, t}, t the first involution outside the
+    centre: a permutation module whose action is not abelian, so it tells
+    the translate gz from g^-1 z, which no character does on these groups."""
+    t = next(t for t in group.elements() if t and group.mul(t, t) == 0
+             and any(group.mul(t, g) != group.mul(g, t) for g in group.elements()))
+    cosets = sorted({min(g, group.mul(g, t)) for g in group.elements()})
+    place = {g: cosets.index(min(g, group.mul(g, t))) for g in group.elements()}
+    action = []
+    for g in group.elements():
+        matrix = [[0] * len(cosets) for _ in cosets]
+        for j, c in enumerate(cosets):
+            matrix[place[group.mul(g, c)]][j] = 1
+        action.append(matrix)
+    return gmodule(group, [m] * len(cosets), action)
+
+
+def test_cayley_h2_matches_the_ungauged_reference():
+    # the quotient on the edges outside the tree has the order of the one on
+    # every edge and f(1, 1) at each d dividing e, and its factors at e: for
+    # every module of ``cayley_cases``, permutation modules on cosets, every
+    # module over C1 (whose one edge is a loop outside the tree), and,
+    # orders only, mu_8 through 3 and 5 on three groups of order 32
+    c1 = cyclic(1)
+    c1_modules = [trivial_module(c1, orders) for orders in ([2], [12], [3, 9], [10**40 + 1])]
+    c1_modules += [mu_module(c1, m, chi) for m in (2, 3, 4, 8, 9) for chi in all_characters(c1, m)]
+    cosets = [coset_module(named_group(name), m) for name in ("S3", "D4") for m in (2, 3, 4, 6)]
+    compared = 0
+    for module in itertools.chain(cayley_cases(), cosets, c1_modules):
+        group, e = module.group, module.exponent
+        for d in divisors(e) if e < 100 else (1, e):  # 10^40 + 1 only on C1
+            got = cohomology_module._cayley_h2(group, module, d)
+            want = reference_cayley_h2(group, module, d)
+            assert got.order == want.order, (group.name, module.orders, module.action, d)
+            compared += 1
+        assert got.factors == want.factors, (group.name, module.orders, module.action)
+        if group.order == 1:
+            assert got.is_trivial
+    order_32 = [named_group("D16"), direct_product(*[cyclic(2)] * 5),
+                direct_product(quaternion(), cyclic(4))]
+    for group in order_32:
+        for value in (3, 5):
+            chi = next(chi for chi in all_characters(group, 8) if value in chi.values)
+            module = mu_module(group, 8, chi)
+            for d in (1, 2, 4, 8):
+                want = reference_cayley_h2(group, module, d).order
+                assert cohomology_module._cayley_h2(group, module, d).order == want
+                compared += 1
+    assert compared > 3000
+
+
+def test_cayley_gauge_is_the_tree_rebuilt_coboundary():
+    # a 1-cochain rebuilt along the tree from random values c at X has a
+    # bar coboundary that vanishes at (1, 1) and on every edge of the tree,
+    # and reads H^1's cycle rows times c at the edge outside the tree of
+    # each fundamental cycle: the coboundary columns of ``_cayley_h2``.
+    # C1, whose X holds 1, is left out: its one edge is a loop
+    rng = random.Random(30)
+    checked = 0
+    for name in NAMED_TO_16[1:] + ["S4"]:
+        group = named_group(name)
+        ends = cohomology_module._generator_ends(group)
+        order = group.order
+        paths, cycles = cohomology_module._cayley_tree(group, ends)
+        tree = paths.any(axis=0)
+        own = [int(np.flatnonzero((cycle != 0) & ~tree)[0]) for cycle in cycles]
+        assert sorted(own) == list(np.flatnonzero(~tree))
+        # the bar index of (h, x) for the edge h -> hx at h |X| + (place of x)
+        bar = (np.arange(order)[:, None] * order + np.array(ends)).ravel()
+        for m in (4, 6, 9):
+            for chi in all_characters(group, m)[:3]:
+                module = mu_module(group, m, chi)
+                r, orders = module.rank, np.array(module.orders, dtype=object)
+                action = np.array(module.action, dtype=np.int64).reshape(order, r, r)
+                values = np.array([rng.randrange(o) for _ in ends for o in module.orders])
+                rebuilt = cohomology_module._edge_sums(paths, action) @ values
+                dc = np.array(coboundary(Cochain(module, 1, tuple(rebuilt))).vector, dtype=object)
+                dc = dc.reshape(order * order, r)
+                assert not dc[0].any()
+                assert not dc[bar[tree]].any()
+                sums = cohomology_module._edge_sums(cycles, action) @ values
+                want = sums.reshape(len(cycles), r) % orders
+                assert (dc[bar[own]] == want).all(), (name, m, chi.values)
+                checked += 1
+    assert checked > 150
 
 
 def test_h1_past_int64_runs_over_python_ints(monkeypatch):

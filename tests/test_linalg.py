@@ -560,10 +560,10 @@ def test_snf_transforms_match_the_eager_reference():
 
 def test_h2_work_is_bounded(monkeypatch):
     # H^2(C8, Z/9) = 0: gcd(8, 9) = 1, so the one Cayley-graph quotient at 9
-    # is read, a fold of 2 rows over 9 columns, where the bar complex has 64
-    # generator rows (of 576) over 64 columns.  xgcd runs only where a
-    # column's pivot changes.  The count shows the quotient is trivial, so
-    # no Smith form is built.
+    # is read, a fold of 1 row over 1 column (C8 has one fundamental cycle),
+    # where the bar complex has 64 generator rows (of 576) over 64 columns.
+    # xgcd runs only where a column's pivot changes.  The count shows the
+    # quotient is trivial, so no Smith form is built.
     calls = []
     built = []
 
@@ -588,20 +588,22 @@ def test_h2_work_is_bounded(monkeypatch):
     assert h2.invariant_factors == (4,) and not built
     # Q8 on Z/8 through a character taking the value 3, which does not lift
     # to Z_2^*, reads the factors of the one Cayley-graph quotient: the
-    # kernel's Smith form, of its (|G| |X| + 1) r columns, and the
-    # quotient's, which reads its diagonal only.  Reading the
-    # representatives builds the bar complex's two, over r |G|^2 columns:
-    # the kernel reads V and V^-1 only; the quotient reads U^-1 and never
-    # U, since no coordinates are asked for.
+    # kernel's Smith form, of its (|G| (|X| - 1) + 1) r columns, and the
+    # quotient's, with |X| r coboundary columns more, which reads its
+    # diagonal only.  Reading the representatives builds the bar complex's
+    # two, over r |G|^2 columns: the kernel reads V and V^-1 only; the
+    # quotient reads U^-1 and never U, since no coordinates are asked for.
     q8 = quaternion()
     chi = next(chi for chi in all_characters(q8, 8) if 3 in chi.values)
     h2 = _cohomology_cached.__wrapped__(q8, mu_module(q8, 8, chi), 2)
     assert h2.invariant_factors == (4,)
-    width = q8.order * len(q8.generators) + 1
+    width = q8.order * (len(q8.generators) - 1) + 1
+    assert width == 17
     assert len(built) == 2 and "representatives" not in vars(h2)
     kernel, quotient = built
     assert kernel.s.shape == (width, width)
-    assert quotient.s.shape[0] <= width and quotient.s.shape[1] <= width + q8.order
+    assert quotient.s.shape[0] <= width
+    assert quotient.s.shape[1] <= width + len(q8.generators)
     assert not {"u", "u_inv"} & (vars(kernel).keys() | vars(quotient).keys())
     assert len(h2.representatives) == 1
     assert len(built) == 4
