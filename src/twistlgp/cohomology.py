@@ -13,15 +13,16 @@ so that in the degrees used here
     (d2 f)(g, h, k) = g.f(h, k) - f(gh, k) + f(g, hk) - f(g, h)
 
 A cochain of degree n is a vector over (tuple, coordinate) positions, tuples
-of G^n in lexicographic order.  The differential is built as numpy blocks of
-tuples, gathers on the multiplication table, which the kernel rows, the
-coboundary generators and ``coboundary`` all read.
+of G^n in lexicographic order.  The terms of the differential, gathers on the
+multiplication table, are scattered into numpy blocks of rows for the kernel
+rows and coboundary generators, and gathered from a cochain's values by
+``coboundary`` and ``is_cocycle``.
 
 Each H^n is read through one ``linalg.subquotient``, only as matrices: the
 columns of ``generators()`` are the representatives; an induced map
 (restriction, inflation, conjugation) reads the classes of all source
 images, at the positions the target's presentation reads, with one call;
-``class_of`` reads one cochain and checks that it is a cocycle.  Kernels,
+``class_of`` reads one cochain that ``is_cocycle`` accepts.  Kernels,
 fixed subgroups and images of such maps are subquotients of
 Z/a_1 + ... + Z/a_s, for a the invariant factors, read the same way.
 
@@ -29,17 +30,16 @@ The rows whose last argument lies in a generating set X cut out the same
 cocycle lattice as all rows.  Evaluate d(d f) = 0 at (g_1, ..., g_n, h, k):
 every term but (d f)(g_1, ..., g_n, hk) has last argument h or k, so the k
 with (d f)(.., k) = 0 for all leading arguments are closed under products,
-and a non-empty X reaches all of G.  A different row set gives a different
-triangular basis of the same lattice, and so may give other representatives.
+and a non-empty X reaches all of G.
 
 A ``CohomologyGroup`` knows its invariant factors from construction, found
 on one path per degree.  H^0 is the fixed submodule (``fixed_subgroup``, on
 the degree-0 differential's rows in their order) and H^1 is presented in
 Cayley-graph coordinates (below), both when computed.  H^2 reads its factors
-in Cayley-graph coordinates, and builds its presentation on first read from
-the bar complex (``_z_presentation``: the integer cocycle lifts modulo the
-coboundaries and the coefficient orders), which must find the same factors:
-from the generator rows if H^2 is trivial, else from all rows.
+in Cayley-graph coordinates, and if nontrivial builds its presentation on
+first read from all rows of the bar complex (``_z_presentation``: the integer
+cocycle lifts modulo the coboundaries and the coefficient orders), which must
+find the same factors.
 The factors are those of the one Cayley-graph quotient at e, with no Smith
 form when it is trivial, as for gcd(|G|, e) = 1 (restriction-corestriction),
 or are counted on a ladder with none: the orders N_i of H^2(G, M / d_i M) on
@@ -75,7 +75,7 @@ of Z^(|X| r), cut out by r (|G| (|X| - 1) + 1) rows, with the coboundary of
 m reading x.m - m at x (``_cayley_h1``).  The representatives are rebuilt
 as bar cochains by one product with the tree-path matrix.  Reading a
 cochain at X is injective on cocycles only, so ``class_of`` reads a class
-only from a cochain whose values at X lie in the lattice and rebuild it.
+at X only from a cochain that ``is_cocycle`` accepts.
 The image of a cocycle under a cochain map is a cocycle, so an induced map
 reads its images at X alone.
 
@@ -120,7 +120,6 @@ from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
     _BLOCK_ROWS,
     LatticeQuotient,
-    NotInLattice,
     _dtype,
     fixed_subgroup,
     identity_matrix,
@@ -151,8 +150,8 @@ class Cochain:
     """A total map from G^degree to the module, stored as the flat vector the
     engine solves with: the value at the tuple of lexicographic index t holds
     positions t * rank .. t * rank + rank - 1, coordinate i reduced mod
-    orders[i].  Degree 3 occurs only as a coboundary of a degree-2 cochain,
-    for cocycle testing."""
+    orders[i].  Degree 3 occurs only as the ``coboundary`` of a degree-2
+    cochain; ``is_cocycle`` builds none."""
 
     module: GModule
     degree: int
@@ -204,67 +203,91 @@ def zero_cochain(module: GModule, degree: int) -> Cochain:
     return Cochain(module, degree, (0,) * (module.rank * module.group.order**degree))
 
 
-def _differential_blocks(group: FiniteGroup, module: GModule, n: int, last=None):
-    """The degree-n differential, one block of (n+1)-tuples at a time in
-    lexicographic order; with ``last``, only the tuples whose last entry is
-    in ``last``, still in lexicographic order.  Yields the block's matrix,
-    one row per ((n+1)-tuple, coordinate) over (n-tuple, coordinate)
-    positions, and the modulus of each row: its coordinate's order.  Column
-    indices are gathers on the multiplication table; the terms of a row may
-    share a column (g_1 = 1 puts g_1.f(g_2, ..) and f(g_1 g_2, ..) on one),
-    so they are accumulated with ``np.add.at``.  Entries are int64 or, for an exponent
-    past ``_dtype``'s bound, Python ints."""
-    order, r = group.order, module.rank
-    moduli = list(module.orders)
+@lru_cache(maxsize=None)
+def _table(group: FiniteGroup) -> np.ndarray:
+    """The multiplication table as an array, read only, cached."""
     table = np.array(group.mul_table)
+    table.flags.writeable = False
+    return table
+
+
+def _bar_terms(group: FiniteGroup, n: int, idx: np.ndarray):
+    """The degree-n differential's terms at the (n+1)-tuples of indices
+    ``idx``: g_1, the index of (g_2, ..., g_{n+1}), and one row per other
+    term, signed (-1)^1, ..., (-1)^(n+1): the index of the n-tuple with
+    g_k g_{k+1} for each k, then of (g_1, ..., g_n)."""
+    order, table = group.order, _table(group)
+    digits = list(np.unravel_index(idx, (order,) * (n + 1)))
+    terms = [
+        tuple_index(order, digits[:k] + [table[digits[k], digits[k + 1]]] + digits[k + 2:])
+        for k in range(n)
+    ] + [idx // order]
+    return digits[0], idx % order**n, np.stack(terms)
+
+
+def _differential_blocks(group: FiniteGroup, module: GModule, n: int):
+    """The degree-n differential in blocks of (n+1)-tuples in lexicographic
+    order: the ``_bar_terms`` scattered into one row per ((n+1)-tuple,
+    coordinate) over (n-tuple, coordinate) positions, with each row's
+    modulus, its coordinate's order.  Terms may share a column (g_1 = 1 puts
+    g_1.f(g_2, ..) and f(g_1 g_2, ..) on one), so they accumulate by
+    ``np.add.at``.  Entries are int64, or Python ints past ``_dtype``'s bound."""
+    order, r = group.order, module.rank
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
     signs = np.array([(-1) ** k for k in range(1, n + 2)], dtype=dtype)
-    n_inputs = r * order**n
-    if last is None:
-        count = order ** (n + 1)
-    else:
-        ends = np.array(sorted(set(last)))
-        count = order**n * ends.size
+    n_inputs, tuples = r * order**n, np.arange(order ** (n + 1))
     i = np.arange(r)[:, None]
     step = max(1, _BLOCK_ROWS // max(r, 1))
-    for first in range(0, count, step):
-        idx = np.arange(first, min(first + step, count))
-        if last is not None:  # the k-th kept tuple, as an index into G^(n+1)
-            idx = idx // ends.size * order + ends[idx % ends.size]
-        digits = list(np.unravel_index(idx, (order,) * (n + 1)))
-        t = np.arange(idx.size)[:, None, None]
-        block = np.zeros((idx.size, r, n_inputs), dtype=dtype)
+    for first in range(0, tuples.size, step):
+        acting, acted, terms = _bar_terms(group, n, tuples[first:first + step])
+        t = np.arange(acting.size)[:, None, None]
+        block = np.zeros((acting.size, r, n_inputs), dtype=dtype)
         # g_1 acting on f(g_2, ..., g_{n+1}): row i of g_1's action matrix
-        block[t, i, (idx % order**n * r)[:, None, None] + i.T] = action[digits[0]]
-        # the products g_k g_{k+1}, then f(g_1, ..., g_n), each at coordinate i
-        terms = [
-            tuple_index(order, digits[:k] + [table[digits[k], digits[k + 1]]] + digits[k + 2:])
-            for k in range(n)
-        ] + [idx // order]
-        np.add.at(block, (t, i, np.stack(terms, axis=1)[:, None] * r + i), signs)
-        yield block.reshape(idx.size * r, n_inputs), moduli * idx.size
+        block[t, i, (acted * r)[:, None, None] + i.T] = action[acting]
+        # the other terms, each at coordinate i
+        np.add.at(block, (t, i, terms.T[:, None] * r + i), signs)
+        yield block.reshape(acting.size * r, n_inputs), list(module.orders) * acting.size
+
+
+def _differential_values(cochain: Cochain):
+    """The bar differential of a degree 0..2 cochain f, unreduced, one row of
+    r values per (n+1)-tuple, in blocks of about ``_BLOCK_ROWS``^2 values, as
+    ``congruence_kernel`` folds: the ``_bar_terms`` gathered from f, by
+    broadcast products and ``sum`` (numpy 1.24 has no object ``einsum``).  A
+    value sums r products below e^2 and n + 1 terms below e: int64 while
+    (r + n + 1) e^2 < 2^63, else Python ints."""
+    module, n = cochain.module, cochain.degree
+    if n > 2:
+        raise ValueError("coboundary implemented for degrees 0..2")
+    order, r, e = module.group.order, module.rank, module.exponent
+    dtype = np.int64 if (r + n + 1) * e * e < 2**63 else object
+    f = np.array(cochain.vector, dtype=dtype).reshape(order**n, r)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    signs = np.array([(-1) ** k for k in range(1, n + 2)], dtype=dtype).reshape(-1, 1, 1)
+    tuples, step = np.arange(order ** (n + 1)), max(1, _BLOCK_ROWS**2 // (r + n + 1))
+    for first in range(0, tuples.size, step):
+        acting, acted, terms = _bar_terms(module.group, n, tuples[first:first + step])
+        yield (action[acting] * f[acted, None]).sum(axis=2) + (f[terms] * signs).sum(axis=0)
 
 
 def coboundary(cochain: Cochain) -> Cochain:
     """The bar differential of a degree 0..2 cochain."""
-    module = cochain.module
-    n = cochain.degree
-    if n > 2:
-        raise ValueError("coboundary implemented for degrees 0..2")
-    f = np.array(cochain.vector, dtype=object)
-    values = [block @ f for block, _moduli in _differential_blocks(module.group, module, n)]
-    return Cochain(module, n + 1, tuple(np.concatenate(values)))
+    values = np.concatenate(list(_differential_values(cochain)))
+    return Cochain(cochain.module, cochain.degree + 1, tuple(values.ravel()))
 
 
 def is_cocycle(cochain: Cochain) -> bool:
-    return coboundary(cochain).is_zero
+    """Whether every row of the bar differential of a degree 0..2 cochain is
+    0 mod its coordinate's order; no cochain of the next degree is built."""
+    values = _differential_values(cochain)
+    return not any((v % np.array(cochain.module.orders, dtype=v.dtype)).any() for v in values)
 
 
-def _differential_rows(group: FiniteGroup, module: GModule, n: int, last=None):
+def _differential_rows(group: FiniteGroup, module: GModule, n: int):
     """The rows of ``_differential_blocks`` with their moduli, one at a
     time: the stream ``congruence_kernel`` reads."""
-    for block, moduli in _differential_blocks(group, module, n, last):
+    for block, moduli in _differential_blocks(group, module, n):
         yield from zip(block, moduli)
 
 
@@ -320,24 +343,17 @@ class CohomologyGroup:
         return not self.invariant_factors
 
     def class_of(self, cochain: Cochain) -> "CohClass":
+        """The class of a cocycle: ``is_cocycle`` is the one test."""
         if cochain.module != self.module or cochain.degree != self.degree:
             raise ValueError("cochain lives in a different complex")
-        if self._presentation is None:
-            if self.invariant_factors:
-                raise ValueError("no witness data attached")
-            if not is_cocycle(cochain):
-                raise ValueError("not a cocycle")
+        if not is_cocycle(cochain):
+            raise ValueError("not a cocycle")
+        if self.is_trivial:
             return CohClass(self, ())
+        if self._presentation is None:
+            raise ValueError("no witness data attached")
         column = np.array(cochain.vector, dtype=object).reshape(-1, 1)
-        return CohClass(self, tuple(self._coordinates(column)[:, 0]))
-
-    def _coordinates(self, cocycles: np.ndarray) -> np.ndarray:
-        """The class coordinates of the cocycle lifts in the columns of
-        ``cocycles``, one column each."""
-        try:
-            return self._presentation.coordinates(cocycles)
-        except NotInLattice:
-            raise ValueError("not a cocycle") from None
+        return CohClass(self, tuple(self._presentation.coordinates(column)[:, 0]))
 
     def element(self, coordinates) -> Cochain:
         """The representative cochain with the given generator coordinates,
@@ -375,27 +391,23 @@ class CohClass:
 
 
 def _generator_ends(group: FiniteGroup) -> tuple[int, ...]:
-    """The X of the Cayley-graph coordinates of H^1 and H^2, and the last
-    bar arguments whose differential rows span the cocycle lattice (the
-    rows a trivial H^n's presentation folds): a generating set, never empty
-    (C1's greedy set is empty, and no rows at all would leave every cochain
-    a cocycle)."""
+    """The X of the Cayley-graph coordinates of H^1 and H^2: a generating
+    set, never empty (C1's greedy set is empty; X = {1} gives C1 the loop
+    1 -> 1 as its one edge and its one cycle)."""
     return group.generators or (0,)
 
 
 def _z_presentation(group: FiniteGroup, module: GModule, degree: int, factors=None):
-    """H^degree(G, M) as one subquotient of the integer bar cochains, which
-    must find the invariant ``factors`` when known (else ``ArithmeticError``):
-    the reads of H^2, and the tests' reference in any degree.  A group known
-    to be trivial has no generators to read, so it folds the generator rows,
-    which cut out the same lattice as all rows.  A nontrivial one folds all
-    rows: representatives depend on the row set, and ``verify-paper``
-    reports a map read on H^2's."""
-    last = _generator_ends(group) if factors == () else None
+    """H^degree(G, M) as one subquotient of the integer bar cochains, cut out
+    by every row of the differential, which must find the invariant
+    ``factors`` when known (else ``ArithmeticError``): the reads of a
+    nontrivial H^2, and the tests' reference in any degree.  Representatives
+    depend on the row set, and ``verify-paper`` reports a map read on
+    H^2's."""
     presentation = subquotient(
         module.orders * group.order**degree,
         module.exponent,
-        _differential_rows(group, module, degree, last),
+        _differential_rows(group, module, degree),
         _coboundary_generators(group, module, degree),
     )
     if factors is not None and presentation.factors != factors:
@@ -455,12 +467,11 @@ class _CayleyH1:
     coordinates: ``quotient`` is the subquotient of the values f(x), x in
     X = ``_generator_ends(group)``, ``reads`` picks the bar positions that
     hold them, and ``rebuild`` takes them to the bar cocycle, each position
-    mod its coordinate's order in ``moduli``."""
+    reduced mod its coordinate's order."""
 
     quotient: LatticeQuotient
     reads: np.ndarray = field(repr=False)
     rebuild: np.ndarray = field(repr=False)
-    moduli: np.ndarray = field(repr=False)
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -470,22 +481,10 @@ class _CayleyH1:
         """The representatives, one bar cochain per column."""
         return self.rebuild @ self.quotient.generators()
 
-    def coordinates(self, cochains: np.ndarray) -> np.ndarray:
-        """The class coordinates of the bar 1-cochains in the columns of
-        ``cochains``.  Reading at X is injective on cocycles only, so a
-        column is a cocycle (else ``NotInLattice``) when its values at X lie
-        in the lattice and rebuild it, and its class is then read from
-        those values as an induced map reads one.  The rebuild is compared
-        in int64 while |X| r e^2 is below 2^63, and over Python ints past
-        that."""
-        e = self.quotient.lattice.exponent
-        dtype = np.int64 if self.rebuild.shape[1] * e * e < 2**63 else object
-        moduli = self.moduli.astype(dtype, copy=False)
-        cochains = (np.asarray(cochains, dtype=object) % moduli).astype(dtype)
-        values = cochains[self.reads]
-        if ((self.rebuild.astype(dtype, copy=False) @ values - cochains) % moduli).any():
-            raise NotInLattice("the values at X rebuild another cochain")
-        return self.quotient.coordinates(values)
+    def coordinates(self, cocycles: np.ndarray) -> np.ndarray:
+        """The class coordinates of the bar 1-cocycles in the columns of
+        ``cocycles``, read at X, which is injective on cocycles only."""
+        return self.quotient.coordinates(np.asarray(cocycles, dtype=object)[self.reads])
 
 
 def _cayley_h1(group: FiniteGroup, module: GModule) -> _CayleyH1:
@@ -509,7 +508,7 @@ def _cayley_h1(group: FiniteGroup, module: GModule) -> _CayleyH1:
     )
     reads = (np.array(ends)[:, None] * r + np.arange(r)).ravel()
     moduli = np.array(module.orders * order, dtype=dtype).reshape(order * r, 1)
-    return _CayleyH1(quotient, reads, _edge_sums(paths, action) % moduli, moduli)
+    return _CayleyH1(quotient, reads, _edge_sums(paths, action) % moduli)
 
 
 def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
@@ -680,8 +679,8 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     f -> (t -> C f(phi(t_1), ..., phi(t_n))), ``elements`` listing phi(t)
     for each t in the target group and ``coefficients`` the integer matrix
     C: one column per source generator, the target class of its image.  The
-    image of a cocycle is a cocycle, so it is pulled back only where the
-    target's presentation reads: an H^1's values at X, with no rebuild, and
+    image of a cocycle is a cocycle, so it is not tested, and is pulled back
+    only where the target's presentation reads: an H^1's values at X, and
     every position of an H^0 or H^2.  A trivial source maps to no column and
     a trivial target has no row, so neither presentation is read."""
     if source.is_trivial or target.is_trivial:
@@ -692,7 +691,7 @@ def _induced_map(source: CohomologyGroup, target: CohomologyGroup, elements, coe
     if isinstance(presentation, _CayleyH1):
         tuples, read = presentation.reads[::rank] // rank, presentation.quotient.coordinates
     else:
-        tuples, read = np.arange(n**degree), target._coordinates
+        tuples, read = np.arange(n**degree), presentation.coordinates
     # the index of (phi(t_1), ..., phi(t_n)) for each, from the digits of t
     pulled, elements = 0, np.asarray(elements)
     for k in reversed(range(degree)):

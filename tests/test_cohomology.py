@@ -765,6 +765,38 @@ def reference_differential_rows(group, module, n):
             yield row, orders[i]
 
 
+def generator_blocks(group, module, n):
+    """The rows of the degree-n differential whose last argument lies in
+    X = ``_generator_ends(group)``, in order, as blocks of up to
+    ``linalg._BLOCK_ROWS`` tuples: they cut out the same cocycle lattice as
+    all rows (the lemma of the ``cohomology`` module docstring).  The
+    ``_bar_terms`` of those tuples only, scattered as
+    ``_differential_blocks`` scatters them."""
+    order, r = group.order, module.rank
+    ends = np.array(cohomology_module._generator_ends(group))
+    tuples = (np.arange(order**n)[:, None] * order + ends).ravel()
+    dtype = linalg._dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    signs = np.array([(-1) ** k for k in range(1, n + 2)], dtype=dtype)
+    i = np.arange(r)[:, None]
+    for first in range(0, tuples.size, linalg._BLOCK_ROWS):
+        acting, acted, terms = cohomology_module._bar_terms(
+            group, n, tuples[first:first + linalg._BLOCK_ROWS]
+        )
+        t = np.arange(acting.size)[:, None, None]
+        block = np.zeros((acting.size, r, r * order**n), dtype=dtype)
+        block[t, i, (acted * r)[:, None, None] + i.T] = action[acting]
+        np.add.at(block, (t, i, terms.T[:, None] * r + i), signs)
+        yield block.reshape(acting.size * r, r * order**n)
+
+
+def generator_rows(group, module, n):
+    """The rows of ``generator_blocks``, one at a time, each with its
+    modulus: its coordinate's order."""
+    for block in generator_blocks(group, module, n):
+        yield from zip(block, module.orders * (len(block) // module.rank))
+
+
 def differential_cases():
     c2 = cyclic(2)
     groups = [cyclic(1), c2, cyclic(6), symmetric(3), named_group("D4"), quaternion(),
@@ -795,7 +827,7 @@ def test_differential_blocks_match_the_reference_rows():
                 item for k, item in enumerate(expected)
                 if k // module.rank % group.order in ends
             ]
-            got = list(cohomology_module._differential_rows(group, module, n, ends))
+            got = list(generator_rows(group, module, n))
             assert len(got) == len(kept) == len(expected) * len(ends) // group.order
             for (row, modulus), (ref_row, ref_modulus) in zip(got, kept):
                 assert modulus == ref_modulus and type(modulus) is int
@@ -845,7 +877,6 @@ def test_generator_rows_span_the_cocycle_lattice():
     groups.append(direct_product(cyclic(2), cyclic(2), cyclic(2)))
     systems = 0
     for group in groups:
-        ends = cohomology_module._generator_ends(group)
         for m in range(2, 10):
             for k, chi in enumerate(all_characters(group, m)[:4]):
                 module = mu_module(group, m, chi)
@@ -856,7 +887,7 @@ def test_generator_rows_span_the_cocycle_lattice():
                         size, e, cohomology_module._differential_rows(group, module, n)
                     )
                     cut = linalg.congruence_kernel(
-                        size, e, cohomology_module._differential_rows(group, module, n, ends)
+                        size, e, generator_rows(group, module, n)
                     )
                     assert (np.diagonal(cut.reduced) == np.diagonal(full.reduced)).all()
                     assert cut.contains(full.basis) and full.contains(cut.basis)
@@ -869,8 +900,8 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     # rows, r (|G| (|X| - 1) + 1) of width r |X|, and H^2 its Cayley-graph
     # rows on the edges outside the tree, r |X| (|G| (|X| - 1) + 1) of width
     # r (|G| (|X| - 1) + 1); each still folds them and builds no Smith
-    # form.  The first read of a trivial H^2's presentation feeds its
-    # r |G|^2 |X| bar generator rows, and builds no Smith form either
+    # form.  class_of tests a cochain with is_cocycle, so on either it
+    # feeds no further rows, and a trivial H^2 builds no presentation
     congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
     smith = linalg.smith_normal_form
     fed, widths, folded, built = [], [], [], []
@@ -891,28 +922,25 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     c1, c8, s3 = cyclic(1), cyclic(8), symmetric(3)
     c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
     cases = [
-        (c8, trivial_module(c8, [9]), 2, (1, 1), (64, 64)),
-        (c2_3, trivial_module(c2_3, [5]), 1, (17, 3), None),
-        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, (51, 17), (192, 64)),
-        (c1, trivial_module(c1, [3]), 1, (1, 1), None),
-        (c1, trivial_module(c1, [3]), 2, (1, 1), (1, 1)),
+        (c8, trivial_module(c8, [9]), 2, (1, 1)),
+        (c2_3, trivial_module(c2_3, [5]), 1, (17, 3)),
+        (c2_3, mu_module(c2_3, 3, all_characters(c2_3, 3)[-1]), 2, (51, 17)),
+        (c1, trivial_module(c1, [3]), 1, (1, 1)),
+        (c1, trivial_module(c1, [3]), 2, (1, 1)),
     ]
-    for group, module, degree, (rows, width), bar in cases:
+    for group, module, degree, (rows, width) in cases:
         fed.clear()
         folded.clear()
         coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
         assert fed == [rows]
         assert (rows, width) in folded
         assert coh.is_trivial
-        if bar is not None:
+        assert coh.class_of(zero_cochain(module, degree)).coordinates == ()
+        assert fed == [rows]
+        if degree == 2:
             assert "_presentation" not in vars(coh)
-            rows, width = bar
-            assert coh.class_of(zero_cochain(module, degree)).coordinates == ()
-            assert fed[1:] == [rows] and (rows, width) in folded
-        presentation = coh._presentation
-        if degree == 1:  # the Cayley-graph subquotient behind the bar reads
-            presentation = presentation.quotient
-        assert "_smith" not in vars(presentation)
+        else:  # the Cayley-graph subquotient behind the bar reads
+            assert "_smith" not in vars(coh._presentation.quotient)
     assert not built
     # H^0, coprime or not, feeds all rows; H^1 with gcd(|G|, m) > 1 feeds
     # the Cayley-graph rows too, and reading its representatives, classes,
@@ -976,10 +1004,9 @@ def reference_counted_factors(group, module, degree):
     assert module.rank == 1
     primes = tuple(factorize(module.exponent))
     assert prod(primes) == module.exponent
-    ends = cohomology_module._generator_ends(group)
     dims = {}
     for p in primes:
-        rows = (block for block, _ in cohomology_module._differential_blocks(group, module, degree, ends))
+        rows = generator_blocks(group, module, degree)
         dims[p] = group.order**degree - reference_rank_mod_p(rows, p)
         if degree:
             rows = (block for block, _ in cohomology_module._differential_blocks(group, module, degree - 1))
@@ -1352,10 +1379,7 @@ def reference_local_h2_factors(group, module):
     the coboundaries, read off in the same coordinates.  The factors of the
     p-parts are multiplied place by place, largest with largest."""
     e = module.exponent
-    ends = cohomology_module._generator_ends(group)
-    d2 = np.concatenate([block for block, _ in cohomology_module._differential_blocks(
-        group, module, 2, ends
-    )])
+    d2 = np.concatenate(list(generator_blocks(group, module, 2)))
     d1 = cohomology_module._coboundary_generators(group, module, 2)
     factors = []
     for p, k in factorize(e).items():
@@ -1554,9 +1578,7 @@ def test_the_ladder_builds_no_module(monkeypatch):
 def reference_h2_order(group, module):
     """|H^2(G, M)| from the bar complex: the subquotient of the r |G|^2
     cochain coordinates cut out by the generator rows."""
-    rows = cohomology_module._differential_rows(
-        group, module, 2, cohomology_module._generator_ends(group)
-    )
+    rows = generator_rows(group, module, 2)
     gens = cohomology_module._coboundary_generators(group, module, 2)
     return linalg.subquotient(module.orders * group.order**2, module.exponent, rows, gens).order
 
@@ -2052,11 +2074,167 @@ def test_class_of_reads_only_cocycles():
     assert refused == 756
 
 
+def dense_coboundary(cochain, blocks=None):
+    """The bar differential of a cochain as the product of each dense block
+    of ``_differential_blocks`` with its vector: the gathers' reference."""
+    module, n = cochain.module, cochain.degree
+    if blocks is None:
+        blocks = [b for b, _ in cohomology_module._differential_blocks(module.group, module, n)]
+    f = np.array(cochain.vector, dtype=object)
+    values = [block @ f.astype(block.dtype) for block in blocks]
+    return Cochain(module, n + 1, tuple(np.concatenate(values)))
+
+
+def gather_cases():
+    """Modules over C1, C6, S3, Q8, D4, C2 x C4 and S4: rank 0, Z/4, the
+    rank-2 Z/2 + Z/6, Z/(2^30 + 3) at int64's edge, Z/(2^40 + 1) past it,
+    and the first two characters into mu_8 and mu_9; S4 in degree 2 only
+    with Z/4 and a mu_8 character, as its dense blocks are large.  Last,
+    C2^5 with Z/3 in degree 2, whose gather takes more than one block."""
+    groups = [cyclic(1), cyclic(6), symmetric(3), quaternion(), named_group("D4"),
+              direct_product(cyclic(2), cyclic(4)), symmetric(4)]
+    for group in groups:
+        modules = [trivial_module(group, orders)
+                   for orders in ([1], [4], [2, 6], [2**30 + 3], [2**40 + 1])]
+        modules += [mu_module(group, m, chi)
+                    for m in (8, 9) for chi in all_characters(group, m)[:2]]
+        for k, module in enumerate(modules):
+            for n in (0, 1, 2):
+                if group.order < 24 or n < 2 or k in (1, 5):
+                    yield module, n
+    c2_5 = direct_product(*[cyclic(2)] * 5)
+    yield trivial_module(c2_5, [3]), 2
+
+
+def test_gathered_differential_matches_the_dense_blocks():
+    # coboundary and is_cocycle gather the bar differential from a cochain's
+    # values; the dense product with _differential_blocks must agree on
+    # random cochains, on coboundaries (cocycles) and on 0 in degrees 0-2
+    rng = random.Random(31)
+    compared, cocycles = 0, 0
+    for module, n in gather_cases():
+        group, r = module.group, module.rank
+        blocks = [block for block, _ in cohomology_module._differential_blocks(group, module, n)]
+        size = group.order**n
+        cochains = [zero_cochain(module, n)] + [
+            Cochain(module, n, [rng.randrange(o) for _ in range(size) for o in module.orders])
+            for _ in range(2)
+        ]
+        if n:  # a coboundary, so a cocycle
+            below = [rng.randrange(o) for _ in range(size // group.order) for o in module.orders]
+            cochains.append(dense_coboundary(Cochain(module, n - 1, below)))
+        for cochain in cochains:
+            want = dense_coboundary(cochain, blocks)
+            assert coboundary(cochain) == want, (group.name, module.orders, n)
+            assert is_cocycle(cochain) == want.is_zero
+            assert len(want.vector) == r * group.order ** (n + 1)
+            cocycles += want.is_zero
+            compared += 1
+    assert (compared, cocycles) == (647, 432)
+
+
+def test_is_cocycle_reads_every_block(monkeypatch):
+    # the gather of a 2-cochain over C2^5 takes two blocks, and is_cocycle
+    # must test every one: a differential that is 0 mod 3 but in the last
+    # row of its last block is no cocycle
+    c2_5 = direct_product(*[cyclic(2)] * 5)
+    cochain = zero_cochain(trivial_module(c2_5, [3]), 2)
+    blocks = list(cohomology_module._differential_values(cochain))
+    assert len(blocks) == 2 and is_cocycle(cochain)
+    blocks[0][0, 0] = blocks[1][0, 0] = 3
+    blocks[1][-1, 0] = 1
+    monkeypatch.setattr(cohomology_module, "_differential_values", lambda c: iter(blocks))
+    assert not is_cocycle(cochain)
+    blocks[1][-1, 0] = 6
+    assert is_cocycle(cochain)
+
+
+def test_class_of_refuses_every_non_cocycle():
+    # class_of runs is_cocycle in every degree: a representative, or the
+    # zero cocycle, with one entry raised by 1 is refused exactly when the
+    # dense differential is not zero on it, for H^0, H^1, a trivial and a
+    # nontrivial H^2, and a trivial sha_finite result
+    c2, s3 = cyclic(2), symmetric(3)
+    sign = next(chi for chi in all_characters(c2, 4) if 3 in chi.values)
+    sha = sha_finite(s3, trivial_module(s3, [2]), [full_subgroup(s3)])
+    assert sha.is_trivial
+    groups = [
+        cohomology(c2, mu_module(c2, 4, sign), 0),
+        cohomology(c2, mu_module(c2, 3, all_characters(c2, 3)[-1]), 0),
+        cohomology(s3, trivial_module(s3, [2]), 1),
+        cohomology(named_group("C6"), trivial_module(named_group("C6"), [3]), 1),
+        cohomology(s3, trivial_module(s3, [3]), 2),
+        cohomology(s3, trivial_module(s3, [2]), 2),
+        cohomology(cyclic(4), trivial_module(cyclic(4), [4]), 2),
+        sha,
+    ]
+    assert [h.invariant_factors for h in groups] == [(2,), (), (2,), (3,), (), (2,), (4,), ()]
+    refused = []
+    for h in groups:
+        refused.append(0)
+        for rep in h.representatives or (zero_cochain(h.module, h.degree),):
+            for k in range(len(rep.vector)):
+                vector = list(rep.vector)
+                vector[k] += 1
+                cochain = Cochain(h.module, h.degree, vector)
+                if dense_coboundary(cochain).is_zero:
+                    h.class_of(cochain)
+                    continue
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    h.class_of(cochain)
+                refused[-1] += 1
+    assert refused == [1, 1, 6, 6, 36, 36, 16, 6]
+    # the test comes first: a nontrivial H^2 refuses a non-cocycle before it
+    # builds its bar presentation
+    h2 = cohomology_module._cohomology_cached.__wrapped__(s3, trivial_module(s3, [2]), 2)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        h2.class_of(Cochain(h2.module, 2, (1,) + (0,) * 35))
+    assert "_presentation" not in vars(h2)
+
+
+def test_class_of_refuses_a_cochain_right_at_every_edge():
+    # a 2-cochain that vanishes at (1, 1) and on the spanning tree's edges,
+    # whose values F_z at the edges outside the tree lie in the Cayley-graph
+    # lattice, is fixed on the Cayley graph's edges as a gauge-fixed cocycle
+    # is; one more nonzero value at a (g, k) with k outside X, no edge, makes
+    # it no cocycle, and class_of must refuse it
+    refused = 0
+    s3, d4, q8 = symmetric(3), named_group("D4"), quaternion()
+    for group, module in [
+        (s3, trivial_module(s3, [2])),
+        (s3, trivial_module(s3, [3])),
+        (d4, mu_module(d4, 4, all_characters(d4, 4)[-1])),
+        (q8, trivial_module(q8, [2])),
+    ]:
+        order, r = group.order, module.rank
+        h2 = cohomology(group, module, 2)
+        ends = cohomology_module._generator_ends(group)
+        paths, cycles = cohomology_module._cayley_tree(group, ends)
+        outside = np.flatnonzero(~paths.any(axis=0))
+        own_h, own_x = divmod(outside[np.nonzero(cycles[:, outside])[1]], len(ends))
+        edges = own_h * order + np.array(ends)[own_x]
+        lattice = cohomology_module._cayley_h2(group, module, module.exponent).lattice
+        for values in [np.zeros(len(edges) * r, dtype=object), *lattice.basis.T]:
+            vector = np.zeros((order * order, r), dtype=object)
+            vector[edges] = values.reshape(len(edges), r)
+            for g, k in itertools.product(range(order), sorted(set(range(order)) - set(ends))):
+                if g == k == 0:
+                    continue
+                cochain = vector.copy()
+                cochain[g * order + k, 0] += 1
+                cochain = Cochain(module, 2, cochain.ravel())
+                assert not dense_coboundary(cochain).is_zero
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    h2.class_of(cochain)
+                refused += 1
+    assert refused == 1540
+
+
 def pulled_back_classes(source, target, elements, coefficients):
     """An induced map's matrix by the checked read: each representative's
     image at every tuple of the target, coefficient matrix times its value
-    at the tuple's images in ``elements``, its class read through the target
-    presentation's ``coordinates`` (for H^1, after the rebuild check)."""
+    at the tuple's images in ``elements``, tested by ``is_cocycle`` and its
+    class read through the target presentation's ``coordinates``."""
     if source.is_trivial:
         return ((),) * len(target.invariant_factors)
     coefficients = np.array(coefficients, dtype=object)
@@ -2065,13 +2243,14 @@ def pulled_back_classes(source, target, elements, coefficients):
         [x for ts in tuples for x in coefficients @ np.array(rep(*(elements[t] for t in ts)))]
         for rep in source.representatives
     ]
+    assert all(is_cocycle(Cochain(target.module, source.degree, tuple(c))) for c in columns)
     return tuple(map(tuple, target._presentation.coordinates(np.array(columns, dtype=object).T)))
 
 
 def test_induced_maps_read_the_images_at_x():
     # the image of a cocycle is a cocycle, so an induced map into H^1 reads
-    # its images at X of the target group only, with no rebuild; that read
-    # matches the checked read of the whole pull-back: restriction to every
+    # its images at X of the target group only, with no cocycle test; that
+    # read matches the checked read of the whole pull-back: restriction to every
     # subgroup generated by two elements (the cyclic ones among them) of the
     # named groups of order at most 24, and to order 12, inflation from
     # G/N and the G/N-action on H^1(N, M) for every normal subgroup N

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from test_cohomology import generator_rows
 from twistlgp import linalg
-from twistlgp.cohomology import _cohomology_cached, _differential_rows, _generator_ends
+from twistlgp.cohomology import _cohomology_cached, _differential_rows
 from twistlgp.gmodules import all_characters, mu_module, trivial_module
 from twistlgp.groups import cyclic, direct_product, quaternion, symmetric
 from twistlgp.linalg import (
@@ -369,7 +370,7 @@ def test_wide_fold_keeps_its_pivot_rows_in_the_narrow_basis(monkeypatch):
     module = trivial_module(group, [2])
     rows = [
         (list(map(int, row)), int(modulus))
-        for row, modulus in _differential_rows(group, module, 2, _generator_ends(group))
+        for row, modulus in generator_rows(group, module, 2)
     ]
     n = group.order**2
     block_bytes = linalg._BLOCK_ROWS * n * np.dtype(np.int64).itemsize
