@@ -52,9 +52,12 @@ and the j-th largest factor is the product of the j-th largest factors of
 these layers.  This holds for e < 2^31 (where ``factorize`` is complete)
 and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
 lifts to Z_p^*: every value is +-1 mod 2^k, or for p odd a (p-1)-th root of
-1 mod p^k.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a complex C of free
-Z_p-modules, and the universal coefficient theorem (Brown, *Cohomology of
-Groups*, ch. III) gives H^2(G, Z/p^i) = H^2(C)/p^i + H^3(C)[p^i].
+1 mod p^k.  Both are subgroups of the units, and on a cyclic p-part the
+corner entry of the action mod p^k is multiplicative, so the values at the
+generators X decide it.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a
+complex C of free Z_p-modules, and the universal coefficient theorem
+(Brown, *Cohomology of Groups*, ch. III) gives H^2(G, Z/p^i) = H^2(C)/p^i +
+H^3(C)[p^i].
 
 Cayley-graph coordinates.  Let T be the breadth-first spanning tree, rooted
 at 1, of the right Cayley graph of (G, X): an edge h -> hx for each h in G
@@ -571,7 +574,7 @@ def _rungs(group: FiniteGroup, module: GModule) -> tuple[int, ...] | None:
         return None
     powers = factorize(e)
     for p, k in powers.items():
-        q, values = p**k, [a[-1][-1] for a in module.action]
+        q, values = p**k, [module.action[x][-1][-1] for x in _generator_ends(group)]
         cyclic = module.rank == 1 or module.orders[-2] % p
         lifts = all(v % q in (1, q - 1) if p == 2 else pow(v, p - 1, q) == 1 for v in values)
         if k > 1 and not (cyclic and lifts):
@@ -653,9 +656,10 @@ class CohomologyMap:
 
     def kernel(self) -> tuple[tuple[int, ...], tuple[CohClass, ...]]:
         """Invariant factors and generators of the kernel subgroup."""
-        quot = self._kernel()
+        quot = self._kernel
         return quot.factors, tuple(CohClass(self.source, g) for g in quot.generators().T)
 
+    @cached_property
     def _kernel(self) -> LatticeQuotient:
         a, b = self.source.invariant_factors, self.target.invariant_factors
         return kernel_subgroup(a, [(self.matrix, b)])
@@ -663,11 +667,11 @@ class CohomologyMap:
     def image_invariants(self) -> tuple[int, ...]:
         """The image is the source modulo the kernel."""
         a = self.source.invariant_factors
-        return subquotient(a, lcm(*a), iter(()), self._kernel().generators()).factors
+        return subquotient(a, lcm(*a), iter(()), self._kernel.generators()).factors
 
     @property
     def is_injective(self) -> bool:
-        return self._kernel().is_trivial
+        return self._kernel.is_trivial
 
     @property
     def is_isomorphism(self) -> bool:
@@ -795,7 +799,14 @@ def sha_finite(
     family,
 ) -> CohomologyGroup:
     """Classes of H^1(G, M) restricting to zero on every subgroup in the
-    family: the finite-coefficient locally-trivial kernel."""
+    family: the finite-coefficient locally-trivial kernel.
+
+    Only one maximal member per conjugacy class is restricted to, the first
+    in the family's order.  Restriction to H factors through restriction to
+    any member containing H, so a class vanishing there vanishes on H; and
+    conjugation by g in G acts trivially on H^*(G, M) (Brown, *Cohomology of
+    Groups*, ch. III), so a class vanishes on H exactly when it vanishes on
+    g H g^-1.  The rows fed to the kernel keep the family's order."""
     family = list(family)
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
@@ -804,7 +815,13 @@ def sha_finite(
     h1 = cohomology(group, module, 1)
     factors, representatives = (), ()
     if not h1.is_trivial:
-        restrictions = [restriction(h1, sub) for sub in family]
+        sets, kept = [frozenset(sub.elements) for sub in family], []
+        for sub, inside in zip(family, sets):
+            if not any(inside < other for other in sets) and not any(
+                sub.elements in other.conjugates for other in kept
+            ):
+                kept.append(sub)
+        restrictions = [restriction(h1, sub) for sub in kept]
         maps = [(res.matrix, res.target.invariant_factors) for res in restrictions]
         quot = kernel_subgroup(h1.invariant_factors, maps)
         factors = quot.factors

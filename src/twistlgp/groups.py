@@ -318,12 +318,24 @@ class Subgroup:
             self.parent.element_order(a) == self.order for a in self.elements
         )
 
+    @cached_property
+    def conjugates(self) -> frozenset[tuple[int, ...]]:
+        """The element sets g H g^-1, sorted, for g in the parent: the orbit
+        of H, closed under conjugation by the parent's generators."""
+        G, table = self.parent, self.parent.mul_table
+        orbit, frontier = {self.elements}, [self.elements]
+        while frontier:
+            elems = frontier.pop()
+            for g in G.generators:
+                row, g_inv = table[g], G.inv(g)
+                image = tuple(sorted(table[row[h]][g_inv] for h in elems))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        return frozenset(orbit)
+
     def is_normal(self) -> bool:
-        G = self.parent
-        inside = set(self.elements)
-        return all(
-            G.conjugate(g, h) in inside for g in G.generators for h in self.elements
-        )
+        return len(self.conjugates) == 1
 
     @cached_property
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -544,6 +544,82 @@ def test_sha_finite_checks_the_family_whatever_h1():
             sha_finite(c4, trivial_module(c4, [m]), [foreign])
 
 
+def reduced_family(family):
+    """The first maximal member of each conjugacy class of the family, in the
+    family's order, found by conjugating with every element."""
+    kept = []
+    for sub in family:
+        inside, group = set(sub.elements), sub.parent
+        if any(inside < set(other.elements) for other in family):
+            continue
+        orbit = {frozenset(group.conjugate(g, h) for h in inside) for g in group.elements()}
+        if all(frozenset(other.elements) not in orbit for other in kept):
+            kept.append(sub)
+    return kept
+
+
+def test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch):
+    # over random families with duplicates, nested members, conjugates, G
+    # and {1}, sha_finite restricts to the reduced family alone, and finds
+    # the factors and representatives of the kernel of all the family's
+    # restrictions; so do the reduced family and the family with every
+    # conjugate and subgroup of its members added
+    rng = random.Random(32)
+    s4 = symmetric(4)
+    groups = [named_group(name) for name in NAMED_TO_24] + [
+        direct_product(s4, cyclic(2)),
+        direct_product(named_group("D4"), symmetric(3)),
+        direct_product(quaternion(), cyclic(4)),
+        direct_product(cyclic(4), cyclic(4), cyclic(2)),
+    ]
+    restricted, real = [], restriction
+    monkeypatch.setattr(
+        cohomology_module, "restriction", lambda h1, sub: restricted.append(sub) or real(h1, sub)
+    )
+    compared = nontrivial = dropped = 0
+    for group in groups:
+        pool = subgroups(group)
+        one, full = pool[0], pool[-1]
+        modules = [
+            mu_module(group, m, chi)
+            for m in (2, 3, 4, 6, 8, 12)
+            for chi in all_characters(group, m)
+        ]
+        modules += [trivial_module(group, [2, 2]), trivial_module(group, [2, 6])]
+        for module in rng.sample(modules, min(len(modules), 12)):
+            h1 = cohomology(group, module, 1)
+            source = rng.choice((pool, cyclic_subgroups(group)))
+            family = rng.sample(source, min(len(source), rng.randint(1, 6)))
+            family += [rng.choice(family) for _ in range(2)]  # duplicates
+            inner = [s for s in pool if set(s.elements) < set(family[0].elements)]
+            family += rng.sample(inner, min(len(inner), 1))  # a nested member
+            family += [Subgroup(group, rng.choice(sorted(family[1].conjugates)))]
+            family += [one] + [full] * (rng.random() < 0.2)
+            rng.shuffle(family)
+            kept = reduced_family(family)
+            dropped += len(family) - len(kept)
+            wider = family + [
+                Subgroup(group, elems)
+                for sub in pool
+                if any(set(sub.elements) <= set(member.elements) for member in family)
+                for elems in sorted(sub.conjugates)
+            ]
+            maps = [real(h1, sub) for sub in family]
+            reference = linalg.kernel_subgroup(
+                h1.invariant_factors, [(res.matrix, res.target.invariant_factors) for res in maps]
+            )
+            want = [tuple(h1.element(g).vector) for g in reference.generators().T]
+            for members in (family, kept, wider):
+                restricted.clear()
+                sha = sha_finite(group, module, members)
+                assert restricted == ([] if h1.is_trivial else reduced_family(members))
+                assert sha.invariant_factors == reference.factors
+                assert [rep.vector for rep in sha.representatives] == want
+            compared += 1
+            nontrivial += bool(reference.factors)
+    assert (compared, nontrivial, dropped) == (456, 61, 3021)
+
+
 def test_determinism():
     group = symmetric(3)
     module = trivial_module(group, [6])
@@ -1604,6 +1680,21 @@ def cayley_cases():
                 yield direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
 
 
+def test_rungs_read_the_character_at_x_alone(monkeypatch):
+    # the lifts are subgroups of the units and the corner entry is
+    # multiplicative on a cyclic p-part, so reading it at X decides as
+    # reading it at every element does, on every cayley_cases module
+    modules = list(cayley_cases())
+    at_x = [cohomology_module._rungs(module.group, module) for module in modules]
+    monkeypatch.setattr(cohomology_module, "_generator_ends", lambda group: tuple(group.elements()))
+    assert [cohomology_module._rungs(module.group, module) for module in modules] == at_x
+    declined = sum(
+        rungs is None and gcd(module.group.order, module.exponent) > 1
+        for module, rungs in zip(modules, at_x)
+    )
+    assert (len(modules), declined) == (814, 166)
+
+
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -2363,7 +2454,8 @@ def test_cayley_h1_ignores_labels_and_generating_set(monkeypatch):
 
 def test_cyclic_subgroups_are_built_once_per_group(monkeypatch):
     # sha_finite over the cyclic subgroups for every character of S3 x C2
-    # builds each subgroup's table once, not once per character
+    # builds the table of each member it restricts to (one maximal member
+    # per conjugacy class) once, not once per character, and no other
     group = direct_product(symmetric(3), cyclic(2))
     family = cyclic_subgroups(group)
     assert cyclic_subgroups(group) is family
@@ -2372,7 +2464,9 @@ def test_cyclic_subgroups_are_built_once_per_group(monkeypatch):
     for m in (2, 3, 4, 6):
         for chi in all_characters(group, m):
             sha_finite(group, mu_module(group, m, chi), cyclic_subgroups(group))
-    assert sorted(built) == sorted(sub.order for sub in family)
+    kept = reduced_family(family)
+    assert sorted(built) == sorted(sub.order for sub in kept)
+    assert [sub for sub in family if "as_group" in vars(sub)] == kept
 
 
 def inflated_cochains(h2, proj, module, embedding):

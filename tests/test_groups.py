@@ -182,6 +182,35 @@ def test_subgroup_list_closed_under_conjugation():
                 assert conj in subs
 
 
+def test_conjugates_are_the_orbit_under_every_element():
+    # on every subgroup of the named groups of order at most 24 and of the
+    # sha-wide benchmark's groups: the orbit closed under the generators is
+    # {g H g^-1 : g in G}, and is_normal() agrees with conjugating H by
+    # every element
+    names = [f"C{n}" for n in range(1, 25)] + [f"D{n}" for n in range(2, 13)] + ["Q8", "S3", "S4"]
+    s4, d4, q8 = symmetric(4), dihedral(4), quaternion()
+    groups = [named_group(name) for name in names] + [
+        direct_product(s4, cyclic(2)),
+        direct_product(d4, symmetric(3)),
+        direct_product(q8, cyclic(4)),
+        direct_product(cyclic(4), cyclic(4), cyclic(2)),
+    ]
+    checked = normal = 0
+    for group in groups:
+        for sub in subgroups(group):
+            brute = {
+                tuple(sorted(group.conjugate(g, h) for h in sub.elements))
+                for g in group.elements()
+            }
+            assert sub.conjugates == brute, sub
+            inside = set(sub.elements)
+            everywhere = all(group.conjugate(g, h) in inside for g in group.elements() for h in inside)
+            assert sub.is_normal() == everywhere, sub
+            checked += 1
+            normal += everywhere
+    assert (checked, normal) == (596, 274)
+
+
 def test_normality_and_quotient():
     s3 = symmetric(3)
     c3 = next(s for s in subgroups(s3) if s.order == 3)
