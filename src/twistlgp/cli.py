@@ -26,6 +26,7 @@ from .groups import (
     cyclic_subgroups,
     group_spec,
     is_json_int,
+    is_json_int_list,
 )
 from .lgp import Inconsistent, Instance, Verdict, decide, validate
 from .oracle import BudgetExceeded, OracleBudget, brute_h1, brute_h2
@@ -45,14 +46,10 @@ ALBERT_FIELDS = {f.name for f in fields(AlbertProfile)}
 INSTANCE_FIELDS = {f.name for f in fields(Instance)} - set(FLAG_NAMES) | {"flags"}
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(is_json_int(v) for v in value)
-
-
 def _parse_subgroups(value, group: FiniteGroup, field: str) -> list[Subgroup]:
     """A JSON list of element lists, each naming a subgroup of the group."""
     if not isinstance(value, list) or not all(
-        _is_int_list(elems) and all(0 <= x < group.order for x in elems) for elems in value
+        is_json_int_list(elems) and all(0 <= x < group.order for x in elems) for elems in value
     ):
         raise ParseError(field, f"must be a list of lists of group elements 0..{group.order - 1}")
     try:
@@ -87,7 +84,7 @@ def parse_instance(text: str) -> Instance:
     if g is not None and (not is_json_int(g) or g < 1):
         raise ParseError("g", "must be a positive integer")
     char_values = doc.get("character")
-    if char_values is not None and not _is_int_list(char_values):
+    if char_values is not None and not is_json_int_list(char_values):
         raise ParseError("character", "must be a list of integers")
     try:
         if char_values is None:
@@ -173,7 +170,7 @@ def _parse_module_arg(text: str, group: FiniteGroup) -> GModule:
         m, values = doc.get("m"), doc.get("character")
         if not is_json_int(m):
             raise ParseError("module", "m must be an integer")
-        if values is not None and not _is_int_list(values):
+        if values is not None and not is_json_int_list(values):
             raise ParseError("module", "character must be a list of integers")
         chi = (
             CyclotomicCharacter.trivial(group, m)
@@ -182,10 +179,10 @@ def _parse_module_arg(text: str, group: FiniteGroup) -> GModule:
         )
         return mu_module(group, m, chi)
     orders, action = doc.get("orders"), doc.get("action")
-    if not _is_int_list(orders):
+    if not is_json_int_list(orders):
         raise ParseError("module", "orders must be a list of integers")
     if not isinstance(action, dict) or not all(
-        isinstance(mat, list) and all(_is_int_list(row) for row in mat)
+        isinstance(mat, list) and all(is_json_int_list(row) for row in mat)
         for mat in (action.get(str(g)) for g in group.elements())
     ):
         raise ParseError("module", "action must map every group element to an integer matrix")

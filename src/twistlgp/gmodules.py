@@ -18,7 +18,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, Subgroup
+from .groups import FiniteGroup, GroupHom, Subgroup, _first_difference, _gather, _greedy_generators
 from .linalg import (
     diagonal_matrix,
     fixed_subgroup,
@@ -203,15 +203,21 @@ class CyclotomicCharacter:
         object.__setattr__(self, "values", vals)
         if len(vals) != self.group.order:
             raise BadCharacter("need one value per group element")
-        for g, v in enumerate(vals):
-            if gcd(v, self.m) != 1:
-                raise BadCharacter(f"value {v} at element {g} is not a unit mod {self.m}")
-        if vals[0] != 1 % self.m:
+        m = self.m
+        coprime = tuple(map(gcd, vals, itertools.repeat(m)))
+        if coprime.count(1) != len(vals):
+            g = next(g for g, c in enumerate(coprime) if c != 1)
+            raise BadCharacter(f"value {vals[g]} at element {g} is not a unit mod {m}")
+        if vals[0] != 1 % m:
             raise BadCharacter("the identity must map to 1")
+        # per generator x: chi(g x) against chi(g) chi(x), for all g
         for x in self.group.generators:
-            for g in self.group.elements():
-                if (vals[g] * vals[x]) % self.m != vals[self.group.mul(g, x)]:
-                    raise BadCharacter(f"values are not multiplicative at ({g}, {x})")
+            u = vals[x]
+            left = _gather(self.group._columns[x])(vals)
+            right = tuple(v * u % m for v in vals)
+            if left != right:
+                g = _first_difference(left, right)
+                raise BadCharacter(f"values are not multiplicative at ({g}, {x})")
 
     def __call__(self, g: int) -> int:
         return self.values[g]
@@ -242,10 +248,15 @@ def mu_module(group: FiniteGroup, m: int, character: CyclotomicCharacter) -> GMo
 def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...]:
     """Every homomorphism from the group into (Z/m)^*, sorted by value tuple.
     The generators reach every element, so each choice of their images that
-    is consistent defines a value everywhere."""
+    is consistent defines a value everywhere.  A generator x of order k can
+    only go to a unit u with u^k = 1, so only those are tried."""
     units = [u for u in range(m) if gcd(u, m) == 1]
+    choices = [
+        [u for u in units if pow(u, group.element_order(x), m) == 1 % m]
+        for x in group.generators
+    ]
     found = set()
-    for images in itertools.product(units, repeat=len(group.generators)):
+    for images in itertools.product(*choices):
         values = [None] * group.order
         values[0] = 1 % m
         frontier = [0]
@@ -287,12 +298,14 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
     """The fixed points under ker(proj) as a module over proj.target,
     together with the embedding into the parent module.
 
-    The kernel must act trivially on the fixed points by construction, so
-    the action of a coset is the action of any representative.
+    The points fixed by a greedy generating set of the kernel are the
+    kernel's fixed points.  The kernel acts trivially on them by
+    construction, so a coset acts as any of its representatives does.
     """
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
-    quot, embed = _fixed_points(module, proj.kernel_elements())
+    kernel = _greedy_generators(module.group, proj.kernel_elements())
+    quot, embed = _fixed_points(module, kernel)
     mats = [quot.coordinates(module.action_matrix(g) @ embed) for g in proj.section]
     return gmodule(proj.target, quot.factors, mats), embed
 

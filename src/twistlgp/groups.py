@@ -17,6 +17,23 @@ are deterministic too.
 
 Group, subgroup, normality and homomorphism axioms (and module and character
 axioms in ``gmodules``) are checked on the greedy generating set only.
+
+Checks and derived tables compare or gather whole rows with
+``operator.itemgetter`` and tuple or set operations, so Python loops run
+over rows or generators, not entries: ``build_group`` reads each row's set
+of entry types; ``FiniteGroup`` runs Light's test as one comparison of the
+rows (a x) with the rows a read at row x per generator x; ``GroupHom`` and
+``CyclotomicCharacter`` compare one gathered column per generator;
+``Subgroup`` reads each member's row at the members; ``quotient`` and
+``as_group`` gather rows at the coset representatives or the members.  A
+failing check names the first failure a per-entry loop would.  Subgroups
+built from given elements (declared, or a command-line family) are
+checked; ``subgroup_generated``, ``normal_closure``, ``subgroups`` and
+``cyclic_subgroups`` build ``_closure`` results, closed by construction,
+with ``Subgroup._unchecked``.  Every loop ends on any table: closures and
+orbits stop at a visited set, and the power walk behind element orders
+stops after |G| steps (x <- x g until x = 0 never ends on a table whose
+rows are permutations and whose columns are not).
 """
 
 from __future__ import annotations
@@ -25,6 +42,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
+from operator import itemgetter
 
 MAX_ORDER = 64
 
@@ -52,20 +71,24 @@ class FiniteGroup:
         table = self.mul_table
         if len(table) != n or any(len(row) != n for row in table):
             raise NotAGroup("multiplication table has wrong shape")
+        table = tuple(map(tuple, table))  # the row comparisons compare tuples
+        object.__setattr__(self, "mul_table", table)
         full = set(range(n))
         if any(set(row) != full for row in table):
             raise NotAGroup("multiplication table is not a Latin square")
-        for g in range(n):
-            if table[0][g] != g or table[g][0] != g:
-                raise NotAGroup("element 0 is not a two-sided identity")
+        identity = tuple(range(n))
+        if table[0] != identity or self._columns[0] != identity:
+            raise NotAGroup("element 0 is not a two-sided identity")
         # Light's test: the x with (a x) c == a (x c) for all a, c are closed
         # under products, so a generating set proves associativity, and a
         # finite monoid whose rows are permutations is a group.
         for x in self.generators:
-            for a, row in enumerate(table):
-                for c, xc in enumerate(table[x]):
-                    if table[row[x]][c] != row[xc]:
-                        raise NotAGroup(f"associativity fails at ({a}, {x}, {c})")
+            left = _gather(self._columns[x])(table)
+            right = tuple(map(_gather(table[x]), table))
+            if left != right:
+                a = _first_difference(left, right)
+                c = _first_difference(left[a], right[a])
+                raise NotAGroup(f"associativity fails at ({a}, {x}, {c})")
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -73,17 +96,41 @@ class FiniteGroup:
         earlier ones do not reach by right multiplication from 0.  A map that
         sends 0 to the identity and is multiplicative on the pairs (g, x), x in
         this set, is a homomorphism (induct on the word of the second factor)."""
-        gens: list[int] = []
-        span = {0}
-        for g in range(self.order):
-            if g not in span:
-                gens.append(g)
-                span = _closure(self, gens)
-        return tuple(gens)
+        return _greedy_generators(self, self.elements())
 
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
         return tuple(row.index(0) for row in self.mul_table)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column b is the map a -> a b."""
+        return tuple(zip(*self.mul_table))
+
+    @cached_property
+    def _conjugations(self) -> tuple[tuple[int, ...], ...]:
+        """For each generator g, the map h -> g h g^-1: column g^-1 read at
+        the entries of row g."""
+        table, columns = self.mul_table, self._columns
+        return tuple(_gather(table[g])(columns[self.inv(g)]) for g in self.generators)
+
+    @cached_property
+    def _powers(self) -> tuple[frozenset[int], ...]:
+        """<g> for each element g, walked once per cyclic subgroup and shared
+        with the powers g^j that generate it; its size is the order of g."""
+        table, n = self.mul_table, self.order
+        powers = [frozenset({0})] + [None] * (n - 1)
+        for g in range(1, n):
+            if powers[g] is None:
+                walk, x = [0], g
+                while x != 0 and len(walk) < n:
+                    walk.append(x)
+                    x = table[x][g]
+                span = frozenset(walk)
+                for j in range(1, len(walk)):
+                    if gcd(j, len(walk)) == 1:
+                        powers[walk[j]] = span
+        return tuple(powers)
 
     def elements(self) -> range:
         return range(self.order)
@@ -99,11 +146,7 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return len(self._powers[a])
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -112,14 +155,11 @@ class FiniteGroup:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return any(self.element_order(a) == self.order for a in self.elements())
+        return any(len(powers) == self.order for powers in self._powers)
 
     @cached_property
     def _cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        found = {_closure(self, [g]) for g in self.elements()}
-        return tuple(
-            Subgroup(self, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-        )
+        return _sorted_subgroups(self, set(self._powers))
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -237,6 +277,14 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_json_int_list(value) -> bool:
+    """A list of JSON integers.  When every entry has type int, as every
+    parsed JSON integer does, the set of entry types says so in C."""
+    return isinstance(value, list) and (
+        {int}.issuperset(map(type, value)) or all(map(is_json_int, value))
+    )
+
+
 def build_group(spec) -> FiniteGroup:
     """Build a group from the spec grammar.
 
@@ -265,9 +313,7 @@ def build_group(spec) -> FiniteGroup:
         order, rows = spec["order"], spec["table"]
         if not is_json_int(order):
             raise NotAGroup("table order must be an integer")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(is_json_int(x) for x in row) for row in rows
-        ):
+        if not isinstance(rows, list) or not all(map(is_json_int_list, rows)):
             raise NotAGroup("table must be a list of lists of integers")
         name = spec.get("name", f"table{order}")
         if not isinstance(name, str):
@@ -298,8 +344,21 @@ class Subgroup:
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] != 0:
             raise NotAGroup("subgroup must contain the identity")
-        if _closure(self.parent, elems) != set(elems):
+        if elems[-1] >= self.parent.order:
+            raise NotAGroup("generator outside the group")
+        table, inside, at_members = self.parent.mul_table, set(elems), _gather(elems)
+        if not all(inside.issuperset(at_members(table[a])) for a in elems):
             raise NotAGroup("subgroup not closed under multiplication")
+
+    @classmethod
+    def _unchecked(cls, parent: FiniteGroup, elements) -> "Subgroup":
+        """The subgroup with these elements, without the closure check: for a
+        ``_closure`` result, which is closed by construction.  The result is
+        the same value, with the same hash, as the checked one."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "elements", tuple(sorted(elements)))
+        return sub
 
     @property
     def order(self) -> int:
@@ -314,21 +373,18 @@ class Subgroup:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return any(
-            self.parent.element_order(a) == self.order for a in self.elements
-        )
+        return any(self.parent.element_order(a) == self.order for a in self.elements)
 
     @cached_property
     def conjugates(self) -> frozenset[tuple[int, ...]]:
         """The element sets g H g^-1, sorted, for g in the parent: the orbit
         of H, closed under conjugation by the parent's generators."""
-        G, table = self.parent, self.parent.mul_table
+        conjugations = self.parent._conjugations
         orbit, frontier = {self.elements}, [self.elements]
         while frontier:
-            elems = frontier.pop()
-            for g in G.generators:
-                row, g_inv = table[g], G.inv(g)
-                image = tuple(sorted(table[row[h]][g_inv] for h in elems))
+            at_members = _gather(frontier.pop())
+            for conjugation in conjugations:
+                image = tuple(sorted(at_members(conjugation)))
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
@@ -341,12 +397,10 @@ class Subgroup:
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as a standalone FiniteGroup plus the embedding
         (element i of the new group is self.elements[i] in the parent)."""
-        elems = self.elements
-        pos = {g: i for i, g in enumerate(elems)}
-        table = tuple(
-            tuple(pos[self.parent.mul(a, b)] for b in elems) for a in elems
-        )
-        sub = FiniteGroup(len(elems), table, name=f"{self.parent.name}|sub{len(elems)}")
+        elems, table = self.elements, self.parent.mul_table
+        at_members, position = _gather(elems), dict(zip(elems, range(len(elems))))
+        rows = tuple(_gather(at_members(table[a]))(position) for a in elems)
+        sub = FiniteGroup(len(elems), rows, name=f"{self.parent.name}|sub{len(elems)}")
         return sub, elems
 
     def __repr__(self):
@@ -376,15 +430,54 @@ def _closure(group: FiniteGroup, generators) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _gather(indices):
+    """Reads a sequence or mapping at ``indices`` as a tuple (``itemgetter``
+    alone returns a bare item for one index)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: tuple(values[i] for i in indices)
+
+
+def _first_difference(left, right) -> int:
+    return next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+
+
+def _greedy_generators(group: FiniteGroup, elements) -> tuple[int, ...]:
+    """Each of ``elements``, in order, that the earlier ones do not generate:
+    together they generate the subgroup that ``elements`` generate."""
+    gens: list[int] = []
+    span = {0}
+    for g in elements:
+        if g not in span:
+            gens.append(g)
+            span = _closure(group, gens)
+    return tuple(gens)
+
+
+def _sorted_subgroups(group: FiniteGroup, closures) -> tuple[Subgroup, ...]:
+    """``_closure`` results as subgroups, by order and then by elements."""
+    return tuple(
+        Subgroup._unchecked(group, s) for s in sorted(closures, key=lambda s: (len(s), sorted(s)))
+    )
+
+
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    return Subgroup(group, tuple(_closure(group, generators)))
+    return Subgroup._unchecked(group, _closure(group, generators))
 
 
 def normal_closure(group: FiniteGroup, elements) -> Subgroup:
-    """The smallest normal subgroup containing ``elements``: the subgroup
-    generated by all their conjugates."""
-    conjugates = {group.conjugate(g, x) for x in set(elements) for g in group.elements()}
-    return Subgroup(group, tuple(_closure(group, conjugates)))
+    """The smallest normal subgroup containing ``elements``: the closure of
+    their orbit under the generators' conjugation maps (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005)."""
+    orbit = set(elements)
+    if any(not 0 <= x < group.order for x in orbit):
+        raise NotAGroup("generator outside the group")
+    frontier = orbit
+    while frontier:
+        at_frontier = _gather(tuple(frontier))
+        frontier = set().union(*map(at_frontier, group._conjugations)) - orbit
+        orbit |= frontier
+    return Subgroup._unchecked(group, _closure(group, orbit))
 
 
 def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -404,9 +497,7 @@ def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
                     found[extended] = gens + (g,)
                     new.append(extended)
         frontier = new
-    return tuple(
-        Subgroup(group, tuple(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-    )
+    return _sorted_subgroups(group, found)
 
 
 def cyclic_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -423,18 +514,20 @@ class GroupHom:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.source.order:
+        images = self.images
+        if len(images) != self.source.order:
             raise ValueError("image list has wrong length")
-        if any(not 0 <= x < self.target.order for x in self.images):
+        if min(images) < 0 or max(images) >= self.target.order:
             raise ValueError("image outside the target group")
-        if self.images[0] != 0:
+        if images[0] != 0:
             raise ValueError("homomorphism must send identity to identity")
+        # per generator x: f(g x) against f(g) f(x), for all g
+        at_images, columns = _gather(images), self.target._columns
         for x in self.source.generators:
-            for g in self.source.elements():
-                lhs = self.images[self.source.mul(g, x)]
-                rhs = self.target.mul(self.images[g], self.images[x])
-                if lhs != rhs:
-                    raise ValueError(f"not a homomorphism at ({g}, {x})")
+            left = _gather(self.source._columns[x])(images)
+            right = at_images(columns[images[x]])
+            if left != right:
+                raise ValueError(f"not a homomorphism at ({_first_difference(left, right)}, {x})")
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -464,22 +557,16 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, GroupHo
         raise NotNormal("subgroup belongs to a different group")
     if not normal.is_normal():
         raise NotNormal(f"{normal!r} is not normal")
-    coset_of = {}
+    # in table order, each coset g N (row g read at N) is met at its least
+    table, at_normal = group.mul_table, _gather(normal.elements)
+    coset_of: dict[int, int] = {}
     reps = []
     for g in group.elements():
-        if g in coset_of:
-            continue
-        coset = sorted(group.mul(g, n) for n in normal.elements)
-        rep = coset[0]
-        reps.append(rep)
-        for x in coset:
-            coset_of[x] = rep
-    reps.sort()
-    idx = {rep: i for i, rep in enumerate(reps)}
-
-    def mul(a, b):
-        return idx[coset_of[group.mul(reps[a], reps[b])]]
-
-    q = FiniteGroup(len(reps), _table_from_mul(len(reps), mul), name=f"{group.name}/N")
-    proj = GroupHom(group, q, tuple(idx[coset_of[g]] for g in group.elements()))
-    return q, proj
+        if g not in coset_of:
+            coset_of.update(dict.fromkeys(at_normal(table[g]), len(reps)))
+            reps.append(g)
+    labels = _gather(group.elements())(coset_of)
+    at_reps = _gather(reps)
+    rows = tuple(_gather(at_reps(table[a]))(labels) for a in reps)
+    q = FiniteGroup(len(reps), rows, name=f"{group.name}/N")
+    return q, GroupHom(group, q, labels)

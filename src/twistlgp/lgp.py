@@ -64,7 +64,6 @@ from .groups import (
     normal_closure,
     quaternion,
     quotient,
-    subgroup_generated,
     symmetric,
 )
 
@@ -195,24 +194,33 @@ class _Failed:
 
 def _coprime_index_normal(group: FiniteGroup, subs, m: int) -> Subgroup | None:
     """The largest normal member of ``subs`` whose index in ``group`` is
-    prime to m (ties by elements), or None."""
-    fits = (s for s in subs if gcd(group.order // s.order, m) == 1 and s.is_normal())
-    return min(fits, key=lambda s: (-s.order, s.elements), default=None)
+    prime to m (ties by elements), or None: the first normal one, largest
+    first, so that later candidates build no conjugacy orbit."""
+    fits = sorted(
+        (s for s in subs if gcd(group.order // s.order, m) == 1),
+        key=lambda s: (-s.order, s.elements),
+    )
+    return next((s for s in fits if s.is_normal()), None)
 
 
 def _largest_coprime_normal(group: FiniteGroup, m: int) -> Subgroup:
     """O_{m'}(G), the largest normal subgroup of order coprime to m: the join
     of the normal closures <x^G> of order coprime to m.  (A product of
     normal subgroups of order coprime to m has order coprime to m.)  An x
-    whose order shares a prime with m lies in no such closure."""
-    inside = {0}
+    whose order shares a prime with m lies in no such closure.  The join
+    N found so far is normal, so <x^G> has order prime to m exactly when
+    N <x^G> does, and that product is the next join."""
+    hits: list[int] = []
+    joined = normal_closure(group, hits)
+    inside = set(joined.elements)
     for x in group.elements():
         if x in inside or gcd(group.element_order(x), m) != 1:
             continue  # <x^G> is joined already, or its order shares a prime with m
-        closure = normal_closure(group, [x])
-        if gcd(closure.order, m) == 1:
-            inside.update(closure.elements)
-    return subgroup_generated(group, inside)
+        candidate = normal_closure(group, [*hits, x])
+        if gcd(candidate.order, m) == 1:
+            hits.append(x)
+            joined, inside = candidate, set(candidate.elements)
+    return joined
 
 
 def _check_c0(instance: Instance) -> dict:

@@ -640,3 +640,22 @@ def test_verify_paper_json_matches_the_recorded_output():
         capture_output=True, env=env, check=True,
     )
     assert run.stdout == (root / "data" / "verify_paper.json").read_bytes()
+
+
+def test_decide_json_matches_the_recorded_output():
+    # ``python -m twistlgp decide tests/data/instances --json`` from the
+    # root of the checkout, byte for byte against
+    # tests/data/decide_instances.json; the documents are the decide-batch
+    # benchmark's, each group written as its table, and some are UNKNOWN,
+    # so the exit status is 2
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root.parent / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "twistlgp", "decide", "tests/data/instances", "--json"],
+        capture_output=True, env=env, cwd=root.parent,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == (root / "data" / "decide_instances.json").read_bytes()

@@ -1,11 +1,14 @@
 import itertools
+from math import gcd
 
+import numpy as np
 import pytest
 
 from twistlgp.gmodules import (
     BadCharacter,
     CyclotomicCharacter,
     GModule,
+    _fixed_points,
     all_characters,
     descend_to_quotient,
     gmodule,
@@ -17,14 +20,17 @@ from twistlgp.gmodules import (
 from twistlgp.groups import (
     Subgroup,
     cyclic,
+    dihedral,
     direct_product,
     named_group,
+    quaternion,
     quotient,
     subgroup_generated,
     subgroups,
     symmetric,
 )
 from twistlgp.linalg import fixed_subgroup, identity_matrix
+from twistlgp.verify import SMALL_CATALOG, _small_group
 
 
 def brute_fixed_points(module):
@@ -258,3 +264,109 @@ def test_fixed_submodule_under_subset():
     _, proj = quotient(s3, Subgroup(s3, (0,)))
     sub, _ = descend_to_quotient(module, proj)
     assert sub.orders == (3,)  # nothing is imposed by the identity
+
+
+def reference_all_characters(group, m):
+    """all_characters offering every unit to every generator."""
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    found = set()
+    for images in itertools.product(units, repeat=len(group.generators)):
+        values = [None] * group.order
+        values[0] = 1 % m
+        frontier, ok = [0], True
+        while frontier and ok:
+            x = frontier.pop()
+            for g, u in zip(group.generators, images):
+                y, v = group.mul(x, g), (values[x] * u) % m
+                if values[y] is None:
+                    values[y] = v
+                    frontier.append(y)
+                elif values[y] != v:
+                    ok = False
+                    break
+        if ok:
+            found.add(tuple(values))
+    return tuple(CyclotomicCharacter(group, m, vals) for vals in sorted(found))
+
+
+def test_all_characters_offer_each_generator_the_units_of_its_order():
+    # a generator of order k goes to a unit u with u^k = 1, so the other
+    # units can be left out without losing a character
+    for name in SMALL_CATALOG:
+        group = _small_group(name)
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12):
+            assert all_characters(group, m) == reference_all_characters(group, m), (name, m)
+
+
+def reference_descend(module, proj):
+    """descend_to_quotient reading the fixed points under every kernel
+    element."""
+    quot, embed = _fixed_points(module, proj.kernel_elements())
+    mats = [quot.coordinates(module.action_matrix(g) @ embed) for g in proj.section]
+    return gmodule(proj.target, quot.factors, mats), embed
+
+
+def rank2_modules(group):
+    """Z/4 + Z/4 with g acting by P diag(chi_1(g), chi_2(g)) P^-1, P a
+    shear, and Z/3 + Z/9 with g acting by diag(chi(g) mod 3, chi(g) mod 9)."""
+    mu4, mu9 = all_characters(group, 4), all_characters(group, 9)
+    for chi1, chi2 in [(mu4[0], mu4[-1]), (mu4[-1], mu4[len(mu4) // 2])]:
+        action = [[[a, (b - a) % 4], [0, b]] for a, b in zip(chi1.values, chi2.values)]
+        yield gmodule(group, [4, 4], action)
+    for chi in (mu9[-1], mu9[len(mu9) // 2]):
+        yield gmodule(group, [3, 9], [[[v % 3, 0], [0, v]] for v in chi.values])
+
+
+DESCEND_GROUPS = [
+    symmetric(3),
+    dihedral(4),
+    quaternion(),
+    direct_product(cyclic(2), cyclic(2), cyclic(2)),
+    # the sha-wide benchmark groups
+    symmetric(4),
+    direct_product(quaternion(), cyclic(4)),
+    direct_product(cyclic(4), cyclic(4), cyclic(2)),
+    direct_product(dihedral(4), symmetric(3)),
+    direct_product(symmetric(4), cyclic(2)),
+]
+
+
+def column_span(embed, orders):
+    """The subgroup of the module that the embedding's columns generate."""
+    columns = [tuple(int(x) for x in col) for col in np.asarray(embed).T]
+    span, frontier = {tuple(0 for _ in orders)}, [tuple(0 for _ in orders)]
+    while frontier:
+        x = frontier.pop()
+        for col in columns:
+            y = tuple((a + b) % d for a, b, d in zip(x, col, orders))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def test_descend_reads_a_generating_set_of_the_kernel():
+    # the fixed points of a generating set of ker(proj) are the kernel's
+    # fixed points: the descended module does not move, nor does a rank-1
+    # embedding; a rank-2 embedding may come out in another basis of the
+    # same fixed subgroup (15 of these 620 do, all Z/4 + Z/4 shears)
+    cases = {1: 0, 2: 0}
+    moved = 0
+    for group in DESCEND_GROUPS:
+        modules = [mu_module(group, m, chi) for m in (3, 4, 6) for chi in all_characters(group, m)[:4]]
+        modules += list(rank2_modules(group))
+        for normal in subgroups(group):
+            if not normal.is_normal():
+                continue
+            _, proj = quotient(group, normal)
+            for module in modules:
+                got, got_embed = descend_to_quotient(module, proj)
+                want, want_embed = reference_descend(module, proj)
+                assert got == want, (group.name, normal, module)
+                cases[module.rank] += 1
+                if np.array_equal(got_embed, want_embed):
+                    continue
+                assert module.rank == 2, (group.name, normal, module)
+                assert column_span(got_embed, module.orders) == column_span(want_embed, module.orders)
+                moved += 1
+    assert cases == {1: 1818, 2: 620} and moved == 15

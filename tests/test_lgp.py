@@ -1,5 +1,6 @@
 import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -537,3 +538,54 @@ def test_largest_coprime_normal_by_enumeration():
             largest = max(s.order for s in coprime)
             (expected,) = [s for s in coprime if s.order == largest]
             assert lgp._largest_coprime_normal(group, m) == expected, (name, m)
+
+
+# decide-batch's documents (see tests/data/instances)
+INSTANCES = Path(__file__).resolve().parent / "data" / "instances"
+
+
+def instance_groups():
+    """The distinct groups of the instance documents."""
+    found = {}
+    for path in sorted(INSTANCES.glob("*.json")):
+        group = groups.build_group(json.loads(path.read_text())["group"])
+        found.setdefault(group.mul_table, group)
+    return list(found.values())
+
+
+def reference_coprime_index_normal(group, subs, m):
+    """Every candidate's normality tested, then the minimum taken."""
+    fits = (s for s in subs if gcd(group.order // s.order, m) == 1 and s.is_normal())
+    return min(fits, key=lambda s: (-s.order, s.elements), default=None)
+
+
+def reference_largest_coprime_normal(group, m):
+    """The union of the normal closures <x^G> of order prime to m, one
+    closure per element not yet in the union, then the subgroup it
+    generates."""
+    inside = {0}
+    for x in group.elements():
+        if x in inside or gcd(group.element_order(x), m) != 1:
+            continue
+        closure = groups.normal_closure(group, [x])
+        if gcd(closure.order, m) == 1:
+            inside.update(closure.elements)
+    return subgroup_generated(group, inside)
+
+
+def test_coprime_normal_searches_match_their_reference_forms():
+    # C6 stops at the first normal candidate, largest first, and C5 grows
+    # one join; both find what testing every candidate finds
+    found = 0
+    instances = instance_groups()
+    assert len(instances) == 12
+    for group in instances:
+        lattice = subgroups(group)
+        families = [lattice, groups.cyclic_subgroups(group), lattice[::3]]
+        for m in range(1, 13):
+            for subs in families:
+                got = lgp._coprime_index_normal(group, subs, m)
+                assert got == reference_coprime_index_normal(group, subs, m), (group.name, m)
+                found += got is not None
+            assert lgp._largest_coprime_normal(group, m) == reference_largest_coprime_normal(group, m)
+    assert found > 300
