@@ -252,10 +252,12 @@ def cmd_decide(args) -> int:
     return 2 if 2 in codes else 0
 
 
+def _shape(factors) -> str:
+    return " x ".join(f"Z/{d}" for d in factors) if factors else "trivial"
+
+
 def _render_cohomology(payload: dict) -> None:
-    factors = payload["invariant_factors"]
-    shape = " x ".join(f"Z/{d}" for d in factors) if factors else "trivial"
-    print(f"H^{payload['degree']} = {shape}")
+    print(f"H^{payload['degree']} = {_shape(payload['invariant_factors'])}")
     oracle = payload.get("oracle")
     if oracle is not None:
         if "skipped" in oracle:
@@ -312,9 +314,7 @@ def cmd_sha(args) -> int:
     payload["family"] = [list(sub.elements) for sub in family]
 
     def render(p):
-        factors = p["invariant_factors"]
-        shape = " x ".join(f"Z/{d}" for d in factors) if factors else "trivial"
-        print(f"locally trivial kernel = {shape}")
+        print(f"locally trivial kernel = {_shape(p['invariant_factors'])}")
         print(f"family: {p['family']}")
 
     _emit(payload, args.json, render)

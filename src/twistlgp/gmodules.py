@@ -1,10 +1,17 @@
 """Finite abelian groups with an action of a finite group.
 
 A module is presented as Z/d_1 + ... + Z/d_r with d_1 | d_2 | ... (invariant
-factors, unit factors dropped); construction renormalizes any presentation to
-this canonical form via Smith normal form, so equal modules compare equal.
-Elements are coordinate tuples, coordinate i reduced mod d_i.  Each group
-element acts by an integer matrix stored with entry (i, j) reduced mod d_i.
+factors, unit factors dropped), so equal modules compare equal.  Elements
+are coordinate tuples, coordinate i reduced mod d_i.  Each group element acts
+by an integer matrix stored with entry (i, j) reduced mod d_i.
+
+There is one checked construction path: ``GModule`` checks an action as one
+(|G|, r, r) array.  ``gmodule`` brings any presentation to canonical form
+with one Smith form and hands it to ``GModule``.  ``descend_to_quotient``
+calls ``GModule`` directly: a lattice quotient's factors are already a
+divisibility chain without 1s, so that Smith form would do nothing.  mu_m,
+trivial and restricted modules are canonical actions by construction and
+skip the check through ``GModule._unchecked``.
 
 Roots of unity are written additively: mu_m is Z/m and a group acts through
 a character into the units of Z/m.
@@ -19,12 +26,7 @@ from math import gcd, prod
 import numpy as np
 
 from .groups import FiniteGroup, GroupHom, Subgroup, _first_difference, _gather, _greedy_generators
-from .linalg import (
-    diagonal_matrix,
-    fixed_subgroup,
-    int_matrix,
-    smith_normal_form,
-)
+from .linalg import diagonal_matrix, fixed_subgroup, int_matrix, smith_normal_form
 
 ModuleElement = tuple[int, ...]
 
@@ -35,12 +37,29 @@ class BadCharacter(ValueError):
     pass
 
 
+def _stack(action, r: int) -> tuple[np.ndarray, bool]:
+    """The matrices before the first one that is not r x r, as one (n, r, r)
+    object array, and whether there was none: a loop over the matrices in
+    turn meets the entries of those first."""
+    shaped = [len(mat) == r and all(len(row) == r for row in mat) for mat in action]
+    n = shaped.index(False) if False in shaped else len(shaped)
+    return np.array(action[:n], dtype=object).reshape(n, r, r), n == len(shaped)
+
+
+def _ill_defined(a: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Where entry (i, j) does not map Z/d_j into Z/d_i: e d_j != 0 mod d_i."""
+    return a * orders % orders[:, None] != 0
+
+
 @dataclass(frozen=True)
 class GModule:
     """Use the ``gmodule`` factory; the constructor insists on canonical form
-    and checks that the matrices are an action.  ``_unchecked`` skips both
-    checks, for fields that are canonical and an action by construction;
-    the result is the same value, with the same hash, as the checked one."""
+    and checks that the matrices are an action, as one array: shapes, then
+    the first entry in (g, i, j) order that is unreduced or ill defined, the
+    identity, and action[g x] == action[g] action[x] for each generator x.
+    ``_unchecked`` skips the checks, for fields that are canonical and an
+    action by construction; the result is the same value, with the same
+    hash, as the checked one."""
 
     group: FiniteGroup
     orders: tuple[int, ...]
@@ -48,44 +67,30 @@ class GModule:
 
     def __post_init__(self):
         orders = self.orders
-        r = len(orders)
         if any(d < 2 for d in orders):
             raise ValueError("orders must be >= 2 in canonical form")
-        for a, b in zip(orders, orders[1:]):
-            if b % a != 0:
-                raise ValueError("orders must form a divisibility chain")
+        if any(b % a for a, b in zip(orders, orders[1:])):
+            raise ValueError("orders must form a divisibility chain")
         if len(self.action) != self.group.order:
             raise ValueError("need one action matrix per group element")
-        for g, mat in enumerate(self.action):
-            if len(mat) != r or any(len(row) != r for row in mat):
-                raise ValueError("action matrix has wrong shape")
-            for i in range(r):
-                for j in range(r):
-                    entry = mat[i][j]
-                    if not 0 <= entry < orders[i]:
-                        raise ValueError("entries must be reduced mod the row order")
-                    if (entry * orders[j]) % orders[i] != 0:
-                        raise ValueError(
-                            f"action of {g} is not well defined on the module"
-                        )
-        ident = self.action[0]
-        for i in range(r):
-            for j in range(r):
-                if ident[i][j] != (1 if i == j else 0):
-                    raise ValueError("identity must act trivially")
+        a, shaped = _stack(self.action, len(orders))
+        col = np.array(orders, dtype=object)
+        unreduced = (a < 0) | (a >= col[:, None])
+        bad = unreduced | _ill_defined(a, col)
+        if bad.any():
+            g, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            if unreduced[g, i, j]:
+                raise ValueError("entries must be reduced mod the row order")
+            raise ValueError(f"action of {g} is not well defined on the module")
+        if not shaped:
+            raise ValueError("action matrix has wrong shape")
+        if not np.array_equal(a[0], np.identity(len(orders), dtype=object)):
+            raise ValueError("identity must act trivially")
         for x in self.group.generators:
-            for g in self.group.elements():
-                gx = self.group.mul(g, x)
-                for i in range(r):
-                    for j in range(r):
-                        acc = sum(
-                            self.action[g][i][k] * self.action[x][k][j]
-                            for k in range(r)
-                        )
-                        if acc % orders[i] != self.action[gx][i][j]:
-                            raise ValueError(
-                                f"action matrices incompatible at ({g}, {x})"
-                            )
+            # row g: action[g] action[x] against action[g x]
+            wrong = (a @ a[x] % col[:, None] != a[list(self.group._columns[x])]).any(axis=(1, 2))
+            if wrong.any():
+                raise ValueError(f"action matrices incompatible at ({np.argmax(wrong)}, {x})")
 
     @classmethod
     def _unchecked(cls, group: FiniteGroup, orders, action) -> "GModule":
@@ -144,35 +149,28 @@ def gmodule(group: FiniteGroup, orders, action) -> GModule:
     """Build a module, renormalizing the presentation to canonical form.
 
     ``orders`` may be any list of positive integers and ``action`` any
-    compatible integer matrices; the result has a divisibility chain with
-    unit factors dropped and the action conjugated accordingly.
+    compatible integer matrices, as lists or arrays; the result has a
+    divisibility chain with unit factors dropped and the action conjugated
+    accordingly.  Entries are read as Python ints before any product, and
+    the input is checked to be well defined before its unit factors, and
+    their entries, are dropped.
     """
     orders = [int(d) for d in orders]
     if any(d < 1 for d in orders):
         raise ValueError("orders must be positive")
-    r = len(orders)
-    mats = [int_matrix(m) if not isinstance(m, np.ndarray) else m for m in action]
+    mats = [int_matrix(m) for m in action]
     if len(mats) != group.order:
         raise ValueError("need one action matrix per group element")
-    for mat in mats:
-        if mat.shape != (r, r):
-            raise ValueError("action matrix has wrong shape")
-        for i in range(r):
-            for j in range(r):
-                if (mat[i, j] * orders[j]) % orders[i] != 0:
-                    raise ValueError("action is not well defined on the module")
+    a, shaped = _stack(mats, len(orders))
+    if _ill_defined(a, np.array(orders, dtype=object)).any():
+        raise ValueError("action is not well defined on the module")
+    if not shaped:
+        raise ValueError("action matrix has wrong shape")
     snf = smith_normal_form(diagonal_matrix(orders))
-    new_orders = list(snf.diagonal)
-    keep = [i for i, d in enumerate(new_orders) if d != 1]
-    final_orders = tuple(new_orders[i] for i in keep)
-    new_action = []
-    for mat in mats:
-        conj = snf.u @ mat @ snf.u_inv
-        reduced = tuple(
-            tuple(int(conj[i, j]) % new_orders[i] for j in keep) for i in keep
-        )
-        new_action.append(reduced)
-    return GModule(group=group, orders=final_orders, action=tuple(new_action))
+    keep = [i for i, d in enumerate(snf.diagonal) if d != 1]
+    factors = tuple(snf.diagonal[i] for i in keep)
+    conj = snf.u[keep] @ a @ snf.u_inv[:, keep] % np.array(factors, dtype=object).reshape(-1, 1)
+    return GModule(group, factors, tuple(tuple(map(tuple, mat)) for mat in conj.tolist()))
 
 
 def trivial_module(group: FiniteGroup, orders) -> GModule:
@@ -279,35 +277,32 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
     )
 
 
-def _fixed_points(module: GModule, elements):
-    """The fixed points under the given elements, {x : (action[g] - 1) x == 0},
-    as a lattice quotient (its generators lift them to Z^r), with the
-    embedding: one column per generator, reduced mod the module orders."""
-    quot = fixed_subgroup(module.orders, [module.action[g] for g in elements])
-    return quot, quot.generators() % np.array(module.orders, dtype=object).reshape(-1, 1)
-
-
 def invariants(module: GModule) -> GModule:
     """The fixed submodule M^G as a module with trivial action: the points
-    the generators fix, which every element fixes."""
-    quot, _ = _fixed_points(module, module.group.generators)
-    return trivial_module(module.group, quot.factors)
+    the generators fix, which every element fixes.  Only the factors are
+    read, so no embedding is built."""
+    fixed = fixed_subgroup(module.orders, [module.action[g] for g in module.group.generators])
+    return trivial_module(module.group, fixed.factors)
 
 
 def descend_to_quotient(module: GModule, proj: GroupHom):
     """The fixed points under ker(proj) as a module over proj.target,
-    together with the embedding into the parent module.
+    together with the embedding into the parent module: one column per
+    generator of the fixed points, reduced mod the module orders.
 
     The points fixed by a greedy generating set of the kernel are the
     kernel's fixed points.  The kernel acts trivially on them by
-    construction, so a coset acts as any of its representatives does.
+    construction, so a coset acts as any of its representatives does.  The
+    factors and coordinates of the fixed points are already canonical, so
+    ``GModule`` checks them as they are.
     """
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
     kernel = _greedy_generators(module.group, proj.kernel_elements())
-    quot, embed = _fixed_points(module, kernel)
-    mats = [quot.coordinates(module.action_matrix(g) @ embed) for g in proj.section]
-    return gmodule(proj.target, quot.factors, mats), embed
+    quot = fixed_subgroup(module.orders, [module.action[g] for g in kernel])
+    embed = quot.generators() % np.array(module.orders, dtype=object).reshape(-1, 1)
+    mats = (quot.coordinates(module.action_matrix(g) @ embed).tolist() for g in proj.section)
+    return GModule(proj.target, quot.factors, tuple(tuple(map(tuple, mat)) for mat in mats)), embed
 
 
 def restrict_module(module: GModule, subgroup: Subgroup) -> GModule:

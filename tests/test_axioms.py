@@ -10,12 +10,15 @@ every constructor and closure must end on every table, group or not."""
 
 import collections
 import contextlib
+import copy
 import itertools
 import random
+import re
 import signal
 from math import gcd
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from twistlgp.gmodules import (
@@ -23,6 +26,7 @@ from twistlgp.gmodules import (
     CyclotomicCharacter,
     GModule,
     all_characters,
+    gmodule,
 )
 from twistlgp.groups import (
     MAX_ORDER,
@@ -43,6 +47,7 @@ from twistlgp.groups import (
     subgroups,
     symmetric,
 )
+from twistlgp.linalg import diagonal_matrix, int_matrix, smith_normal_form
 
 
 def ref_is_group(n, table):
@@ -105,6 +110,69 @@ def ref_is_action(group, orders, action):
                     if acc % orders[i] != action[gh][i][j]:
                         return False
     return True
+
+
+def ref_action_error(group, orders, action):
+    """The message of the first failure of the per-entry loops that
+    ``GModule`` ran, or None: canonical orders, one matrix per element, then
+    matrix by matrix its shape and its entries (reduced, then well defined),
+    the identity, and one (g, x) at a time for each generator x."""
+    r = len(orders)
+    if any(d < 2 for d in orders):
+        return "orders must be >= 2 in canonical form"
+    if any(b % a for a, b in zip(orders, orders[1:])):
+        return "orders must form a divisibility chain"
+    if len(action) != group.order:
+        return "need one action matrix per group element"
+    for g, mat in enumerate(action):
+        if len(mat) != r or any(len(row) != r for row in mat):
+            return "action matrix has wrong shape"
+        for i in range(r):
+            for j in range(r):
+                if not 0 <= mat[i][j] < orders[i]:
+                    return "entries must be reduced mod the row order"
+                if mat[i][j] * orders[j] % orders[i]:
+                    return f"action of {g} is not well defined on the module"
+    if any(action[0][i][j] != (i == j) for i in range(r) for j in range(r)):
+        return "identity must act trivially"
+    for x in group.generators:
+        for g in group.elements():
+            gx = group.mul(g, x)
+            for i in range(r):
+                for j in range(r):
+                    acc = sum(action[g][i][k] * action[x][k][j] for k in range(r))
+                    if acc % orders[i] != action[gx][i][j]:
+                        return f"action matrices incompatible at ({g}, {x})"
+    return None
+
+
+def ref_gmodule_error(group, orders, action):
+    """The same for ``gmodule``: its own loops on the input, one conjugated
+    matrix at a time, then ``ref_action_error`` on the canonical form."""
+    orders = [int(d) for d in orders]
+    if any(d < 1 for d in orders):
+        return "orders must be positive"
+    try:
+        mats = [int_matrix(m) for m in action]
+    except ValueError as exc:
+        return str(exc)
+    r = len(orders)
+    if len(mats) != group.order:
+        return "need one action matrix per group element"
+    for mat in mats:
+        if mat.shape != (r, r):
+            return "action matrix has wrong shape"
+        if any(mat[i, j] * orders[j] % orders[i] for i in range(r) for j in range(r)):
+            return "action is not well defined on the module"
+    snf = smith_normal_form(diagonal_matrix(orders))
+    keep = [i for i, d in enumerate(snf.diagonal) if d != 1]
+    canonical = []
+    for mat in mats:
+        conj = snf.u @ mat @ snf.u_inv
+        canonical.append(tuple(
+            tuple(int(conj[i, j]) % snf.diagonal[i] for j in keep) for i in keep
+        ))
+    return ref_action_error(group, tuple(snf.diagonal[i] for i in keep), canonical)
 
 
 def ref_is_character(group, m, values):
@@ -415,6 +483,74 @@ def test_module_actions_match_the_all_pairs_reference():
                     mismatches.append((group.name, variant))
     assert mismatches == []
     assert tried > 200
+
+
+def action_corruptions(group, orders, action, rng):
+    """The action and its corruptions, as lists: an entry set to a value
+    that may be unreduced or ill defined, at the identity or elsewhere, a
+    row or a matrix cut short (after an entry corrupted earlier, half the
+    time), a lower-left entry 1, a matrix too many or too few, and a shear
+    on a coset."""
+    r = len(orders)
+    base = [[list(row) for row in mat] for mat in action]
+    variants = [base, base[:-1], base + [base[0]]]
+    for g in range(group.order):
+        changed = copy.deepcopy(base)
+        if r:
+            i, j = rng.randrange(r), rng.randrange(r)
+            changed[g][i][j] = rng.choice([-1, orders[i], rng.randrange(orders[i])])
+        variants.append(changed)
+        cut = copy.deepcopy(changed if rng.random() < 0.5 else base)
+        h = rng.randrange(g, group.order)
+        if r and rng.random() < 0.5:
+            cut[h][rng.randrange(r)].pop()
+        else:
+            cut[h] = cut[h][:-1] if r else [[1]]
+        variants.append(cut)
+        if r > 1:  # ill defined unless the first and last orders agree
+            changed = copy.deepcopy(base)
+            changed[g][-1][0] = 1
+            variants.append(changed)
+    for coset in coset_corruptions(group) if r else ():
+        changed = copy.deepcopy(base)
+        for g in coset:
+            changed[g][0] = [(a + b) % orders[0] for a, b in zip(changed[g][0], changed[g][-1])]
+        variants.append(changed)
+    return variants
+
+
+def test_module_checks_name_the_first_failure_of_the_entry_loops():
+    # GModule on the tuples, gmodule on the lists and, where each matrix is
+    # square, on int64 arrays: the message each loop named first
+    rng = random.Random(34)
+    kinds = collections.Counter()
+    for group in SMALL[:30]:
+        modules = [((), [()] * group.order)]
+        for m in (3, 4):
+            chi = rng.choice(all_characters(group, m))
+            modules.append(((m,), [((v,),) for v in chi.values]))
+        mu9 = rng.choice(all_characters(group, 9)).values
+        modules.append(((3, 9), [((v % 3, 0), (0, v)) for v in mu9]))
+        # not canonical: GModule refuses the orders, gmodule drops or merges
+        # factors, and an ill-defined entry at the unit factor is lost unless
+        # the input is checked
+        modules.append(((1, 9), [((1, 0), (0, v)) for v in mu9]))
+        modules.append(((2, 9), [((1, 0), (0, v)) for v in mu9]))
+        modules += [((4, 4), action) for action in itertools.islice(rank2_actions(group, rng), 1)]
+        for orders, action in modules:
+            for variant in action_corruptions(group, orders, action, rng):
+                where = (group.name, orders, variant)
+                frozen = tuple(tuple(map(tuple, mat)) for mat in variant)
+                want = ref_action_error(group, orders, frozen)
+                assert error_of(lambda: GModule(group, orders, frozen)) == want, where
+                kinds[re.sub(r"\d+", "N", str(want))] += 1
+                want = ref_gmodule_error(group, orders, variant)
+                assert error_of(lambda: gmodule(group, orders, variant)) == want, where
+                kinds["gmodule: " + re.sub(r"\d+", "N", str(want))] += 1
+                if all(mat and all(len(row) == len(mat) for row in mat) for mat in variant):
+                    arrays = [np.array(mat, dtype=np.int64) for mat in variant]
+                    assert error_of(lambda: gmodule(group, orders, arrays)) == want, where
+    assert min(kinds.values()) >= 20 and len(kinds) == 16, sorted(kinds.items())
 
 
 CATALOG_64 = (

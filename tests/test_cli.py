@@ -484,6 +484,35 @@ def test_a_rank_zero_module_spec_is_the_zero_module(capsys):
     assert capsys.readouterr().err == "error: action matrix has wrong shape\n"
 
 
+NOT_AN_ACTION = [
+    ("C3", {"orders": [3], "action": {"0": [[1]], "1": [[2]], "2": [[1]]}},
+     "action matrices incompatible at (2, 1)"),
+    ("C2", {"orders": [2, 4], "action": {"0": [[1, 0], [0, 1]], "1": [[1, 0], [1, 1]]}},
+     "action is not well defined on the module"),
+]
+
+
+@pytest.mark.parametrize("group, module, message", NOT_AN_ACTION)
+def test_a_module_that_is_not_an_action_is_refused_by_name(group, module, message, capsys):
+    spec = json.dumps(module)
+    for command in (["cohomology", "--degree", "1"], ["sha"]):
+        assert main([*command, "--group", group, "--module", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+    # python -O strips assert statements: the check must not be one
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root.parent / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "twistlgp", "cohomology", "--group", group,
+         "--module", spec, "--degree", "1"],
+        capture_output=True, env=env,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (1, b"", f"error: {message}\n".encode())
+
+
 def test_a_misspelled_spec_key_is_named(tmp_path, capsys):
     # a key outside its form's grammar was ignored: "charcter" gave the
     # trivial character's H^0 = Z/6 instead of Z/2
