@@ -514,6 +514,25 @@ def _cayley_h1(group: FiniteGroup, module: GModule) -> _CayleyH1:
     return _CayleyH1(quotient, reads, _edge_sums(paths, action) % moduli)
 
 
+@lru_cache(maxsize=None)
+def _cayley_translates(group: FiniteGroup, ends: tuple[int, ...]) -> np.ndarray:
+    """T_g for each g in X = ``ends``, stacked: row z of T_g holds the
+    coefficients of the translate gz of the fundamental cycle z at the edges
+    outside the tree, one column for the edge of each cycle (``_cayley_tree``).
+    gz holds at the edge (h, x) the coefficient of z at (g^-1 h, x).  Every
+    entry is 0 or +-1, so the stack is int8, and read only: the cache keeps it
+    for every caller."""
+    nx = len(ends)
+    paths, cycles = _cayley_tree(group, ends)
+    # the one edge h -> hx outside the tree that each cycle holds, as (h, place of x)
+    outside = np.flatnonzero(~paths.any(axis=0))
+    own_h, own_x = divmod(outside[np.nonzero(cycles[:, outside])[1]], nx)
+    back = _table(group)[[group.inv(g) for g in ends]][:, own_h] * nx + own_x
+    translates = np.ascontiguousarray(cycles[:, back].transpose(1, 0, 2))
+    translates.flags.writeable = False
+    return translates
+
+
 def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
     """H^2(G, M / dM) as one subquotient of Z^(r (|G| (|X| - 1) + 1)) in
     Cayley-graph coordinates (see the module docstring), F_z at the edge
@@ -521,27 +540,25 @@ def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
     modulus of M cut to its gcd with d, so no module M / dM is built.  The
     rows stream into ``congruence_kernel`` one block I (x) g - T_g (x) I_r
     per g in X: g.F_z = f(gz), T_g holding the coefficients of the
-    translates gz at the edges outside the tree.  The coboundary columns
-    are H^1's cycle rows.  Entries are int64 or, for an exponent past
-    ``_dtype``'s bound, Python ints."""
+    translates gz at the edges outside the tree (``_cayley_translates``).
+    Each block is one broadcast of -T_g against I_r with the action of g
+    added on its diagonal.  The coboundary columns are H^1's cycle rows.
+    Entries are int64 or, for an exponent past ``_dtype``'s bound, Python
+    ints."""
     ends = _generator_ends(group)
-    order, r, nx = group.order, module.rank, len(ends)
-    paths, cycles = _cayley_tree(group, ends)
+    order, r = group.order, module.rank
+    cycles = _cayley_tree(group, ends)[1]
     n = len(cycles)
     moduli = [gcd(o, d) for o in module.orders]
     dtype = _dtype(module.exponent)
     action = np.array(module.action, dtype=dtype).reshape(order, r, r)
-    # the one edge h -> hx outside the tree that each cycle holds, as (h, place of x)
-    outside = np.flatnonzero(~paths.any(axis=0))
-    own_h, own_x = divmod(outside[np.nonzero(cycles[:, outside])[1]], nx)
-    eye = np.eye(r, dtype=dtype)
+    minus_eye = -np.eye(r, dtype=dtype)[:, None, :]
+    diagonal = np.arange(n)
 
     def rows():
-        for g in ends:
-            # gz holds at the edge (h, x) the coefficient of z at (g^-1 h, x)
-            back = np.array(group.mul_table[group.inv(g)])[own_h] * nx + own_x
-            block = -np.kron(cycles[:, back].astype(dtype), eye).reshape(n, r, n, r)
-            block[np.arange(n), :, np.arange(n)] += action[g]
+        for g, translate in zip(ends, _cayley_translates(group, ends)):
+            block = translate[:, None, :, None] * minus_eye  # (z, i, z', j)
+            block[diagonal, :, diagonal] += action[g]
             yield from zip(block.reshape(n * r, n * r), moduli * n)
 
     return subquotient(

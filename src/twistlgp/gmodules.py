@@ -9,7 +9,10 @@ There is one checked construction path: ``GModule`` checks an action as one
 (|G|, r, r) array.  ``gmodule`` brings any presentation to canonical form
 with one Smith form and hands it to ``GModule``.  ``descend_to_quotient``
 calls ``GModule`` directly: a lattice quotient's factors are already a
-divisibility chain without 1s, so that Smith form would do nothing.  mu_m,
+divisibility chain without 1s, so that Smith form would do nothing.  On a
+rank-1 module Z/m the fixed points of any elements are Z/t for one gcd t
+(``_fixed_order``), so ``invariants`` and ``descend_to_quotient`` build no
+lattice there.  mu_m,
 trivial and restricted modules are canonical actions by construction and
 skip the check through ``GModule._unchecked``.
 
@@ -26,7 +29,7 @@ from math import gcd, prod
 import numpy as np
 
 from .groups import FiniteGroup, GroupHom, Subgroup, _first_difference, _gather, _greedy_generators
-from .linalg import diagonal_matrix, fixed_subgroup, int_matrix, smith_normal_form
+from .linalg import diagonal_matrix, fixed_subgroup, int_matrix, smith_normal_form, zero_matrix
 
 ModuleElement = tuple[int, ...]
 
@@ -56,7 +59,8 @@ class GModule:
     """Use the ``gmodule`` factory; the constructor insists on canonical form
     and checks that the matrices are an action, as one array: shapes, then
     the first entry in (g, i, j) order that is unreduced or ill defined, the
-    identity, and action[g x] == action[g] action[x] for each generator x.
+    identity, and action[g x] == action[g] action[x] for every generator x,
+    in one broadcast product, naming the first failure in (x, g) order.
     ``_unchecked`` skips the checks, for fields that are canonical and an
     action by construction; the result is the same value, with the same
     hash, as the checked one."""
@@ -86,11 +90,14 @@ class GModule:
             raise ValueError("action matrix has wrong shape")
         if not np.array_equal(a[0], np.identity(len(orders), dtype=object)):
             raise ValueError("identity must act trivially")
-        for x in self.group.generators:
-            # row g: action[g] action[x] against action[g x]
-            wrong = (a @ a[x] % col[:, None] != a[list(self.group._columns[x])]).any(axis=(1, 2))
+        gens = self.group.generators
+        if gens:
+            # entry (x, g): action[g] action[x] against action[g x], one product
+            products = a @ a[list(gens)][:, None] % col[:, None]
+            wrong = (products != a[[self.group._columns[x] for x in gens]]).any(axis=(2, 3))
             if wrong.any():
-                raise ValueError(f"action matrices incompatible at ({np.argmax(wrong)}, {x})")
+                x, g = np.unravel_index(np.argmax(wrong), wrong.shape)
+                raise ValueError(f"action matrices incompatible at ({g}, {gens[x]})")
 
     @classmethod
     def _unchecked(cls, group: FiniteGroup, orders, action) -> "GModule":
@@ -277,12 +284,23 @@ def all_characters(group: FiniteGroup, m: int) -> tuple[CyclotomicCharacter, ...
     )
 
 
+def _fixed_order(module: GModule, elements) -> int:
+    """The order t of the points of a rank-1 module Z/m that the
+    ``elements`` fix.  g acts by some c, and (c - 1) x == 0 mod m is
+    x in (m / gcd(m, c - 1)) Z/m, so the points fixed by all of them are
+    (m / t) Z/m = Z/t with t = gcd(m, c - 1 over the elements)."""
+    return gcd(module.exponent, *(module.action[g][0][0] - 1 for g in elements))
+
+
 def invariants(module: GModule) -> GModule:
     """The fixed submodule M^G as a module with trivial action: the points
     the generators fix, which every element fixes.  Only the factors are
-    read, so no embedding is built."""
-    fixed = fixed_subgroup(module.orders, [module.action[g] for g in module.group.generators])
-    return trivial_module(module.group, fixed.factors)
+    read, so no embedding is built; rank 1 reads them in closed form."""
+    group = module.group
+    if module.rank == 1:
+        return trivial_module(group, [_fixed_order(module, group.generators)])
+    fixed = fixed_subgroup(module.orders, [module.action[g] for g in group.generators])
+    return trivial_module(group, fixed.factors)
 
 
 def descend_to_quotient(module: GModule, proj: GroupHom):
@@ -294,11 +312,19 @@ def descend_to_quotient(module: GModule, proj: GroupHom):
     kernel's fixed points.  The kernel acts trivially on them by
     construction, so a coset acts as any of its representatives does.  The
     factors and coordinates of the fixed points are already canonical, so
-    ``GModule`` checks them as they are.
+    ``GModule`` checks them as they are.  For rank 1 they are Z/t
+    (``_fixed_order``), embedded by m / t, and s acts on them by its own
+    c mod t.
     """
     if proj.source != module.group:
         raise ValueError("projection does not start at the module's group")
     kernel = _greedy_generators(module.group, proj.kernel_elements())
+    if module.rank == 1:
+        m, t = module.exponent, _fixed_order(module, kernel)
+        if t == 1:
+            return GModule(proj.target, (), ((),) * len(proj.section)), zero_matrix(1, 0)
+        mats = (((module.action[s][0][0] % t,),) for s in proj.section)
+        return GModule(proj.target, (t,), tuple(mats)), int_matrix([[m // t]])
     quot = fixed_subgroup(module.orders, [module.action[g] for g in kernel])
     embed = quot.generators() % np.array(module.orders, dtype=object).reshape(-1, 1)
     mats = (quot.coordinates(module.action_matrix(g) @ embed).tolist() for g in proj.section)

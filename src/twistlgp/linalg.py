@@ -15,10 +15,14 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   rows from e * I, in the smallest integer dtype that holds the exponent e
   (objects from 2^31).  A block holds up to 256^2 entries: 256 rows, or
   more for a system narrower than 256 columns, so a tall degree-1 system
-  takes few blocks.  Its basis (independent columns), the unimodular
-  ``forward`` matrix taking it to diag(scales), and the scales come from
-  the Smith normal form of ``reduced``, built the first time one of them
-  is read; membership needs only ``reduced``.
+  takes few blocks.  A column's nonzero entries are read once, as Python
+  ints, and scanned for the rows whose entry the pivot does not divide;
+  each run of rows between two of them is folded in a few numpy calls,
+  and a pivot still at e (a fresh pivot) takes its first row with no
+  pivot row at all (``_fold``).  Its basis (independent columns), the
+  unimodular ``forward`` matrix taking it to diag(scales), and the scales
+  come from the Smith normal form of ``reduced``, built the first time one
+  of them is read; membership needs only ``reduced``.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
   L / (span(sub) + R) with L a congruence kernel and R = diag(d), passed as
   the orders d and entering as a column scaling of ``forward``;
@@ -281,53 +285,66 @@ def _fold(reduced: np.ndarray, block: np.ndarray, e: int) -> None:
     column the block reaches reads it in ``block.dtype`` and writes it
     back.  The block is reduced one column at a time, which gives the pivots of
     folding it row by row: either way row k reaches column j reduced by the
-    pivots that rows < k left at columns < j.  In a column the pivot value a
-    changes only at a row whose entry v it does not divide, which costs an
-    xgcd; each new value properly divides the last, so a column has at most
-    Omega(e) such rows.  Between two of them a row with v == a becomes the
-    pivot row (xgcd(a, a) == (a, 0, 1)), and every row loses (v / a) times
-    the pivot row left by the rows above it, found with one
-    maximum.accumulate.
+    pivots that rows < k left at columns < j.
+
+    A column's nonzero entries v are read once, as Python ints, and scanned
+    for its events: the rows whose v the pivot value a does not divide.
+    Each event costs an xgcd, and the new a properly divides the last, so a
+    column has at most Omega(e) of them.  Between two events a row with
+    v == a becomes the pivot row (xgcd(a, a) == (a, 0, 1)), and every row
+    loses (v / a) times the pivot row left by the rows above it: one gather
+    of the run, one product with [its rows; the pivot row] indexed by the
+    scan, one subtract-and-mod and one scatter.  Entries are below e, so a
+    pivot value a == e has seen no row of the block: its pivot row is still
+    e times the unit vector.  Such a fresh pivot needs no pivot row at its
+    first event v: with g, x, y = xgcd(e, v), the row becomes (e / g) v's
+    row mod e, which is 0 for g = 1, and the pivot row y times it mod e.
     """
-    n = block.shape[1]
-    for j in range(n):
-        rows = block[:, j].nonzero()[0]
+    for j in range(block.shape[1]):
+        col = block[:, j]
+        rows = col.nonzero()[0]
         if not rows.size:
             continue
-        vals = block[rows, j]
-        base = reduced[j, j:].astype(block.dtype)
-        a = int(base[0])
-        start = 0
-        while start < rows.size:
-            events = (vals[start:] % a).nonzero()[0]
-            stop = start + int(events[0]) if events.size else rows.size
-            if stop > start:
-                run = rows[start:stop]
-                q = vals[start:stop] // a
-                tails = block[run, j:]
-                new = (q == 1).nonzero()[0]
-                if new.size:
-                    last = np.full(run.size + 1, -1)
-                    last[new + 1] = new
-                    # row k reduces by row last[k] (-1: the pivot before the run)
-                    last = np.maximum.accumulate(last)[:-1]
-                    bases = tails[last]
-                    bases[last < 0] = base
-                    bases *= q[:, None]
-                    base = tails[new[-1]].copy()
-                else:
-                    bases = np.multiply.outer(q, base)
-                tails -= bases
-                tails %= e
-                block[run, j:] = tails
-            if stop < rows.size:
-                k, v = rows[stop], int(vals[stop])
-                g, x, y = xgcd(a, v)
-                tail = block[k, j:].copy()
-                block[k, j:] = ((a // g) * tail - (v // g) * base) % e
-                a, base = g, (x * base + y * tail) % e
-            start = stop + 1
+        a = int(reduced[j, j])
+        base = None if a == e else reduced[j, j:].astype(block.dtype)
+        start, src, q, last = 0, [], [], -1
+        for i, v in enumerate(col[rows].tolist()):
+            if v % a == 0:
+                # this row reduces by the run's row ``last`` (-1: the pivot row)
+                src.append(last)
+                q.append(v // a)
+                if v == a:
+                    last = len(src) - 1
+                continue
+            if src:
+                base = _fold_run(block, j, rows[start:i], src, q, last, base, e)
+                src, q, last = [], [], -1
+            start = i + 1
+            g, x, y = xgcd(a, v)
+            tail = block[rows[i], j:]
+            if base is None:  # a fresh pivot: the pivot row is e * (1, 0, ...)
+                base = y * tail % e
+                tail[:] = (e // g) * tail % e if g > 1 else 0
+            else:
+                pivot = (x * base + y * tail) % e
+                tail[:] = ((a // g) * tail - (v // g) * base) % e
+                base = pivot
+            a = g
+        if src:
+            base = _fold_run(block, j, rows[start:], src, q, last, base, e)
         reduced[j, j:] = base
+
+
+def _fold_run(block, j, run, src, q, last, base, e):
+    """Fold the block rows ``run``, whose entries in column j the pivot
+    value divides with quotients ``q``: row i loses q[i] times the
+    original row src[i] of the run, or the pivot row ``base`` for -1.
+    Returns the pivot row left: the run's row ``last``, or ``base``."""
+    rows = np.concatenate((block[run, j:], base[None]))
+    # a product of two entries below e stays in block.dtype (see _dtype)
+    bases = rows[np.array(src)] * np.array(q, dtype=block.dtype)[:, None]
+    block[run, j:] = (rows[:-1] - bases) % e
+    return rows[last] if last >= 0 else base
 
 
 def _diagonal(entries, e: int) -> np.ndarray:

@@ -1900,6 +1900,88 @@ def test_cayley_h2_matches_the_ungauged_reference():
     assert compared > 3000
 
 
+def kron_cayley_h2_rows(group, module, d):
+    """The rows ``_cayley_h2`` streams, built per g in X by a gather of the
+    cycles at the translated edges outside the tree and an np.kron with
+    I_r, with the action of g added on the diagonal."""
+    ends = cohomology_module._generator_ends(group)
+    order, r, nx = group.order, module.rank, len(ends)
+    paths, cycles = cohomology_module._cayley_tree(group, ends)
+    n = len(cycles)
+    moduli = [gcd(o, d) for o in module.orders]
+    dtype = linalg._dtype(module.exponent)
+    action = np.array(module.action, dtype=dtype).reshape(order, r, r)
+    outside = np.flatnonzero(~paths.any(axis=0))
+    own_h, own_x = divmod(outside[np.nonzero(cycles[:, outside])[1]], nx)
+    rows = []
+    for g in ends:
+        back = np.array(group.mul_table[group.inv(g)])[own_h] * nx + own_x
+        block = -np.kron(cycles[:, back].astype(dtype), np.eye(r, dtype=dtype)).reshape(n, r, n, r)
+        block[np.arange(n), :, np.arange(n)] += action[g]
+        rows += zip(block.reshape(n * r, n * r), moduli * n)
+    return rows
+
+
+def sign_twisted(group, orders, twist):
+    """A rank-2 module on ``orders`` on which g acts by ``twist`` where the
+    last mu_3 character of the group takes the value 2, else trivially."""
+    chi = all_characters(group, 3)[-1]
+    return gmodule(group, orders, [twist if v == 2 else [[1, 0], [0, 1]] for v in chi.values])
+
+
+def test_cayley_h2_rows_match_the_kron_built_rows(monkeypatch):
+    # rank 2: (Z/2)^2 and Z/2 + Z/4, trivial, swapped by a sign, and
+    # sheared by one; every row and modulus streamed, and the order, at
+    # every d dividing the exponent
+    streamed = []
+
+    def recorded(orders, exponent, congruences, sub):
+        streamed.append(list(congruences))
+        return linalg.subquotient(orders, exponent, iter(streamed[-1]), sub)
+
+    monkeypatch.setattr(cohomology_module, "subquotient", recorded)
+    compared = 0
+    for name in ("C2", "C4", "C6", "S3", "D4", "Q8", "C2xC2", "D6"):
+        group = named_group(name) if name != "C2xC2" else direct_product(cyclic(2), cyclic(2))
+        twisted = [sign_twisted(group, [2, 2], [[0, 1], [1, 0]]), sign_twisted(group, [2, 4], [[1, 0], [2, 1]])]
+        assert not any(module.has_trivial_action for module in twisted)
+        for module in [trivial_module(group, [2, 2]), trivial_module(group, [2, 4]), *twisted]:
+            assert module.rank == 2
+            for d in divisors(module.exponent):
+                got = cohomology_module._cayley_h2(group, module, d)
+                want = kron_cayley_h2_rows(group, module, d)
+                rows = streamed.pop()
+                assert len(rows) == len(want)
+                for (row, modulus), (want_row, want_modulus) in zip(rows, want):
+                    assert row.dtype == want_row.dtype and (row == want_row).all() and modulus == want_modulus
+                assert got.order == reference_cayley_h2(group, module, d).order, (name, module.action, d)
+                compared += 1
+    assert compared == 80
+
+
+def test_cayley_translates_are_cached_read_only_translated_cycles():
+    # row z of T_g holds gz at the edges outside the tree, gz holding at
+    # (gh, x) the coefficient of z at (h, x)
+    for name in NAMED_TO_16 + ["S4"]:
+        group = named_group(name)
+        ends = cohomology_module._generator_ends(group)
+        translates = cohomology_module._cayley_translates(group, ends)
+        assert cohomology_module._cayley_translates(group, ends) is translates
+        assert translates.dtype == np.int8 and not translates.flags.writeable
+        with pytest.raises(ValueError):
+            translates[0, 0, 0] = 1
+        paths, cycles = cohomology_module._cayley_tree(group, ends)
+        nx = len(ends)
+        outside = np.flatnonzero(~paths.any(axis=0))
+        assert translates.shape == (nx, len(cycles), len(cycles))
+        for g, got in zip(ends, translates):
+            moved = np.zeros_like(cycles)
+            for h in range(group.order):
+                moved[:, group.mul(g, h) * nx:(group.mul(g, h) + 1) * nx] = cycles[:, h * nx:(h + 1) * nx]
+            own = [int(np.flatnonzero(cycle[outside])[0]) for cycle in cycles]
+            assert (got == moved[:, outside[own]]).all(), (name, g)
+
+
 def test_cayley_gauge_is_the_tree_rebuilt_coboundary():
     # a 1-cochain rebuilt along the tree from random values c at X has a
     # bar coboundary that vanishes at (1, 1) and on every edge of the tree,

@@ -415,6 +415,90 @@ def divisors(e):
     return sorted({*small, *(e // d for d in small)})
 
 
+def reference_fold(start, rows, e, seen):
+    """The row-by-row full-row fold of ``rows`` into the upper triangular
+    basis ``start`` mod e: each row meets each pivot row through xgcd.
+    Counts in ``seen`` what each nonzero entry v met: a pivot value a == e
+    whose row is still e times the unit vector ("fresh", split by whether
+    gcd(e, v) is 1), v == a < e ("equal"), a dividing v ("divides"), or
+    neither ("event")."""
+    pivots = [[int(x) for x in row] for row in start]
+    for row in rows:
+        vec = [int(x) % e for x in row]
+        for j, base in enumerate(pivots):
+            v, a = vec[j], base[j]
+            if v == 0:
+                continue
+            if a == e:
+                assert base == [e * (k == j) for k in range(len(base))]
+                seen["fresh, gcd 1" if gcd(e, v) == 1 else "fresh, gcd > 1"] += 1
+            else:
+                seen["equal" if v == a else "divides" if v % a == 0 else "event"] += 1
+            g, x, y = xgcd(a, v)
+            pivots[j] = [(x * b + y * w) % e for b, w in zip(base, vec)]
+            vec = [((a // g) * w - (v // g) * b) % e for b, w in zip(base, vec)]
+    return int_matrix(pivots)
+
+
+def test_fold_continues_from_the_basis_an_earlier_fold_left():
+    # a second block folded into the basis the first left behind, against
+    # the full-row fold of both: its rows are pivot rows (v == a), their
+    # multiples (a divides v) and random rows, whose entries a may not divide
+    rng = random.Random(53)
+    seen = Counter()
+    for trial in range(240):
+        e = (4, 6, 8, 12, 18, 36, 60, 72, 2**31 + 11, 4 * (2**31 + 11))[trial % 10]
+        n = rng.randint(1, 9)
+        divs = divisors(e) if e < 2**31 else [1, 2, 4, 2**31 + 11, e]
+        first = [[rng.choice(divs) * rng.randint(0, 5) % e for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        lattice = congruence_kernel(n, e, iter((row, e) for row in first))
+        pivots = [[int(x) for x in row] for row in lattice.reduced]
+        second = []
+        for _ in range(rng.randint(1, 3 * n)):
+            j = rng.randrange(n)
+            if rng.random() < 0.6:
+                row = [rng.randint(1, 3) * x for x in pivots[j]]
+                row[j + 1:] = [x + rng.choice(divs) * rng.randint(0, 2) for x in row[j + 1:]]
+            else:
+                row = [0] * j + [rng.choice(divs) * rng.randint(0, 4) for _ in range(n - j)]
+            second.append([x % e for x in row])
+        reduced = lattice.reduced.copy()
+        block = np.array(second, dtype=linalg._dtype(e))
+        linalg._fold(reduced, block, e)
+        want = reference_fold(lattice.reduced, second, e, seen)
+        assert reduced.dtype == lattice.reduced.dtype and (reduced == want).all(), (e, first, second)
+        assert not block.any()
+    assert len(seen) == 5 and min(seen.values()) > 40, seen
+
+
+def test_fold_from_the_orders_diagonal_takes_fresh_pivots_in_closed_form():
+    # the fold that ``_quotient_order`` starts from diag(orders) mod their
+    # lcm E: a column whose order is E starts at a fresh pivot, whose first
+    # entry v may share a factor with E (the row becomes (E / g) times
+    # itself, not 0), and a column with a smaller order starts there;
+    # first entries equal to the pivot or to an order make it change rows
+    rng = random.Random(59)
+    seen = Counter()
+    for trial in range(240):
+        top = (12, 36, 60, 72, 2**31 + 11, 6 * (2**31 + 11))[trial % 6]
+        divs = divisors(top) if top < 2**31 else [1, 2, 3, 6, 2**31 + 11, top]
+        n = rng.randint(1, 8)
+        orders = [top if rng.random() < 0.5 else rng.choice(divs[1:]) for _ in range(n)]
+        big = lcm(*orders)
+        rows = []
+        for _ in range(rng.randint(1, 3 * n)):
+            j = rng.randrange(n)
+            unit = rng.choice([u for u in (1, 7, 11, 13, 17, 19, 23) if gcd(u, big) == 1])
+            first = rng.choice([orders[j], rng.choice(divs) * rng.randint(1, 5), unit, rng.randint(1, big - 1)])
+            rows.append([0] * j + [first] + [rng.choice(divs) * rng.randint(0, 3) for _ in range(n - j - 1)])
+        rows = [[x % big for x in row] for row in rows]
+        spanned = linalg._diagonal(orders, big)
+        linalg._fold(spanned, np.array(rows, dtype=linalg._dtype(big)), big)
+        want = reference_fold(linalg._diagonal(orders, big), rows, big, seen)
+        assert (spanned == want).all(), (orders, rows)
+    assert seen["fresh, gcd > 1"] > 100 and seen["fresh, gcd 1"] > 100 and seen["equal"] > 50, seen
+
+
 def test_the_fold_does_not_depend_on_the_block_size(monkeypatch):
     # the fold of blocks of 2, 3, 7 and 10^4 rows (times up to _BLOCK_ROWS / n
     # for a narrow system) against the fold one row at a time, on streams of
