@@ -33,18 +33,22 @@ with (d f)(.., k) = 0 for all leading arguments are closed under products,
 and a non-empty X reaches all of G.
 
 A ``CohomologyGroup`` knows its invariant factors from construction, found
-on one path per degree.  H^0 is the fixed submodule (``fixed_subgroup``, on
-the degree-0 differential's rows in their order) and H^1 is presented in
+on one path per degree.  For n >= 1 and gcd(|G|, e) = 1, e the exponent of
+M, H^n(G, M) = 0 is read from the theorem, with no elimination: |G| kills
+H^n (restriction-corestriction; Brown, *Cohomology of Groups*, ch. III
+section 10), and multiplication by |G| is an automorphism of M, so it
+induces one of H^n.  Otherwise H^0 is the fixed submodule (``fixed_subgroup``,
+on the degree-0 differential's rows in their order) and H^1 is presented in
 Cayley-graph coordinates (below), both when computed.  H^2 reads its factors
 in Cayley-graph coordinates, and if nontrivial builds its presentation on
 first read from all rows of the bar complex (``_z_presentation``: the integer
 cocycle lifts modulo the coboundaries and the coefficient orders), which must
 find the same factors.
 The factors are those of the one Cayley-graph quotient at e, with no Smith
-form when it is trivial, as for gcd(|G|, e) = 1 (restriction-corestriction),
-or are counted on a ladder with none: the orders N_i of H^2(G, M / d_i M) on
-the rungs d_i = prod_p p^min(i, k_p), for e = prod_p p^k_p the exponent of
-M, each with every order and row modulus of M cut to its gcd with d_i.
+form when it is trivial, or are counted on a ladder with none: the orders
+N_i of H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
+e = prod_p p^k_p, each with every order and row modulus of M cut to its gcd
+with d_i.
 N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
 (``_squarefree_factors``), one for each summand Z/p^a of H^2(G, M) with
 a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
@@ -312,7 +316,8 @@ class CohomologyGroup:
     its coordinates.  ``_cohomology_cached`` assigns H^0 the fixed submodule
     and H^1 ``_cayley_h1``'s; an H^2 builds it from the bar complex, and the
     representatives, on first read; ``sha_finite`` assigns representatives
-    and no presentation (None)."""
+    and no presentation (None).  An H^n, n >= 1, with gcd(|G|, e) = 1 is 0
+    by the theorem and gets none: a trivial group reads no presentation."""
 
     group: FiniteGroup
     module: GModule
@@ -619,6 +624,8 @@ def _h2_factors(group: FiniteGroup, module: GModule) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(group: FiniteGroup, module: GModule, degree: int):
+    if degree and gcd(group.order, module.exponent) == 1:  # restriction-corestriction
+        return CohomologyGroup(group, module, degree, ())
     if degree == 2:  # presented from the bar complex on first read
         return CohomologyGroup(group, module, 2, _h2_factors(group, module))
     presentation = _cayley_h1(group, module) if degree else fixed_subgroup(

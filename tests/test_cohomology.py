@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import closed_forms
-from twistlgp import linalg
+from twistlgp import linalg, verify
 from twistlgp.albert import factorize
 from twistlgp.cohomology import (
     Cochain,
@@ -972,12 +972,13 @@ def test_generator_rows_span_the_cocycle_lattice():
 
 
 def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
-    # H^1 with gcd(|G|, m) = 1 feeds congruence_kernel its Cayley-graph
-    # rows, r (|G| (|X| - 1) + 1) of width r |X|, and H^2 its Cayley-graph
-    # rows on the edges outside the tree, r |X| (|G| (|X| - 1) + 1) of width
-    # r (|G| (|X| - 1) + 1); each still folds them and builds no Smith
-    # form.  class_of tests a cochain with is_cocycle, so on either it
-    # feeds no further rows, and a trivial H^2 builds no presentation
+    # with gcd(|G|, m) = 1 the Cayley-graph H^1 folds its cycle rows,
+    # r (|G| (|X| - 1) + 1) of width r |X|, and H^2 its rows on the edges
+    # outside the tree, r |X| (|G| (|X| - 1) + 1) of width
+    # r (|G| (|X| - 1) + 1); each counts order 1 and builds no Smith form.
+    # cohomology answers these degrees by restriction-corestriction: it
+    # feeds congruence_kernel nothing and assigns no presentation, and
+    # class_of tests a cochain with is_cocycle, so it feeds no rows either
     congruence_kernel, fold = linalg.congruence_kernel, linalg._fold
     smith = linalg.smith_normal_form
     fed, widths, folded, built = [], [], [], []
@@ -1007,16 +1008,21 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
     for group, module, degree, (rows, width) in cases:
         fed.clear()
         folded.clear()
-        coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
+        if degree == 1:
+            quotient = cohomology_module._cayley_h1(group, module).quotient
+        else:
+            quotient = cohomology_module._cayley_h2(group, module, module.exponent)
         assert fed == [rows]
         assert (rows, width) in folded
+        assert quotient.order == 1 and quotient.factors == ()
+        assert "_smith" not in vars(quotient)
+        fed.clear()
+        folded.clear()
+        coh = cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
         assert coh.is_trivial
         assert coh.class_of(zero_cochain(module, degree)).coordinates == ()
-        assert fed == [rows]
-        if degree == 2:
-            assert "_presentation" not in vars(coh)
-        else:  # the Cayley-graph subquotient behind the bar reads
-            assert "_smith" not in vars(coh._presentation.quotient)
+        assert fed == [] and folded == []
+        assert "_presentation" not in vars(coh)
     assert not built
     # H^0, coprime or not, feeds all rows; H^1 with gcd(|G|, m) > 1 feeds
     # the Cayley-graph rows too, and reading its representatives, classes,
@@ -1044,6 +1050,72 @@ def test_coprime_cohomology_folds_only_the_generator_rows(monkeypatch):
             restriction(coh, subgroup)
         sha_finite(group, module, family)
         assert module.rank * group.order not in widths, (group.name, widths)
+
+
+def coprime_vanishing_cases():
+    """Every (group, m, character) of verify-paper's coprime-order-vanishing
+    loop, then S4 on each character mod 5, D8 (order 16) on each mod 3, and
+    a rank-2 (Z/3)^2 over C2^4 through two characters, in the basis
+    (1, 0), (1, 1), where three of the generators act by no diagonal matrix."""
+    for name in verify.SMALL_CATALOG:
+        group = verify._small_group(name)
+        for m in (3, 5, 7, 9):
+            if gcd(group.order, m) == 1:
+                for chi in all_characters(group, m):
+                    yield f"{name} mu_{m} {chi.values}", mu_module(group, m, chi)
+    for group, m in ((symmetric(4), 5), (named_group("D8"), 3)):
+        for chi in all_characters(group, m):
+            yield f"{group.name} mu_{m} {chi.values}", mu_module(group, m, chi)
+    c2_4 = direct_product(*[cyclic(2)] * 4)
+    chis = all_characters(c2_4, 3)
+    a, b = chis[1].values, chis[-1].values
+    base, inverse = np.array([[1, 1], [0, 1]]), np.array([[1, 2], [0, 1]])
+    action = [base @ np.diag([a[g], b[g]]) @ inverse % 3 for g in c2_4.elements()]
+    yield "C2^4 (Z/3)^2", gmodule(c2_4, [3, 3], action)
+
+
+def test_coprime_vanishing_is_read_by_the_theorem_and_matches_elimination(monkeypatch):
+    # cohomology answers H^1 and H^2 with gcd(|G|, e) = 1 by
+    # restriction-corestriction, with no elimination; the Cayley-graph
+    # quotients of each case still eliminate to 0.  The cochain that puts a
+    # unit vector at (1, .., 1) and 0 elsewhere is no cocycle: in degree 1,
+    # (d f)(1, 1) = f(1); in degree 2 and for g != 1, (d f)(g, 1, 1) =
+    # g.f(1, 1), which the invertible action keeps nonzero.  On C1 every
+    # 2-cochain is a cocycle, so its degree 2 has no such check
+    congruence_kernel, fed, built = linalg.congruence_kernel, [], []
+    smith = linalg.smith_normal_form
+
+    def recorded_kernel(n, exponent, constraints):
+        items = list(constraints)
+        fed.extend(items)
+        return congruence_kernel(n, exponent, iter(items))
+
+    def recorded_smith(matrix):
+        built.append(matrix.shape)
+        return smith(matrix)
+
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
+    monkeypatch.setattr(linalg, "smith_normal_form", recorded_smith)
+    cases = list(coprime_vanishing_cases())
+    for label, module in cases:
+        group, e = module.group, module.exponent
+        assert gcd(group.order, e) == 1, label
+        assert cohomology_module._cayley_h1(group, module).factors == (), label
+        assert cohomology_module._cayley_h2(group, module, e).order == 1, label
+        fed.clear()
+        built.clear()
+        for degree in (1, 2):
+            assert cohomology_module._cohomology_cached.__wrapped__(group, module, degree).is_trivial
+            coh = cohomology(group, module, degree)
+            assert coh.is_trivial and coh.order == 1, (label, degree)
+            assert coh.class_of(zero_cochain(module, degree)).coordinates == ()
+            if degree == 2 and group.order == 1:
+                continue
+            unit = (1,) + (0,) * (module.rank * group.order**degree - 1)
+            with pytest.raises(ValueError, match="not a cocycle"):
+                coh.class_of(Cochain(module, degree, unit))
+        assert fed == [] and built == [], label
+    assert len(cases) == 154 + 2 + 4 + 1
 
 
 SQUAREFREE_M = (2, 3, 5, 6, 10, 15, 30)
@@ -1782,9 +1854,11 @@ def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m):
 
 
 def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
-    # S3 on trivial Z/(10^40 + 1), which is prime to 6: no ladder, so the
-    # one Cayley-graph quotient at e is read, and it feeds, folds and
-    # relates Python ints
+    # S3 on trivial Z/(10^40 + 1), which is prime to 6: the one Cayley-graph
+    # quotient at e feeds, folds and relates Python ints, and cohomology
+    # reads H^2 = 0 from the theorem, feeding nothing.  C2 on trivial
+    # Z/2^64 is not coprime and e is past the ladder's bound, so cohomology
+    # reads the one quotient at e, over Python ints: H^2 = Z/2
     e = 10**40 + 1
     s3 = symmetric(3)
     module = trivial_module(s3, [e])
@@ -1792,17 +1866,29 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     congruence_kernel, fed = linalg.congruence_kernel, []
 
     def recorded(n, exponent, constraints):
-        fed.extend(constraints)
-        return congruence_kernel(n, exponent, iter(fed))
+        items = list(constraints)
+        fed.extend(items)
+        return congruence_kernel(n, exponent, iter(items))
 
     monkeypatch.setattr(linalg, "congruence_kernel", recorded)
-    h2 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 2)
-    assert h2.is_trivial and len(fed) == 14
-    assert all(row.dtype == object and modulus == e for row, modulus in fed)
     count = cohomology_module._cayley_h2(s3, module, e)
+    assert len(fed) == 14
+    assert all(row.dtype == object and modulus == e for row, modulus in fed)
     assert count.order == 1 and count.lattice.reduced.dtype == object
     assert count.sub.dtype == object and {type(x) for x in count.sub.flat} == {int}
-
+    fed.clear()
+    h2 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 2)
+    assert h2.is_trivial and fed == []
+    c2, e = cyclic(2), 2**64
+    module = trivial_module(c2, [e])
+    assert cohomology_module._rungs(c2, module) is None
+    h2 = cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
+    assert h2.invariant_factors == (2,) and len(fed) == 1
+    assert all(row.dtype == object and modulus == e for row, modulus in fed)
+    fed.clear()
+    rep = h2.representatives[0]  # from the bar complex, over Python ints too
+    assert fed and all(row.dtype == object and modulus == e for row, modulus in fed)
+    assert is_cocycle(rep) and h2.class_of(rep).coordinates == (1,)
 
 
 def reference_cayley_h2(group, module, d):
@@ -2021,7 +2107,9 @@ def test_cayley_gauge_is_the_tree_rebuilt_coboundary():
 def test_h1_past_int64_runs_over_python_ints(monkeypatch):
     # H^1 in Cayley-graph coordinates feeds, folds, rebuilds and checks
     # Python ints past int64: S3 on trivial Z/(10^40 + 1), which is prime
-    # to 6, and C2 on trivial Z/(2 (10^40 + 1)), where H^1 = Z/2
+    # to 6, and C2 on trivial Z/(2 (10^40 + 1)), where H^1 = Z/2.  For S3
+    # cohomology reads H^1 = 0 from the theorem and feeds nothing, and
+    # class_of still tests every cochain with is_cocycle
     e = 10**40 + 1
     s3, c2 = symmetric(3), cyclic(2)
     congruence_kernel, fed = linalg.congruence_kernel, []
@@ -2033,10 +2121,13 @@ def test_h1_past_int64_runs_over_python_ints(monkeypatch):
 
     monkeypatch.setattr(linalg, "congruence_kernel", recorded)
     module = trivial_module(s3, [e])
-    h1 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 1)
-    assert h1.is_trivial and h1.representatives == () and len(fed) == 7
+    presentation = cohomology_module._cayley_h1(s3, module)
+    assert presentation.factors == () and len(fed) == 7
     assert all(row.dtype == object and modulus == e for row, modulus in fed)
-    assert h1._presentation.rebuild.dtype == object
+    assert presentation.rebuild.dtype == object
+    fed.clear()
+    h1 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 1)
+    assert h1.is_trivial and h1.representatives == () and fed == []
     assert h1.class_of(zero_cochain(module, 1)).coordinates == ()
     outside = max(set(s3.elements()) - set(cohomology_module._generator_ends(s3)))
     with pytest.raises(ValueError, match="not a cocycle"):

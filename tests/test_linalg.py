@@ -10,7 +10,7 @@ import pytest
 
 from test_cohomology import generator_rows
 from twistlgp import linalg
-from twistlgp.cohomology import _cohomology_cached, _differential_rows
+from twistlgp.cohomology import _cayley_h2, _cohomology_cached, _differential_rows
 from twistlgp.gmodules import all_characters, mu_module, trivial_module
 from twistlgp.groups import cyclic, direct_product, quaternion, symmetric
 from twistlgp.linalg import (
@@ -644,13 +644,16 @@ def test_snf_transforms_match_the_eager_reference():
 
 
 def test_h2_work_is_bounded(monkeypatch):
-    # H^2(C8, Z/9) = 0: gcd(8, 9) = 1, so the one Cayley-graph quotient at 9
-    # is read, a fold of 1 row over 1 column (C8 has one fundamental cycle),
+    # H^2(C8, Z/9) = 0, as gcd(8, 9) = 1.  The one Cayley-graph quotient at 9
+    # is a fold of 1 row over 1 column (C8 has one fundamental cycle),
     # where the bar complex has 64 generator rows (of 576) over 64 columns.
     # xgcd runs only where a column's pivot changes.  The count shows the
-    # quotient is trivial, so no Smith form is built.
+    # quotient is trivial, so no Smith form is built; cohomology reads the
+    # same H^2 = 0 from restriction-corestriction and feeds no rows at all.
     calls = []
     built = []
+    fed = []
+    congruence_kernel = linalg.congruence_kernel
 
     def counted(a, b):
         calls.append((a, b))
@@ -660,12 +663,23 @@ def test_h2_work_is_bounded(monkeypatch):
         built.append(snf := smith_normal_form(mat))
         return snf
 
+    def recorded_kernel(n, exponent, constraints):
+        items = list(constraints)
+        fed.extend(items)
+        return congruence_kernel(n, exponent, iter(items))
+
     monkeypatch.setattr(linalg, "xgcd", counted)
     monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
     c8 = cyclic(8)
-    h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [9]), 2)
-    assert h2.invariant_factors == ()
+    module = trivial_module(c8, [9])
+    assert _cayley_h2(c8, module, 9).order == 1
+    assert len(fed) == 1 and len(fed[0][0]) == 1
     assert 0 < len(calls) < 3000
+    assert not built
+    fed.clear()
+    h2 = _cohomology_cached.__wrapped__(c8, module, 2)
+    assert h2.invariant_factors == () and fed == []
     assert not built
     # H^2(C8, Z/4) = Z/4 is counted on the rungs Z/2 and Z/4, with no Smith
     # form until the representatives are read
