@@ -44,24 +44,26 @@ in Cayley-graph coordinates, and if nontrivial builds its presentation on
 first read from all rows of the bar complex (``_z_presentation``: the integer
 cocycle lifts modulo the coboundaries and the coefficient orders), which must
 find the same factors.
-The factors are those of the one Cayley-graph quotient at e, with no Smith
-form when it is trivial, or are counted on a ladder with none: the orders
-N_i of H^2(G, M / d_i M) on the rungs d_i = prod_p p^min(i, k_p), for
-e = prod_p p^k_p, each with every order and row modulus of M cut to its gcd
-with d_i.
-N_i / N_(i-1) is the order of a sum of Z/p over the primes p still climbing
-(``_squarefree_factors``), one for each summand Z/p^a of H^2(G, M) with
-a >= i.  So each ratio must divide the one before (else ``ArithmeticError``),
-and the j-th largest factor is the product of the j-th largest factors of
-these layers.  This holds for e < 2^31 (where ``factorize`` is complete)
-and each p-part with k_p > 1 cyclic, Z/p^k through a character chi that
+The factors are read one prime p of |G| at a time, for p^k exactly dividing
+e and p^v exactly dividing |G|.  |G| kills H^2, so H^2(G, M) is the sum over
+these p of H^2(G, M / p^k M), each of exponent at most p^v, and the j-th
+largest factor is the product of the j-th largest factors of the p-parts.
+A p-part is counted on a ladder with no Smith form when k = 1 or it lifts
+(``_lifts``): the orders N_i of H^2(G, M / p^i M) on the rungs
+i = 1, ..., min(k, v), each with every order and row modulus of M cut to its
+gcd with p^i.  N_i / N_(i-1) = p^c_i, with c_i the number of summands Z/p^a
+of the p-part with a >= i, so each ratio must be a power of p no larger than
+the one before (else ``ArithmeticError``).  Every other p-part reads the
+factors of the one Cayley-graph quotient at p^k, with no Smith form when it
+is trivial.  A p-part killed by p is an F_p-space, whatever its action.
+One with k > 1 lifts when it is cyclic, Z/p^k through a character chi that
 lifts to Z_p^*: every value is +-1 mod 2^k, or for p odd a (p-1)-th root of
 1 mod p^k.  Both are subgroups of the units, and on a cyclic p-part the
 corner entry of the action mod p^k is multiplicative, so the values at the
 generators X decide it.  Then C^*(G, Z/p^i(chi)) = C (x) Z/p^i for a
 complex C of free Z_p-modules, and the universal coefficient theorem
 (Brown, *Cohomology of Groups*, ch. III) gives H^2(G, Z/p^i) = H^2(C)/p^i +
-H^3(C)[p^i].
+H^3(C)[p^i]; |G| kills H^2(C) and H^3(C), so no summand passes p^v.
 
 Cayley-graph coordinates.  Let T be the breadth-first spanning tree, rooted
 at 1, of the right Cayley graph of (G, X): an edge h -> hx for each h in G
@@ -574,51 +576,38 @@ def _cayley_h2(group: FiniteGroup, module: GModule, d: int) -> LatticeQuotient:
     )
 
 
-def _squarefree_factors(order: int, e: int) -> tuple[int, ...]:
-    """The invariant factors of a finite abelian group of the given order
-    killed by the squarefree e, smallest first.  An order with a prime
-    factor not in e is no such group: ``ArithmeticError``."""
-    factors = ()
-    while order > 1:
-        factors = (gcd(order, e),) + factors
-        if factors[0] == 1:
-            raise ArithmeticError(f"the order has a factor {order} prime to {e}")
-        order //= factors[0]
-    return factors
-
-
-def _rungs(group: FiniteGroup, module: GModule) -> tuple[int, ...] | None:
-    """The moduli d_1 | d_2 | ... | e of the ladder that counts the factors of
-    H^2 (see the module docstring), or None where the one quotient at e is
-    read: gcd(|G|, e) = 1, e past ``factorize``'s bound, or no lift."""
-    e = module.exponent
-    if gcd(group.order, e) == 1 or e >= 2**31:
-        return None
-    powers = factorize(e)
-    for p, k in powers.items():
-        q, values = p**k, [module.action[x][-1][-1] for x in _generator_ends(group)]
-        cyclic = module.rank == 1 or module.orders[-2] % p
-        lifts = all(v % q in (1, q - 1) if p == 2 else pow(v, p - 1, q) == 1 for v in values)
-        if k > 1 and not (cyclic and lifts):
-            return None
-    top = max(powers.values())
-    return tuple(prod(p ** min(i, k) for p, k in powers.items()) for i in range(1, top + 1))
+def _lifts(group: FiniteGroup, module: GModule, p: int, q: int) -> bool:
+    """Whether the p-part of M, of exponent q, is Z/q through a character
+    that lifts to Z_p^* (see the module docstring), read at X."""
+    values = [module.action[x][-1][-1] for x in _generator_ends(group)]
+    cyclic = module.rank == 1 or module.orders[-2] % p
+    return cyclic and all(v % q in (1, q - 1) if p == 2 else pow(v, p - 1, q) == 1 for v in values)
 
 
 def _h2_factors(group: FiniteGroup, module: GModule) -> tuple[int, ...]:
-    """The invariant factors of H^2(G, M): climbed on the ladder's rungs when
-    ``_rungs`` finds them, else read from the one Cayley-graph quotient at e."""
-    rungs = _rungs(group, module)
-    if rungs is None:
-        return _cayley_h2(group, module, module.exponent).factors
-    factors, below, ratio = [], 1, 0  # any ratio divides the 0 before the first
-    for d_below, d in zip((1,) + rungs, rungs):
-        order = _cayley_h2(group, module, d).order
-        if order % below or ratio % (order // below):
-            raise ArithmeticError(f"the counts {below}, {order} climb no ladder")
-        ratio, below = order // below, order
-        layer = reversed(_squarefree_factors(ratio, d // d_below))
-        factors = [a * b for a, b in itertools.zip_longest(factors, layer, fillvalue=1)]
+    """The invariant factors of H^2(G, M), one prime p of |G| at a time (see
+    the module docstring), with p^k exactly dividing e and p^v exactly
+    dividing |G|: climbed on the rungs p, ..., p^min(k, v) when k = 1 or the
+    p-part lifts, else read from the one Cayley-graph quotient at p^k."""
+    factors = []
+    for p, v in factorize(group.order).items():
+        k = 0
+        while module.exponent % p ** (k + 1) == 0:
+            k += 1
+        if k > 1 and not _lifts(group, module, p, p**k):
+            layers = [_cayley_h2(group, module, p**k).factors[::-1]]
+        else:  # k = 0 climbs no rung
+            layers, below = [], 1
+            for i in range(1, min(k, v) + 1):
+                order, c = _cayley_h2(group, module, p**i).order, 0
+                while order % (below * p ** (c + 1)) == 0:
+                    c += 1
+                if order != below * p**c or layers and c > len(layers[-1]):
+                    raise ArithmeticError(f"the counts {below}, {order} climb no ladder of {p}")
+                layers.append([p] * c)
+                below = order
+        for layer in layers:  # largest first: the j-th largest factors multiply
+            factors = [a * b for a, b in itertools.zip_longest(factors, layer, fillvalue=1)]
     return tuple(reversed(factors))
 
 

@@ -1163,16 +1163,6 @@ def reference_counted_factors(group, module, degree):
     return tuple(prod(p for p in primes if dims[p] >= top - i) for i in range(top))
 
 
-def test_squarefree_factors_reject_an_order_prime_to_e():
-    # a count broken by a fold bug must fail, not hang: an order with a
-    # prime factor that the squarefree e lacks is no group killed by e
-    assert cohomology_module._squarefree_factors(1, 6) == ()
-    assert cohomology_module._squarefree_factors(72, 6) == (2, 6, 6)
-    for order, e in [(5, 6), (10, 6), (28, 2)]:
-        with pytest.raises(ArithmeticError):
-            cohomology_module._squarefree_factors(order, e)
-
-
 def test_counted_h2_matches_the_z_path():
     # every H^2 with squarefree m is counted in Cayley-graph coordinates,
     # and the count is never handed over as the presentation: it is in other
@@ -1240,21 +1230,57 @@ def non_lifting_q8_module():
     return q8, mu_module(q8, 8, chi)
 
 
+def p_parts(group, module):
+    """(p, k, v) for each prime p of both |G| and e, with p^k exactly
+    dividing e and p^v exactly dividing |G|."""
+    for p, v in factorize(group.order).items():
+        k = 0
+        while module.exponent % p ** (k + 1) == 0:
+            k += 1
+        if k:
+            yield p, k, v
+
+
+def one_quotient_primes(group, module):
+    """The primes p whose part of H^2(G, M) is read from the one Cayley-graph
+    quotient at p^k: k > 1 and the p-part does not lift."""
+    return [
+        p for p, k, _v in p_parts(group, module)
+        if k > 1 and not cohomology_module._lifts(group, module, p, p**k)
+    ]
+
+
+def record_moduli(monkeypatch):
+    """Wrap ``_cayley_h2`` so that each modulus d it reads is appended to
+    the returned list, in call order."""
+    moduli, cayley_h2 = [], cohomology_module._cayley_h2
+
+    def recorded(group, module, d):
+        moduli.append(d)
+        return cayley_h2(group, module, d)
+
+    monkeypatch.setattr(cohomology_module, "_cayley_h2", recorded)
+    return moduli
+
+
 def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
-    # a character that does not lift, a p-part neither cyclic nor killed by
-    # p, and a squarefree e past 2^31 read the factors of the one
-    # Cayley-graph quotient at e, the Z path's or the closed-form ones, and
-    # leave the Z path's presentation to the first read, which finds them too
+    # a character that does not lift and a p-part neither cyclic nor killed
+    # by p read the factors of the one Cayley-graph quotient at p^k, and a
+    # squarefree e past 2^31 climbs the one rung at 2; each finds the Z
+    # path's or the closed-form factors and leaves the Z path's presentation
+    # to the first read, which finds them too
     big = 2 * 2147483659  # 2147483659 is prime
     c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
     cases = [
-        (*non_lifting_q8_module(), (4,)),
-        (c2, trivial_module(c2, [2, 4]), (2, 2)),
-        (c2, trivial_module(c2, [big]), (2,)),
+        (*non_lifting_q8_module(), (4,), [8]),
+        (c2, trivial_module(c2, [2, 4]), (2, 2), [4]),
+        (c2, trivial_module(c2, [big]), (2,), [2]),
     ]
-    for group, module, factors in cases:
-        assert cohomology_module._rungs(group, module) is None
+    moduli = record_moduli(monkeypatch)
+    for group, module, factors, read in cases:
+        moduli.clear()
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        assert moduli == read, (group.name, module.orders)
         assert "_presentation" not in vars(h2) and "representatives" not in vars(h2)
         assert h2.invariant_factors == factors, (group.name, module.orders)
         assert h2._presentation.factors == factors
@@ -1387,17 +1413,25 @@ NAMED_TO_8 = [f"C{n}" for n in range(1, 9)] + ["D2", "D3", "D4", "Q8", "S3"]
 
 
 def test_ladder_matches_the_z_path(monkeypatch):
-    # every character mod 4, 8, 9 and 12 in degree 2: one that lifts to
-    # Z_p^* is counted on its rungs with no Smith form; one that does not,
-    # or a coprime one, reads the one Cayley-graph quotient at e, with a
-    # Smith form exactly when H^2 is nontrivial.  Either way the factors are
-    # those of the presentation of all rows.  A squarefree or coprime H^n is
-    # counted with no Smith form too
+    # every character mod 4, 8, 9 and 12 in degree 2: a p-part of H^2 that
+    # lifts to Z_p^* is counted on its rungs with no Smith form; one that
+    # does not reads the one Cayley-graph quotient at p^k, with a Smith form
+    # exactly when that p-part of H^2 is nontrivial.  Either way the factors
+    # are those of the presentation of all rows.  A squarefree or coprime
+    # H^n is counted with no Smith form too.  Mixed exponents (S3 on Z/10,
+    # D5 on mu_6, C6 on mu_18 through 7, whose 9-part does not lift) feed
+    # congruence_kernel only rows whose moduli are powers of primes of |G|
     smith, built = linalg.smith_normal_form, []
+    congruence_kernel, fed = linalg.congruence_kernel, []
 
     def recorded(mat):
         built.append(mat.shape)
         return smith(mat)
+
+    def recorded_kernel(n, exponent, constraints):
+        items = list(constraints)
+        fed.extend(modulus for _row, modulus in items)
+        return congruence_kernel(n, exponent, iter(items))
 
     monkeypatch.setattr(linalg, "smith_normal_form", recorded)
     counted = read = 0
@@ -1410,8 +1444,10 @@ def test_ladder_matches_the_z_path(monkeypatch):
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
                 assert "_presentation" not in vars(h2)
                 factors = h2.invariant_factors
-                if cohomology_module._rungs(group, module) is None:
-                    assert bool(built) != h2.is_trivial, (name, m, chi.values)
+                primes = one_quotient_primes(group, module)
+                if primes:
+                    read_part = any(f % p == 0 for f in factors for p in primes)
+                    assert bool(built) == read_part, (name, m, chi.values)
                     read += 1
                 else:
                     assert not built, (name, m, chi.values)
@@ -1425,7 +1461,22 @@ def test_ladder_matches_the_z_path(monkeypatch):
                 built.clear()
                 cohomology_module._cohomology_cached.__wrapped__(group, module, degree)
                 assert not built, (name, m, degree)
-    assert counted == 128 and read == 86
+    assert counted == 160 and read == 54
+    monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
+    s3, d5, c6 = symmetric(3), named_group("D5"), cyclic(6)
+    mu_18 = next(chi for chi in all_characters(c6, 18) if 7 in chi.values)
+    cases = [
+        (trivial_module(s3, [10]), [2], (2,)),
+        (mu_module(d5, 6, all_characters(d5, 6)[-1]), [2], (2,)),
+        (mu_module(c6, 18, mu_18), [2, 9], (2,)),
+    ]
+    for module, moduli, factors in cases:
+        group = module.group
+        fed.clear()
+        h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+        assert sorted(set(fed)) == moduli, (group.name, module.orders)
+        assert h2.invariant_factors == factors, (group.name, module.orders)
+        assert cohomology_module._z_presentation(group, module, 2).factors == factors
 
 
 @pytest.mark.parametrize(
@@ -1439,19 +1490,26 @@ def test_ladder_matches_the_z_path(monkeypatch):
         (["C9", "C3"], 9),
     ],
 )
-def test_ladder_matches_the_closed_form(factors, m):
-    # orders 16 to 32 with m = 4, 8 or 9, where the Z path takes minutes
+def test_ladder_matches_the_closed_form(factors, m, monkeypatch):
+    # orders 16 to 32 with m = 4, 8 or 9, where the Z path takes minutes;
+    # m is a prime power p^k at most the p^v exactly dividing |G|, so the
+    # trivial module climbs every rung p, ..., p^k
     group, expected = closed_forms.h2_trivial(factors, m)
-    assert cohomology_module._rungs(group, trivial_module(group, [m])) is not None
-    assert cohomology(group, trivial_module(group, [m]), 2).invariant_factors == expected
+    module = trivial_module(group, [m])
+    moduli = record_moduli(monkeypatch)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+    (p, k, v), = p_parts(group, module)
+    assert k <= v and moduli == [p**i for i in range(1, k + 1)]
+    assert h2.invariant_factors == expected
 
 
 def test_ladder_on_sums_of_characters():
     # a p-part killed by p beside a cyclic liftable one climbs the ladder
     # (Z/3 + Z/12, Z/5 + Z/20, Z/3 + Z/8 through a lifting character); a
-    # p-part that is neither (Z/2 + Z/4 in Z/2 + Z/12, Z/3 + Z/9 in
-    # Z/3 + Z/36) reads the one Cayley-graph quotient at e.  Either way the
-    # factors are the Z path's
+    # p-part of a prime of |G| that is neither (Z/2 + Z/4 in Z/2 + Z/12,
+    # Z/3 + Z/9 in Z/3 + Z/36 over S3) reads the one Cayley-graph quotient
+    # at p^k, while the other primes still climb.  Either way the factors
+    # are the Z path's
     cases = Counter()
     for name in ("C2", "C4", "S3", "D4"):
         group = named_group(name)
@@ -1459,14 +1517,14 @@ def test_ladder_on_sums_of_characters():
             chars = [all_characters(group, m) for m in ms]
             for chis in itertools.islice(itertools.product(*chars), 2):
                 module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
-                rungs = cohomology_module._rungs(group, module)
-                if ms in ((2, 12), (3, 36)):
-                    assert rungs is None
+                primes = one_quotient_primes(group, module)
+                if ms == (2, 12) or ms == (3, 36) and name == "S3":
+                    assert primes == [ms[0]], (name, ms)
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
                 presentation = cohomology_module._z_presentation(group, module, 2)
                 assert h2.invariant_factors == presentation.factors, (name, ms, chis)
-                cases[rungs is not None] += 1
-    assert cases == {True: 20, False: 20}
+                cases[not primes] += 1
+    assert cases == {True: 26, False: 14}
 
 
 def test_ladder_needs_the_lift(monkeypatch):
@@ -1475,9 +1533,9 @@ def test_ladder_needs_the_lift(monkeypatch):
     # as (Z/2)^2 with no error, while H^2 = Z/4.  Without the gate the
     # wrong factors stand until the presentation is first read
     group, module = non_lifting_q8_module()
-    assert cohomology_module._rungs(group, module) is None
+    assert not cohomology_module._lifts(group, module, 2, 8)
     assert cohomology_module._cohomology_cached.__wrapped__(group, module, 2).invariant_factors == (4,)
-    monkeypatch.setattr(cohomology_module, "_rungs", lambda group, module: (2, 4, 8))
+    monkeypatch.setattr(cohomology_module, "_lifts", lambda *args: True)
     ungated = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
     assert ungated.invariant_factors == (2, 2)
     with pytest.raises(ArithmeticError, match="differ from the presentation's"):
@@ -1551,8 +1609,9 @@ NAMED_TO_16 = [f"C{n}" for n in range(1, 17)] + [f"D{n}" for n in range(2, 9)] +
 
 def test_one_quotient_reads_like_the_z_path():
     # every character mod 4, 8, 9 and 12 of the named groups to order 16
-    # with gcd(|G|, m) > 1 that does not lift reads its factors from the one
-    # Cayley-graph quotient at e.  They are those of the bar complex over
+    # with a p-part, p dividing |G|, that does not lift reads that part's
+    # factors from the one Cayley-graph quotient at p^k, and climbs the
+    # rungs of any other.  They are those of the bar complex over
     # each Z/p^k, of the Z path's presentation of all rows to order 10 (its
     # integer Smith forms grow slow past that), and of the oracle where its
     # budget allows
@@ -1562,7 +1621,7 @@ def test_one_quotient_reads_like_the_z_path():
         for m in (4, 8, 9, 12):
             for chi in all_characters(group, m):
                 module = mu_module(group, m, chi)
-                if gcd(group.order, m) == 1 or cohomology_module._rungs(group, module):
+                if not one_quotient_primes(group, module):
                     continue
                 factors = cohomology_module._cohomology_cached.__wrapped__(
                     group, module, 2
@@ -1582,7 +1641,8 @@ def test_one_quotient_reads_like_the_z_path():
 
 
 def test_one_quotient_folds_no_bar_row(monkeypatch):
-    # a factor read of an H^2 with no ladder folds only Cayley-graph rows, of
+    # a factor read of an H^2 whose one p-part reads the one quotient at p^k,
+    # and with no other prime of |G| in e, folds only Cayley-graph rows, of
     # width (|G| (|X| - 1) + 1) r, reaches no presentation of the bar
     # complex, and builds Smith forms of at most (|G| (|X| - 1) + 1) r rows
     # and that many columns plus the |X| r coboundary columns: the kernel's
@@ -1615,7 +1675,8 @@ def test_one_quotient_folds_no_bar_row(monkeypatch):
     for group, module, want in cases:
         widths.clear()
         shapes.clear()
-        assert cohomology_module._rungs(group, module) is None
+        primes = [p for p, _k, _v in p_parts(group, module)]
+        assert len(primes) == 1 and one_quotient_primes(group, module) == primes
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         assert h2.invariant_factors == want, group.name
         nx = len(cohomology_module._generator_ends(group))
@@ -1659,23 +1720,34 @@ def test_h0_is_the_fixed_submodule():
 
 
 def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
-    # a count below the rung beneath it, a ratio that does not divide the
-    # one before, and a ratio with a prime that has stopped climbing
-    c2 = cyclic(2)
-    module = trivial_module(c2, [12])
-    for rungs, orders, error in [
-        ((2, 4), [4, 2], "climb no ladder"),
-        ((2, 4), [2, 8], "climb no ladder"),
-        ((6, 12), [6, 18], "prime to 2"),
+    # a count below the rung beneath it, a ratio larger than the one before,
+    # and a ratio carrying a prime other than p (on the rungs 2 and 4 of C4,
+    # or the one rung at 2 of C2, where a count of 6 on Z/12 or 28 on Z/2
+    # is no group killed by 2) raise instead of climbing on; counts that
+    # climb read the j-th largest factor as the product of the j-th largest
+    # p-parts, here (4, 2) at 2 and (3, 3) at 3
+    c2, c4 = cyclic(2), cyclic(4)
+    for module, orders in [
+        (trivial_module(c4, [4]), [4, 2]),
+        (trivial_module(c4, [4]), [2, 8]),
+        (trivial_module(c4, [4]), [2, 6]),
+        (trivial_module(c2, [12]), [6]),
+        (trivial_module(c2, [2]), [28]),
     ]:
         counts = iter(orders)
-        monkeypatch.setattr(cohomology_module, "_rungs", lambda *args, rungs=rungs: rungs)
         monkeypatch.setattr(
             cohomology_module, "_cayley_h2",
             lambda *args, counts=counts: SimpleNamespace(order=next(counts)),
         )
-        with pytest.raises(ArithmeticError, match=error):
-            cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
+        with pytest.raises(ArithmeticError, match="climb no ladder"):
+            cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
+    counts = iter([4, 8, 9])
+    monkeypatch.setattr(
+        cohomology_module, "_cayley_h2", lambda *args: SimpleNamespace(order=next(counts))
+    )
+    c12 = cyclic(12)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(c12, trivial_module(c12, [36]), 2)
+    assert h2.invariant_factors == (6, 12) and next(counts, None) is None
 
 
 def quotient_module(module, d):
@@ -1705,10 +1777,14 @@ def test_a_rung_presents_the_quotient_module():
 
 
 def test_the_ladder_builds_no_module(monkeypatch):
-    # the rungs of H^2(C8, Z/4) and of h2-mid's Q8/mu_4 count on the rows of
-    # M itself, so counting them constructs no GModule for M / 2M
-    c8, q8 = cyclic(8), quaternion()
-    modules = [trivial_module(c8, [4]), mu_module(q8, 4, all_characters(q8, 4)[-1])]
+    # the rungs of H^2(C8, Z/4), of h2-mid's Q8/mu_4 and of H^2(C2, Z/8)
+    # count on the rows of M itself, so counting them constructs no GModule
+    # for M / 2M.  |G| kills H^2, so the rungs stop at the power of p
+    # exactly dividing |G|: C2 on Z/8 climbs one rung, Q8 on mu_4 two
+    c2, c8, q8 = cyclic(2), cyclic(8), quaternion()
+    modules = [
+        trivial_module(c8, [4]), mu_module(q8, 4, all_characters(q8, 4)[-1]), trivial_module(c2, [8])
+    ]
     made, init = [], GModule.__post_init__
 
     def counted(module):
@@ -1716,9 +1792,11 @@ def test_the_ladder_builds_no_module(monkeypatch):
         init(module)
 
     monkeypatch.setattr(GModule, "__post_init__", counted)
-    for module, want in zip(modules, [(4,), (2, 2)]):
-        assert cohomology_module._rungs(module.group, module) == (2, 4)
+    moduli = record_moduli(monkeypatch)
+    for module, want, rungs in zip(modules, [(4,), (2, 2), (2,)], [[2, 4], [2, 4], [2]]):
+        moduli.clear()
         h2 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
+        assert moduli == rungs, module.group.name
         assert h2.invariant_factors == want
     assert made == []
 
@@ -1755,35 +1833,48 @@ def cayley_cases():
 def test_rungs_read_the_character_at_x_alone(monkeypatch):
     # the lifts are subgroups of the units and the corner entry is
     # multiplicative on a cyclic p-part, so reading it at X decides as
-    # reading it at every element does, on every cayley_cases module
+    # reading it at every element does, at every prime of |G| and e, on
+    # every cayley_cases module
     modules = list(cayley_cases())
-    at_x = [cohomology_module._rungs(module.group, module) for module in modules]
+
+    def lifts(module):
+        group = module.group
+        return [cohomology_module._lifts(group, module, p, p**k) for p, k, _v in p_parts(group, module)]
+
+    at_x = [lifts(module) for module in modules]
+    declined = sum(bool(one_quotient_primes(module.group, module)) for module in modules)
     monkeypatch.setattr(cohomology_module, "_generator_ends", lambda group: tuple(group.elements()))
-    assert [cohomology_module._rungs(module.group, module) for module in modules] == at_x
-    declined = sum(
-        rungs is None and gcd(module.group.order, module.exponent) > 1
-        for module, rungs in zip(modules, at_x)
-    )
-    assert (len(modules), declined) == (814, 166)
+    assert [lifts(module) for module in modules] == at_x
+    assert (len(modules), declined) == (814, 160)
 
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def test_cayley_count_matches_the_quotient_module():
-    # on every rung d, or on d = e for a module with no ladder, the
-    # Cayley-graph count of H^2(G, M / dM) is the bar complex's order for
-    # the module M / dM built on its own (many coincide, so each is counted
-    # once); to order 8, with d = e, the factors of the Cayley subquotient
-    # are those ``cohomology`` reads, from the ladder or from that quotient
-    # itself (``test_one_quotient_reads_like_the_z_path`` compares those
-    # with the Z path)
+def test_cayley_count_matches_the_quotient_module(monkeypatch):
+    # on every modulus d that ``_h2_factors`` reads, a rung p^i or the one
+    # quotient at p^k, and on d = e, the Cayley-graph count of
+    # H^2(G, M / dM) is the bar complex's order for the module M / dM built
+    # on its own (many coincide, so each is counted once); to order 8, with
+    # d = e, the factors of the Cayley subquotient are those ``cohomology``
+    # reads, one prime at a time (``test_one_quotient_reads_like_the_z_path``
+    # compares those with the Z path)
+    cayley_h2, read = cohomology_module._cayley_h2, {}
+
+    def recorded(group, module, d):
+        read[d] = cayley_h2(group, module, d)
+        return read[d]
+
+    monkeypatch.setattr(cohomology_module, "_cayley_h2", recorded)
     want, cases, presented = {}, 0, 0
     for module in cayley_cases():
-        group = module.group
-        for d in cohomology_module._rungs(group, module) or (module.exponent,):
-            count = cohomology_module._cayley_h2(group, module, d)
+        group, e = module.group, module.exponent
+        read.clear()
+        cohomology_module._h2_factors(group, module)
+        if e not in read:
+            read[e] = cayley_h2(group, module, e)
+        for d, count in sorted(read.items()):
             quotient = quotient_module(module, d)
             if quotient not in want:
                 want[quotient] = reference_h2_order(group, quotient)
@@ -1791,9 +1882,9 @@ def test_cayley_count_matches_the_quotient_module():
             cases += 1
         if group.order <= 8:
             factors = cohomology(group, module, 2).invariant_factors
-            assert count.factors == factors, (group.name, module.orders)
+            assert read[e].factors == factors, (group.name, module.orders)
             presented += 1
-    assert cases == 1256 and len(want) == 830 and presented == 323
+    assert cases == 1569 and len(want) == 822 and presented == 323
 
 
 def relabelled_module(module, perm):
@@ -1844,30 +1935,36 @@ def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
 
 
 @pytest.mark.parametrize("count, m", [(5, 2), (5, 4), (6, 2), (6, 4)])
-def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m):
+def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m, monkeypatch):
     # C2^6 has 4096 bar cochain coordinates and 321 Cayley-graph ones
     group, expected = closed_forms.h2_trivial(["C2"] * count, m)
     module = trivial_module(group, [m])
-    assert cohomology_module._rungs(group, module) == tuple(divisors(m)[1:])
-    assert cohomology(group, module, 2).invariant_factors == expected
+    moduli = record_moduli(monkeypatch)
+    h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+    assert moduli == divisors(m)[1:]
+    assert h2.invariant_factors == expected
     assert cohomology_module._cayley_h2(group, module, m).order == prod(expected)
 
 
 def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     # S3 on trivial Z/(10^40 + 1), which is prime to 6: the one Cayley-graph
     # quotient at e feeds, folds and relates Python ints, and cohomology
-    # reads H^2 = 0 from the theorem, feeding nothing.  C2 on trivial
-    # Z/2^64 is not coprime and e is past the ladder's bound, so cohomology
-    # reads the one quotient at e, over Python ints: H^2 = Z/2
+    # reads H^2 = 0 from the theorem, feeding nothing; the count, with no
+    # prime of |G| in e, reads no quotient either.  C2 on trivial Z/2^64
+    # climbs the one rung at 2, where |G| stops it: one row at modulus 2, in
+    # e's dtype, Python ints: H^2 = Z/2.  Its representative comes from the
+    # bar complex at e.  D4 on trivial Z/2^70 climbs the rungs 2, 4 and 8
+    # and reads (2, 2, 2), the Z path's
     e = 10**40 + 1
     s3 = symmetric(3)
     module = trivial_module(s3, [e])
-    assert gcd(6, e) == 1 and cohomology_module._rungs(s3, module) is None
-    congruence_kernel, fed = linalg.congruence_kernel, []
+    assert gcd(6, e) == 1
+    congruence_kernel, fed, moduli = linalg.congruence_kernel, [], []
 
     def recorded(n, exponent, constraints):
         items = list(constraints)
         fed.extend(items)
+        moduli.append(sorted({modulus for _row, modulus in items}))
         return congruence_kernel(n, exponent, iter(items))
 
     monkeypatch.setattr(linalg, "congruence_kernel", recorded)
@@ -1879,16 +1976,22 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     fed.clear()
     h2 = cohomology_module._cohomology_cached.__wrapped__(s3, module, 2)
     assert h2.is_trivial and fed == []
+    assert cohomology_module._h2_factors(s3, module) == () and fed == []
     c2, e = cyclic(2), 2**64
     module = trivial_module(c2, [e])
-    assert cohomology_module._rungs(c2, module) is None
     h2 = cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
     assert h2.invariant_factors == (2,) and len(fed) == 1
-    assert all(row.dtype == object and modulus == e for row, modulus in fed)
+    assert all(row.dtype == object and modulus == 2 for row, modulus in fed)
     fed.clear()
     rep = h2.representatives[0]  # from the bar complex, over Python ints too
     assert fed and all(row.dtype == object and modulus == e for row, modulus in fed)
     assert is_cocycle(rep) and h2.class_of(rep).coordinates == (1,)
+    d4 = named_group("D4")
+    module = trivial_module(d4, [2**70])
+    moduli.clear()
+    h2 = cohomology_module._cohomology_cached.__wrapped__(d4, module, 2)
+    assert moduli == [[2], [4], [8]] and h2.invariant_factors == (2, 2, 2)
+    assert cohomology_module._z_presentation(d4, module, 2).factors == (2, 2, 2)
 
 
 def reference_cayley_h2(group, module, d):
