@@ -36,12 +36,22 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator
 
 import numpy as np
+
+
+# numpy's OpenBLAS starts threads that spin for about 0.13 s before they sleep.
+# The one float product here, in ``Lattice.contains``, is too small to use them,
+# so they are stopped (Linux; a product that needs them starts them again).
+with contextlib.suppress(OSError), open("/proc/self/maps", encoding="utf-8") as _maps:
+    for _path in sorted({line.split(None, 5)[5].strip() for line in _maps if "openblas" in line}):
+        getattr(ctypes.CDLL(_path), "blas_thread_shutdown_", lambda: None)()
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

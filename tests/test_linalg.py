@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from math import gcd, isqrt, lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -859,3 +863,33 @@ def test_span_and_kernel_subgroups_brute_force():
             int_matrix(sub_cols).T,
         )
         check_subquotient(quot, orders, kernel, generated(sub_cols, orders))
+
+
+_AFTER_RELEASE = """
+import os
+import numpy as np
+import twistlgp.linalg
+threads = len(os.listdir("/proc/self/task"))
+openblas = "openblas" in open("/proc/self/maps").read()
+a = np.arange(400 * 400).reshape(400, 400) % 7
+exact = bool((a.astype(np.float64) @ a == a @ a).all())
+print(threads, openblas, exact)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_import_stops_the_idle_blas_threads():
+    # numpy is imported first, as a host program would: OpenBLAS's threads
+    # are already spinning when the package is imported, and are stopped
+    # then; a product large enough to use threads still comes out exact
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run([sys.executable, "-c", _AFTER_RELEASE],
+                         capture_output=True, text=True, env=env, check=True)
+    threads, openblas, exact = run.stdout.split()
+    assert exact == "True"
+    if openblas == "False":
+        pytest.skip("numpy does not use OpenBLAS here")
+    assert threads == "1"
