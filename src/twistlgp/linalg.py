@@ -1,6 +1,6 @@
-"""Exact integer linear algebra: Smith normal form with unimodular transforms,
-lattices with their own coordinates, finite lattice quotients, and finite
-subquotients of Z/d_1 + ... + Z/d_r.
+"""Exact integer linear algebra: Smith normal form with unimodular row
+transforms, lattices that read their own coordinates, finite lattice
+quotients, and finite subquotients of Z/d_1 + ... + Z/d_r.
 
 Matrices handed between functions are numpy arrays with dtype=object holding
 Python ints, so nothing ever overflows; the congruence fold works in int64,
@@ -8,8 +8,8 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
 
 * ``smith_normal_form(A)`` returns ``U @ A @ V == S`` with ``S`` diagonal,
   ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular.  Only ``S``
-  is built eagerly: ``U``, ``V`` and their exact inverses are replayed from
-  the logged elementary operations when first read, then cached.
+  is built eagerly: ``U`` and its exact inverse are replayed from the
+  logged row operations when first read, then cached; ``V`` is not kept.
 * A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
   folds the constraint rows into, numpy column by column over blocks of
   rows from e * I, in the smallest integer dtype that holds the exponent e
@@ -19,19 +19,27 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   ints, and scanned for the rows whose entry the pivot does not divide;
   each run of rows between two of them is folded in a few numpy calls,
   and a pivot still at e (a fresh pivot) takes its first row with no
-  pivot row at all (``_fold``).  Its basis (independent columns), the
-  unimodular ``forward`` matrix taking it to diag(scales), and the scales
-  come from the Smith normal form of ``reduced``, built the first time one
-  of them is read; membership needs only ``reduced``.
+  pivot row at all (``_fold``).
+* The fold keeps e * Z^n inside the integer row span of ``reduced``: it
+  starts from e * I, every pivot update is unimodular, and every reduction
+  mod e subtracts vectors already in the span.  So e * I == A @ reduced for
+  an integer A, and as ``reduced`` is upper triangular with a nonzero
+  diagonal, the lattice L = {x : reduced @ x == 0 mod e} is A * Z^n with
+  A = e * reduced^-1.  The basis coordinates of x in L are reduced @ x / e
+  (``solve_columns``), and the basis applied to coordinates w is the
+  solution of reduced @ x == e * w, found by back substitution whose every
+  division is exact (``Lattice.lift``).  [Z^n : L] = e^n / prod(diagonal).
+  No Smith form of ``reduced`` is built.
 * Every finite subquotient of Z/d_1 + ... + Z/d_r is a ``subquotient``
   L / (span(sub) + R) with L a congruence kernel and R = diag(d), passed as
-  the orders d and entering as a column scaling of ``forward``;
+  the orders d and entering as a column scaling of ``reduced``;
   ``kernel_subgroup`` and ``fixed_subgroup`` are its cases with no ``sub``.
   A ``LatticeQuotient`` counts its order at construction, from the
-  diagonals of two triangular folds, and diagonalizes (``lattice_quotient``)
-  only when the factors, generators or coordinates of a nontrivial quotient
-  are first read.  It is read as matrices (``generators()``,
-  ``coordinates(x)``); no other module reads a ``Lattice``.
+  diagonals of two triangular folds, and diagonalizes (``lattice_quotient``,
+  its one Smith form) only when the factors, generators or coordinates of
+  a nontrivial quotient are first read.  It is read as matrices
+  (``generators()``, ``coordinates(x)``); no other module reads a
+  ``Lattice``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import contextlib
 import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -126,15 +134,15 @@ def _replay(size: int, ops: list[tuple], inverse: bool) -> np.ndarray:
 class SmithNormalForm:
     """U @ A @ V == S with S = diag(diagonal), U, V unimodular.
 
-    ``s`` and ``diagonal`` are computed eagerly; ``u``, ``v`` and their
-    inverses are replayed from the logged elementary operations when first
-    read, so a caller pays only for the transforms it uses.
+    ``s`` and ``diagonal`` are computed eagerly; ``u`` and its inverse are
+    replayed from the logged row operations when first read, so a caller
+    pays only for the transform it uses.  The column operations act on
+    ``s`` only: no caller reads ``V``, so they are not logged.
     """
 
     s: np.ndarray
     diagonal: tuple[int, ...]
     _row_ops: list[tuple] = field(repr=False, compare=False)
-    _col_ops: list[tuple] = field(repr=False, compare=False)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -144,28 +152,18 @@ class SmithNormalForm:
     def u_inv(self) -> np.ndarray:
         return _replay(self.s.shape[0], self._row_ops, inverse=True).T
 
-    @cached_property
-    def v(self) -> np.ndarray:
-        # column operations on V are row operations on V^T
-        return _replay(self.s.shape[1], self._col_ops, inverse=False).T
-
-    @cached_property
-    def v_inv(self) -> np.ndarray:
-        return _replay(self.s.shape[1], self._col_ops, inverse=True)
-
 
 def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    The diagonal is nonnegative and satisfies s_1 | s_2 | ... ; the
-    operations are logged so the transforms can be rebuilt exactly.
+    The diagonal is nonnegative and satisfies s_1 | s_2 | ... ; the row
+    operations are logged so U and U^-1 can be rebuilt exactly.
     """
     s = np.array(mat, dtype=object, copy=True)
     if s.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, n = s.shape
     row_ops: list[tuple] = []
-    col_ops: list[tuple] = []
 
     def min_entry(t: int) -> tuple[int, int] | None:
         # the first nonzero entry of least |value| in row-major order: one
@@ -176,8 +174,8 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
         k = int(np.argmin(np.abs(s[rows + t, cols + t])))
         return t + int(rows[k]), t + int(cols[k])
 
-    # Elementary operations keep U @ A @ V == S for the logged U and V; a
-    # column operation is a row operation on the view s.T.
+    # Elementary operations keep U @ A @ V == S for the logged U; a column
+    # operation is a row operation on the view s.T.
     for t in range(min(m, n)):
         while True:
             pos = min_entry(t)
@@ -185,7 +183,7 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
                 break
             if pos != (t, t):
                 row_ops.append(_apply(s, ("swap", t, pos[0])))
-                col_ops.append(_apply(s.T, ("swap", t, pos[1])))
+                _apply(s.T, ("swap", t, pos[1]))
             pivot = s[t, t]
             dirty = False
             for i in range(t + 1, m):
@@ -195,7 +193,7 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
                         dirty = True  # remainder smaller than pivot; rescan
             for j in range(t + 1, n):
                 if s[t, j] != 0:
-                    col_ops.append(_apply(s.T, ("add", j, t, -(s[t, j] // pivot))))
+                    _apply(s.T, ("add", j, t, -(s[t, j] // pivot)))
                     if s[t, j] != 0:
                         dirty = True
             if dirty:
@@ -212,47 +210,38 @@ def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
             row_ops.append(_apply(s, ("negate", t)))
 
     diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
-    return SmithNormalForm(s=s, diagonal=diagonal, _row_ops=row_ops, _col_ops=col_ops)
+    return SmithNormalForm(s=s, diagonal=diagonal, _row_ops=row_ops)
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """The lattice {x in Z^n : reduced @ x == 0 (mod exponent)}, which
-    carries its own coordinates.
+    """The lattice L = {x in Z^n : reduced @ x == 0 (mod exponent)}, which
+    reads its own coordinates.
 
-    ``reduced`` is the upper triangular basis that ``congruence_kernel``
-    folds the constraint rows into; its rows span the constraint lattice
-    together with exponent * Z^n.  ``basis`` has linearly independent
-    columns, ``forward`` is unimodular, and ``forward @ basis`` is
-    diag(``scales``), so ``solve_columns`` finds basis coordinates with one
-    product.  Those three come from the Smith normal form of ``reduced``,
-    built when one of them is first read; only they are kept, not the Smith
-    form.
+    ``reduced`` is the upper triangular basis, with a nonzero diagonal,
+    that ``congruence_kernel`` folds the constraint rows into; its rows
+    span the constraint lattice, which contains exponent * Z^n.  So L has
+    the basis e * reduced^-1 (see the module docstring): ``solve_columns``
+    reads basis coordinates with one product, and ``lift`` applies the
+    basis to coordinates by back substitution.
     """
 
     reduced: np.ndarray
     exponent: int
 
-    @cached_property
-    def _coordinates(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        e = self.exponent
-        # With U @ reduced @ V == S, reduced x == 0 mod e iff y = V^-1 x has
-        # s_i y_i == 0 mod e, so the solutions are V times a rescaled basis.
-        snf = smith_normal_form(self.reduced)
-        scales = tuple(e // gcd(int(d), e) for d in snf.diagonal)
-        return snf.v * np.array(scales, dtype=object), snf.v_inv, scales
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self._coordinates[0]
-
-    @property
-    def forward(self) -> np.ndarray:
-        return self._coordinates[1]
-
-    @property
-    def scales(self) -> tuple[int, ...]:
-        return self._coordinates[2]
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """The x with reduced @ x == e * w, the lattice vectors with basis
+        coordinates w, by back substitution over Python ints.  Raises
+        ``ArithmeticError`` when a division leaves a remainder, which it
+        cannot when e * Z^n lies in the row span of ``reduced``."""
+        mat = np.asarray(self.reduced, dtype=object)
+        x = self.exponent * np.asarray(w, dtype=object)
+        for i in range(mat.shape[0] - 1, -1, -1):
+            rest = x[i] - mat[i, i + 1:] @ x[i + 1:]
+            x[i] = rest // mat[i, i]
+            if (x[i] * mat[i, i] != rest).any():
+                raise ArithmeticError("e * Z^n is not in the row span of the triangular basis")
+        return x
 
     def contains(self, vectors: np.ndarray) -> bool:
         """Whether every column of ``vectors`` (or the vector) lies in the
@@ -271,13 +260,14 @@ class Lattice:
 
 
 def solve_columns(lattice: Lattice, rhs: np.ndarray) -> np.ndarray | None:
-    """The unique W with lattice.basis @ W == rhs; None if some column of
-    rhs is not in the lattice: row i of forward @ rhs over scales[i]."""
-    z = lattice.forward @ rhs
-    scales = np.array(lattice.scales, dtype=object).reshape(-1, 1)
-    if (z % scales != 0).any():
+    """The unique W with lattice.lift(W) == rhs, reduced @ rhs / e over
+    Python ints; None if some column of rhs is not in the lattice, that is
+    if e does not divide every entry of reduced @ rhs."""
+    e = lattice.exponent
+    z = np.asarray(lattice.reduced, dtype=object) @ np.asarray(rhs, dtype=object)
+    if (z % e != 0).any():
         return None
-    return z // scales
+    return z // e
 
 
 # Rows folded or multiplied at once: enough for numpy to pay off, few enough
@@ -510,7 +500,7 @@ class LatticeQuotient:
         if self.is_trivial:
             return zero_matrix(self.lattice.reduced.shape[0], 0)
         w_snf, kept = self._smith
-        return self.lattice.basis @ w_snf.u_inv[:, list(kept)]
+        return self.lattice.lift(w_snf.u_inv[:, list(kept)])
 
 
 def lattice_quotient(
@@ -518,12 +508,13 @@ def lattice_quotient(
 ) -> tuple[SmithNormalForm, tuple[int, ...]]:
     """The Smith form of L / (span(sub) + R) for L = ``lattice`` and R =
     diag(``orders``), both inside L (``subquotient`` proved it), in basis
-    coordinates of L, and the places of its diagonal entries other than 1.
-    forward @ diag(orders) is a column scaling of forward, and every row of
-    forward @ [sub | diag(orders)] divides exactly by its scale."""
-    forward = lattice.forward
-    z = np.concatenate([forward @ sub, forward * np.array(orders, dtype=object)], axis=1)
-    w_snf = smith_normal_form(z // np.array(lattice.scales, dtype=object).reshape(-1, 1))
+    coordinates of L, and the places of its diagonal entries other than 1:
+    the Smith form of reduced @ [sub | diag(orders)] / e, in which
+    reduced @ diag(orders) is a column scaling of reduced and every entry
+    divides exactly by e."""
+    mat = np.asarray(lattice.reduced, dtype=object)
+    z = np.concatenate([mat @ sub, mat * np.array(orders, dtype=object)], axis=1)
+    w_snf = smith_normal_form(z // lattice.exponent)
     return w_snf, tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
 
 
@@ -531,19 +522,19 @@ def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQ
     """L / (span(sub) + R) for L = {x in Z^r : row . x == 0 (mod modulus)}
     over the (row, modulus) congruences (``congruence_kernel``) and R the
     relation lattice generated by diag(``orders``); sub's columns and R lie
-    in L.  Z^r / L is the image of the congruence rows: its invariant
-    factors are the scales of L other than 1, largest first.
+    in L.  Z^r / L is the image of the congruence rows, of order
+    e^r / prod(diagonal of ``reduced``) (see the module docstring).
 
     The order is counted (``_quotient_order``); no Smith form is built
     here."""
-    lift = congruence_kernel(len(orders), exponent, congruences)
+    lattice = congruence_kernel(len(orders), exponent, congruences)
     # R <= L iff reduced @ diag(orders) == 0 mod e: a column scaling, of
     # the columns whose order is not a multiple of e
     scaled = [j for j, d in enumerate(orders) if d % exponent]
-    scales = np.array([orders[j] % exponent for j in scaled], dtype=_dtype(exponent))
-    if not lift.contains(sub) or (lift.reduced[:, scaled] * scales % exponent).any():
+    residues = np.array([orders[j] % exponent for j in scaled], dtype=_dtype(exponent))
+    if not lattice.contains(sub) or (lattice.reduced[:, scaled] * residues % exponent).any():
         raise NotInLattice("sub-generators do not lie in the lattice")
-    return LatticeQuotient(lift, sub, tuple(orders), _quotient_order(lift, sub, orders))
+    return LatticeQuotient(lattice, sub, tuple(orders), _quotient_order(lattice, sub, orders))
 
 
 def kernel_subgroup(orders, maps) -> LatticeQuotient:

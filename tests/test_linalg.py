@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,12 +39,13 @@ def is_identity(mat):
 
 
 def check_snf(mat):
-    snf = smith_normal_form(mat)
-    assert (snf.u @ mat @ snf.v == snf.s).all()
+    # V is not kept; the eager reference takes the same steps, so its V
+    # completes U @ A @ V == S
+    snf, want = smith_normal_form(mat), reference_snf(mat)
+    assert (snf.s == want.s).all() and (snf.u == want.u).all() and (snf.u_inv == want.u_inv).all()
+    assert (snf.u @ mat @ want.v == snf.s).all()
     assert is_identity(snf.u @ snf.u_inv)
     assert is_identity(snf.u_inv @ snf.u)
-    assert is_identity(snf.v @ snf.v_inv)
-    assert is_identity(snf.v_inv @ snf.v)
     m, n = mat.shape
     for i in range(m):
         for j in range(n):
@@ -58,6 +59,11 @@ def check_snf(mat):
         else:
             assert b % a == 0
     return snf
+
+
+def lattice_basis(lattice):
+    """The basis of the lattice, its coordinates the identity."""
+    return lattice.lift(identity_matrix(lattice.reduced.shape[0]))
 
 
 def test_xgcd():
@@ -97,13 +103,13 @@ def test_solve_columns():
     lattice = congruence_kernel(2, 6, iter([([1, 0], 2), ([0, 1], 3)]))
     rhs = int_matrix([[4], [9]])
     sol = solve_columns(lattice, rhs)
-    assert (lattice.basis @ sol == rhs).all()
+    assert (lattice.lift(sol) == rhs).all()
     assert solve_columns(lattice, int_matrix([[1], [0]])) is None
 
 
 def test_congruence_kernel_simple():
     # x + y == 0 (mod 4) in Z^2
-    basis = congruence_kernel(2, 4, iter([([1, 1], 4)])).basis
+    basis = lattice_basis(congruence_kernel(2, 4, iter([([1, 1], 4)])))
     snf = smith_normal_form(basis)
     assert abs(np.prod(snf.diagonal)) == 4  # index-4 sublattice
     for k in range(basis.shape[1]):
@@ -113,7 +119,7 @@ def test_congruence_kernel_simple():
 def test_congruence_kernel_mixed_moduli():
     # x == 0 (mod 2) and x + y == 0 (mod 6)
     rows = iter([([1, 0], 2), ([1, 1], 6)])
-    basis = congruence_kernel(2, 6, rows).basis
+    basis = lattice_basis(congruence_kernel(2, 6, rows))
     for k in range(basis.shape[1]):
         x, y = basis[0, k], basis[1, k]
         assert x % 2 == 0 and (x + y) % 6 == 0
@@ -123,7 +129,7 @@ def test_congruence_kernel_mixed_moduli():
 
 def test_kernel_on_the_trivial_group():
     # Z^0 with a nontrivial exponent: the congruences are vacuous
-    assert congruence_kernel(0, 6, iter([([], 3)])).basis.shape == (0, 0)
+    assert lattice_basis(congruence_kernel(0, 6, iter([([], 3)]))).shape == (0, 0)
     assert kernel_subgroup((), [([[]], (3,))]).factors == ()
 
 
@@ -134,7 +140,7 @@ def test_congruence_kernel_brute_force():
         e = rng.choice([2, 3, 4, 6, 9])
         moduli = [rng.choice([d for d in (1, 2, 3, 4, 6, 9) if e % d == 0]) for _ in range(rng.randint(0, 4))]
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in moduli]
-        basis = congruence_kernel(n, e, iter(zip(rows, moduli))).basis
+        basis = lattice_basis(congruence_kernel(n, e, iter(zip(rows, moduli))))
         # every basis column satisfies the congruences
         for k in range(basis.shape[1]):
             for row, m in zip(rows, moduli):
@@ -258,7 +264,8 @@ def reference_snf(mat):
 def reference_congruence_kernel(n, e, constraints):
     """The row-by-row full-row fold: every elimination rebuilds the whole
     pivot row and the whole constraint vector through xgcd.  Returns the
-    triangular basis ``reduced`` with the lattice's basis, forward and
+    triangular basis ``reduced`` with the lattice read from its Smith form:
+    a basis, the unimodular ``forward`` taking it to diag(scales), and the
     scales."""
     pivots = {}
     for row, modulus in constraints:
@@ -310,15 +317,27 @@ def test_congruence_kernel_matches_the_reference_fold(monkeypatch):
         got = congruence_kernel(n, e, iter(zip(rows, moduli)))
         want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
         assert got.reduced.shape == want.reduced.shape and (got.reduced == want.reduced).all()
-        assert got.scales == want.scales
-        assert got.basis.shape == want.basis.shape and (got.basis == want.basis).all()
-        assert got.forward.shape == want.forward.shape and (got.forward == want.forward).all()
-        # the lattice keeps what it derived from the Smith form, not the form
-        assert set(vars(got)) == {"reduced", "exponent", "_coordinates"}
-        assert not any(isinstance(x, linalg.SmithNormalForm) for x in got._coordinates)
-    # the kernel reads V and V^-1 only; U and U^-1 are never built
-    assert built and all("u" not in vars(snf) and "u_inv" not in vars(snf) for snf in built)
-    assert all("v" in vars(snf) and "v_inv" in vars(snf) for snf in built)
+        check_same_lattice(got, want)
+        # the lattice keeps its triangular basis and nothing derived from it
+        assert set(vars(got)) == {"reduced", "exponent"}
+    # its coordinates are read from the triangular basis, with no Smith form
+    assert not built
+
+
+def reference_contains(want, vectors):
+    """Membership in the reference lattice: forward @ x over the scales."""
+    scales = np.array(want.scales, dtype=object).reshape(-1, 1)
+    return not (want.forward @ vectors % scales).any()
+
+
+def check_same_lattice(got, want):
+    """got's basis, read through lift, and the reference's Smith-built
+    basis span the same lattice: each holds the other, and the index is the
+    product of the scales."""
+    basis = lattice_basis(got)
+    assert got.contains(want.basis) and reference_contains(want, basis)
+    n, e = got.reduced.shape[0], got.exponent
+    assert e**n // prod(int(d) for d in np.diagonal(got.reduced)) == prod(want.scales)
 
 
 def test_blocked_fold_matches_the_reference_fold():
@@ -340,8 +359,7 @@ def test_blocked_fold_matches_the_reference_fold():
             want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
             assert (got.reduced.dtype == object) == (e >= 2**31)
             assert (got.reduced == want.reduced).all()
-            assert got.scales == want.scales
-            assert (got.basis == want.basis).all() and (got.forward == want.forward).all()
+            check_same_lattice(got, want)
     # past one block for n <= 8, which holds _BLOCK_ROWS^2 // n rows
     rng = random.Random(29)
     for e in (720, 2**31 * 3, 2**40 + 4):
@@ -357,8 +375,7 @@ def test_blocked_fold_matches_the_reference_fold():
         got = congruence_kernel(n, e, iter(zip(rows, moduli)))
         want = reference_congruence_kernel(n, e, iter(zip(rows, moduli)))
         assert (got.reduced == want.reduced).all()
-        assert got.scales == want.scales
-        assert (got.basis == want.basis).all() and (got.forward == want.forward).all()
+        check_same_lattice(got, want)
     # an entry past int64 with a small exponent is reduced before it is stored
     big = congruence_kernel(2, 6, iter([([2**70 + 1, 3], 6)]))
     small = congruence_kernel(2, 6, iter([([(2**70 + 1) % 6, 3], 6)]))
@@ -582,9 +599,8 @@ def test_contains_matches_the_object_product_across_the_bounds():
             for _ in range(10):
                 rows = [([rng.randrange(e) for _ in range(n)], e) for _ in range(2)]
                 lattice = congruence_kernel(n, e, iter(rows))
-                coeffs = int_matrix([[rng.randrange(-e, e) for _ in range(6)]
-                                     for _ in range(lattice.basis.shape[1])])
-                members = lattice.basis @ coeffs
+                coeffs = int_matrix([[rng.randrange(-e, e) for _ in range(6)] for _ in range(n)])
+                members = lattice.lift(coeffs)
                 others = members + int_matrix([[rng.randrange(e) for _ in range(6)]
                                                for _ in range(n)])
                 assert lattice.contains(members) and object_contains(lattice, members)
@@ -631,8 +647,10 @@ def test_subquotient_counts_and_diagonalizes_on_first_read(monkeypatch):
 
 
 def test_snf_transforms_match_the_eager_reference():
+    # U and U^-1 against the eager reference; V is not kept, and the
+    # reference's completes U @ A @ V == S
     rng = random.Random(19)
-    names = ["u", "u_inv", "v", "v_inv"]
+    names = ["u", "u_inv"]
     for _ in range(150):
         m, n = rng.randint(0, 7), rng.randint(0, 7)
         mat = np.array(
@@ -645,6 +663,8 @@ def test_snf_transforms_match_the_eager_reference():
         for name in names + names:  # each read twice, in shuffled order
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and (a == b).all(), name
+        assert (got.u @ mat @ want.v == got.s).all()
+        assert not hasattr(got, "v") and not hasattr(got, "v_inv")
 
 
 def test_h2_work_is_bounded(monkeypatch):
@@ -690,30 +710,27 @@ def test_h2_work_is_bounded(monkeypatch):
     h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [4]), 2)
     assert h2.invariant_factors == (4,) and not built
     # Q8 on Z/8 through a character taking the value 3, which does not lift
-    # to Z_2^*, reads the factors of the one Cayley-graph quotient: the
-    # kernel's Smith form, of its (|G| (|X| - 1) + 1) r columns, and the
-    # quotient's, with |X| r coboundary columns more, which reads its
-    # diagonal only.  Reading the representatives builds the bar complex's
-    # two, over r |G|^2 columns: the kernel reads V and V^-1 only; the
-    # quotient reads U^-1 and never U, since no coordinates are asked for.
+    # to Z_2^*, reads the factors of the one Cayley-graph quotient: one
+    # Smith form, the quotient's, of (|G| (|X| - 1) + 1) r rows and at most
+    # |X| r coboundary columns more, which reads its diagonal only; the
+    # kernel's coordinates come from its triangular basis.  Reading the
+    # representatives builds the bar complex's one, over r |G|^2 rows,
+    # which reads U^-1 and never U, since no coordinates are asked for.
     q8 = quaternion()
     chi = next(chi for chi in all_characters(q8, 8) if 3 in chi.values)
     h2 = _cohomology_cached.__wrapped__(q8, mu_module(q8, 8, chi), 2)
     assert h2.invariant_factors == (4,)
     width = q8.order * (len(q8.generators) - 1) + 1
     assert width == 17
-    assert len(built) == 2 and "representatives" not in vars(h2)
-    kernel, quotient = built
-    assert kernel.s.shape == (width, width)
-    assert quotient.s.shape[0] <= width
+    assert len(built) == 1 and "representatives" not in vars(h2)
+    quotient, = built
+    assert quotient.s.shape[0] == width
     assert quotient.s.shape[1] <= width + len(q8.generators)
-    assert not {"u", "u_inv"} & (vars(kernel).keys() | vars(quotient).keys())
+    assert not {"u", "u_inv"} & vars(quotient).keys()
     assert len(h2.representatives) == 1
-    assert len(built) == 4
-    kernel, quotient = built[2:]
-    assert kernel.s.shape == (q8.order**2, q8.order**2)
-    assert "u" not in vars(kernel) and "u_inv" not in vars(kernel)
-    assert "v" in vars(kernel) and "v_inv" in vars(kernel)
+    assert len(built) == 2
+    quotient = built[1]
+    assert quotient.s.shape[0] == q8.order**2
     assert "u" not in vars(quotient) and "u_inv" in vars(quotient)
 
 
@@ -742,18 +759,20 @@ def test_lattice_quotient_membership_raises():
 
 
 def check_lattice(lattice, rng):
-    """forward is unimodular, forward @ basis is diag(scales) over zero rows,
-    and solve_columns recovers basis coordinates."""
-    m, k = lattice.basis.shape
-    assert lattice.forward.shape == (m, m)
-    assert smith_normal_form(lattice.forward).diagonal == (1,) * m
-    assert len(lattice.scales) == k and all(d > 0 for d in lattice.scales)
-    expected = zero_matrix(m, k)
-    for i, d in enumerate(lattice.scales):
-        expected[i, i] = d
-    assert (lattice.forward @ lattice.basis == expected).all()
-    w = int_matrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(k)]) if k else zero_matrix(0, 3)
-    assert (solve_columns(lattice, lattice.basis @ w) == w).all()
+    """The basis lift(I) is e * reduced^-1: reduced @ basis == e * I, the
+    index is e^n / prod(diagonal), read also as the product of the Smith
+    diagonal of the basis, and solve_columns and lift are inverse."""
+    e, n = lattice.exponent, lattice.reduced.shape[0]
+    basis = lattice_basis(lattice)
+    assert basis.shape == (n, n)
+    assert (np.asarray(lattice.reduced, dtype=object) @ basis == e * identity_matrix(n)).all()
+    index = e**n // prod(int(d) for d in np.diagonal(lattice.reduced))
+    assert prod(smith_normal_form(basis).diagonal) == index
+    assert lattice.contains(basis)
+    w = int_matrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]) if n else zero_matrix(0, 3)
+    x = lattice.lift(w)
+    assert (solve_columns(lattice, x) == w).all()
+    assert (lattice.lift(solve_columns(lattice, x)) == x).all()
 
 
 def test_lattice_invariant_random():
@@ -773,6 +792,24 @@ def test_lattice_invariant_random():
             )
             found = solve_columns(lattice, int_matrix([list(point)]).T)
             assert (found is not None) == inside
+            assert lattice.contains(int_matrix([list(point)]).T) == inside
+    # wider systems, and exponents past 2^31, where the triangular basis is
+    # kept over Python ints
+    for e in (2**5 * 3**3, 2**31 + 11, 2**40, 6 * (2**31 + 11)):
+        divs = [d for d in (1, 2, 3, 4, 6, 8, 2**20, 2**31 + 11, e // 2, e) if e % d == 0]
+        for _ in range(8):
+            n = rng.randint(1, 7)
+            system = [([rng.randint(-e, e) for _ in range(n)], rng.choice(divs)) for _ in range(rng.randint(1, 2 * n))]
+            lattice = congruence_kernel(n, e, iter(system))
+            assert (lattice.reduced.dtype == object) == (e >= 2**31)
+            check_lattice(lattice, rng)
+    # a triangular basis whose row span misses e * Z^n: (4, 0) is not in
+    # the span of (2, 1) and (0, 4) at e = 4, and the back substitution
+    # leaves a remainder
+    lattice = linalg.Lattice(int_matrix([[2, 1], [0, 4]]), 4)
+    assert (lattice.lift(int_matrix([[1], [0]])) == int_matrix([[2], [0]])).all()
+    with pytest.raises(ArithmeticError):
+        lattice.lift(identity_matrix(2))
 
 
 def generated(gens, orders):
@@ -833,12 +870,13 @@ def test_span_and_kernel_subgroups_brute_force():
             # the image of Z^k under the columns is Z^k / L for L the kernel lift
             e = lcm(*orders)
             lift = kernel_subgroup((e,) * len(cols), [(int_matrix(cols).T, orders)]).lattice
+            scales = smith_normal_form(lattice_basis(lift)).diagonal
             image = generated(cols, orders)
             element_orders = Counter(
                 next(n for n in itertools.count(1) if not any(scale(x, n, orders)))
                 for x in image
             )
-            assert tuple(sorted(d for d in lift.scales if d != 1)) == (
+            assert tuple(sorted(d for d in scales if d != 1)) == (
                 invariant_factors_from_orders(element_orders)
             )
         # well defined on the quotient: row_j * d_j == 0 (mod modulus)
