@@ -463,12 +463,13 @@ def _edge_sums(edges: np.ndarray, action: np.ndarray) -> np.ndarray:
     Cayley graph, the r x |X| r matrix taking the values f(x), x in X, of a
     1-cochain to sum_(h, x) z_(h, x) h.f(x): one block of r rows per z, in
     ``action``'s dtype.  A path z from 1 to k rebuilds f(k) of a cocycle,
-    and a cycle z gives 0, and for any 1-cochain c gives dc(z)."""
+    and a cycle z gives 0, and for any 1-cochain c gives dc(z).  One
+    product of the edges, one row per (z, x), with the stacked action."""
     order, r = action.shape[:2]
-    nx = edges.shape[1] // order
-    z = edges.reshape(len(edges), order, nx).astype(action.dtype)
-    blocks = np.tensordot(z, action, axes=([1], [0]))  # (z, x, i, j)
-    return blocks.transpose(0, 2, 1, 3).reshape(len(edges) * r, nx * r)
+    n, nx = len(edges), edges.shape[1] // order
+    z = edges.reshape(n, order, nx).transpose(0, 2, 1).reshape(n * nx, order)
+    blocks = z.astype(action.dtype) @ action.reshape(order, r * r)  # (z x, i j)
+    return blocks.reshape(n, nx, r, r).transpose(0, 2, 1, 3).reshape(n * r, nx * r)
 
 
 @dataclass(eq=False)

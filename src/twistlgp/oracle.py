@@ -5,17 +5,21 @@ Module elements are coded by their position in ``GModule.elements()``
 (code 0 is the zero element), and the sum, negation and action are
 tabulated once per call, so a cocycle identity is one chain of look-ups;
 the sums are windows of one range or rows built by translation, never
-|M|^2 module additions.  Degree 1 searches the functions G -> M and degree 2 the
-normalized 2-cochains (zero whenever an argument is the identity), depth
-first: slots get their values in order, and each cocycle identity is
-checked as soon as the last slot it reads is set, so a branch ends at the
-first identity it breaks.  The cocycles found are exactly those a full
-enumeration would keep, in the same order.  The quotient Z / B by the
-coboundaries is read off from element orders: the order of the coset of f
-is the least k with k.f in B, and each coset holds |B| cocycles of that
-order, so counting orders over Z and dividing by |B| gives the order
-statistics of Z / B, which determine a finite abelian group up to
-isomorphism.  No linear algebra from the main engine is reused.
+|M|^2 module additions, and negation and the action are additive, so they
+are read off the units of the digits.  Degree 1 searches the functions
+G -> M and degree 2 the normalized 2-cochains (zero whenever an argument is
+the identity), depth first: slots get their values in order, and each
+cocycle identity is checked as soon as the last slot it reads is set.  Both
+identities are additive in the slot values, so one that reads its last
+slot once, through +f, -f or g.f, leaves that slot a single candidate, the
+only value tried there; a slot that no identity reads once tries every
+value.  The cocycles found are exactly those a full enumeration would keep,
+in the same order.  The quotient Z / B by the coboundaries is read off from
+element orders: the order of the coset of f is the least k with k.f in B,
+and each coset holds |B| cocycles of that order, so counting orders over Z
+and dividing by |B| gives the order statistics of Z / B, which determine a
+finite abelian group up to isomorphism.  No linear algebra from the main
+engine is reused.
 """
 
 from __future__ import annotations
@@ -118,28 +122,49 @@ def _tables(module: GModule, budget: OracleBudget):
     range, with no entries of its own.  Over a product of cyclic groups the
     codes are mixed-radix numerals, and adding the unit of a digit is a
     translation: row a + e_i reads the row of e_i at the entries of row a.
-    The |M|^2 sums still count against the budget, as when every entry was
-    tabulated: the cochain counts bound them, except over a group of order
-    1, or of order 2 in degree 2."""
+    Negation and the action of each g are additive, so each is read off its
+    values at the units: the image of a + e_i is the image of a plus that of
+    e_i, and ``module.act`` is called |G| r times.  The |M|^2 sums still
+    count against the budget, as when every entry was tabulated: the cochain
+    counts bound them, except over a group of order 1, or of order 2 in
+    degree 2."""
     size = module.size
     if size * size > budget.max_functions:
         raise BudgetExceeded(f"the {size}^2 sums of the addition table exceed the budget")
-    elements = list(module.elements())
-    code = {v: i for i, v in enumerate(elements)}
     if module.rank == 1:
+        # code a is a itself, and g acts as a -> c a for c the code of g.1
         window = memoryview(array("q", range(size)) * 2)
         add = [window[a:a + size] for a in range(size)]
-    else:
-        # e_i, the unit of digit i, has code strides[i]: a nonzero a is e_i
-        # plus the smaller code a - strides[i], for i its last nonzero digit
-        strides = [prod(module.orders[i + 1:]) for i in range(module.rank)]
-        shift = [[code[module.add(elements[s], v)] for v in elements] for s in strides]
-        add = [list(range(size))]
-        for a in range(1, size):
-            i = max(i for i, digit in enumerate(elements[a]) if digit)
-            add.append([shift[i][x] for x in add[a - strides[i]]])
-    neg = [code[module.neg(a)] for a in elements]
-    act = [[code[module.act(g, a)] for a in elements] for g in module.group.elements()]
+        units = [module.act(g, (1,))[0] for g in module.group.elements()]
+        act = [[a * c % size for a in range(size)] for c in units]
+        return add, [-a % size for a in range(size)], act
+    elements = list(module.elements())
+    code = {v: i for i, v in enumerate(elements)}
+    # e_i, the unit of digit i, has code strides[i]: a nonzero a is e_i plus
+    # the smaller code a - strides[i], for i its last nonzero digit
+    strides = [prod(module.orders[i + 1:]) for i in range(module.rank)]
+    steps = []
+    for a in range(1, size):
+        i = max(i for i, digit in enumerate(elements[a]) if digit)
+        steps.append((a - strides[i], i))
+    shift = [[code[module.add(elements[s], v)] for v in elements] for s in strides]
+    add = [list(range(size))]
+    for smaller, i in steps:
+        add.append([shift[i][x] for x in add[smaller]])
+
+    def additive(images):
+        # the additive map taking e_i to images[i], on every code
+        at_units = [code[v] for v in images]
+        row = [0]
+        for smaller, i in steps:
+            row.append(add[row[smaller]][at_units[i]])
+        return row
+
+    neg = additive([module.neg(elements[s]) for s in strides])
+    act = [
+        additive([module.act(g, elements[s]) for s in strides])
+        for g in module.group.elements()
+    ]
     return add, neg, act
 
 
@@ -166,29 +191,53 @@ def _quotient_invariants(cocycles, coboundaries, add):
     return invariant_factors_from_orders(quotient)
 
 
-def _depth_first(values, identities_at, holds):
-    """Every assignment of ``values`` to the slots 0, 1, ... that satisfies
-    every identity, in the order of itertools.product(values, repeat=slots).
+def _depth_first(identities_at, add, neg):
+    """Every assignment of codes to the slots 0, 1, ... that satisfies every
+    identity, as tuples in the order of itertools.product(codes, repeat=slots).
 
-    ``identities_at[s]`` lists the identities whose last slot is s;
-    ``holds(func, identity)`` is checked as soon as slot s is set, when
-    ``func`` holds the values of slots 0..s.  ``func`` has one more entry
-    after the slots, the zero code 0, for an identity to read where a
-    cochain is zero by definition.  One list is yielded and then changed in
-    place, so a caller keeps a copy of what it needs."""
+    An identity (act_g, act_inv, a, b, c, d), with ``act_inv`` the action of
+    g^-1, holds when its residual g.f(a) - f(b) + f(c) - f(d) is the zero
+    code.  ``identities_at[s]`` lists the identities whose last slot is s,
+    all checked as soon as slot s is set; slot ``len(identities_at)`` holds
+    the zero code, for where a cochain is zero by definition.  With s set to
+    0 an identity that reads s once, through g.f, -f or +f, reads some R, so
+    it holds only for act_inv(-R), R or -R at s: the first such identity
+    gives the one value tried at s.  Every other slot tries every code."""
     slots = len(identities_at)
+    every = range(len(neg))
+    # R + T(v) is 0 for v = T^-1(-R): T^-1 is act_inv for g.f, neg for -f and
+    # the identity, every, for +f
+    solvers = [
+        next((
+            (identity, (identity[1], neg, every, neg)[identity.index(s, 2) - 2])
+            for identity in identities
+            if identity[2:].count(s) == 1
+        ), None)
+        for s, identities in enumerate(identities_at)
+    ]
     func = [0] * (slots + 1)
+    found = []
 
     def extend(s):
         if s == slots:
-            yield func
+            found.append(tuple(func[:slots]))
             return
-        for v in values:
+        candidates = every
+        if solvers[s]:
+            (act_g, _, a, b, c, d), inverse = solvers[s]
+            func[s] = 0
+            residual = add[add[act_g[func[a]]][neg[func[b]]]][add[func[c]][neg[func[d]]]]
+            candidates = (inverse[neg[residual]],)
+        for v in candidates:
             func[s] = v
-            if all(holds(func, identity) for identity in identities_at[s]):
-                yield from extend(s + 1)
+            for act_g, _, a, b, c, d in identities_at[s]:
+                if add[add[act_g[func[a]]][neg[func[b]]]][add[func[c]][neg[func[d]]]]:
+                    break
+            else:
+                extend(s + 1)
 
-    return extend(0)
+    extend(0)
+    return found
 
 
 def brute_h1(
@@ -235,15 +284,9 @@ def brute_h2(
                     slot(g, h),
                 )
                 last = max(i for i in read if i != zero_slot)
-                triples_at[last].append((act[g], *read))
+                triples_at[last].append((act[g], act[group.inv(g)], *read))
 
-    def holds(func, triple):
-        act_g, a, b, c, d = triple
-        return add[add[act_g[func[a]]][neg[func[b]]]][add[func[c]][neg[func[d]]]] == 0
-
-    cocycles = [
-        tuple(func[:zero_slot]) for func in _depth_first(range(size), triples_at, holds)
-    ]
+    cocycles = _depth_first(triples_at, add, neg)
     # normalized 1-cochains t (t(identity) = 0); (d t)(g, h) = g.t(h) - t(gh) + t(g)
     terms = [(act[g], h, group.mul(g, h), g) for g, h in free_slots]
     coboundaries = [
@@ -276,16 +319,13 @@ def brute_sha(
     if module.rank == 0:
         return ()
     add, neg, act = _tables(module, budget)
-    # the identity f(gh) = g.f(h) + f(g) is checked once f(max(g, h, gh)) is set
+    # the identity g.f(h) - f(gh) + f(g) = 0 is checked once f(max(g, h, gh))
+    # is set; its fourth read is the zero code after the n slots
     pairs_at = [[] for _ in range(n)]
     for g in group.elements():
         for h in group.elements():
             gh = group.mul(g, h)
-            pairs_at[max(g, h, gh)].append((act[g], g, h, gh))
-
-    def holds(func, pair):
-        act_g, g, h, gh = pair
-        return func[gh] == add[act_g[func[h]]][func[g]]
+            pairs_at[max(g, h, gh)].append((act[g], act[group.inv(g)], h, gh, g, n))
 
     def coboundary(elems, m):
         # (d m)(g) = g.m - m on the given elements
@@ -296,8 +336,8 @@ def brute_sha(
         for sub in family
     ]
     cocycles = [
-        tuple(func[:n])
-        for func in _depth_first(range(size), pairs_at, holds)
+        func
+        for func in _depth_first(pairs_at, add, neg)
         if all(tuple(func[h] for h in elems) in bset for elems, bset in local_boundaries)
     ]
     coboundaries = [coboundary(group.elements(), m) for m in range(size)]

@@ -2173,6 +2173,38 @@ def test_cayley_translates_are_cached_read_only_translated_cycles():
             assert (got == moved[:, outside[own]]).all(), (name, g)
 
 
+def reference_edge_sums(edges, action):
+    """``_edge_sums`` as one tensordot over the group axis: block (z, x) of
+    r x r entries is sum_h z_(h, x) action[h]."""
+    order, r = action.shape[:2]
+    nx = edges.shape[1] // order
+    z = edges.reshape(len(edges), order, nx).astype(action.dtype)
+    blocks = np.tensordot(z, action, axes=([1], [0]))  # (z, x, i, j)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(edges) * r, nx * r)
+
+
+def test_edge_sums_match_the_tensordot_form():
+    # random int8 edges with entries in {-1, 0, 1}, int64 and object
+    # actions (the object ones past int64), r in {1, 2, 3}, |X| in {1, 2, 3},
+    # and no edge rows at all
+    rng = np.random.default_rng(41)
+    compared = 0
+    for r, nx, order, rows in itertools.product((1, 2, 3), (1, 2, 3), (1, 4, 6), (0, 1, 5)):
+        edges = rng.integers(-1, 2, size=(rows, order * nx)).astype(np.int8)
+        small = rng.integers(-50, 50, size=(order, r, r))
+        big = np.array(
+            [int(x) * 2**70 + 1 for x in small.ravel()], dtype=object
+        ).reshape(order, r, r)
+        for action in (small.astype(np.int64), big):
+            got = cohomology_module._edge_sums(edges, action)
+            want = reference_edge_sums(edges, action)
+            assert got.dtype == want.dtype == action.dtype
+            assert got.shape == want.shape == (rows * r, nx * r)
+            assert np.array_equal(got, want), (r, nx, order, rows)
+            compared += 1
+    assert compared == 162
+
+
 def test_cayley_gauge_is_the_tree_rebuilt_coboundary():
     # a 1-cochain rebuilt along the tree from random values c at X has a
     # bar coboundary that vanishes at (1, 1) and on every edge of the tree,

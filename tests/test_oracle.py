@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -176,6 +177,29 @@ def test_oracle_equivalence_exhaustive_small_range():
         except BudgetExceeded:
             continue
         assert oracle2 == cohomology(group, module, 2).invariant_factors
+
+
+def test_degree_two_oracle_matches_engine_past_order_six():
+    # with the budget raised to every normalized cochain, |M|^((|G| - 1)^2),
+    # the search reaches groups of order 7 and 8: every mu_2 module of C7,
+    # C8, C2^3, D4 and Q8, and the mu_3 modules of C7 and the nontrivial
+    # characters of C8, D4 and Q8.  The trivial mu_3 modules of the groups of
+    # order 8, and those of C2^3, take 0.1-0.5 s each and are left out
+    c7, c8, d4, q8 = cyclic(7), cyclic(8), dihedral(4), quaternion()
+    c2_cubed = direct_product(cyclic(2), cyclic(2), cyclic(2))
+    cases = [(group, 2, chi) for group in (c7, c8, c2_cubed, d4, q8)
+             for chi in all_characters(group, 2)]
+    cases += [(c7, 3, chi) for chi in all_characters(c7, 3)]
+    cases += [(group, 3, chi) for group in (c8, d4, q8) for chi in all_characters(group, 3)[1:]]
+    for group, m, chi in cases:
+        module = mu_module(group, m, chi)
+        budget = OracleBudget(module.size ** (group.order - 1) ** 2)
+        assert brute_h2(group, module, budget) == cohomology(
+            group, module, 2
+        ).invariant_factors, (group.name, m, chi.values)
+    nontrivial = Counter(group.name for group, _, chi in cases if set(chi.values) != {1})
+    assert nontrivial == {"C8": 1, "D4": 3, "Q8": 3}
+    assert len(cases) == 13
 
 
 def test_sha_oracle_matches_engine():
@@ -360,6 +384,80 @@ def test_pruned_search_matches_full_enumeration():
             assert brute_h2(group, module) == reference_h2(group, module), label
 
 
+def test_search_lists_the_cocycles_of_the_full_enumeration_in_order(monkeypatch):
+    # element for element, not only in invariants: the cocycles _depth_first
+    # returns to brute_h1 and brute_h2 are those of the full
+    # itertools.product filter, in its order, on element codes
+    found = []
+    depth_first = oracle._depth_first
+
+    def keeping_depth_first(identities_at, add, neg):
+        found.append(depth_first(identities_at, add, neg))
+        return found[-1]
+
+    monkeypatch.setattr(oracle, "_depth_first", keeping_depth_first)
+    compared = 0
+    for group, module, with_h2 in pruned_search_cases():
+        code = {v: i for i, v in enumerate(module.elements())}
+        r = module.rank
+        label = (group.name, module.orders, module.action)
+        brute_h1(group, module)
+        assert found.pop() == [
+            tuple(code[v] for v in func) for func in reference_h1_cocycles(group, module)
+        ], label
+        compared += 1
+        if with_h2:
+            brute_h2(group, module)
+            cocycles = h2_pair(group, module)[0]
+            assert found.pop() == [
+                tuple(code[f[i : i + r]] for i in range(0, len(f), r)) for f in cocycles
+            ], label
+            compared += 1
+    assert not found
+    assert compared == 115 + 16
+
+
+def test_search_is_the_same_whichever_identity_forces_a_slot(monkeypatch):
+    # the identities at a slot may come in any order, and the first one that
+    # reads the slot once forces its value.  In the order brute_h1 and
+    # brute_h2 file them, only the reads -f(b) and +f(c) force a slot;
+    # shuffled orders make every read of g.f(a) - f(b) + f(c) - f(d) force
+    # one somewhere: g.f(a) with g and g^-1 acting differently, so act_inv
+    # is not act_g, and -f(d) in degree 2 (in degree 1, d is the zero slot).
+    # The search must return the same list every time
+    searches = []
+    depth_first = oracle._depth_first
+
+    def keeping_depth_first(identities_at, add, neg):
+        searches.append((identities_at, add, neg))
+        return depth_first(identities_at, add, neg)
+
+    monkeypatch.setattr(oracle, "_depth_first", keeping_depth_first)
+    s3, c3, c4, c6 = symmetric(3), cyclic(3), cyclic(4), cyclic(6)
+    for group, m in ((s3, 9), (c4, 5), (c6, 7)):
+        for chi in all_characters(group, m):
+            brute_h1(group, mu_module(group, m, chi))
+    for group, m in ((s3, 3), (c3, 7), (c4, 5)):
+        for chi in all_characters(group, m):
+            module = mu_module(group, m, chi)
+            brute_h2(group, module, OracleBudget(module.size ** (group.order - 1) ** 2))
+    brute_h2(cyclic(2), SWAP)
+    monkeypatch.undo()
+    rng = random.Random(41)
+    forcing = Counter()
+    for identities_at, add, neg in searches:
+        found = depth_first(identities_at, add, neg)
+        for _ in range(6):
+            shuffled = [rng.sample(identities, len(identities)) for identities in identities_at]
+            for s, identities in enumerate(shuffled):
+                forcer = next((i for i in identities if i[2:].count(s) == 1), None)
+                if forcer:
+                    forcing[forcer.index(s, 2) - 2, forcer[0] != forcer[1]] += 1
+            assert depth_first(shuffled, add, neg) == found
+    assert {place for place, _ in forcing} == {0, 1, 2, 3}
+    assert min(forcing[place, True] for place in range(3)) > 0
+
+
 def test_coset_orders_match_canonical_cosets():
     # the oracle's quotient, on element codes and coset orders, against the
     # canonical coset forms on coordinate tuples, on the same pairs
@@ -403,19 +501,24 @@ def test_quotient_rejects_order_counts_that_do_not_divide():
 
 def test_pruning_bounds_the_work(monkeypatch):
     # a full enumeration of the 9^6 functions C6 -> Z/9 makes 9^6 * 36 identity
-    # checks; the depth-first search makes 558, and the tables 6 * 9 actions
-    checks = 0
+    # checks.  The depth-first search reads 198 residuals: every identity it
+    # checks, and one more at each slot whose value an identity forces.  Each
+    # residual reads three rows of the addition table, and nothing else in
+    # the search does.  The action is built from g applied to the one unit
+    # of Z/9, 6 * 1 calls where tabulating it took 6 * 9
+    rows = 0
     acts = 0
     depth_first = oracle._depth_first
     act = GModule.act
 
-    def counting_depth_first(values, identities_at, holds):
-        def counting_holds(func, identity):
-            nonlocal checks
-            checks += 1
-            return holds(func, identity)
+    class CountingRows(list):
+        def __getitem__(self, a):
+            nonlocal rows
+            rows += 1
+            return super().__getitem__(a)
 
-        return depth_first(values, identities_at, counting_holds)
+    def counting_depth_first(identities_at, add, neg):
+        return depth_first(identities_at, CountingRows(add), neg)
 
     def counting_act(self, g, a):
         nonlocal acts
@@ -426,8 +529,12 @@ def test_pruning_bounds_the_work(monkeypatch):
     monkeypatch.setattr(GModule, "act", counting_act)
     group = cyclic(6)
     assert brute_h1(group, trivial_module(group, [9])) == (3,)
+    checks, rest = divmod(rows, 3)
+    assert rest == 0
     assert 0 < checks < 1000
     assert acts <= 54
+    assert checks <= 198
+    assert acts <= 6
 
 
 def test_tables_count_against_the_budget():
@@ -444,10 +551,26 @@ def test_tables_count_against_the_budget():
 
 def test_tables_match_the_module_arithmetic():
     # windows of a doubled range (rank 1) and rows by translation (rank 2
-    # and 3) give the sums GModule.add gives
-    c2 = cyclic(2)
-    for module in [trivial_module(c2, [7]), SWAP, trivial_module(c2, [2, 4]),
-                   trivial_module(c2, [2, 2, 6])]:
+    # and 3) give the sums GModule.add gives, and the action built from the
+    # units of the digits gives GModule.act at every element of the group:
+    # trivial actions, a mu_9 character of C6, the swap on (Z/3)^2, C4
+    # rotating (Z/3)^2 through [[0, 2], [1, 0]], and C2 swapping the two
+    # Z/4 digits of Z/2 + Z/4 + Z/4
+    c2, c4, c6 = cyclic(2), cyclic(4), cyclic(6)
+    rotation = [[[1, 0], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 2]], [[0, 1], [2, 0]]]
+    swap_last = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+    modules = [
+        trivial_module(c2, [7]),
+        SWAP,
+        trivial_module(c2, [2, 4]),
+        trivial_module(c2, [2, 2, 6]),
+        mu_module(c6, 9, all_characters(c6, 9)[1]),
+        gmodule(c4, [3, 3], rotation),
+        gmodule(c2, [2, 4, 4], swap_last),
+    ]
+    assert not modules[4].has_trivial_action and len(modules[4].orders) == 1
+    assert modules[5].action[1] == ((0, 2), (1, 0))
+    for module in modules:
         elements = list(module.elements())
         code = {v: i for i, v in enumerate(elements)}
         add, neg, act = _tables(module, OracleBudget())
@@ -455,7 +578,9 @@ def test_tables_match_the_module_arithmetic():
             [code[module.add(a, b)] for b in elements] for a in elements
         ], module.orders
         assert neg == [code[module.neg(a)] for a in elements]
-        assert act[1] == [code[module.act(1, a)] for a in elements]
+        assert act == [
+            [code[module.act(g, a)] for a in elements] for g in module.group.elements()
+        ], (module.orders, module.action)
 
 
 def test_brute_h1_on_a_large_cyclic_module():
