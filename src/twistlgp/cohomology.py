@@ -86,7 +86,12 @@ as bar cochains by one product with the tree-path matrix.  Reading a
 cochain at X is injective on cocycles only, so ``class_of`` reads a class
 at X only from a cochain that ``is_cocycle`` accepts.
 The image of a cocycle under a cochain map is a cocycle, so an induced map
-reads its images at X alone.
+reads its images at X alone.  ``sha_finite`` reads a subgroup H of G at its
+own generating set Y, with no H^1 of H: a cocycle's class on H is 0 exactly
+when its values at Y lie in {(y.m - m)_y : m in M}, since a cocycle of H
+that vanishes on Y vanishes on H (Brown, *Cohomology of Groups*, ch. III).
+So the class is read in M^Y / {(y.m - m)_y}, the coboundary part of H's
+Cayley-graph subquotient with no cycle rows.
 
 For an integer combination z of edges write f(z) for the sum of its
 coefficients times f(h, x) over its edges (h, x), and gz for its left
@@ -124,7 +129,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .albert import TooLarge, factorize
-from .groups import FiniteGroup, GroupHom, Subgroup, quotient
+from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, quotient
 from .gmodules import GModule, ModuleElement, restrict_module
 from .linalg import (
     _BLOCK_ROWS,
@@ -807,6 +812,32 @@ def conjugation_on_cohomology(
     )
 
 
+@lru_cache(maxsize=None)
+def _reduced_family(family: tuple[Subgroup, ...]) -> tuple[tuple[int, ...], ...]:
+    """The greedy generators in G of the members ``sha_finite`` reads: the
+    first maximal member of each conjugacy class, in the family's order.  A
+    function of the family alone, cached, so the one tuple that
+    ``cyclic_subgroups`` hands every module over a group is reduced once."""
+    sets, kept = [frozenset(sub.elements) for sub in family], []
+    for sub, inside in zip(family, sets):
+        if not any(inside < other for other in sets) and not any(
+            sub.elements in other.conjugates for other in kept
+        ):
+            kept.append(sub)
+    return tuple(_greedy_generators(sub.parent, sub.elements) for sub in kept)
+
+
+@lru_cache(maxsize=None)
+def _values_quotient(orders: tuple[int, ...], actions: tuple) -> LatticeQuotient:
+    """M^Y / {(y.m - m)_y : m in M} for the action matrices of y in Y: the
+    coboundary part of ``_cayley_h1``'s subquotient, with no cycle rows.
+    Cached by value, so subgroups whose generators act alike share it."""
+    r, e = len(orders), orders[-1]
+    dtype = _dtype(e)
+    sub = np.array(actions, dtype=dtype).reshape(len(actions), r, r) - np.eye(r, dtype=dtype)
+    return subquotient(orders * len(actions), e, iter(()), sub.reshape(-1, r).astype(object))
+
+
 def sha_finite(
     group: FiniteGroup,
     module: GModule,
@@ -815,13 +846,21 @@ def sha_finite(
     """Classes of H^1(G, M) restricting to zero on every subgroup in the
     family: the finite-coefficient locally-trivial kernel.
 
-    Only one maximal member per conjugacy class is restricted to, the first
-    in the family's order.  Restriction to H factors through restriction to
-    any member containing H, so a class vanishing there vanishes on H; and
-    conjugation by g in G acts trivially on H^*(G, M) (Brown, *Cohomology of
-    Groups*, ch. III), so a class vanishes on H exactly when it vanishes on
-    g H g^-1.  The rows fed to the kernel keep the family's order."""
-    family = list(family)
+    Only one maximal member per conjugacy class is read, the first in the
+    family's order (``_reduced_family``).  Restriction to H factors through
+    restriction to any member containing H, so a class vanishing there
+    vanishes on H; and conjugation by g in G acts trivially on H^*(G, M)
+    (Brown, *Cohomology of Groups*, ch. III), so a class vanishes on H
+    exactly when it vanishes on g H g^-1.
+
+    No H^1 of a member is computed.  For H generated by Y, the map
+    H^1(H, M) -> M^Y / {(y.m - m)_y : m in M}, [f] -> (f(y))_y, is
+    injective: if f(y) = y.m - m for every y in Y, then f - dm is a cocycle
+    that vanishes on Y, hence on H, as f(hy) = f(h) + h.f(y).  So a class
+    vanishes on H exactly when its values at Y vanish in that quotient
+    (``_values_quotient``), read from the representatives at the positions
+    of Y.  The rows fed to the kernel keep the family's order."""
+    family = tuple(family)
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
     if any(sub.parent != group for sub in family):
@@ -829,14 +868,12 @@ def sha_finite(
     h1 = cohomology(group, module, 1)
     factors, representatives = (), ()
     if not h1.is_trivial:
-        sets, kept = [frozenset(sub.elements) for sub in family], []
-        for sub, inside in zip(family, sets):
-            if not any(inside < other for other in sets) and not any(
-                sub.elements in other.conjugates for other in kept
-            ):
-                kept.append(sub)
-        restrictions = [restriction(h1, sub) for sub in kept]
-        maps = [(res.matrix, res.target.invariant_factors) for res in restrictions]
+        r, values, maps = module.rank, h1._representative_matrix, []
+        for ends in _reduced_family(family):
+            target = _values_quotient(module.orders, tuple(module.action[y] for y in ends))
+            if not target.is_trivial:
+                reads = (np.array(ends)[:, None] * r + np.arange(r)).ravel()
+                maps.append((target.coordinates(values[:, reads].T), target.factors))
         quot = kernel_subgroup(h1.invariant_factors, maps)
         factors = quot.factors
         representatives = tuple(h1.element(g) for g in quot.generators().T)

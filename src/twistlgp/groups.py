@@ -90,6 +90,15 @@ class FiniteGroup:
                 c = _first_difference(left[a], right[a])
                 raise NotAGroup(f"associativity fails at ({a}, {x}, {c})")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, of (order, table), read once: a subgroup or
+        module key hashes its group, and the table is |G|^2 entries."""
+        return hash((self.order, self.mul_table))
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """The greedy generating set: each element, in table order, that the
@@ -503,7 +512,8 @@ def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
 def cyclic_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The cyclic subgroups: exactly the decomposition groups of unramified
     places that Chebotarev guarantees to occur.  Built once per group, so
-    each subgroup builds its ``as_group`` table once, whatever the module."""
+    every module over the group hands ``sha_finite`` the same tuple, which
+    it reduces once."""
     return group._cyclic_subgroups
 
 

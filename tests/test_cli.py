@@ -688,3 +688,23 @@ def test_decide_json_matches_the_recorded_output():
     )
     assert run.returncode == 2, run.stderr
     assert run.stdout == (root / "data" / "decide_instances.json").read_bytes()
+
+
+# the arguments behind each tests/data/sha_*.json
+SHA_RECORDED = {
+    "sha_Q8_mu4.json": ["--group", "Q8", "--module", "mu:4", "--family", "[[0,1]]"],
+    "sha_D4_mu4.json": ["--group", "D4", "--module", "mu:4", "--family", "[[0,2]]"],
+    "sha_S4xC2_mu4.json": [
+        "--group", '{"kind":"product","factors":["S4","C2"]}', "--module", "mu:4",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHA_RECORDED))
+def test_sha_json_matches_the_recorded_output(name, capsys):
+    # ``twistlgp sha --json`` byte for byte against its recorded output: two
+    # nontrivial kernels (Q8 and D4 on mu_4 over one subgroup of order 2)
+    # and S4 x C2 on mu_4 over its cyclic subgroups
+    assert main(["sha", *SHA_RECORDED[name], "--json"]) == 0
+    recorded = (Path(__file__).resolve().parent / "data" / name).read_text()
+    assert capsys.readouterr().out == recorded

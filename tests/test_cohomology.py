@@ -41,6 +41,7 @@ from twistlgp.gmodules import (
 from twistlgp.groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     cyclic,
     cyclic_subgroups,
     direct_product,
@@ -560,10 +561,10 @@ def reduced_family(family):
 
 def test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch):
     # over random families with duplicates, nested members, conjugates, G
-    # and {1}, sha_finite restricts to the reduced family alone, and finds
-    # the factors and representatives of the kernel of all the family's
-    # restrictions; so do the reduced family and the family with every
-    # conjugate and subgroup of its members added
+    # and {1}, sha_finite reads the reduced family alone, each member at a
+    # generating set, and finds the factors and representatives of the
+    # kernel of all the family's restrictions; so do the reduced family and
+    # the family with every conjugate and subgroup of its members added
     rng = random.Random(32)
     s4 = symmetric(4)
     groups = [named_group(name) for name in NAMED_TO_24] + [
@@ -572,10 +573,15 @@ def test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch):
         direct_product(quaternion(), cyclic(4)),
         direct_product(cyclic(4), cyclic(4), cyclic(2)),
     ]
-    restricted, real = [], restriction
-    monkeypatch.setattr(
-        cohomology_module, "restriction", lambda h1, sub: restricted.append(sub) or real(h1, sub)
-    )
+    read, reduce = [], cohomology_module._reduced_family
+
+    def reduced(family):
+        # the members read, as the subgroups their generators generate
+        generators, group = reduce(family), family[0].parent
+        read.extend(Subgroup(group, _closure(group, ends)) for ends in generators)
+        return generators
+
+    monkeypatch.setattr(cohomology_module, "_reduced_family", reduced)
     compared = nontrivial = dropped = 0
     for group in groups:
         pool = subgroups(group)
@@ -604,15 +610,15 @@ def test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch):
                 if any(set(sub.elements) <= set(member.elements) for member in family)
                 for elems in sorted(sub.conjugates)
             ]
-            maps = [real(h1, sub) for sub in family]
+            maps = [restriction(h1, sub) for sub in family]
             reference = linalg.kernel_subgroup(
                 h1.invariant_factors, [(res.matrix, res.target.invariant_factors) for res in maps]
             )
             want = [tuple(h1.element(g).vector) for g in reference.generators().T]
             for members in (family, kept, wider):
-                restricted.clear()
+                read.clear()
                 sha = sha_finite(group, module, members)
-                assert restricted == ([] if h1.is_trivial else reduced_family(members))
+                assert read == ([] if h1.is_trivial else reduced_family(members))
                 assert sha.invariant_factors == reference.factors
                 assert [rep.vector for rep in sha.representatives] == want
             compared += 1
@@ -2765,8 +2771,8 @@ def test_cayley_h1_ignores_labels_and_generating_set(monkeypatch):
 
 def test_cyclic_subgroups_are_built_once_per_group(monkeypatch):
     # sha_finite over the cyclic subgroups for every character of S3 x C2
-    # builds the table of each member it restricts to (one maximal member
-    # per conjugacy class) once, not once per character, and no other
+    # reads each member at its generators in G: it builds no FiniteGroup,
+    # and no member caches an as_group table
     group = direct_product(symmetric(3), cyclic(2))
     family = cyclic_subgroups(group)
     assert cyclic_subgroups(group) is family
@@ -2775,9 +2781,8 @@ def test_cyclic_subgroups_are_built_once_per_group(monkeypatch):
     for m in (2, 3, 4, 6):
         for chi in all_characters(group, m):
             sha_finite(group, mu_module(group, m, chi), cyclic_subgroups(group))
-    kept = reduced_family(family)
-    assert sorted(built) == sorted(sub.order for sub in kept)
-    assert [sub for sub in family if "as_group" in vars(sub)] == kept
+    assert built == []
+    assert [sub for sub in family if "as_group" in vars(sub)] == []
 
 
 def inflated_cochains(h2, proj, module, embedding):

@@ -277,6 +277,17 @@ def test_subgroup_as_group():
     assert embed2 == tuple(s3.elements())
 
 
+def test_hash_reads_the_table_once():
+    # equal tables give equal hashes, whatever the name, and the hash of
+    # (order, table) is kept: a second hash does not read the table again
+    s4 = symmetric(4)
+    copy = FiniteGroup(s4.order, s4.mul_table, name="other")
+    assert copy == s4 and hash(copy) == hash(s4) == hash((s4.order, s4.mul_table))
+    object.__setattr__(copy, "mul_table", [[]])  # unhashable: a rehash would raise
+    assert hash(copy) == hash(s4)
+    assert {Subgroup(s4, (0,)), Subgroup(symmetric(4), (0,))} == {Subgroup(s4, (0,))}
+
+
 def test_dihedral_structure():
     d4 = dihedral(4)
     assert d4.order == 8 and not d4.is_abelian

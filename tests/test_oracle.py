@@ -6,9 +6,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from twistlgp.cohomology import cohomology, sha_finite
+from twistlgp.cohomology import cohomology, restriction, sha_finite
 from twistlgp.gmodules import (
     GModule,
     all_characters,
@@ -23,6 +24,7 @@ from twistlgp.groups import (
     dihedral,
     direct_product,
     quaternion,
+    subgroups,
     symmetric,
 )
 from twistlgp import oracle
@@ -219,6 +221,74 @@ def test_sha_oracle_matches_engine():
         assert brute_sha(group, module, triv, budget) == sha_finite(
             group, module, triv
         ).invariant_factors
+
+
+def s3_on_sum_zero_plane(m):
+    """S3 on (Z/m)^2: the plane x_0 + x_1 + x_2 = 0 in (Z/m)^3, in the
+    coordinates (x_0, x_1), permuted by e_i -> e_p(i).  For m = 2 it is the
+    2-dimensional irreducible."""
+    s3 = symmetric(3)
+    basis = ((1, 0, m - 1), (0, 1, m - 1))
+    action = []
+    for p in sorted(itertools.permutations(range(3))):
+        images = [[0, 0, 0] for _ in basis]
+        for image, v in zip(images, basis):
+            for i, x in enumerate(v):
+                image[p[i]] += x
+        # column j is the image of basis vector j, read at (x_0, x_1)
+        action.append([[images[j][i] % m for j in range(2)] for i in range(2)])
+    return s3, gmodule(s3, [m, m], action)
+
+
+def test_sha_engine_matches_oracle_on_mixed_families_and_rank_2_modules():
+    # sha_finite against brute_sha where the action is not diagonal: C2
+    # swapping (Z/2)^2, S3 on the plane of (Z/2)^3 (its 2-dimensional
+    # irreducible) and of (Z/3)^3, C2 x C2 on Z/2 + Z/4 by (x, y) ->
+    # (x + y, y) and (x, y) -> (x, -y), and C4, Q8 and D4 on (Z/2)^2
+    # through a quotient C2, by (x, y) -> (x + y, y).  Every nonempty family
+    # of subgroups (cyclic, non-cyclic, {1} and G mixed), or 60 seeded ones
+    # for the 10 subgroups of D4; each representative vanishes under
+    # restriction to every member
+    rng = random.Random(42)
+    c2, c4, v4 = cyclic(2), cyclic(4), direct_product(cyclic(2), cyclic(2))
+    q8, d4 = quaternion(), dihedral(4)
+    one, a, b = np.eye(2, dtype=int), np.array([[1, 1], [0, 1]]), np.array([[1, 0], [0, 3]])
+    # element i_1 * 2 + i_2 of C2 x C2 acts by a^i_1 b^i_2
+    power = np.linalg.matrix_power
+    v4_action = [power(a, i // 2) @ power(b, i % 2) for i in range(4)]
+    cases = [
+        (c2, gmodule(c2, [2, 2], [one, [[0, 1], [1, 0]]])),
+        s3_on_sum_zero_plane(2),
+        s3_on_sum_zero_plane(3),
+        (v4, gmodule(v4, [2, 4], [m % [[2], [4]] for m in v4_action])),
+        (c4, gmodule(c4, [2, 2], [(one, a)[k % 2] for k in range(4)])),
+        # i, -i, k, -k act by a
+        (q8, gmodule(q8, [2, 2], [(one, a)[g in (2, 3, 6, 7)] for g in range(8)])),
+        # the reflections act by a
+        (d4, gmodule(d4, [2, 2], [(one, a)[g >= 4] for g in range(8)])),
+    ]
+    compared, kernels = 0, Counter()
+    for group, module in cases:
+        assert not module.has_trivial_action
+        h1 = cohomology(group, module, 1)
+        pool = subgroups(group)
+        families = [
+            f for size in range(1, len(pool) + 1) for f in itertools.combinations(pool, size)
+        ]
+        if len(pool) > 6:
+            families = rng.sample(families, 60)
+        for family in families:
+            sha = sha_finite(group, module, family)
+            assert sha.invariant_factors == brute_sha(group, module, family), (group.name, family)
+            for rep in sha.representatives:
+                cls = h1.class_of(rep)
+                assert all(restriction(h1, sub).apply(cls).is_zero for sub in family)
+            compared += 1
+            kernels[h1.invariant_factors, sha.invariant_factors] += 1
+    assert compared == 3 + 63 + 63 + 31 + 7 + 63 + 60
+    assert kernels[(), ()] == 3 + 63
+    assert kernels[(3,), (3,)] and kernels[(2,), (2,)] and kernels[(2, 2, 2), (2, 2)]
+    assert sum(n for (h1, sha), n in kernels.items() if h1 and not sha) > 100
 
 
 def flat(func):
