@@ -91,7 +91,13 @@ own generating set Y, with no H^1 of H: a cocycle's class on H is 0 exactly
 when its values at Y lie in {(y.m - m)_y : m in M}, since a cocycle of H
 that vanishes on Y vanishes on H (Brown, *Cohomology of Groups*, ch. III).
 So the class is read in M^Y / {(y.m - m)_y}, the coboundary part of H's
-Cayley-graph subquotient with no cycle rows.
+Cayley-graph subquotient with no cycle rows.  The kernel is counted first,
+in the values at X: H^1's triangular basis rows cut out exactly the
+cocycles, the rebuild at Y takes a cocycle's values at X to its values at
+Y, and a class vanishes on H exactly when the coordinates of those values
+are 0 mod the factors of H's quotient, so these rows cut out exactly the
+kernel.  It is presented, from H^1's representatives, only when its order
+is above 1.
 
 For an integer combination z of edges write f(z) for the sum of its
 coefficients times f(h, x) over its edges (h, x), and gz for its left
@@ -838,6 +844,35 @@ def _values_quotient(orders: tuple[int, ...], actions: tuple) -> LatticeQuotient
     return subquotient(orders * len(actions), e, iter(()), sub.reshape(-1, r).astype(object))
 
 
+def _sha_order(h1: _CayleyH1, exponent: int, kept) -> int:
+    """The order of the kernel of H^1(G, M) -> prod_H M^Y / {(y.m - m)_y},
+    counted in H^1's Cayley-graph coordinates x, the values at X, with no
+    Smith form.  ``kept`` holds, for each member H read, its target
+    quotient and the bar positions of its generators Y.
+
+    H^1's triangular basis rows, taken mod e, cut out exactly its cocycle
+    lattice L (``linalg.Lattice``).  For x in L, E_H x = ``h1.rebuild`` at
+    the positions of Y is the values at Y of the cocycle, so the class of x
+    vanishes on H exactly when the target's coordinates of E_H x are 0 mod
+    its factors, each of which divides e: one congruence row per factor.
+    These rows vanish on the coboundaries and on diag(orders), so the
+    kernel is one subquotient with H^1's orders and coboundary columns.
+    Only its order is read, so repeated and zero rows are dropped, and each
+    target reads the E_H of all its members side by side, with one call."""
+    members: dict = {}  # the positions read through each distinct target
+    for target, at in kept:
+        members.setdefault(target, []).append(at)
+    quotient, width = h1.quotient, h1.rebuild.shape[1]
+    basis = (quotient.lattice.reduced % exponent).tolist()
+    rows = dict.fromkeys((tuple(row), exponent) for row in basis)
+    for target, reads in members.items():
+        values = np.concatenate([h1.rebuild[at] for at in reads], axis=1)
+        for row, d in zip(target.coordinates(values).tolist(), target.factors):
+            rows.update(((tuple(row[k:k + width]), d), None) for k in range(0, len(row), width))
+    cuts = ((list(row), d) for row, d in rows if any(row))
+    return subquotient(quotient.orders, exponent, cuts, quotient.sub).order
+
+
 def sha_finite(
     group: FiniteGroup,
     module: GModule,
@@ -858,8 +893,14 @@ def sha_finite(
     injective: if f(y) = y.m - m for every y in Y, then f - dm is a cocycle
     that vanishes on Y, hence on H, as f(hy) = f(h) + h.f(y).  So a class
     vanishes on H exactly when its values at Y vanish in that quotient
-    (``_values_quotient``), read from the representatives at the positions
-    of Y.  The rows fed to the kernel keep the family's order."""
+    (``_values_quotient``).
+
+    The kernel is counted first, in H^1's Cayley-graph coordinates
+    (``_sha_order``), and an order of 1 is the answer: no representative of
+    H^1 is read.  Otherwise it is presented in H^1's invariant-factor
+    coordinates, from the representatives read at the positions of Y, with
+    the rows fed in the family's order; its order must equal the count
+    (else ``ArithmeticError``)."""
     family = tuple(family)
     if not family:
         raise ValueError("the family of subgroups must be nonempty")
@@ -868,15 +909,20 @@ def sha_finite(
     h1 = cohomology(group, module, 1)
     factors, representatives = (), ()
     if not h1.is_trivial:
-        r, values, maps = module.rank, h1._representative_matrix, []
+        r, kept = module.rank, []  # (target, positions of Y) per kept member
         for ends in _reduced_family(family):
             target = _values_quotient(module.orders, tuple(module.action[y] for y in ends))
             if not target.is_trivial:
-                reads = (np.array(ends)[:, None] * r + np.arange(r)).ravel()
-                maps.append((target.coordinates(values[:, reads].T), target.factors))
-        quot = kernel_subgroup(h1.invariant_factors, maps)
-        factors = quot.factors
-        representatives = tuple(h1.element(g) for g in quot.generators().T)
+                kept.append((target, (np.array(ends)[:, None] * r + np.arange(r)).ravel()))
+        order = _sha_order(h1._presentation, module.exponent, kept)
+        if order > 1:
+            values = h1._representative_matrix
+            maps = [(target.coordinates(values[:, at].T), target.factors) for target, at in kept]
+            quot = kernel_subgroup(h1.invariant_factors, maps)
+            if quot.order != order:
+                raise ArithmeticError(f"the kernel has order {quot.order}, but {order} was counted")
+            factors = quot.factors
+            representatives = tuple(h1.element(g) for g in quot.generators().T)
     sha = CohomologyGroup(group, module, 1, factors)
     sha._presentation, sha.representatives = None, representatives
     return sha

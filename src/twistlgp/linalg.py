@@ -7,9 +7,14 @@ Python ints, so nothing ever overflows; the congruence fold works in int64,
 or over Python ints when the exponent is 2^31 or more.  Conventions:
 
 * ``smith_normal_form(A)`` returns ``U @ A @ V == S`` with ``S`` diagonal,
-  ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular.  Only ``S``
-  is built eagerly: ``U`` and its exact inverse are replayed from the
+  ``s_1 | s_2 | ...`` nonnegative, and ``U``, ``V`` unimodular.  It
+  eliminates on a list of rows of Python ints, with no numpy call per
+  operation.  Every finished pivot row and column is clear, so the rows
+  above the pivot t are zero from column t on, and a column operation at t
+  touches only the rows from t on with a nonzero entry in column t.  Only
+  ``S`` is built eagerly: ``U`` and its exact inverse are replayed from the
   logged row operations when first read, then cached; ``V`` is not kept.
+  ``S``, ``U`` and ``U^-1`` are handed out as object arrays.
 * A ``Lattice`` is the triangular basis ``reduced`` that ``congruence_kernel``
   folds the constraint rows into, numpy column by column over blocks of
   rows from e * I, in the smallest integer dtype that holds the exponent e
@@ -103,31 +108,32 @@ def identity_matrix(n: int) -> np.ndarray:
     return diagonal_matrix([1] * n)
 
 
-def _apply(mat: np.ndarray, op: tuple, inverse: bool = False) -> tuple:
-    """Apply one logged row operation to ``mat`` in place (a column operation
-    on ``mat.T``): the op itself, or with ``inverse`` the transpose of its
-    inverse.  Returns the op, for the log."""
-    if op[0] == "add":  # row_i += q * row_j
-        _, i, j, q = op
-        if inverse:
-            mat[j] -= q * mat[i]
-        else:
-            mat[i] += q * mat[j]
-    elif op[0] == "swap":
-        _, i, j = op
-        mat[[i, j]] = mat[[j, i]]
-    else:  # negate
-        mat[op[1]] = -mat[op[1]]
-    return op
-
-
 def _replay(size: int, ops: list[tuple], inverse: bool) -> np.ndarray:
-    """The logged row operations applied to the size x size identity, in log
-    order (see ``_apply``)."""
-    mat = identity_matrix(size)
+    """The logged row operations applied, in log order, to the size x size
+    identity: each op itself, or with ``inverse`` the transpose of its
+    inverse (so the result's transpose is U^-1).  Each row is a dict of its
+    nonzero Python ints, so an op costs the nonzero entries it reads."""
+    mat = [{i: 1} for i in range(size)]
     for op in ops:
-        _apply(mat, op, inverse)
-    return mat
+        if op[0] == "add":  # row_i += q * row_j; its inverse transposed, row_j -= q * row_i
+            _, i, j, q = op
+            if inverse:
+                i, j, q = j, i, -q
+            row = mat[i]
+            for k, v in mat[j].items():
+                if x := row.get(k, 0) + q * v:
+                    row[k] = x
+                else:
+                    del row[k]
+        elif op[0] == "swap":
+            _, i, j = op
+            mat[i], mat[j] = mat[j], mat[i]
+        else:  # negate
+            mat[op[1]] = {k: -v for k, v in mat[op[1]].items()}
+    dense = zero_matrix(size, size)
+    for i, row in enumerate(mat):
+        dense[i, list(row)] = list(row.values())
+    return dense
 
 
 @dataclass(frozen=True)
@@ -135,9 +141,10 @@ class SmithNormalForm:
     """U @ A @ V == S with S = diag(diagonal), U, V unimodular.
 
     ``s`` and ``diagonal`` are computed eagerly; ``u`` and its inverse are
-    replayed from the logged row operations when first read, so a caller
-    pays only for the transform it uses.  The column operations act on
-    ``s`` only: no caller reads ``V``, so they are not logged.
+    replayed over Python ints from the logged row operations when first
+    read (``_replay``), so a caller pays only for the transform it uses.
+    All three are object arrays of Python ints.  The column operations act
+    on ``s`` only: no caller reads ``V``, so they are not logged.
     """
 
     s: np.ndarray
@@ -153,64 +160,111 @@ class SmithNormalForm:
         return _replay(self.s.shape[0], self._row_ops, inverse=True).T
 
 
+def _least(row: list[int]) -> tuple[int, ...]:
+    """(|v|, j) for the first entry v of least nonzero |value| in ``row``,
+    or () for a zero row."""
+    a = min(map(abs, filter(None, row)), default=0)
+    if not a:
+        return ()
+    if -a not in row:
+        return a, row.index(a)
+    if a not in row:
+        return a, row.index(-a)
+    return a, min(row.index(a), row.index(-a))
+
+
 def smith_normal_form(mat: np.ndarray) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The diagonal is nonnegative and satisfies s_1 | s_2 | ... ; the row
-    operations are logged so U and U^-1 can be rebuilt exactly.
+    operations are logged so U and U^-1 can be rebuilt exactly.  The pivot
+    at t is the first nonzero entry of least |value| in row-major order of
+    the rows and columns from t on.  The matrix is a list of rows of Python
+    ints, and each row's own first least entry is kept until the row
+    changes.  Every finished pivot row and column is clear, so rows above t
+    are zero in every column from t on: a column operation at t changes only
+    the rows from t on with a nonzero entry in column t, and a column swap
+    only the rows from t on.
     """
-    s = np.array(mat, dtype=object, copy=True)
-    if s.ndim != 2:
+    arr = np.asarray(mat, dtype=object)
+    if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    m, n = s.shape
+    m, n = arr.shape
+    s = arr.tolist()
+    for row in s:
+        row[:] = map(int, row)
+    least: list = [None] * m  # a row's _least, None until read or after it changes
     row_ops: list[tuple] = []
-
-    def min_entry(t: int) -> tuple[int, int] | None:
-        # the first nonzero entry of least |value| in row-major order: one
-        # pass finds the nonzero entries, abs and argmin see only those
-        rows, cols = np.nonzero(s[t:, t:])
-        if not rows.size:
-            return None
-        k = int(np.argmin(np.abs(s[rows + t, cols + t])))
-        return t + int(rows[k]), t + int(cols[k])
-
-    # Elementary operations keep U @ A @ V == S for the logged U; a column
-    # operation is a row operation on the view s.T.
     for t in range(min(m, n)):
         while True:
-            pos = min_entry(t)
-            if pos is None:
+            best, r = (), t
+            for i in range(t, m):
+                if least[i] is None:
+                    least[i] = _least(s[i])
+                if least[i] and (not best or least[i][0] < best[0]):
+                    best, r = least[i], i
+                    if best[0] == 1:
+                        break
+            if not best:
                 break
-            if pos != (t, t):
-                row_ops.append(_apply(s, ("swap", t, pos[0])))
-                _apply(s.T, ("swap", t, pos[1]))
-            pivot = s[t, t]
+            c = best[1]
+            if (r, c) != (t, t):
+                row_ops.append(("swap", t, r))
+                s[t], s[r] = s[r], s[t]
+                least[t], least[r] = least[r], least[t]
+                if c != t:
+                    for i in range(t, m):
+                        row = s[i]
+                        if row[t] or row[c]:
+                            row[t], row[c] = row[c], row[t]
+                            least[i] = None
+            top = s[t]
+            pivot = top[t]
+            support = [(j, v) for j, v in enumerate(top) if v]
             dirty = False
             for i in range(t + 1, m):
-                if s[i, t] != 0:
-                    row_ops.append(_apply(s, ("add", i, t, -(s[i, t] // pivot))))
-                    if s[i, t] != 0:
+                row = s[i]
+                if row[t]:
+                    q = -(row[t] // pivot)
+                    row_ops.append(("add", i, t, q))
+                    for j, v in support:
+                        row[j] += q * v
+                    least[i] = None
+                    if row[t]:
                         dirty = True  # remainder smaller than pivot; rescan
-            for j in range(t + 1, n):
-                if s[t, j] != 0:
-                    _apply(s.T, ("add", j, t, -(s[t, j] // pivot)))
-                    if s[t, j] != 0:
-                        dirty = True
+            live = [i for i in range(t, m) if s[i][t]]
+            for j, v in support[1:]:  # the columns right of t, as the row clears
+                q = -(v // pivot)
+                for i in live:
+                    s[i][j] += q * s[i][t]
+                if top[j]:
+                    dirty = True
+            if len(support) > 1:
+                for i in live:
+                    least[i] = None
             if dirty:
                 continue
             # Row and column are clear; force the pivot to divide the rest
             # by adding the first row holding an entry it does not divide.
             if abs(pivot) == 1:
                 break
-            offenders = np.flatnonzero((s[t + 1:, t + 1:] % pivot != 0).any(axis=1))
-            if offenders.size == 0:
+            offender = next((i for i in range(t + 1, m) if any(map(pivot.__rmod__, s[i]))), None)
+            if offender is None:
                 break
-            row_ops.append(_apply(s, ("add", t, t + 1 + int(offenders[0]), 1)))
-        if s[t, t] < 0:
-            row_ops.append(_apply(s, ("negate", t)))
+            row_ops.append(("add", t, offender, 1))
+            for j, v in enumerate(s[offender]):
+                top[j] += v
+            least[t] = None
+        if s[t][t] < 0:
+            row_ops.append(("negate", t))
+            s[t] = [-x for x in s[t]]
 
-    diagonal = tuple(int(s[i, i]) for i in range(min(m, n)))
-    return SmithNormalForm(s=s, diagonal=diagonal, _row_ops=row_ops)
+    diagonal = tuple(s[i][i] for i in range(min(m, n)))
+    del s  # every entry off the diagonal is 0 now
+    out = zero_matrix(m, n)
+    for i, d in enumerate(diagonal):
+        out[i, i] = d
+    return SmithNormalForm(out, diagonal, row_ops)
 
 
 @dataclass(frozen=True, eq=False)

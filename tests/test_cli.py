@@ -708,3 +708,21 @@ def test_sha_json_matches_the_recorded_output(name, capsys):
     assert main(["sha", *SHA_RECORDED[name], "--json"]) == 0
     recorded = (Path(__file__).resolve().parent / "data" / name).read_text()
     assert capsys.readouterr().out == recorded
+
+
+# the groups behind each tests/data/h2_*.json, all on trivial Z/4 (mu:4)
+H2_RECORDED = {
+    "h2_D4_mu4.json": "D4",
+    "h2_C2xC2xC2_mu4.json": '{"kind":"product","factors":["C2","C2","C2"]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(H2_RECORDED))
+def test_h2_json_matches_the_recorded_output(name, capsys):
+    # ``twistlgp cohomology --degree 2 --json`` byte for byte against its
+    # recorded output: the representatives of H^2 = (Z/2)^3 and (Z/2)^6,
+    # read through the bar presentation's U^-1, of a 64 x 72 Smith form
+    args = ["cohomology", "--group", H2_RECORDED[name], "--module", "mu:4", "--degree", "2"]
+    assert main([*args, "--json"]) == 0
+    recorded = (Path(__file__).resolve().parent / "data" / name).read_text()
+    assert capsys.readouterr().out == recorded

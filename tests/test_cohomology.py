@@ -626,6 +626,75 @@ def test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch):
     assert (compared, nontrivial, dropped) == (456, 61, 3021)
 
 
+def test_sha_count_equals_the_kernel_order_in_h1_coordinates(monkeypatch):
+    # on every case of the test above, the order that sha_finite counts in
+    # H^1's Cayley-graph coordinates equals the order of the kernel of the
+    # same members' reads presented in H^1's invariant-factor coordinates,
+    # from the representatives, trivial or not
+    count, counted = cohomology_module._sha_order, []
+
+    def checked(h1, exponent, kept):
+        reps = h1.generators()
+        maps = [(target.coordinates(reps[at]), target.factors) for target, at in kept]
+        counted.append(count(h1, exponent, kept))
+        assert counted[-1] == linalg.kernel_subgroup(h1.factors, maps).order
+        return counted[-1]
+
+    monkeypatch.setattr(cohomology_module, "_sha_order", checked)
+    test_sha_finite_restricts_to_one_maximal_member_per_class(monkeypatch)
+    # three member lists per case with H^1 != 0; 61 nontrivial kernels
+    assert Counter(order > 1 for order in counted) == {True: 3 * 61, False: 795}
+
+
+def test_a_trivial_kernel_reads_no_representative(monkeypatch):
+    # a kernel counted as trivial returns before H^1's representatives are
+    # read or a kernel subgroup is built; a nontrivial one reads H^1's and
+    # builds one
+    read, built = [], []
+    matrix = cohomology_module.CohomologyGroup._representative_matrix
+    kernel = cohomology_module.kernel_subgroup
+
+    def recorded_matrix(coh):
+        read.append(coh)
+        return matrix.func(coh)
+
+    def recorded_kernel(orders, maps):
+        built.append(orders)
+        return kernel(orders, maps)
+
+    monkeypatch.setattr(
+        cohomology_module.CohomologyGroup, "_representative_matrix", property(recorded_matrix)
+    )
+    monkeypatch.setattr(cohomology_module, "kernel_subgroup", recorded_kernel)
+    s4_c2 = direct_product(symmetric(4), cyclic(2))
+    q8 = quaternion()
+    cases = [
+        (s4_c2, mu_module(s4_c2, 4, chi), cyclic_subgroups(s4_c2), ())
+        for chi in all_characters(s4_c2, 4)
+    ] + [(q8, trivial_module(q8, [4]), [subgroup_generated(q8, [1])], (2, 2))]
+    for group, module, family, want in cases:
+        h1 = cohomology(group, module, 1)
+        read.clear()
+        built.clear()
+        sha = sha_finite(group, module, family)
+        assert not h1.is_trivial and sha.invariant_factors == want
+        assert bool(read) == bool(want) and all(coh is h1 for coh in read)
+        assert built == ([h1.invariant_factors] if want else [])
+
+
+def test_a_count_that_disagrees_with_the_presentation_raises(monkeypatch):
+    # a kernel whose presented order differs from the count is refused, by an
+    # explicit raise that holds under python -O, whether the presented
+    # kernel is trivial or not
+    count = cohomology_module._sha_order
+    monkeypatch.setattr(cohomology_module, "_sha_order", lambda *args: 2 * count(*args))
+    q8 = quaternion()
+    module = trivial_module(q8, [4])
+    for family, presented in [([subgroup_generated(q8, [1])], 4), (cyclic_subgroups(q8), 1)]:
+        with pytest.raises(ArithmeticError, match=f"the kernel has order {presented}, but"):
+            sha_finite(q8, module, family)
+
+
 def test_determinism():
     group = symmetric(3)
     module = trivial_module(group, [6])

@@ -98,6 +98,27 @@ def test_snf_zero_and_rectangular():
     assert check_snf(int_matrix([[4], [6]])).diagonal == (2,)
 
 
+def test_snf_past_small_inputs(monkeypatch):
+    # sparse 40 x 50 and 50 x 40 matrices with entries in [-3, 3] and zero
+    # rows and columns, where a column operation at t meets live rows below
+    # t and rows above t that it must leave alone, and the Smith input of
+    # the bar presentation of H^2(C2^3, Z/4), 64 x 72
+    rng = random.Random(44)
+    for m, n in [(40, 50), (50, 40), (40, 50), (50, 40)]:
+        mat = int_matrix(
+            [[rng.randint(-3, 3) if rng.random() < 0.15 else 0 for _ in range(n)] for _ in range(m)]
+        )
+        mat[rng.sample(range(m), 3)] = 0
+        mat[:, rng.sample(range(n), 3)] = 0
+        assert check_snf(mat).diagonal.count(0) >= 3  # the zero rows or columns
+    built, smith = [], linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda mat: built.append(mat) or smith(mat))
+    c2_3 = direct_product(cyclic(2), cyclic(2), cyclic(2))
+    assert _cohomology_cached.__wrapped__(c2_3, trivial_module(c2_3, [4]), 2).representatives
+    assert [mat.shape for mat in built] == [(64, 72)]
+    assert check_snf(built[0]).diagonal.count(2) == 6
+
+
 def test_solve_columns():
     # 2Z x 3Z
     lattice = congruence_kernel(2, 6, iter([([1, 0], 2), ([0, 1], 3)]))

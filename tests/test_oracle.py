@@ -291,6 +291,32 @@ def test_sha_engine_matches_oracle_on_mixed_families_and_rank_2_modules():
     assert sum(n for (h1, sha), n in kernels.items() if h1 and not sha) > 100
 
 
+def test_sha_count_equals_the_oracle_order(monkeypatch):
+    # on every case of the test above, the order sha_finite counts in H^1's
+    # Cayley-graph coordinates is the order brute_sha finds.  That test runs
+    # sha_finite before brute_sha on each family; a trivial H^1 makes no
+    # count, and reads as 1
+    cohomology_module = sys.modules["twistlgp.cohomology"]
+    count, brute = cohomology_module._sha_order, brute_sha
+    last, compared = [], []
+
+    def recorded_count(*args):
+        last.append(count(*args))
+        return last[-1]
+
+    def checked_brute(group, module, family):
+        factors = brute(group, module, family)
+        compared.append(last.pop() if last else 1)
+        assert compared[-1] == np.prod(factors, dtype=object)
+        return factors
+
+    monkeypatch.setattr(cohomology_module, "_sha_order", recorded_count)
+    monkeypatch.setitem(globals(), "brute_sha", checked_brute)
+    test_sha_engine_matches_oracle_on_mixed_families_and_rank_2_modules()
+    assert len(compared) == 290 and not last
+    assert Counter(order > 1 for order in compared) == {True: 59, False: 231}
+
+
 def flat(func):
     return tuple(c for v in func for c in v)
 
