@@ -42,9 +42,10 @@ or over Python ints when the exponent is 2^31 or more.  Conventions:
   A ``LatticeQuotient`` counts its order at construction, from the
   diagonals of two triangular folds, and diagonalizes (``lattice_quotient``,
   its one Smith form) only when the factors, generators or coordinates of
-  a nontrivial quotient are first read.  It is read as matrices
-  (``generators()``, ``coordinates(x)``); no other module reads a
-  ``Lattice``.
+  a nontrivial quotient are first read, or reads the factors of that
+  form's input modulo a prime power that kills it, with no Smith form
+  (``local_factors``).  It is read as matrices (``generators()``,
+  ``coordinates(x)``); no other module reads a ``Lattice``.
 """
 
 from __future__ import annotations
@@ -539,6 +540,17 @@ class LatticeQuotient:
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    def local_factors(self, p: int, k: int, v: int) -> tuple[int, ...]:
+        """``factors`` of a quotient killed by p^k and by p^v, read from its
+        Smith input by ``local_factors``, with no Smith form.  Entries of
+        ``reduced`` lie in [0, e], so the input is int64 below the bound."""
+        if self.is_trivial:
+            return ()
+        e, n = self.lattice.exponent, len(self.orders)
+        bound = e * max(n * int(np.abs(self.sub).max(initial=0)), *self.orders)
+        dtype = np.int64 if bound < 2**63 else object
+        return local_factors(_smith_input(self.lattice, self.sub, self.orders, dtype), p, k, v)
+
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         if self.is_trivial:
             if not self.lattice.contains(x):
@@ -557,19 +569,54 @@ class LatticeQuotient:
         return self.lattice.lift(w_snf.u_inv[:, list(kept)])
 
 
+def _smith_input(lattice: Lattice, sub: np.ndarray, orders, dtype=object) -> np.ndarray:
+    """reduced @ [sub | diag(orders)] / e in ``dtype``, whose columns span
+    span(sub) + R for R = diag(``orders``) in basis coordinates of
+    L = ``lattice``; every entry divides exactly by e."""
+    mat, sub = np.asarray(lattice.reduced, dtype=dtype), np.asarray(sub, dtype=dtype)
+    z = np.concatenate([mat @ sub, mat * np.array(orders, dtype=dtype)], axis=1)
+    return z // lattice.exponent
+
+
 def lattice_quotient(
     lattice: Lattice, sub: np.ndarray, orders
 ) -> tuple[SmithNormalForm, tuple[int, ...]]:
     """The Smith form of L / (span(sub) + R) for L = ``lattice`` and R =
-    diag(``orders``), both inside L (``subquotient`` proved it), in basis
-    coordinates of L, and the places of its diagonal entries other than 1:
-    the Smith form of reduced @ [sub | diag(orders)] / e, in which
-    reduced @ diag(orders) is a column scaling of reduced and every entry
-    divides exactly by e."""
-    mat = np.asarray(lattice.reduced, dtype=object)
-    z = np.concatenate([mat @ sub, mat * np.array(orders, dtype=object)], axis=1)
-    w_snf = smith_normal_form(z // lattice.exponent)
+    diag(``orders``), both inside L (``subquotient`` proved it), read from
+    ``_smith_input``, and the places of its diagonal entries other than 1."""
+    w_snf = smith_normal_form(_smith_input(lattice, sub, orders))
     return w_snf, tuple(i for i, d in enumerate(w_snf.diagonal) if d != 1)
+
+
+def local_factors(mat: np.ndarray, p: int, k: int, v: int) -> tuple[int, ...]:
+    """The invariant factors, ascending, of Z^n modulo the column span of
+    the n-row integer matrix ``mat``, which holds p^k Z^n, when p^v kills
+    them too: no Smith form, no transform.  Read mod q = p^min(k, v + 1),
+    one valuation s at a time with the rows left divided by p^s, each
+    column pivots on the sparsest row left whose entry is a unit, clears
+    the rows below mod q / p^s and reads p^s.  The pivot divides every
+    entry left, so its row and column are set aside.  Each row left at the
+    end is a factor q, which p^v must kill, else ``ArithmeticError``."""
+    q = p ** min(k, v + 1)
+    a = (np.asarray(mat) % q).astype(_dtype(q))  # products stay below q^2
+    n, factors, t, scale = a.shape[0], [], 0, 1
+    while t < n and scale < q:
+        ring = q // scale
+        for c in range(a.shape[1]):  # a column pivoted on is 0 below its pivot
+            units = t + (a[t:, c] % p).nonzero()[0]
+            if units.size:
+                i = units[np.sign(a[units]).sum(axis=1).argmin()]  # entries lie in [0, q)
+                a[[t, i]] = a[[i, t]]
+                below = t + 1 + a[t + 1:, c].nonzero()[0]
+                inv = pow(int(a[t, c]), -1, ring)
+                a[below] = (a[below] - (a[below, c] * inv % ring)[:, None] * a[t]) % ring
+                factors.append(scale)
+                t += 1
+        a[t:] //= p
+        scale *= p
+    if t < n and q > p**v:
+        raise ArithmeticError(f"a factor {q} of a quotient that {p}^{v} kills")
+    return tuple(f for f in factors if f > 1) + (q,) * (n - t)
 
 
 def subquotient(orders, exponent: int, congruences, sub: np.ndarray) -> LatticeQuotient:

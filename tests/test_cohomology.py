@@ -746,14 +746,14 @@ def reference_lattice_quotient(lattice, sub, orders):
 
 
 def test_counted_order_equals_the_smith_order(monkeypatch):
-    # every subquotient that H^0, H^1, H^2 (each rung of a counted one) and
-    # sha_finite build: the order counted from the two folds is the product
-    # of the Smith factors, and the quotient, with the relations as a column
-    # scaling, equals the dense reference entry for entry (factors,
-    # generators, coordinates).  A Smith form is a function of its matrix,
-    # so the quotient's first read reuses the one the reference built for
-    # the same matrix.  Likewise the coordinate reads of one subquotient
-    # solve the same points on the same lattice once
+    # every subquotient that H^0, H^1, H^2 (the one quotient of each
+    # p-part) and sha_finite build: the order counted from the two folds is
+    # the product of the Smith factors, and the quotient, with the
+    # relations as a column scaling, equals the dense reference entry for
+    # entry (factors, generators, coordinates).  A Smith form is a function
+    # of its matrix, so the quotient's first read reuses the one the
+    # reference built for the same matrix.  Likewise the coordinate reads
+    # of one subquotient solve the same points on the same lattice once
     original, smith, solve = linalg.subquotient, linalg.smith_normal_form, linalg.solve_columns
     orders_seen, smith_forms, solved = [], {}, {}
 
@@ -1318,13 +1318,22 @@ def p_parts(group, module):
             yield p, k, v
 
 
-def one_quotient_primes(group, module):
-    """The primes p whose part of H^2(G, M) is read from the one Cayley-graph
-    quotient at p^k: k > 1 and the p-part does not lift."""
-    return [
-        p for p, k, _v in p_parts(group, module)
-        if k > 1 and not cohomology_module._lifts(group, module, p, p**k)
-    ]
+def non_lifting_primes(group, module):
+    """The primes p of |G| whose part of M, with p^k exactly dividing e and
+    k > 1, is not Z/p^k through a character that lifts to Z_p^*: every value
+    +-1 mod 2^k, or for p odd a (p-1)-th root of 1 mod p^k, read at X.
+    These are the p-parts whose H^2 the orders of H^2(G, M / p^i M) do not
+    determine, as universal coefficients need the lift: the hard cases of
+    the one Cayley-graph quotient at p^k."""
+    values = [module.action[x][-1][-1] for x in cohomology_module._generator_ends(group)]
+    primes = []
+    for p, k, _v in p_parts(group, module):
+        q = p**k
+        cyclic_part = module.rank == 1 or module.orders[-2] % p
+        lifts = all(v % q in (1, q - 1) if p == 2 else pow(v, p - 1, q) == 1 for v in values)
+        if k > 1 and not (cyclic_part and lifts):
+            primes.append(p)
+    return primes
 
 
 def record_moduli(monkeypatch):
@@ -1343,7 +1352,7 @@ def record_moduli(monkeypatch):
 def test_count_path_leaves_other_modules_to_the_z_path(monkeypatch):
     # a character that does not lift and a p-part neither cyclic nor killed
     # by p read the factors of the one Cayley-graph quotient at p^k, and a
-    # squarefree e past 2^31 climbs the one rung at 2; each finds the Z
+    # squarefree e past 2^31 counts its one quotient at 2; each finds the Z
     # path's or the closed-form factors and leaves the Z path's presentation
     # to the first read, which finds them too
     big = 2 * 2147483659  # 2147483659 is prime
@@ -1431,7 +1440,7 @@ def restricted_cochain(cochain, target, subgroup):
 def test_counted_h2_reads_like_the_z_path():
     # representatives, to_report, class_of and induced maps of every H^n are
     # those of the Z path's generators, built when first read: H^2 counted
-    # on the ladder and read from the one Cayley-graph quotient alike
+    # at k = 1 and read mod p^min(k, v + 1) alike
     c6, s3, c8 = cyclic(6), symmetric(3), cyclic(8)
     transposition = next(g for g in range(6) if g and s3.mul(g, g) == 0)
     q8, non_lifting = non_lifting_q8_module()
@@ -1490,13 +1499,13 @@ NAMED_TO_8 = [f"C{n}" for n in range(1, 9)] + ["D2", "D3", "D4", "Q8", "S3"]
 
 
 def test_ladder_matches_the_z_path(monkeypatch):
-    # every character mod 4, 8, 9 and 12 in degree 2: a p-part of H^2 that
-    # lifts to Z_p^* is counted on its rungs with no Smith form; one that
-    # does not reads the one Cayley-graph quotient at p^k, with a Smith form
-    # exactly when that p-part of H^2 is nontrivial.  Either way the factors
-    # are those of the presentation of all rows.  A squarefree or coprime
-    # H^n is counted with no Smith form too.  Mixed exponents (S3 on Z/10,
-    # D5 on mu_6, C6 on mu_18 through 7, whose 9-part does not lift) feed
+    # every character mod 4, 8, 9 and 12 in degree 2: each p-part of H^2 is
+    # read from the one Cayley-graph quotient at p^k, counted when k = 1 and
+    # read mod p^min(k, v + 1) otherwise, with no Smith form, whether it
+    # lifts to Z_p^* (160 modules) or not (54).  Either way the factors are
+    # those of the presentation of all rows.  A squarefree or coprime H^n is
+    # counted with no Smith form too.  Mixed exponents (S3 on Z/10, D5 on
+    # mu_6, C6 on mu_18 through 7, whose 9-part does not lift) feed
     # congruence_kernel only rows whose moduli are powers of primes of |G|
     smith, built = linalg.smith_normal_form, []
     congruence_kernel, fed = linalg.congruence_kernel, []
@@ -1521,13 +1530,10 @@ def test_ladder_matches_the_z_path(monkeypatch):
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
                 assert "_presentation" not in vars(h2)
                 factors = h2.invariant_factors
-                primes = one_quotient_primes(group, module)
-                if primes:
-                    read_part = any(f % p == 0 for f in factors for p in primes)
-                    assert bool(built) == read_part, (name, m, chi.values)
+                assert not built, (name, m, chi.values)
+                if non_lifting_primes(group, module):
                     read += 1
                 else:
-                    assert not built, (name, m, chi.values)
                     counted += 1
                 want = cohomology_module._z_presentation(group, module, 2).factors
                 assert factors == want, (name, m, chi.values)
@@ -1570,23 +1576,22 @@ def test_ladder_matches_the_z_path(monkeypatch):
 def test_ladder_matches_the_closed_form(factors, m, monkeypatch):
     # orders 16 to 32 with m = 4, 8 or 9, where the Z path takes minutes;
     # m is a prime power p^k at most the p^v exactly dividing |G|, so the
-    # trivial module climbs every rung p, ..., p^k
+    # trivial module reads its one quotient at p^k mod p^k
     group, expected = closed_forms.h2_trivial(factors, m)
     module = trivial_module(group, [m])
     moduli = record_moduli(monkeypatch)
     h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
     (p, k, v), = p_parts(group, module)
-    assert k <= v and moduli == [p**i for i in range(1, k + 1)]
+    assert k <= v and moduli == [m]
     assert h2.invariant_factors == expected
 
 
 def test_ladder_on_sums_of_characters():
-    # a p-part killed by p beside a cyclic liftable one climbs the ladder
-    # (Z/3 + Z/12, Z/5 + Z/20, Z/3 + Z/8 through a lifting character); a
-    # p-part of a prime of |G| that is neither (Z/2 + Z/4 in Z/2 + Z/12,
-    # Z/3 + Z/9 in Z/3 + Z/36 over S3) reads the one Cayley-graph quotient
-    # at p^k, while the other primes still climb.  Either way the factors
-    # are the Z path's
+    # a p-part killed by p beside a cyclic liftable one (Z/3 + Z/12, Z/5 +
+    # Z/20, Z/3 + Z/8 through a lifting character), and a p-part of a prime
+    # of |G| that is neither (Z/2 + Z/4 in Z/2 + Z/12, Z/3 + Z/9 in Z/3 +
+    # Z/36 over S3), each read from its one Cayley-graph quotient at p^k,
+    # find the Z path's factors
     cases = Counter()
     for name in ("C2", "C4", "S3", "D4"):
         group = named_group(name)
@@ -1594,7 +1599,7 @@ def test_ladder_on_sums_of_characters():
             chars = [all_characters(group, m) for m in ms]
             for chis in itertools.islice(itertools.product(*chars), 2):
                 module = direct_sum(*(mu_module(group, m, chi) for m, chi in zip(ms, chis)))
-                primes = one_quotient_primes(group, module)
+                primes = non_lifting_primes(group, module)
                 if ms == (2, 12) or ms == (3, 36) and name == "S3":
                     assert primes == [ms[0]], (name, ms)
                 h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
@@ -1606,17 +1611,20 @@ def test_ladder_on_sums_of_characters():
 
 def test_ladder_needs_the_lift(monkeypatch):
     # Q8 on Z/8 through a character taking the value 3 does not lift to
-    # Z_2^*: its rungs Z/2, Z/4, Z/8 count 4, 4, 4, which the ladder reads
-    # as (Z/2)^2 with no error, while H^2 = Z/4.  Without the gate the
-    # wrong factors stand until the presentation is first read
+    # Z_2^*: H^2(Q8, M / 2^i M) counts 4, 4, 4 for i = 1, 2, 3, which reads
+    # as (Z/2)^2 under universal coefficients, while H^2 = Z/4.  The one
+    # quotient at 8, read mod 8, finds Z/4.  Wrong factors from that read
+    # stand until the presentation is first read, which refuses them
     group, module = non_lifting_q8_module()
-    assert not cohomology_module._lifts(group, module, 2, 8)
+    assert non_lifting_primes(group, module) == [2]
+    counts = [cohomology_module._cayley_h2(group, module, 2**i).order for i in (1, 2, 3)]
+    assert counts == [4, 4, 4]
     assert cohomology_module._cohomology_cached.__wrapped__(group, module, 2).invariant_factors == (4,)
-    monkeypatch.setattr(cohomology_module, "_lifts", lambda *args: True)
-    ungated = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-    assert ungated.invariant_factors == (2, 2)
+    monkeypatch.setattr(linalg.LatticeQuotient, "local_factors", lambda self, p, k, v: (2, 2))
+    wrong = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
+    assert wrong.invariant_factors == (2, 2)
     with pytest.raises(ArithmeticError, match="differ from the presentation's"):
-        ungated.representatives
+        wrong.representatives
 
 
 def local_smith_valuations(a, p, k, b=None):
@@ -1687,8 +1695,9 @@ NAMED_TO_16 = [f"C{n}" for n in range(1, 17)] + [f"D{n}" for n in range(2, 9)] +
 def test_one_quotient_reads_like_the_z_path():
     # every character mod 4, 8, 9 and 12 of the named groups to order 16
     # with a p-part, p dividing |G|, that does not lift reads that part's
-    # factors from the one Cayley-graph quotient at p^k, and climbs the
-    # rungs of any other.  They are those of the bar complex over
+    # factors from the one Cayley-graph quotient at p^k, mod
+    # p^min(k, v + 1), as it reads any other.  They are those of the bar
+    # complex over
     # each Z/p^k, of the Z path's presentation of all rows to order 10 (its
     # integer Smith forms grow slow past that), and of the oracle where its
     # budget allows
@@ -1698,7 +1707,7 @@ def test_one_quotient_reads_like_the_z_path():
         for m in (4, 8, 9, 12):
             for chi in all_characters(group, m):
                 module = mu_module(group, m, chi)
-                if not one_quotient_primes(group, module):
+                if not non_lifting_primes(group, module):
                     continue
                 factors = cohomology_module._cohomology_cached.__wrapped__(
                     group, module, 2
@@ -1718,29 +1727,34 @@ def test_one_quotient_reads_like_the_z_path():
 
 
 def test_one_quotient_folds_no_bar_row(monkeypatch):
-    # a factor read of an H^2 whose one p-part reads the one quotient at p^k,
-    # and with no other prime of |G| in e, folds only Cayley-graph rows, of
-    # width (|G| (|X| - 1) + 1) r, reaches no presentation of the bar
-    # complex, and builds one Smith form for a nontrivial H^2 and none for
-    # a trivial one: the quotient's, of (|G| (|X| - 1) + 1) r rows and at
-    # most that many columns plus the |X| r coboundary columns.  S4 and D16
-    # (order 32) with mu_8 through 3 or 5 would fold 24^3 and 32^3 bar rows
-    congruence_kernel, smith = linalg.congruence_kernel, linalg.smith_normal_form
+    # a factor read of an H^2 whose one p-part does not lift, and with no
+    # other prime of |G| in e, folds only Cayley-graph rows, of width
+    # (|G| (|X| - 1) + 1) r, reaches no presentation of the bar complex,
+    # builds no Smith form, and eliminates once for a nontrivial H^2 and
+    # never for a trivial one: the quotient's Smith input, of
+    # (|G| (|X| - 1) + 1) r rows and at most that many columns plus the
+    # |X| r coboundary columns.  S4 and D16 (order 32) with mu_8 through 3
+    # or 5 would fold 24^3 and 32^3 bar rows
+    congruence_kernel, local_factors = linalg.congruence_kernel, linalg.local_factors
     widths, shapes = [], []
 
     def recorded_kernel(n, exponent, constraints):
         widths.append(n)
         return congruence_kernel(n, exponent, constraints)
 
-    def recorded_smith(mat):
+    def recorded_local(mat, p, k, v):
         shapes.append(mat.shape)
-        return smith(mat)
+        return local_factors(mat, p, k, v)
 
     def no_bar(*args):
         raise AssertionError("a factor read reached the bar complex")
 
+    def no_smith(mat):
+        raise AssertionError("a factor read built an integer Smith form")
+
     monkeypatch.setattr(linalg, "congruence_kernel", recorded_kernel)
-    monkeypatch.setattr(linalg, "smith_normal_form", recorded_smith)
+    monkeypatch.setattr(linalg, "local_factors", recorded_local)
+    monkeypatch.setattr(linalg, "smith_normal_form", no_smith)
     monkeypatch.setattr(cohomology_module, "_z_presentation", no_bar)
     cases = [(*non_lifting_q8_module(), (4,))]
     for name, value, want in [("D8", 3, (4,)), ("D16", 3, (4,)), ("D16", 5, (2,)),
@@ -1753,7 +1767,7 @@ def test_one_quotient_folds_no_bar_row(monkeypatch):
         widths.clear()
         shapes.clear()
         primes = [p for p, _k, _v in p_parts(group, module)]
-        assert len(primes) == 1 and one_quotient_primes(group, module) == primes
+        assert len(primes) == 1 and non_lifting_primes(group, module) == primes
         h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
         assert h2.invariant_factors == want, group.name
         nx = len(cohomology_module._generator_ends(group))
@@ -1797,34 +1811,29 @@ def test_h0_is_the_fixed_submodule():
 
 
 def test_ladder_rejects_counts_that_climb_no_ladder(monkeypatch):
-    # a count below the rung beneath it, a ratio larger than the one before,
-    # and a ratio carrying a prime other than p (on the rungs 2 and 4 of C4,
-    # or the one rung at 2 of C2, where a count of 6 on Z/12 or 28 on Z/2
-    # is no group killed by 2) raise instead of climbing on; counts that
-    # climb read the j-th largest factor as the product of the j-th largest
-    # p-parts, here (4, 2) at 2 and (3, 3) at 3
+    # a quotient at p^k with a factor that p^v, exactly dividing |G|, does
+    # not kill raises instead of reading on: Z/8 for C4 on Z/8 (read mod 8)
+    # and Z/4 for C2 on Z/12 (read mod 4) keep a row with no pivot.  The
+    # p-parts read multiply the j-th largest factors, here (2, 4) at 2 and
+    # (3, 3) at 3 into (6, 12)
     c2, c4 = cyclic(2), cyclic(4)
-    for module, orders in [
-        (trivial_module(c4, [4]), [4, 2]),
-        (trivial_module(c4, [4]), [2, 8]),
-        (trivial_module(c4, [4]), [2, 6]),
-        (trivial_module(c2, [12]), [6]),
-        (trivial_module(c2, [2]), [28]),
-    ]:
-        counts = iter(orders)
+    for module, orders in [(trivial_module(c4, [8]), (8,)), (trivial_module(c2, [12]), (4,))]:
         monkeypatch.setattr(
             cohomology_module, "_cayley_h2",
-            lambda *args, counts=counts: SimpleNamespace(order=next(counts)),
+            lambda *args, orders=orders: linalg.kernel_subgroup(orders, []),
         )
-        with pytest.raises(ArithmeticError, match="climb no ladder"):
+        with pytest.raises(ArithmeticError, match="kills"):
             cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
-    counts = iter([4, 8, 9])
-    monkeypatch.setattr(
-        cohomology_module, "_cayley_h2", lambda *args: SimpleNamespace(order=next(counts))
-    )
+    read, parts = [], {4: (2, 4), 9: (3, 3)}
+
+    def fake(group, module, d):
+        read.append(d)
+        return SimpleNamespace(local_factors=lambda p, k, v: parts[d])
+
+    monkeypatch.setattr(cohomology_module, "_cayley_h2", fake)
     c12 = cyclic(12)
     h2 = cohomology_module._cohomology_cached.__wrapped__(c12, trivial_module(c12, [36]), 2)
-    assert h2.invariant_factors == (6, 12) and next(counts, None) is None
+    assert h2.invariant_factors == (6, 12) and read == [4, 9]
 
 
 def quotient_module(module, d):
@@ -1854,10 +1863,11 @@ def test_a_rung_presents_the_quotient_module():
 
 
 def test_the_ladder_builds_no_module(monkeypatch):
-    # the rungs of H^2(C8, Z/4), of h2-mid's Q8/mu_4 and of H^2(C2, Z/8)
-    # count on the rows of M itself, so counting them constructs no GModule
-    # for M / 2M.  |G| kills H^2, so the rungs stop at the power of p
-    # exactly dividing |G|: C2 on Z/8 climbs one rung, Q8 on mu_4 two
+    # the one quotient of H^2(C8, Z/4), of h2-mid's Q8/mu_4 and of
+    # H^2(C2, Z/8), at 4, 4 and 8, is read on the rows of M itself, so
+    # reading it constructs no GModule for M / p^i M.  |G| kills H^2, so C2
+    # on Z/8 reads its quotient at 8 mod 4, and Q8 on mu_4 its quotient at
+    # 4 mod 4
     c2, c8, q8 = cyclic(2), cyclic(8), quaternion()
     modules = [
         trivial_module(c8, [4]), mu_module(q8, 4, all_characters(q8, 4)[-1]), trivial_module(c2, [8])
@@ -1870,10 +1880,10 @@ def test_the_ladder_builds_no_module(monkeypatch):
 
     monkeypatch.setattr(GModule, "__post_init__", counted)
     moduli = record_moduli(monkeypatch)
-    for module, want, rungs in zip(modules, [(4,), (2, 2), (2,)], [[2, 4], [2, 4], [2]]):
+    for module, want, read in zip(modules, [(4,), (2, 2), (2,)], [[4], [4], [8]]):
         moduli.clear()
         h2 = cohomology_module._cohomology_cached.__wrapped__(module.group, module, 2)
-        assert moduli == rungs, module.group.name
+        assert moduli == read, module.group.name
         assert h2.invariant_factors == want
     assert made == []
 
@@ -1909,20 +1919,29 @@ def cayley_cases():
 
 def test_rungs_read_the_character_at_x_alone(monkeypatch):
     # the lifts are subgroups of the units and the corner entry is
-    # multiplicative on a cyclic p-part, so reading it at X decides as
-    # reading it at every element does, at every prime of |G| and e, on
-    # every cayley_cases module
+    # multiplicative on a cyclic p-part, so ``non_lifting_primes``, reading
+    # it at X, decides as reading it at every element does, at every prime
+    # of |G| and e, on every cayley_cases module (160 of 814 do not lift).
+    # The factors read do not depend on X either: to order 8, each module
+    # with a p-part at k > 1 reads the same factors with every element
+    # but 1 as X
     modules = list(cayley_cases())
-
-    def lifts(module):
-        group = module.group
-        return [cohomology_module._lifts(group, module, p, p**k) for p, k, _v in p_parts(group, module)]
-
-    at_x = [lifts(module) for module in modules]
-    declined = sum(bool(one_quotient_primes(module.group, module)) for module in modules)
+    at_x = [non_lifting_primes(module.group, module) for module in modules]
+    small = [
+        module for module in modules
+        if module.group.order <= 8 and any(k > 1 for _p, k, _v in p_parts(module.group, module))
+    ]
+    factors = [cohomology_module._h2_factors(module.group, module) for module in small]
     monkeypatch.setattr(cohomology_module, "_generator_ends", lambda group: tuple(group.elements()))
-    assert [lifts(module) for module in modules] == at_x
-    assert (len(modules), declined) == (814, 160)
+    assert [non_lifting_primes(module.group, module) for module in modules] == at_x
+    assert (len(modules), sum(map(bool, at_x))) == (814, 160)
+
+    def every_element_but_1(group):
+        return tuple(range(1, group.order))
+
+    monkeypatch.setattr(cohomology_module, "_generator_ends", every_element_but_1)
+    assert [cohomology_module._h2_factors(module.group, module) for module in small] == factors
+    assert len(small) == 221
 
 
 def divisors(n):
@@ -1930,8 +1949,10 @@ def divisors(n):
 
 
 def test_cayley_count_matches_the_quotient_module(monkeypatch):
-    # on every modulus d that ``_h2_factors`` reads, a rung p^i or the one
-    # quotient at p^k, and on d = e, the Cayley-graph count of
+    # ``_h2_factors`` reads the one quotient at p^k for each prime p of |G|
+    # in e, and nothing else.  On the divisors d of e that universal
+    # coefficients count, p, ..., p^min(k, v) for a p-part that lifts, p^k
+    # for one that does not, and on d = e, the Cayley-graph count of
     # H^2(G, M / dM) is the bar complex's order for the module M / dM built
     # on its own (many coincide, so each is counted once); to order 8, with
     # d = e, the factors of the Cayley subquotient are those ``cohomology``
@@ -1949,13 +1970,18 @@ def test_cayley_count_matches_the_quotient_module(monkeypatch):
         group, e = module.group, module.exponent
         read.clear()
         cohomology_module._h2_factors(group, module)
-        if e not in read:
-            read[e] = cayley_h2(group, module, e)
-        for d, count in sorted(read.items()):
+        parts, declined = list(p_parts(group, module)), non_lifting_primes(group, module)
+        assert list(read) == [p**k for p, k, _v in parts], (group.name, module.orders)
+        divisors = {e}
+        for p, k, v in parts:
+            divisors |= {p**k} if p in declined else {p**i for i in range(1, min(k, v) + 1)}
+        for d in sorted(divisors):
+            if d not in read:
+                read[d] = cayley_h2(group, module, d)
             quotient = quotient_module(module, d)
             if quotient not in want:
                 want[quotient] = reference_h2_order(group, quotient)
-            assert count.order == want[quotient], (group.name, module.orders, d)
+            assert read[d].order == want[quotient], (group.name, module.orders, d)
             cases += 1
         if group.order <= 8:
             factors = cohomology(group, module, 2).invariant_factors
@@ -2013,12 +2039,13 @@ def test_cayley_count_ignores_labels_and_generating_set(monkeypatch):
 
 @pytest.mark.parametrize("count, m", [(5, 2), (5, 4), (6, 2), (6, 4)])
 def test_cayley_count_matches_the_closed_form_of_c2_powers(count, m, monkeypatch):
-    # C2^6 has 4096 bar cochain coordinates and 321 Cayley-graph ones
+    # C2^6 has 4096 bar cochain coordinates and 321 Cayley-graph ones; the
+    # one quotient is read at m
     group, expected = closed_forms.h2_trivial(["C2"] * count, m)
     module = trivial_module(group, [m])
     moduli = record_moduli(monkeypatch)
     h2 = cohomology_module._cohomology_cached.__wrapped__(group, module, 2)
-    assert moduli == divisors(m)[1:]
+    assert moduli == [m]
     assert h2.invariant_factors == expected
     assert cohomology_module._cayley_h2(group, module, m).order == prod(expected)
 
@@ -2028,10 +2055,11 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     # quotient at e feeds, folds and relates Python ints, and cohomology
     # reads H^2 = 0 from the theorem, feeding nothing; the count, with no
     # prime of |G| in e, reads no quotient either.  C2 on trivial Z/2^64
-    # climbs the one rung at 2, where |G| stops it: one row at modulus 2, in
-    # e's dtype, Python ints: H^2 = Z/2.  Its representative comes from the
-    # bar complex at e.  D4 on trivial Z/2^70 climbs the rungs 2, 4 and 8
-    # and reads (2, 2, 2), the Z path's
+    # reads the one quotient at 2^64, mod 4 as 2 exactly divides |G|: one
+    # row at modulus e, in e's dtype, Python ints: H^2 = Z/2.  Its
+    # representative comes from the bar complex at e.  D4 on trivial Z/2^70
+    # reads its one quotient at 2^70, mod 16, and finds (2, 2, 2), the Z
+    # path's
     e = 10**40 + 1
     s3 = symmetric(3)
     module = trivial_module(s3, [e])
@@ -2058,7 +2086,7 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     module = trivial_module(c2, [e])
     h2 = cohomology_module._cohomology_cached.__wrapped__(c2, module, 2)
     assert h2.invariant_factors == (2,) and len(fed) == 1
-    assert all(row.dtype == object and modulus == 2 for row, modulus in fed)
+    assert all(row.dtype == object and modulus == e for row, modulus in fed)
     fed.clear()
     rep = h2.representatives[0]  # from the bar complex, over Python ints too
     assert fed and all(row.dtype == object and modulus == e for row, modulus in fed)
@@ -2067,7 +2095,7 @@ def test_coprime_count_past_int64_runs_over_python_ints(monkeypatch):
     module = trivial_module(d4, [2**70])
     moduli.clear()
     h2 = cohomology_module._cohomology_cached.__wrapped__(d4, module, 2)
-    assert moduli == [[2], [4], [8]] and h2.invariant_factors == (2, 2, 2)
+    assert moduli == [[2**70]] and h2.invariant_factors == (2, 2, 2)
     assert cohomology_module._z_presentation(d4, module, 2).factors == (2, 2, 2)
 
 

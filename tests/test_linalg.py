@@ -12,9 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from test_cohomology import generator_rows
+from test_cohomology import cayley_cases, generator_rows, p_parts
 from twistlgp import linalg
-from twistlgp.cohomology import _cayley_h2, _cohomology_cached, _differential_rows
+from twistlgp.cohomology import _cayley_h2, _cohomology_cached, _differential_rows, _h2_factors
 from twistlgp.gmodules import all_characters, mu_module, trivial_module
 from twistlgp.groups import cyclic, direct_product, quaternion, symmetric
 from twistlgp.linalg import (
@@ -726,33 +726,126 @@ def test_h2_work_is_bounded(monkeypatch):
     h2 = _cohomology_cached.__wrapped__(c8, module, 2)
     assert h2.invariant_factors == () and fed == []
     assert not built
-    # H^2(C8, Z/4) = Z/4 is counted on the rungs Z/2 and Z/4, with no Smith
-    # form until the representatives are read
+    # H^2(C8, Z/4) = Z/4 is read from the one quotient at 4, mod 4, with no
+    # Smith form until the representatives are read
     h2 = _cohomology_cached.__wrapped__(c8, trivial_module(c8, [4]), 2)
     assert h2.invariant_factors == (4,) and not built
-    # Q8 on Z/8 through a character taking the value 3, which does not lift
-    # to Z_2^*, reads the factors of the one Cayley-graph quotient: one
-    # Smith form, the quotient's, of (|G| (|X| - 1) + 1) r rows and at most
-    # |X| r coboundary columns more, which reads its diagonal only; the
-    # kernel's coordinates come from its triangular basis.  Reading the
+    # Q8 on Z/8 through a character taking the value 3 reads the factors of
+    # the one Cayley-graph quotient at 8 mod 8 (8 exactly divides |Q8|): one
+    # elimination, of (|G| (|X| - 1) + 1) r rows and at most |X| r
+    # coboundary columns more, and no Smith form.  Reading the
     # representatives builds the bar complex's one, over r |G|^2 rows,
     # which reads U^-1 and never U, since no coordinates are asked for.
+    read, local_factors = [], linalg.local_factors
+
+    def recorded_local(mat, p, k, v):
+        read.append((mat.shape, p, k, v))
+        return local_factors(mat, p, k, v)
+
+    monkeypatch.setattr(linalg, "local_factors", recorded_local)
     q8 = quaternion()
     chi = next(chi for chi in all_characters(q8, 8) if 3 in chi.values)
     h2 = _cohomology_cached.__wrapped__(q8, mu_module(q8, 8, chi), 2)
     assert h2.invariant_factors == (4,)
     width = q8.order * (len(q8.generators) - 1) + 1
     assert width == 17
-    assert len(built) == 1 and "representatives" not in vars(h2)
-    quotient, = built
-    assert quotient.s.shape[0] == width
-    assert quotient.s.shape[1] <= width + len(q8.generators)
-    assert not {"u", "u_inv"} & vars(quotient).keys()
+    assert not built and "representatives" not in vars(h2)
+    ((rows, cols), p, k, v), = read
+    assert rows == width and cols <= width + len(q8.generators)
+    assert (p, k, v) == (2, 3, 3)
     assert len(h2.representatives) == 1
-    assert len(built) == 2
-    quotient = built[1]
+    assert len(built) == 1
+    quotient, = built
     assert quotient.s.shape[0] == q8.order**2
     assert "u" not in vars(quotient) and "u_inv" in vars(quotient)
+
+
+def smith_factors(mat):
+    """The diagonal entries other than 1 of the integer Smith form."""
+    return tuple(d for d in smith_normal_form(mat).diagonal if d != 1)
+
+
+def test_local_factors_match_the_integer_smith_form():
+    # random n x m matrices with p^k I appended, for p = 2, 3, 5 and
+    # k <= 6, and for 2^30 and 2^31, the last modulus read in int64 and the
+    # first over Python ints, entries often multiples of powers of p: read
+    # with the cap at p^(v + 1) for every v from the largest valuation t of
+    # the integer Smith form's factors to k - 1, and without it for v >= k,
+    # the factors are the Smith form's; below t, a factor p^t that p^v does
+    # not kill raises ArithmeticError
+    rng = random.Random(45)
+    capped = raised = 0
+    for p, ks in [(2, [*range(1, 7), 30, 31]), (3, range(1, 7)), (5, range(1, 7))]:
+        for k in ks:
+            for _ in range(40):
+                n, m = rng.randint(1, 7), rng.randint(0, 8)
+                mat = np.array(
+                    [[rng.choice([0, p ** rng.randint(0, k) * rng.randint(-9, 9)]) for _ in range(m)]
+                     for _ in range(n)],
+                    dtype=object,
+                ).reshape(n, m)
+                full = np.concatenate([mat, p**k * identity_matrix(n)], axis=1)
+                want = smith_factors(full)
+                top = next(t for t in range(k + 1) if not want or want[-1] == p**t)
+                for v in range(top, k + 2):
+                    assert linalg.local_factors(full, p, k, v) == want, (p, k, v, full.tolist())
+                    capped += v < k
+                if top:
+                    with pytest.raises(ArithmeticError):
+                        linalg.local_factors(full, p, k, top - 1)
+                    raised += 1
+    assert (capped, raised) == (853, 749)
+
+
+def test_local_factors_of_every_cayley_quotient():
+    # every Cayley-graph quotient at p^k, k > 1, that a cayley_cases module
+    # reads (p^k exactly dividing e, p^v exactly dividing |G|): the local
+    # read mod p^min(k, v + 1) finds the integer Smith form's factors
+    read = capped = 0
+    for module in cayley_cases():
+        group = module.group
+        for p, k, v in p_parts(group, module):
+            if k > 1:
+                quotient = _cayley_h2(group, module, p**k)
+                assert quotient.local_factors(p, k, v) == quotient.factors, (group.name, module.orders)
+                read += 1
+                capped += v < k
+    assert (read, capped) == (536, 245)
+
+
+def test_h2_factor_reads_build_no_smith_form(monkeypatch):
+    # H^2's factors on every cayley_cases module, and past order 24 on the
+    # walls of the integer Smith form, build no integer Smith form: a
+    # p-part is counted (k = 1) or read mod p^min(k, v + 1).  The check is
+    # a raise, so it holds under python -O
+    def refused(mat):
+        raise AssertionError("an H^2 factor read built an integer Smith form")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refused)
+    for module in cayley_cases():
+        _h2_factors(module.group, module)
+    c2_5 = direct_product(*[cyclic(2)] * 5)
+    s4_c2 = direct_product(symmetric(4), cyclic(2))
+    for group, orders, want in [
+        (c2_5, [2**40], (2,) * 15),
+        (c2_5, [4, 4], (2,) * 30),
+        (s4_c2, [4, 4], (2,) * 8),
+    ]:
+        assert _h2_factors(group, trivial_module(group, orders)) == want, (group.name, orders)
+
+
+def test_local_factors_raise_on_a_factor_past_the_cap():
+    # Z/8 with p^v = 4 claimed to kill it: read mod 8, its one row keeps no
+    # pivot below 8.  Z/4 + Z/8 as a LatticeQuotient raises too; with v = 3
+    # both read their factors
+    eight = linalg.diagonal_matrix([8])
+    with pytest.raises(ArithmeticError):
+        linalg.local_factors(eight, 2, 3, 2)
+    assert linalg.local_factors(eight, 2, 3, 3) == (8,)
+    quot = kernel_subgroup((4, 8), [])
+    with pytest.raises(ArithmeticError):
+        quot.local_factors(2, 3, 2)
+    assert quot.local_factors(2, 3, 3) == (4, 8) == quot.factors
 
 
 def test_lattice_quotient_structure():
